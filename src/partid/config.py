@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
+from .lb_solvers import covers
 from .partitions import PartitionSpec, Side, classify, dimension, from_dict
 from .spef import SpefModel, bernoulli, gaussian, mean_domain, poisson
 
@@ -170,8 +171,11 @@ def _parse_experiment(data: dict, digest: str) -> ExperimentConfig:
     if dim is not None and dim != len(arms):
         _fail("partition",
               f"constraint dimension {dim} does not match {len(arms)} arms")
-    if classify(spec, np.array(means)) is Side.BOUNDARY:
+    side = classify(spec, np.array(means))
+    if side is Side.BOUNDARY:
         _fail("true_means", "lies exactly on the partition boundary")
+    if not covers(spec, side):
+        _fail("true_means", f"on side {side.value}, which solvers do not cover")
 
     deltas_raw = data.get("deltas", [0.1])
     if not isinstance(deltas_raw, list) or not deltas_raw:

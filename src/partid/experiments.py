@@ -138,11 +138,11 @@ def run_experiment(cfg: ExperimentConfig,
     ]
     rows = _map_tasks(_mc_task, args, par)
 
+    sol = solve(list(cfg.arms), np.array(cfg.true_means), cfg.partition)
     summaries = []
     for di, delta in enumerate(cfg.deltas):
         block = rows[di * cfg.replications:(di + 1) * cfg.replications]
         done = [r for r in block if not r.truncated]
-        sol = solve(list(cfg.arms), np.array(cfg.true_means), cfg.partition)
         if done:
             times = np.array([r.stop_time for r in done], dtype=float)
             fractions = np.array([np.array(r.counts) / r.stop_time

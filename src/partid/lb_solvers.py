@@ -40,8 +40,9 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify)
 from .rootfind import bisect_monotone, walk_to_root
-from .spef import (Direction, SpefModel, kl, kl_dnu, kl_dnu_range,
-                   kl_inverse, kl_inverse_capped, mean_domain)
+from .spef import (Direction, SpefModel, gaussian, kl, kl_dnu,
+                   kl_dnu_inverse, kl_dnu_range, kl_inverse, kl_inverse_capped,
+                   mean_domain)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,29 @@ def _validate_instance(models: Sequence[SpefModel], mu) -> np.ndarray:
     return mu
 
 
+def covers(spec: PartitionSpec, side: Side) -> bool:
+    """Whether inner_inf and solve handle means on this side of spec: both
+    sides of a threshold or half-space, only A1 (outside the set) of a
+    convex sublevel set or a union of half-spaces."""
+    return side is not Side.A2 or isinstance(spec, (Threshold, HalfSpace))
+
+
+def require_covered(spec: PartitionSpec, side: Side):
+    """Raise UnsupportedCase unless covers(spec, side)."""
+    if not covers(spec, side):
+        raise UnsupportedCase(f"means on side {side.value} of a "
+                              f"{type(spec).__name__} are not covered")
+
+
+def check_threshold_level(models: Sequence[SpefModel], u: float):
+    """Raise DomainError unless the level u is inside every arm's domain."""
+    for i, m in enumerate(models):
+        lo, hi = mean_domain(m)
+        if not lo < u < hi:
+            raise DomainError(
+                f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
+
+
 def _solution(w, nu, cstar, active, residuals, flags=()):
     cstar = float(cstar)
     if not (cstar > 0 and math.isfinite(cstar)):
@@ -163,7 +187,6 @@ def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
         return math.inf
     if slope <= lo_s:
         return -math.inf
-    from .spef import kl_dnu_inverse
     return kl_dnu_inverse(model, mu_i, slope)
 
 
@@ -356,9 +379,8 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
     Weights are any nonnegative vector (counts work as-is: the value is
     positively homogeneous in them). The minimizer is returned when the
     infimum is attained; free arms pushing toward an open domain edge leave
-    it None. mu on the partition boundary is rejected, and component/side
-    combinations outside the solvers' coverage (mu inside a convex-sublevel
-    or union alternative) raise UnsupportedCase.
+    it None. mu on the partition boundary is rejected, and sides that
+    covers() rejects raise UnsupportedCase.
     """
     mu = _validate_instance(models, mu)
     w = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -371,14 +393,11 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
         raise DegenerateInstance("mu lies on the partition boundary")
     if not np.any(w > 0):
         return InnerSolution(0.0, None)
+    require_covered(spec, side)
 
     if isinstance(spec, Threshold):
         u = spec.u
-        for i, m in enumerate(models):
-            lo, hi = mean_domain(m)
-            if not lo < u < hi:
-                raise DomainError(
-                    f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
+        check_threshold_level(models, u)
         if side is Side.A1:
             value = 0.0
             nu = np.array(mu)
@@ -403,10 +422,6 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
         return InnerSolution(value, nu)
 
     if isinstance(spec, UnionHalfSpaces):
-        if side is Side.A2:
-            raise UnsupportedCase(
-                "inner problem over the complement of a union of half-spaces "
-                "is not covered; only means inside the polytope are")
         best = None
         for a, b in spec.halfspaces:
             value, nu = _halfspace_inner(models, mu, w, np.asarray(a), b)
@@ -415,10 +430,6 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
         return InnerSolution(best[0], best[1])
 
     if isinstance(spec, ConvexSublevel):
-        if side is Side.A2:
-            raise UnsupportedCase(
-                "inner problem over the complement of a convex set is not "
-                "covered; encode that geometry as a union of half-spaces")
         value, nu = _convex_inner(models, mu, w, spec)
         return InnerSolution(value, nu)
 
@@ -440,11 +451,7 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
     optimum; the reported minimizer raises the lowest-indexed arm.
     """
     mu = _validate_instance(models, mu)
-    for i, m in enumerate(models):
-        lo, hi = mean_domain(m)
-        if not lo < u < hi:
-            raise DomainError(
-                f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
+    check_threshold_level(models, u)
     side = classify(Threshold(u), mu)
     if side is Side.BOUNDARY:
         raise DegenerateInstance(f"max(mu) sits on the threshold level {u}")
@@ -574,10 +581,7 @@ def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
     side = classify(sublevel, mu)
     if side is Side.BOUNDARY:
         raise DegenerateInstance("mu lies on the sublevel boundary")
-    if side is Side.A2:
-        raise UnsupportedCase(
-            "mu is inside the convex set; only the outside case is covered "
-            "(encode the complement as a union of half-spaces instead)")
+    require_covered(sublevel, side)
 
     K = mu.size
     state = {"x": np.array(mu)}
@@ -692,10 +696,7 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
     side = classify(spec, mu)
     if side is Side.BOUNDARY:
         raise DegenerateInstance("mu lies on the polytope boundary")
-    if side is Side.A2:
-        raise UnsupportedCase(
-            "mu must lie in the polytope component; means inside the union "
-            "are not covered")
+    require_covered(spec, side)
 
     rows = []
     for a, b in spec.halfspaces:
@@ -977,8 +978,7 @@ def solve_two_arm_gaussian(mu, hs1, hs2, variance: float,
         raise DegenerateInstance(
             "mu must lie strictly inside the polytope component")
 
-    from .spef import gaussian as _gaussian
-    models = [_gaussian(variance), _gaussian(variance)]
+    models = [gaussian(variance), gaussian(variance)]
 
     r = (bc2 / bc1) ** 2
     rhs1 = (ac2[0] ** 2 / abs(ac1[0]) + ac2[1] ** 2 / abs(ac1[1])) \

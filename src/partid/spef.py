@@ -11,6 +11,9 @@ Closed forms, with v the Gaussian variance:
     Bernoulli  kl = mu log(mu/nu)
                     + (1-mu) log((1-mu)/(1-nu))  domain (0, 1)
     Poisson    kl = nu - mu + mu log(mu/nu)      domain (0, inf)
+
+The public functions check their arguments, then look the formulas up in
+FAMILIES, which holds one FamilyOps record per supported family.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +46,72 @@ class Direction(enum.Enum):
 
 
 @dataclass(frozen=True)
+class FamilyOps:
+    """One family's formulas, each taking the SpefModel first and trusting
+    its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup),
+    draw returns a zero-argument sampler, a None inverse means root finding."""
+    domain: tuple[float, float]
+    kl: Callable[..., float]
+    kl_array: Callable[..., np.ndarray]
+    kl_dnu: Callable[..., float]
+    draw: Callable[..., Callable[[], float]]
+    dnu_sup: float = math.inf
+    kl_inverse: Optional[Callable[..., float]] = None
+    kl_dnu_inverse: Optional[Callable[..., float]] = None
+    has_variance: bool = False
+
+
+def _gaussian_kl(m, mu, nu):
+    d = mu - nu
+    return d * d / (2.0 * m.variance)
+
+
+def _gaussian_kl_inverse(m, mu, target, direction):
+    step = math.sqrt(2.0 * m.variance * target)
+    return mu + step if direction is Direction.ABOVE else mu - step
+
+
+def _gaussian_draw(m, mean, rng):
+    sd = math.sqrt(m.variance)
+    return lambda: float(rng.normal(mean, sd))
+
+
+def _bernoulli_kl(m, mu, nu):
+    v = mu * math.log(mu / nu) + (1.0 - mu) * math.log((1.0 - mu) / (1.0 - nu))
+    return max(0.0, v)  # cancellation at nu within a few ulps of mu
+
+
+FAMILIES: dict[Family, FamilyOps] = {
+    Family.GAUSSIAN: FamilyOps(
+        domain=(-math.inf, math.inf),
+        kl=_gaussian_kl,
+        kl_array=lambda m, mu, nu: (mu - nu) ** 2 / (2.0 * m.variance),
+        kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
+        draw=_gaussian_draw,
+        kl_inverse=_gaussian_kl_inverse,
+        kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
+        has_variance=True),
+    Family.BERNOULLI: FamilyOps(
+        domain=(0.0, 1.0),
+        kl=_bernoulli_kl,
+        kl_array=lambda m, mu, nu: np.maximum(
+            0.0, mu * np.log(mu / nu)
+            + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - nu))),
+        kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
+        draw=lambda m, mean, rng: lambda: 1.0 if rng.random() < mean else 0.0),
+    # the one slope that saturates: (nu - mu)/nu < 1 on an unbounded domain
+    Family.POISSON: FamilyOps(
+        domain=(0.0, math.inf),
+        kl=lambda m, mu, nu: max(0.0, nu - mu + mu * math.log(mu / nu)),
+        kl_array=lambda m, mu, nu: np.maximum(
+            0.0, nu - mu + mu * np.log(mu / nu)),
+        kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
+        draw=lambda m, mean, rng: lambda: float(rng.poisson(mean)),
+        dnu_sup=1.0),
+}
+
+
+@dataclass(frozen=True)
 class SpefModel:
     """One arm's distribution family. ``variance`` is meaningful only for
     the Gaussian family and ignored elsewhere."""
@@ -49,7 +119,7 @@ class SpefModel:
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.family is Family.GAUSSIAN:
+        if FAMILIES[self.family].has_variance:
             if not (math.isfinite(self.variance) and self.variance > 0):
                 raise ValueError(
                     f"Gaussian variance must be positive and finite, got "
@@ -70,11 +140,7 @@ def poisson() -> SpefModel:
 
 def mean_domain(model: SpefModel) -> tuple[float, float]:
     """Open interval of valid means."""
-    if model.family is Family.GAUSSIAN:
-        return (-math.inf, math.inf)
-    if model.family is Family.BERNOULLI:
-        return (0.0, 1.0)
-    return (0.0, math.inf)
+    return FAMILIES[model.family].domain
 
 
 def _check_mean(model, x, name, arm=None):
@@ -93,13 +159,7 @@ def kl(model: SpefModel, mu: float, nu: float, *, arm=None) -> float:
     """Divergence from the arm's distribution at mean mu to the one at nu."""
     mu = _check_mean(model, mu, "mu", arm)
     nu = _check_mean(model, nu, "nu", arm)
-    if model.family is Family.GAUSSIAN:
-        d = mu - nu
-        return d * d / (2.0 * model.variance)
-    if model.family is Family.BERNOULLI:
-        v = mu * math.log(mu / nu) + (1.0 - mu) * math.log((1.0 - mu) / (1.0 - nu))
-        return max(0.0, v)  # cancellation at nu within a few ulps of mu
-    return max(0.0, nu - mu + mu * math.log(mu / nu))
+    return FAMILIES[model.family].kl(model, mu, nu)
 
 
 def kl_array(model: SpefModel, mu: float, nu: np.ndarray) -> np.ndarray:
@@ -108,14 +168,8 @@ def kl_array(model: SpefModel, mu: float, nu: np.ndarray) -> np.ndarray:
     Entries must already lie in the open mean domain; this is the grid
     oracle's bulk path and skips per-element checking.
     """
-    mu = float(mu)
-    nu = np.asarray(nu, dtype=float)
-    if model.family is Family.GAUSSIAN:
-        return (mu - nu) ** 2 / (2.0 * model.variance)
-    if model.family is Family.BERNOULLI:
-        v = mu * np.log(mu / nu) + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - nu))
-        return np.maximum(0.0, v)
-    return np.maximum(0.0, nu - mu + mu * np.log(mu / nu))
+    return FAMILIES[model.family].kl_array(
+        model, float(mu), np.asarray(nu, dtype=float))
 
 
 def kl_dnu(model: SpefModel, mu: float, nu: float, *, arm=None) -> float:
@@ -125,22 +179,12 @@ def kl_dnu(model: SpefModel, mu: float, nu: float, *, arm=None) -> float:
     """
     mu = _check_mean(model, mu, "mu", arm)
     nu = _check_mean(model, nu, "nu", arm)
-    if model.family is Family.GAUSSIAN:
-        return (nu - mu) / model.variance
-    if model.family is Family.BERNOULLI:
-        return (nu - mu) / (nu * (1.0 - nu))
-    return (nu - mu) / nu
+    return FAMILIES[model.family].kl_dnu(model, mu, nu)
 
 
 def kl_dnu_range(model: SpefModel, mu: float) -> tuple[float, float]:
-    """Open range swept by kl_dnu(mu, .) as nu crosses the mean domain.
-
-    Poisson is the one family whose slope saturates: (nu - mu)/nu < 1 for
-    every nu, even though the domain is unbounded above.
-    """
-    if model.family is Family.POISSON:
-        return (-math.inf, 1.0)
-    return (-math.inf, math.inf)
+    """Open range swept by kl_dnu(mu, .) as nu crosses the mean domain."""
+    return (-math.inf, FAMILIES[model.family].dnu_sup)
 
 
 def kl_inverse(model: SpefModel, mu: float, target: float,
@@ -159,10 +203,10 @@ def kl_inverse(model: SpefModel, mu: float, target: float,
         raise ValueError(f"divergence target must be finite and >= 0, got {target}")
     if target == 0.0:
         return mu
-    if model.family is Family.GAUSSIAN:
-        step = math.sqrt(2.0 * model.variance * target)
-        return mu + step if direction is Direction.ABOVE else mu - step
-    lo, hi = mean_domain(model)
+    ops = FAMILIES[model.family]
+    if ops.kl_inverse is not None:
+        return ops.kl_inverse(model, mu, target, direction)
+    lo, hi = ops.domain
     boundary = hi if direction is Direction.ABOVE else lo
     return walk_to_root(lambda x: kl(model, mu, x), mu, boundary, target,
                         rising=True, value_tol=TOL_INV, max_iter=MAX_ITER)
@@ -205,9 +249,10 @@ def kl_dnu_inverse(model: SpefModel, mu: float, slope: float, *, arm=None) -> fl
             f"{model.family.value} at mu={mu}{where}")
     if slope == 0.0:
         return mu
-    if model.family is Family.GAUSSIAN:
-        return mu + model.variance * slope
-    lo, hi = mean_domain(model)
+    ops = FAMILIES[model.family]
+    if ops.kl_dnu_inverse is not None:
+        return ops.kl_dnu_inverse(model, mu, slope)
+    lo, hi = ops.domain
     boundary = hi if slope > 0 else lo
     return walk_to_root(lambda x: kl_dnu(model, mu, x), mu, boundary, slope,
                         rising=(slope > 0), value_tol=TOL_INV,
@@ -227,30 +272,35 @@ class ClampPolicy:
 DEFAULT_CLAMP = ClampPolicy()
 
 
-def clamp_to_interior(model: SpefModel, x: float,
-                      policy: ClampPolicy = DEFAULT_CLAMP) -> float:
-    """Snap x to at least epsilon inside every finite boundary of the mean
-    domain. Infinite sides are left untouched."""
+def clamp_bounds(model: SpefModel,
+                 policy: ClampPolicy = DEFAULT_CLAMP) -> tuple[float, float]:
+    """The interval clamp_to_interior snaps into: epsilon inside every
+    finite boundary of the mean domain, unbounded on infinite sides."""
     lo, hi = mean_domain(model)
     eps = policy.epsilon
     if math.isfinite(lo) and math.isfinite(hi) and hi - lo <= 2 * eps:
         raise ValueError(
             f"epsilon {eps} too large for domain ({lo}, {hi})")
-    x = float(x)
-    if math.isfinite(lo):
-        x = max(x, lo + eps)
-    if math.isfinite(hi):
-        x = min(x, hi - eps)
-    return x
+    return lo + eps, hi - eps
+
+
+def clamp_to_interior(model: SpefModel, x: float,
+                      policy: ClampPolicy = DEFAULT_CLAMP) -> float:
+    """Snap x to at least epsilon inside every finite boundary of the mean
+    domain. Infinite sides are left untouched."""
+    lo, hi = clamp_bounds(model, policy)
+    return min(max(float(x), lo), hi)
+
+
+def sampler(model: SpefModel, mean: float, rng: np.random.Generator, *,
+            arm=None) -> Callable[[], float]:
+    """Zero-argument sample(); the mean is checked once, not per draw."""
+    mean = _check_mean(model, mean, "mean", arm)
+    return FAMILIES[model.family].draw(model, mean, rng)
 
 
 def sample(model: SpefModel, mean: float, rng: np.random.Generator, *,
            arm=None) -> float:
     """One observation from the arm at the given mean. Deterministic given
     the generator state."""
-    mean = _check_mean(model, mean, "mean", arm)
-    if model.family is Family.GAUSSIAN:
-        return float(rng.normal(mean, math.sqrt(model.variance)))
-    if model.family is Family.BERNOULLI:
-        return 1.0 if rng.random() < mean else 0.0
-    return float(rng.poisson(mean))
+    return sampler(model, mean, rng, arm=arm)()

@@ -22,21 +22,30 @@ weighted inner infimum from lb_solvers, so its value is t times the unit
 allocation cost at N/t. When the empirical means sit on the partition
 boundary, or on a component the inner solvers do not cover, Z is taken as
 zero: the run keeps sampling rather than stopping on an undefined test.
+
+One loop serves every partition and asks a per-geometry step kernel for
+statistic(means, counts) -> (side, Z) and allocation(means, side) -> w_hat.
+The threshold kernel evaluates closed forms; the solver kernel calls
+classify, inner_inf and solve. On a threshold partition both kernels give
+the same trajectory from the same seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInstance, DomainError, PartidError, UnsupportedCase
-from .lb_solvers import DEFAULT_SETTINGS, SolverSettings, inner_inf, solve
+from .errors import DegenerateInstance, PartidError, UnsupportedCase
+from .lb_solvers import (DEFAULT_SETTINGS, SolverSettings,
+                         check_threshold_level, inner_inf, require_covered,
+                         solve)
 from .partitions import TOL_CLASS, PartitionSpec, Side, Threshold, classify
-from .spef import (DEFAULT_CLAMP, ClampPolicy, Family, SpefModel,
-                   _check_mean, clamp_to_interior, mean_domain, sample)
+from .spef import (DEFAULT_CLAMP, FAMILIES, ClampPolicy, SpefModel,
+                   clamp_bounds, clamp_to_interior, sampler)
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,8 @@ class StoppingConfig:
 
 @dataclass
 class RunState:
-    """Mutable per-run statistics: total pulls, per-arm counts, reward sums."""
+    """Mutable per-run statistics: total pulls, per-arm counts, reward sums.
+    The run loop keeps one per run and updates it in place."""
     t: int
     counts: np.ndarray
     sums: np.ndarray
@@ -97,23 +107,106 @@ def d_tracking_next(state: RunState, w_hat) -> int:
     return int(np.argmax(np.asarray(w_hat) - state.counts / state.t))
 
 
+def _glr(models, means, counts, spec) -> float:
+    try:
+        return inner_inf(models, means, counts.astype(float), spec).value
+    except (DegenerateInstance, UnsupportedCase):
+        return 0.0
+
+
 def glr_statistic(models: Sequence[SpefModel], state: RunState,
                   spec: PartitionSpec,
                   clamp: ClampPolicy = DEFAULT_CLAMP) -> float:
     """Count-weighted divergence from the empirical means to the closure of
     the opposite component; zero whenever that test is undefined."""
-    means = state.means(models, clamp)
-    try:
-        return inner_inf(models, means, state.counts.astype(float), spec).value
-    except (DegenerateInstance, UnsupportedCase):
-        return 0.0
+    return _glr(models, state.means(models, clamp), state.counts, spec)
 
 
-def _declare(spec: PartitionSpec, means) -> Side:
-    side = classify(spec, means)
-    if side is not Side.BOUNDARY:
-        return side
-    return Side.A1  # exact-boundary truncation tie; measure-zero and flagged
+class _SolverKernel:
+    """Solver-backed step kernel, which run() uses for every geometry but
+    the threshold. An undefined statistic counts as zero and a failed solve
+    as uniform weights, under which tracking pulls the least-sampled arm."""
+
+    def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
+                 settings: SolverSettings, true_side: Side):
+        require_covered(spec, true_side)
+        self.models = models
+        self.spec = spec
+        self.settings = settings
+        self.uniform = np.full(len(models), 1.0 / len(models))
+
+    def statistic(self, means, counts):
+        side = classify(self.spec, means)
+        if side is Side.BOUNDARY:
+            return side, 0.0
+        return side, _glr(self.models, means, counts, self.spec)
+
+    def allocation(self, means, side):
+        try:
+            w_hat = solve(self.models, means, self.spec, self.settings).w_star
+        except PartidError:
+            return self.uniform
+        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
+
+
+class _ThresholdKernel:
+    """Step kernel for Threshold(u): the closed-form threshold branches of
+    inner_inf and solve_threshold, the same expressions in the same order,
+    without the solver plumbing that would dominate nested simulations."""
+
+    def __init__(self, models: Sequence[SpefModel], spec: Threshold):
+        check_threshold_level(models, spec.u)
+        self.u = spec.u
+        self.k = len(models)
+        self.uniform = np.full(self.k, 1.0 / self.k)
+        # gap[i](x, u): unchecked kl of arm i from mean x to the level
+        self.gap = [functools.partial(FAMILIES[m.family].kl, m)
+                    for m in models]
+
+    def statistic(self, means, counts):
+        u, gap = self.u, self.gap
+        margin = float(np.max(means)) - u
+        if abs(margin) <= TOL_CLASS:
+            return Side.BOUNDARY, 0.0
+        if margin > 0:
+            z = 0.0
+            for i in range(self.k):
+                v = means[i]
+                if v > u:
+                    z += float(counts[i]) * gap[i](v, u)
+            return Side.A1, z
+        z = math.inf
+        for i in range(self.k):
+            c = float(counts[i]) * gap[i](means[i], u)
+            if c < z:
+                z = c
+        return Side.A2, z
+
+    def allocation(self, means, side):
+        u, gap = self.u, self.gap
+        if side is Side.BOUNDARY:
+            return self.uniform
+        if side is Side.A1:
+            jstar = -1
+            best = 0.0
+            for i in range(self.k):
+                v = means[i]
+                if v > u:
+                    g = gap[i](v, u)
+                    if g > best:
+                        best = g
+                        jstar = i
+            if jstar < 0:       # every above-level divergence underflowed
+                return self.uniform
+            w_hat = np.zeros(self.k)
+            w_hat[jstar] = 1.0
+            return w_hat
+        gaps = np.array([gap[i](means[i], u) for i in range(self.k)])
+        if np.any(gaps <= 0.0):     # a mean pinned at the level
+            return self.uniform
+        inv = 1.0 / gaps
+        w_hat = inv / float(inv.sum())
+        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
 
 
 def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
@@ -124,225 +217,75 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
 
     Draws from true_means (never shown to the decision logic), stops when
     the statistic clears beta_threshold or max_steps is hit; the latter is
-    reported as truncated, never silently dropped. Weights come from a
-    fresh allocation solve at the clamped empirical means each step; if
-    that solve fails or yields undefined weights, the step falls back to
-    uniform weights, which under the tracking rule pulls the least-sampled
-    arm.
-
-    Threshold partitions take a specialized loop: both the statistic and
-    the allocation have closed forms there, so the step avoids the generic
-    solver plumbing. The arithmetic is the same expressions evaluated in
-    the same order; only the overhead differs.
+    reported as truncated, never silently dropped. Threshold partitions
+    get the closed-form kernel, every other geometry the solver kernel,
+    which solves the allocation afresh at each step's clamped empirical
+    means. A truth on a side that lb_solvers.covers rejects raises
+    UnsupportedCase before the first draw.
     """
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
     if true_means.size != k:
-        raise ValueError(
-            f"{k} models for {true_means.size} true means")
+        raise ValueError(f"{k} models for {true_means.size} true means")
     true_side = classify(spec, true_means)
     if true_side is Side.BOUNDARY:
         raise DegenerateInstance("true means lie on the partition boundary")
     if isinstance(spec, Threshold):
-        return _run_threshold(models, true_means, spec, cfg, rng, clamp,
-                              true_side)
-    return _run_generic(models, true_means, spec, cfg, rng, settings, clamp,
-                        true_side)
+        kernel = _ThresholdKernel(models, spec)
+    else:
+        kernel = _SolverKernel(models, spec, settings, true_side)
+    return _track_and_stop(models, true_means, true_side, kernel, cfg, rng,
+                           clamp)
 
 
-def _run_generic(models: Sequence[SpefModel], true_means: np.ndarray,
-                 spec: PartitionSpec, cfg: StoppingConfig,
-                 rng: np.random.Generator, settings: SolverSettings,
-                 clamp: ClampPolicy, true_side: Side) -> RunResult:
+def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
+                    true_side: Side, kernel, cfg: StoppingConfig,
+                    rng: np.random.Generator, clamp: ClampPolicy) -> RunResult:
+    """The run loop every geometry shares; the kernel supplies each step."""
     k = len(models)
-    counts = np.zeros(k, dtype=np.int64)
-    sums = np.zeros(k)
+    # clamp_to_interior's bounds, for the arms with a finite domain edge
+    bounds = [(i, lo, hi) for i, (lo, hi) in
+              enumerate(clamp_bounds(m, clamp) for m in models)
+              if math.isfinite(lo) or math.isfinite(hi)]
+    draws = [sampler(m, float(x), rng, arm=i)
+             for i, (m, x) in enumerate(zip(models, true_means))]
+    state = RunState(t=k, counts=np.zeros(k, dtype=np.int64),
+                     sums=np.zeros(k))
+    counts, sums = state.counts, state.sums
     for i in range(k):
-        sums[i] += sample(models[i], float(true_means[i]), rng, arm=i)
+        sums[i] += draws[i]()
         counts[i] += 1
-    t = k
     violations = 0
-    uniform = np.full(k, 1.0 / k)
-    z = 0.0
-    truncated = False
-
-    while True:
-        state = RunState(t=t, counts=counts, sums=sums)
-        means = state.means(models, clamp)
-        side = classify(spec, means)
-        z = 0.0
-        if side is not Side.BOUNDARY:
-            try:
-                z = inner_inf(models, means, counts.astype(float), spec).value
-            except (DegenerateInstance, UnsupportedCase):
-                z = 0.0
-        if side is not Side.BOUNDARY and z >= beta_threshold(t, cfg):
-            declared = side
-            break
-        if t >= cfg.max_steps:
-            truncated = True
-            declared = _declare(spec, means)
-            break
-
-        try:
-            w_hat = solve(models, means, spec, settings).w_star
-            if not np.all(np.isfinite(w_hat)):
-                w_hat = uniform
-        except PartidError:
-            w_hat = uniform
-        arm = d_tracking_next(state, w_hat)
-        sums[arm] += sample(models[arm], float(true_means[arm]), rng, arm=arm)
-        counts[arm] += 1
-        t += 1
-        floor = max(0.0, math.sqrt(t) - k / 2.0) - 1.0
-        if counts.min() < floor - 1e-9:
-            violations += 1
-
-    final_state = RunState(t=t, counts=counts, sums=sums)
-    return RunResult(
-        stop_time=t,
-        declared=declared,
-        correct=declared is true_side,
-        glr_at_stop=float(z),
-        forced_exploration_violations=violations,
-        truncated=truncated,
-        final_counts=counts.copy(),
-        final_means=final_state.means(models, clamp),
-    )
-
-
-def _run_threshold(models: Sequence[SpefModel], true_means: np.ndarray,
-                   spec: Threshold, cfg: StoppingConfig,
-                   rng: np.random.Generator, clamp: ClampPolicy,
-                   true_side: Side) -> RunResult:
-    """Threshold specialization of the run loop.
-
-    The per-step statistic and allocation are the closed-form threshold
-    branches of inner_inf and solve_threshold inlined as per-arm closures,
-    together with the matching clamp and sampling expressions. A run here
-    consumes the generator identically and takes identical branches to
-    _run_generic on the same seed; it just skips the solver plumbing, which
-    is what makes nested-simulation sweeps with millions of pulls viable.
-    """
-    u = spec.u
-    k = len(models)
-    eps = clamp.epsilon
-    div_to_level = []   # spef.kl with nu pinned at u
-    draw = []           # spef.sample with the mean pinned at the truth
-    snap = []           # (arm, lo, hi) clamp bounds; finite sides only
-    for i, m in enumerate(models):
-        lo, hi = mean_domain(m)
-        if not lo < u < hi:
-            raise DomainError(
-                f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
-        if math.isfinite(lo) and math.isfinite(hi) and hi - lo <= 2 * eps:
-            raise ValueError(
-                f"epsilon {eps} too large for domain ({lo}, {hi})")
-        if math.isfinite(lo) or math.isfinite(hi):
-            snap.append((i,
-                         lo + eps if math.isfinite(lo) else -math.inf,
-                         hi - eps if math.isfinite(hi) else math.inf))
-        tm = _check_mean(m, float(true_means[i]), "mean", i)
-        if m.family is Family.GAUSSIAN:
-            two_var = 2.0 * m.variance
-            sd = math.sqrt(m.variance)
-            div_to_level.append(
-                lambda x, _v=two_var: (x - u) * (x - u) / _v)
-            draw.append(lambda _m=tm, _s=sd: float(rng.normal(_m, _s)))
-        elif m.family is Family.BERNOULLI:
-            div_to_level.append(
-                lambda x: max(0.0, x * math.log(x / u)
-                              + (1.0 - x) * math.log((1.0 - x) / (1.0 - u))))
-            draw.append(lambda _m=tm: 1.0 if rng.random() < _m else 0.0)
-        else:
-            div_to_level.append(
-                lambda x: max(0.0, u - x + x * math.log(x / u)))
-            draw.append(lambda _m=tm: float(rng.poisson(_m)))
-
-    counts = np.zeros(k, dtype=np.int64)
-    sums = np.zeros(k)
-    for i in range(k):
-        sums[i] += draw[i]()
-        counts[i] += 1
-    t = k
-    violations = 0
-    uniform = np.full(k, 1.0 / k)
-    z = 0.0
     truncated = False
 
     while True:
         means = sums / counts
-        for i, lo_s, hi_s in snap:
+        for i, lo, hi in bounds:
             v = means[i]
-            if v < lo_s:
-                means[i] = lo_s
-            elif v > hi_s:
-                means[i] = hi_s
-        margin = float(np.max(means)) - u
-        boundary = abs(margin) <= TOL_CLASS
-        z = 0.0
-        if not boundary:
-            if margin > 0:
-                for i in range(k):
-                    v = means[i]
-                    if v > u:
-                        z += float(counts[i]) * div_to_level[i](v)
-            else:
-                z = math.inf
-                for i in range(k):
-                    c = float(counts[i]) * div_to_level[i](means[i])
-                    if c < z:
-                        z = c
-        if not boundary and z >= beta_threshold(t, cfg):
-            declared = Side.A1 if margin > 0 else Side.A2
+            if v < lo:
+                means[i] = lo
+            elif v > hi:
+                means[i] = hi
+        side, z = kernel.statistic(means, counts)
+        if side is not Side.BOUNDARY and z >= beta_threshold(state.t, cfg):
+            declared = side
             break
-        if t >= cfg.max_steps:
+        if state.t >= cfg.max_steps:
             truncated = True
-            declared = _declare(spec, means)
+            # an exact tie is measure-zero; it is declared A1
+            declared = Side.A1 if side is Side.BOUNDARY else side
             break
 
-        if boundary:
-            w_hat = uniform
-        elif margin > 0:
-            jstar = -1
-            best = 0.0
-            for i in range(k):
-                v = means[i]
-                if v > u:
-                    g = div_to_level[i](v)
-                    if g > best:
-                        best = g
-                        jstar = i
-            if jstar < 0:       # every above-level divergence underflowed
-                w_hat = uniform
-            else:
-                w_hat = np.zeros(k)
-                w_hat[jstar] = 1.0
-        else:
-            gaps = np.array([div_to_level[i](means[i]) for i in range(k)])
-            if np.any(gaps <= 0.0):     # a mean pinned at the level
-                w_hat = uniform
-            else:
-                inv = 1.0 / gaps
-                w_hat = inv / float(inv.sum())
-                if not np.all(np.isfinite(w_hat)):
-                    w_hat = uniform
-
-        need = math.sqrt(t) - k / 2.0
-        starved = np.nonzero(counts < need)[0]
-        if starved.size:
-            arm = int(starved[0])
-        else:
-            arm = int(np.argmax(w_hat - counts / t))
-        sums[arm] += draw[arm]()
+        arm = d_tracking_next(state, kernel.allocation(means, side))
+        sums[arm] += draws[arm]()
         counts[arm] += 1
-        t += 1
-        floor = max(0.0, math.sqrt(t) - k / 2.0) - 1.0
+        state.t += 1
+        floor = max(0.0, math.sqrt(state.t) - k / 2.0) - 1.0
         if counts.min() < floor - 1e-9:
             violations += 1
 
     return RunResult(
-        stop_time=t,
+        stop_time=state.t,
         declared=declared,
         correct=declared is true_side,
         glr_at_stop=float(z),

@@ -3,11 +3,14 @@ seed overrides, output formats."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import partid
 from partid.cli import main
 from partid.errors import NumericalError
 
@@ -198,10 +201,35 @@ class TestErrorPaths:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--delta", "0.1"], ["mc"]])
+@pytest.mark.parametrize("partition", [
+    {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    {"type": "union_halfspaces",
+     "halfspaces": [{"a": [1.0, 0.0], "b": -1.0},
+                    {"a": [0.0, 1.0], "b": -1.0}]},
+], ids=["ball", "union"])
+def test_truth_on_an_uncovered_side_exits_2(partition, command, tmp_path,
+                                            capsys):
+    path = tmp_path / "uncovered.json"
+    # a short max_steps bounds the runs should the check ever go missing
+    path.write_text(json.dumps({**EXPERIMENT_DOC, "true_means": [0.0, 0.0],
+                                "partition": partition, "replications": 1,
+                                "max_steps": 5}))
+    code = main([command[0], str(path), "--out", str(tmp_path)]
+                + command[1:])
+    assert code == 2
+    assert "which solvers do not cover" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_console_script_is_wired(experiment_config, tmp_path):
+    # the child imports the same partid as this process, installed or not
+    src = str(Path(partid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "partid.cli", "lb", experiment_config,
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "c_star" in proc.stdout

@@ -1,24 +1,35 @@
-"""Run loop: stopping rule, tracking rule, and the threshold fast path.
+"""Run loop: stopping rule, tracking rule, and the per-geometry kernels.
 
-The fast path must be indistinguishable from the generic loop on the same
+On a threshold partition the closed-form threshold kernel must be
+indistinguishable from the solver kernel driving the same loop on the same
 seed, bit for bit; the parity suite here is what licenses using it for the
-nested-simulation sweeps.
+nested-simulation sweeps. Pinned trajectories guard the solver kernel.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from partid.errors import DegenerateInstance, DomainError
+from partid.config import parse_config
+from partid.errors import DegenerateInstance, DomainError, UnsupportedCase
 from partid.lb_solvers import DEFAULT_SETTINGS, inner_inf
-from partid.partitions import HalfSpace, Side, Threshold, classify
+from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
+                               ball, classify)
 from partid.spef import DEFAULT_CLAMP, bernoulli, gaussian, poisson
-from partid.track_stop import (RunState, StoppingConfig, _run_generic,
-                               beta_threshold, d_tracking_next, glr_statistic,
-                               run)
+from partid.track_stop import (RunState, StoppingConfig, _SolverKernel,
+                               _track_and_stop, beta_threshold,
+                               d_tracking_next, glr_statistic, run)
 
 G1 = gaussian(1.0)
+
+
+def _run_solver_kernel(models, mu, spec, cfg, rng):
+    """The run loop with the solver kernel, whatever the geometry."""
+    side = classify(spec, mu)
+    kernel = _SolverKernel(models, spec, DEFAULT_SETTINGS, side)
+    return _track_and_stop(models, mu, side, kernel, cfg, rng, DEFAULT_CLAMP)
 
 
 class TestStoppingConfig:
@@ -158,6 +169,19 @@ class TestRun:
         assert res.final_counts[0] / res.stop_time > 0.6
 
 
+@pytest.mark.parametrize("spec", [
+    ball((0.0, 0.0), 1.0),
+    UnionHalfSpaces((((1.0, 0.0), -1.0), ((0.0, 1.0), -1.0))),
+], ids=["ball", "union"])
+def test_uncovered_truth_side_raises_before_drawing(spec):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(UnsupportedCase, match="not covered"):
+        run([G1, G1], [0.0, 0.0], spec,
+            StoppingConfig(delta=0.1, max_steps=5), rng)
+    assert rng.bit_generator.state == before
+
+
 PARITY_CASES = [
     ("gaussian_above", [gaussian(0.5), gaussian(1.5)], [2.0, 0.0], 1.0),
     ("gaussian_below", [G1, G1], [0.0, -0.5], 1.0),
@@ -177,9 +201,8 @@ def test_threshold_fast_path_parity(name, models, mu, u, seed):
     cfg = StoppingConfig(delta=0.05, max_steps=4000)
     mu_arr = np.asarray(mu, dtype=float)
     fast = run(models, mu, spec, cfg, np.random.default_rng(seed))
-    slow = _run_generic(models, mu_arr, spec, cfg,
-                        np.random.default_rng(seed), DEFAULT_SETTINGS,
-                        DEFAULT_CLAMP, classify(spec, mu_arr))
+    slow = _run_solver_kernel(models, mu_arr, spec, cfg,
+                              np.random.default_rng(seed))
     assert fast.stop_time == slow.stop_time
     assert fast.declared is slow.declared
     assert fast.correct == slow.correct
@@ -196,8 +219,8 @@ def test_threshold_fast_path_parity_under_truncation():
     cfg = StoppingConfig(delta=1e-9, max_steps=60)
     mu = np.array([1.3, 0.9])
     fast = run([G1, G1], mu, spec, cfg, np.random.default_rng(13))
-    slow = _run_generic([G1, G1], mu, spec, cfg, np.random.default_rng(13),
-                        DEFAULT_SETTINGS, DEFAULT_CLAMP, classify(spec, mu))
+    slow = _run_solver_kernel([G1, G1], mu, spec, cfg,
+                              np.random.default_rng(13))
     assert fast.truncated and slow.truncated
     assert fast.stop_time == slow.stop_time
     assert fast.declared is slow.declared
@@ -211,3 +234,34 @@ def test_fast_path_validates_level_against_domains():
     with pytest.raises(DomainError, match="outside arm 1 domain"):
         run([G1, bernoulli()], [3.0, 0.5], Threshold(2.0), cfg,
             np.random.default_rng(0))
+
+
+HALFSPACE_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                    / "halfspace_symmetric.json")
+
+# (stop_time, declared, glr_at_stop, final_counts) of solver-kernel runs;
+# a change here is a trajectory change and must be stated as one.
+PINNED = [
+    ("halfspace_symmetric_seed1", 1, (63, Side.A1, 9.808943706097901, [32, 31])),
+    ("halfspace_symmetric_seed2", 2, (87, Side.A1, 10.22531673185931, [44, 43])),
+]
+
+
+@pytest.mark.parametrize("name,seed,want", PINNED, ids=[p[0] for p in PINNED])
+def test_solver_kernel_pinned_trajectory(name, seed, want):
+    cfg = parse_config(str(HALFSPACE_CONFIG))
+    res = run(list(cfg.arms), cfg.true_means, cfg.partition,
+              StoppingConfig(delta=0.01), np.random.default_rng(seed))
+    assert (res.stop_time, res.declared) == want[:2]
+    assert res.glr_at_stop == pytest.approx(want[2], rel=1e-12, abs=0.0)
+    assert res.final_counts.tolist() == want[3]
+
+
+def test_solver_kernel_pinned_trajectory_mixed_families():
+    models = [bernoulli(), poisson(), bernoulli()]
+    res = run(models, [0.3, 0.5, 0.4], HalfSpace((1.0, 1.0, 1.0), 2.5),
+              StoppingConfig(delta=0.1), np.random.default_rng(5))
+    assert (res.stop_time, res.declared) == (30, Side.A1)
+    assert res.glr_at_stop == pytest.approx(7.149238594578016, rel=1e-12,
+                                            abs=0.0)
+    assert res.final_counts.tolist() == [6, 17, 7]
