@@ -10,7 +10,9 @@ gets the sharpest solver its structure allows:
 
   * Threshold: fully closed form on both sides.
   * HalfSpace: the minimizer equalizes divergences across arms and sits on
-    the hyperplane, reducing to one monotone scalar root.
+    the hyperplane. With Gaussian arms both the saddle and the weighted
+    inner infimum are closed forms; otherwise each is one monotone scalar
+    root.
   * ConvexSublevel: the value is the smallest level t at which the
     coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t with a
     projected-gradient box minimization inside.
@@ -40,7 +42,7 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify)
 from .rootfind import bisect_monotone, walk_to_root
-from .spef import (Direction, SpefModel, gaussian, kl, kl_dnu,
+from .spef import (Direction, Family, SpefModel, gaussian, kl, kl_dnu,
                    kl_dnu_inverse, kl_dnu_range, kl_inverse, kl_inverse_capped,
                    mean_domain)
 
@@ -199,6 +201,9 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
     Arms with zero weight are free: they absorb as much of the constraint as
     their domain edge allows at no cost, shrinking the effective level for
     the rest; the infimum is then not attained and the minimizer is None.
+    When every arm the constraint touches is Gaussian the slope inverses are
+    linear, so lam = (b - <a, mu>) / S with S = sum_i a_i^2 v_i / w_i and the
+    value is (b - <a, mu>)^2 / (2 S), with no root to find.
     """
     K = len(models)
     a = np.asarray(a, dtype=float)
@@ -230,30 +235,37 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
         return val, None
 
     busy = [i for i in range(K) if a[i] != 0.0]
-
-    def constraint_at(lam):
-        s = 0.0
-        for i in busy:
-            nu_i = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
-            term = a[i] * nu_i
-            if math.isinf(term):
-                return math.inf
-            s += term
-        return s
-
-    hi = 1.0
-    for _ in range(max_iter):
-        if constraint_at(hi) >= b:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("multiplier bracket expansion failed")
-    lam = bisect_monotone(constraint_at, 0.0, hi, b, increasing=True,
-                          value_tol=tol * max(1.0, abs(b)), max_iter=max_iter)
-
     nu = np.array(mu, dtype=float)
-    for i in busy:
-        nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
+    if all(models[i].family is Family.GAUSSIAN for i in busy):
+        lam = (b - lin) / sum(a[i] * a[i] * models[i].variance / w[i]
+                              for i in busy)
+        for i in busy:
+            nu[i] = mu[i] + models[i].variance * lam * a[i] / w[i]
+    else:
+        def constraint_at(lam):
+            s = 0.0
+            for i in busy:
+                nu_i = _slope_inverse_capped(models[i], mu[i],
+                                             lam * a[i] / w[i])
+                term = a[i] * nu_i
+                if math.isinf(term):
+                    return math.inf
+                s += term
+            return s
+
+        hi = 1.0
+        for _ in range(max_iter):
+            if constraint_at(hi) >= b:
+                break
+            hi *= 2.0
+        else:
+            raise NumericalError("multiplier bracket expansion failed")
+        lam = bisect_monotone(constraint_at, 0.0, hi, b, increasing=True,
+                              value_tol=tol * max(1.0, abs(b)),
+                              max_iter=max_iter)
+        for i in busy:
+            nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
+
     if not np.all(np.isfinite(nu)):
         raise NumericalError("inner minimizer escaped to the domain boundary")
     value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in busy)
@@ -498,9 +510,12 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
     At the optimum all arms share one divergence level, the minimizer sits
     on the hyperplane with each coordinate displaced toward its side of the
     constraint, and the weights are proportional to a_i over the divergence
-    slope at the minimizer. The construction parametrizes everything by the
-    first arm's alternative coordinate, along which the constraint value is
-    strictly monotone, leaving one scalar root.
+    slope at the minimizer. With Gaussian arms the level is r^2 for
+    r = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i), each nu_i is
+    mu_i + sign(a_i) sqrt(2 v_i) r and w_i is proportional to |a_i| sqrt(v_i).
+    Otherwise the construction parametrizes everything by the first arm's
+    alternative coordinate, along which the constraint value is strictly
+    monotone, leaving one scalar root.
     """
     mu = _validate_instance(models, mu)
     hs = HalfSpace(tuple(np.asarray(a, dtype=float)), float(b))
@@ -520,35 +535,52 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
         raise InfeasibleAlternative(
             "the open half-space does not intersect the mean domain")
 
-    m0, mu0, a0 = models[0], float(mu[0]), float(a[0])
-    rest = range(1, mu.size)
+    gaussian_arms = all(m.family is Family.GAUSSIAN for m in models)
+    if gaussian_arms:
+        variances = np.array([m.variance for m in models])
+        reach = np.sqrt(2.0 * variances)
+        r = (b - float(np.dot(a, mu))) / float(np.dot(np.abs(a), reach))
+        cstar = r * r
+        nu = mu + np.sign(a) * reach * r
+    else:
+        m0, mu0, a0 = models[0], float(mu[0]), float(a[0])
+        rest = range(1, mu.size)
 
-    def constraint_of(nu1):
-        # bracket expansion can overshoot to levels no bounded arm can
-        # express in floats; the capped inverse is off by under one ulp there
-        level = kl(m0, mu0, nu1)
-        s = a0 * nu1
+        def constraint_of(nu1):
+            # bracket expansion can overshoot to levels no bounded arm can
+            # express in floats; the capped inverse is off by under one ulp
+            level = kl(m0, mu0, nu1)
+            s = a0 * nu1
+            for i in rest:
+                side = Direction.ABOVE if a[i] > 0 else Direction.BELOW
+                s += a[i] * kl_inverse_capped(models[i], mu[i], level, side)
+            return s
+
+        boundary = _edge_toward(m0, a0)
+        nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
+                           value_tol=settings.tol_bisect * max(1.0, abs(b)),
+                           max_iter=300)
+
+        cstar = kl(m0, mu0, nu1)
+        nu = np.empty(mu.size)
+        nu[0] = nu1
         for i in rest:
             side = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-            s += a[i] * kl_inverse_capped(models[i], mu[i], level, side)
-        return s
-
-    boundary = _edge_toward(m0, a0)
-    nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
-                       value_tol=settings.tol_bisect * max(1.0, abs(b)),
-                       max_iter=300)
-
-    cstar = kl(m0, mu0, nu1)
-    nu = np.empty(mu.size)
-    nu[0] = nu1
-    for i in rest:
-        side = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-        nu[i] = kl_inverse(models[i], mu[i], cstar, side)
+            nu[i] = kl_inverse(models[i], mu[i], cstar, side)
 
     slopes = np.array([kl_dnu(models[i], mu[i], nu[i]) for i in range(mu.size)])
-    raw = a / slopes
-    if np.any(raw <= 0):
-        raise NumericalError("weight signs violate the displacement pattern")
+    if gaussian_arms:
+        # not a / slopes: their rounding would break exact weight ties
+        raw = np.abs(a) * np.sqrt(variances)
+    else:
+        for i, s in enumerate(slopes):
+            if s == 0.0 or not math.isfinite(s):
+                raise NumericalError(
+                    f"divergence slope {s} at arm {i}: the level {cstar} "
+                    f"is below what kl_inverse resolves at mu={mu[i]}")
+        raw = a / slopes
+        if np.any(raw <= 0):
+            raise NumericalError("weight signs violate the displacement pattern")
     w = raw / raw.sum()
 
     levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])

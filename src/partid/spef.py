@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .rootfind import bisect_monotone, walk_to_root
 
-#: Absolute tolerance on the achieved divergence (or slope) in inverse maps.
+#: Absolute tolerance on the achieved divergence in kl_inverse.
 TOL_INV = 1e-10
 MAX_ITER = 200
 
@@ -48,16 +48,17 @@ class Direction(enum.Enum):
 @dataclass(frozen=True)
 class FamilyOps:
     """One family's formulas, each taking the SpefModel first and trusting
-    its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup),
-    draw returns a zero-argument sampler, a None inverse means root finding."""
+    its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup)
+    and kl_dnu_inverse inverts it in closed form, draw returns a
+    zero-argument sampler, a None kl_inverse means root finding."""
     domain: tuple[float, float]
     kl: Callable[..., float]
     kl_array: Callable[..., np.ndarray]
     kl_dnu: Callable[..., float]
+    kl_dnu_inverse: Callable[..., float]
     draw: Callable[..., Callable[[], float]]
     dnu_sup: float = math.inf
     kl_inverse: Optional[Callable[..., float]] = None
-    kl_dnu_inverse: Optional[Callable[..., float]] = None
     has_variance: bool = False
 
 
@@ -81,15 +82,25 @@ def _bernoulli_kl(m, mu, nu):
     return max(0.0, v)  # cancellation at nu within a few ulps of mu
 
 
+def _bernoulli_kl_dnu_inverse(m, mu, slope):
+    # positive root of slope nu^2 + (1 - slope) nu - mu = 0, each branch
+    # written so that no two terms of opposite sign are added
+    c = 1.0 - slope
+    root = math.sqrt(c * c + 4.0 * slope * mu)
+    if c > 0.0:
+        return 2.0 * mu / (c + root)
+    return (root - c) / (2.0 * slope)
+
+
 FAMILIES: dict[Family, FamilyOps] = {
     Family.GAUSSIAN: FamilyOps(
         domain=(-math.inf, math.inf),
         kl=_gaussian_kl,
         kl_array=lambda m, mu, nu: (mu - nu) ** 2 / (2.0 * m.variance),
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
+        kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
         draw=_gaussian_draw,
         kl_inverse=_gaussian_kl_inverse,
-        kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
         has_variance=True),
     Family.BERNOULLI: FamilyOps(
         domain=(0.0, 1.0),
@@ -98,6 +109,7 @@ FAMILIES: dict[Family, FamilyOps] = {
             0.0, mu * np.log(mu / nu)
             + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - nu))),
         kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
+        kl_dnu_inverse=_bernoulli_kl_dnu_inverse,
         draw=lambda m, mean, rng: lambda: 1.0 if rng.random() < mean else 0.0),
     # the one slope that saturates: (nu - mu)/nu < 1 on an unbounded domain
     Family.POISSON: FamilyOps(
@@ -106,6 +118,7 @@ FAMILIES: dict[Family, FamilyOps] = {
         kl_array=lambda m, mu, nu: np.maximum(
             0.0, nu - mu + mu * np.log(mu / nu)),
         kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
+        kl_dnu_inverse=lambda m, mu, slope: mu / (1.0 - slope),
         draw=lambda m, mean, rng: lambda: float(rng.poisson(mean)),
         dnu_sup=1.0),
 }
@@ -234,9 +247,11 @@ def kl_inverse_capped(model: SpefModel, mu: float, target: float,
 def kl_dnu_inverse(model: SpefModel, mu: float, slope: float, *, arm=None) -> float:
     """The unique nu with kl_dnu(mu, nu) = slope.
 
-    Closed form for the Gaussian family, bisection otherwise. Slopes outside
-    kl_dnu_range raise DomainError; that can only happen for families whose
-    slope saturates (Poisson above).
+    Closed form for every family: mu + v slope (Gaussian), mu / (1 - slope)
+    (Poisson) and the positive root of slope nu^2 + (1 - slope) nu = mu
+    (Bernoulli). Slopes outside kl_dnu_range raise DomainError; that can
+    only happen for families whose slope saturates (Poisson above). A root
+    that rounds onto or past a domain edge raises NumericalError.
     """
     mu = _check_mean(model, mu, "mu", arm)
     if not math.isfinite(slope):
@@ -250,13 +265,13 @@ def kl_dnu_inverse(model: SpefModel, mu: float, slope: float, *, arm=None) -> fl
     if slope == 0.0:
         return mu
     ops = FAMILIES[model.family]
-    if ops.kl_dnu_inverse is not None:
-        return ops.kl_dnu_inverse(model, mu, slope)
+    nu = ops.kl_dnu_inverse(model, mu, slope)
     lo, hi = ops.domain
-    boundary = hi if slope > 0 else lo
-    return walk_to_root(lambda x: kl_dnu(model, mu, x), mu, boundary, slope,
-                        rising=(slope > 0), value_tol=TOL_INV,
-                        max_iter=MAX_ITER)
+    if not lo < nu < hi:
+        raise NumericalError(
+            f"slope {slope} puts nu={nu} outside the open {model.family.value} "
+            f"domain ({lo}, {hi}) in float64 at mu={mu}")
+    return nu
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ acceptance suite; these tests pin the solver semantics one case at a time.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from partid.lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf,
                                solve_union_halfspaces)
 from partid.partitions import (ConvexSublevel, HalfSpace, Threshold,
                                UnionHalfSpaces, ball, ellipsoid)
+from partid.reference_oracle import brute_force_lb
 from partid.spef import bernoulli, gaussian, kl, poisson
 from support import random_halfspace_instance
 
@@ -129,6 +131,95 @@ class TestSolveHalfspace:
         with pytest.raises(InfeasibleAlternative):
             solve_halfspace([bernoulli(), bernoulli()], [0.5, 0.5],
                             (1.0, 1.0), 2.5)
+
+
+    def test_zero_slope_raises_numerical_error_without_warnings(self):
+        # the level sits below what kl_inverse resolves from mu = 1.0, so
+        # the Poisson arm's slope at the alternative is exactly zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="arm 1"):
+                solve_halfspace([bernoulli(), poisson(), bernoulli()],
+                                [0.5, 1.0, 0.999999], (1.0, 1.0, 1.0), 2.5)
+
+
+def _gaussian_halfspace(rng, k):
+    models, mu, a, b = random_halfspace_instance(rng, k=k,
+                                                 families=("gaussian",))
+    variances = np.array([m.variance for m in models])
+    return models, mu, a, b, variances
+
+
+class TestGaussianHalfspaceClosedForms:
+    """With Gaussian arms the inner value is g^2 / (2 sum a_i^2 v_i / w_i)
+    and the saddle has sqrt(c*) = g / sum |a_i| sqrt(2 v_i), g = |b - <a, mu>|;
+    both scale-free in (a, b)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_inner_value_and_minimizer_on_the_hyperplane(self, k):
+        rng = np.random.default_rng(400 + k)
+        sides = set()
+        for _ in range(25):
+            models, mu, a, b, v = _gaussian_halfspace(rng, k)
+            w = rng.uniform(0.05, 5.0, k)
+            gap = abs(b - float(a @ mu))
+            want = gap ** 2 / (2.0 * float(np.sum(a * a * v / w)))
+            sides.add(float(a @ mu) > b)
+            got = inner_inf(models, mu, w, HalfSpace(tuple(a), b))
+            assert got.value == pytest.approx(want, rel=1e-12)
+            assert float(a @ got.minimizer) == pytest.approx(b, rel=1e-12,
+                                                             abs=1e-12)
+            # the minimizer moves each arm along a_i v_i / w_i
+            step = (got.minimizer - mu) * w / (a * v)
+            np.testing.assert_allclose(step, step[0], rtol=1e-10)
+        assert sides == {False, True}
+
+    def test_zero_weight_arm_absorbs_the_constraint(self):
+        # S is infinite with a free Gaussian arm, so g^2 / (2 S) = 0
+        models = [gaussian(0.5), gaussian(2.0), gaussian(1.0)]
+        got = inner_inf(models, [0.0, 0.1, -0.2], [1.0, 0.0, 3.0],
+                        HalfSpace((1.0, -2.0, 0.5), 2.0))
+        assert got.value == 0.0 and got.minimizer is None
+
+    def test_union_row_with_zero_entry(self):
+        # an arm the row does not touch keeps its mean and costs nothing
+        models = [gaussian(0.5), gaussian(2.0)]
+        w = np.array([2.0, 0.0])
+        got = inner_inf(models, [0.0, 0.3], w,
+                        UnionHalfSpaces((((2.0, 0.0), 1.0),)))
+        assert got.value == pytest.approx(0.5 ** 2 / (2 * 0.5 / 2.0),
+                                          rel=1e-14)
+        np.testing.assert_allclose(got.minimizer, [0.5, 0.3], rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_saddle_weights_and_certificate(self, k):
+        rng = np.random.default_rng(500 + k)
+        for _ in range(25):
+            models, mu, a, b, v = _gaussian_halfspace(rng, k)
+            sol = solve_halfspace(models, mu, a, b)
+            ref = np.abs(a) * np.sqrt(v)
+            np.testing.assert_allclose(sol.w_star, ref / ref.sum(),
+                                       rtol=1e-15, atol=0.0)
+            gap = abs(b - float(a @ mu))
+            want = (gap / float(np.sum(np.abs(a) * np.sqrt(2.0 * v)))) ** 2
+            assert sol.c_star == pytest.approx(want, rel=1e-14)
+            assert set(sol.kkt_residuals) == {
+                "equal_divergence", "hyperplane", "sign_violations",
+                "tangency_spread", "saddle_gap"}
+            assert max(sol.kkt_residuals.values()) <= 1e-12
+            assert ("mu_in_a2" in sol.flags) == (float(a @ mu) > b)
+
+    def test_symmetric_weights_tie_exactly(self):
+        sol = solve_halfspace([G1, G1], [0.0, 0.0], (1.0, 1.0), 1.0)
+        assert sol.w_star.tolist() == [0.5, 0.5]
+
+    def test_matches_grid_oracle_for_two_arms(self):
+        rng = np.random.default_rng(602)
+        for _ in range(5):
+            models, mu, a, b, _ = _gaussian_halfspace(rng, 2)
+            spec = HalfSpace(tuple(a), b)
+            c_grid, _ = brute_force_lb(models, mu, spec)
+            assert abs(c_grid - solve(models, mu, spec).c_star) <= 2e-3
 
 
 class TestSolveConvex:

@@ -6,6 +6,7 @@ edge cases.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +230,54 @@ def test_poisson_slope_saturates():
         kl_dnu_inverse(poisson(), 2.0, 1.0)
     nu = kl_dnu_inverse(poisson(), 2.0, 0.9)
     assert nu == pytest.approx(20.0, rel=1e-9)  # 1 - mu/nu = 0.9
+
+
+def _exact_slope(model, mu, nu):
+    """kl_dnu(mu, nu) in rational arithmetic, free of rounding."""
+    mu, nu = Fraction(mu), Fraction(nu)
+    if model.family is Family.BERNOULLI:
+        return (nu - mu) / (nu * (1 - nu))
+    return (nu - mu) / nu
+
+
+def _ulp_steps(x, n, toward):
+    for _ in range(n):
+        x = math.nextafter(x, toward)
+    return x
+
+
+EXTREME_SLOPES = [-1e8, -1e4, -37.5, -1.0, -1e-9, 1e-9, 0.3, 0.999]
+
+
+@pytest.mark.parametrize("name,mus,slopes", [
+    ("bernoulli", [1e-6, 0.02, 0.5, 0.97],
+     EXTREME_SLOPES + [1.0, 1.5, 1e4, 1e8]),
+    ("poisson", [1e-4, 1.0, 40.0], EXTREME_SLOPES + [1.0 - 1e-12]),
+])
+def test_kl_dnu_inverse_closed_form_at_extreme_slopes(name, mus, slopes):
+    # the exact root of kl_dnu(mu, .) = slope lies within two float steps
+    # of the returned nu, and the float round trip is as close as the
+    # spacing of nu allows
+    model = MODELS[name]
+    lo, hi = mean_domain(model)
+    for mu in mus:
+        for slope in slopes:
+            nu = kl_dnu_inverse(model, mu, slope)
+            assert lo < nu < hi
+            below = _ulp_steps(nu, 2, -math.inf)
+            above = _ulp_steps(nu, 2, math.inf)
+            assert _exact_slope(model, mu, below) <= Fraction(slope) \
+                <= _exact_slope(model, mu, above), (mu, slope, nu)
+            resolution = abs(float(_exact_slope(model, mu, above)
+                                   - _exact_slope(model, mu, below)))
+            assert abs(kl_dnu(model, mu, nu) - slope) <= \
+                resolution + 1e-14 * abs(slope)
+
+
+def test_kl_dnu_inverse_unrepresentable_root_raises():
+    # the root sits within 1e-20 of 1, which float64 cannot separate from 1
+    with pytest.raises(NumericalError):
+        kl_dnu_inverse(bernoulli(), 0.5, 1e20)
 
 
 def test_clamp_to_interior():
