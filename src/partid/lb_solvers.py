@@ -14,12 +14,16 @@ gets the sharpest solver its structure allows:
     inner infimum are closed forms; otherwise each is one monotone scalar
     root.
   * ConvexSublevel: the value is the smallest level t at which the
-    coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t with a
-    projected-gradient box minimization inside.
-  * UnionHalfSpaces: concave max-min over the simplex; supergradient ascent
-    localizes, then a certified refinement (exact single-constraint
-    delegation, kink bisection for two arms, cutting planes with an LP upper
-    bound otherwise) pins the optimum.
+    coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t. For
+    a ball or ellipsoid the box step is the center clipped into the box,
+    and the weighted inner infimum is a bisection on one multiplier with
+    each coordinate solved per family (kl_prox); custom oracles minimize by
+    projected gradient on a box instead.
+  * UnionHalfSpaces: concave max-min over the simplex; golden section on
+    the segment for two arms, supergradient ascent to localize otherwise,
+    then a certified refinement (exact single-constraint delegation, kink
+    bisection for two arms, cutting planes with an LP upper bound
+    otherwise) pins the optimum.
   * Two-arm Gaussian with two constraints: closed-form casework on whether
     one constraint can be ignored or the optimal level set is tangent to
     both lines.
@@ -42,9 +46,9 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify)
 from .rootfind import bisect_monotone, walk_to_root
-from .spef import (Direction, Family, SpefModel, gaussian, kl, kl_dnu,
-                   kl_dnu_inverse, kl_dnu_range, kl_inverse, kl_inverse_capped,
-                   mean_domain)
+from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
+                   kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse,
+                   kl_inverse_capped, mean_domain)
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,8 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
 
 def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
     """Minimize smooth convex f over a coordinate box by projected gradient
-    with backtracking. Returns (x, projected-gradient residual)."""
+    with backtracking. Returns (x, projected-gradient residual). Serves
+    custom sublevel oracles only; ball and ellipsoid sets have exact steps."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     fx = float(f(x))
     eta = 1.0
@@ -313,26 +318,24 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
     return x, resid
 
 
-def _convex_inner(models, mu, w, sub: ConvexSublevel, *, tol=1e-12,
-                  max_iter=300):
-    """inf of sum_i w_i kl_i(mu_i, nu_i) over {f <= level}, all w_i > 0.
+def _quad_axes(sub: ConvexSublevel):
+    """(center, semi-axes) of a set built by ball() or ellipsoid(), which
+    is {sum_i ((x_i - c_i) / s_i)^2 <= level}; None for custom oracles."""
+    if sub.shape is None:
+        return None
+    kind, center, extra = sub.shape
+    center = np.asarray(center, dtype=float)
+    axes = np.ones(center.size) if kind == "ball" else \
+        np.asarray(extra, dtype=float)
+    return center, axes
 
-    Lagrangian dual in the single multiplier lam: the unconstrained minimum
-    nu(lam) of sum w_i kl_i + lam f moves continuously with f(nu(lam))
-    decreasing, so the binding level is again a monotone scalar root. The
-    inner minimization runs projected gradient on an adaptively grown
-    coordinate box, regrowing whenever the optimum presses an edge, which
-    also keeps iterates inside bounded mean domains.
-    """
-    f, gradf, c = sub.value, sub.grad, sub.level
-    mu = np.asarray(mu, dtype=float)
-    if float(f(mu)) <= c:
-        return 0.0, np.array(mu)
-    if np.any(w <= 0):
-        raise UnsupportedCase(
-            "convex-set inner problem requires strictly positive weights")
+
+def _box_minimizer(models, mu, w, sub: ConvexSublevel):
+    """nu(lam) for a custom oracle: projected gradient on an adaptively
+    grown coordinate box, regrown whenever the optimum presses an edge,
+    which also keeps iterates inside bounded mean domains."""
+    f, gradf = sub.value, sub.grad
     K = len(models)
-
     state = {"x": np.array(mu), "level": 8.0}
 
     def nu_of(lam):
@@ -364,6 +367,44 @@ def _convex_inner(models, mu, w, sub: ConvexSublevel, *, tol=1e-12,
             state["level"] = lv * 2.0
             if state["level"] > 2.0 ** 60:
                 raise NumericalError("convex inner box grew without bound")
+
+    return nu_of
+
+
+def _convex_inner(models, mu, w, sub: ConvexSublevel, *, tol=1e-12,
+                  max_iter=300):
+    """inf of sum_i w_i kl_i(mu_i, nu_i) over {f <= level}, all w_i > 0.
+
+    Lagrangian dual in the single multiplier lam: the unconstrained minimum
+    nu(lam) of sum w_i kl_i + lam f moves continuously with f(nu(lam))
+    decreasing, so the binding level is again a monotone scalar root. For a
+    ball or ellipsoid, stationarity at fixed lam is one scalar equation per
+    coordinate, w_i kl_i'(mu_i, nu_i) + alpha_i (nu_i - c_i) = 0 with
+    alpha_i = 2 lam / s_i^2, which each family's kl_prox solves (linear for
+    Gaussian, a quadratic for Poisson, a monotone root between mu_i and c_i
+    for Bernoulli). Custom oracles minimize on a coordinate box instead.
+    """
+    f, c = sub.value, sub.level
+    mu = np.asarray(mu, dtype=float)
+    if float(f(mu)) <= c:
+        return 0.0, np.array(mu)
+    if np.any(w <= 0):
+        raise UnsupportedCase(
+            "convex-set inner problem requires strictly positive weights")
+    K = len(models)
+
+    quad = _quad_axes(sub)
+    if quad is None:
+        nu_of = _box_minimizer(models, mu, w, sub)
+    else:
+        center, axes = quad
+        curvature = 2.0 / (axes * axes)
+        prox = [FAMILIES[m.family].kl_prox for m in models]
+
+        def nu_of(lam):
+            return np.array([prox[i](models[i], mu[i], w[i],
+                                     lam * curvature[i], center[i])
+                             for i in range(K)])
 
     def level_at(lam):
         return float(f(nu_of(lam)))
@@ -602,11 +643,15 @@ def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
 
     c* is the smallest t for which the coordinate box
     {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set; the touching point is
-    the critical alternative. Arms whose divergence at the touching point
-    ties the maximum form the active set; weights on it follow the smooth
-    supporting-hyperplane rule w_i proportional to (df/dnu_i) over the
-    divergence slope, and are zero elsewhere. A sign-inconsistent hyperplane
-    (non-smooth contact) is flagged NonUniqueHyperplane with w_star NaN.
+    the critical alternative. For a ball or ellipsoid, f is a separable
+    quadratic whose minimum over a box is the center clipped into it, so
+    each box step is exact and box_stationarity is 0; custom oracles run
+    projected gradient on the box. Arms whose divergence at the touching
+    point ties the maximum form the active set; weights on it follow the
+    smooth supporting-hyperplane rule w_i proportional to (df/dnu_i) over
+    the divergence slope, and are zero elsewhere. A sign-inconsistent
+    hyperplane (non-smooth contact) is flagged NonUniqueHyperplane with
+    w_star NaN.
     """
     mu = _validate_instance(models, mu)
     f, gradf, c = sublevel.value, sublevel.grad, sublevel.level
@@ -616,6 +661,7 @@ def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
     require_covered(sublevel, side)
 
     K = mu.size
+    quad = _quad_axes(sublevel)
     state = {"x": np.array(mu)}
 
     def box_min(t):
@@ -623,9 +669,12 @@ def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
                        for i in range(K)])
         hi = np.array([kl_inverse_capped(models[i], mu[i], t, Direction.ABOVE)
                        for i in range(K)])
-        x, resid = _min_f_over_box(f, gradf, lo, hi,
-                                   np.clip(state["x"], lo, hi))
-        state["x"] = x
+        if quad is not None:
+            x, resid = np.clip(quad[0], lo, hi), 0.0
+        else:
+            x, resid = _min_f_over_box(f, gradf, lo, hi,
+                                       np.clip(state["x"], lo, hi))
+            state["x"] = x
         return float(f(x)), x, resid
 
     t_hi = 1.0
@@ -708,16 +757,17 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
     and mu lies strictly inside the complementary polytope.
 
     The outer objective g(w) = min_j g_j(w) is concave (each g_j is an inner
-    infimum, hence concave in w), so projected supergradient ascent with the
-    per-constraint transport costs as the Danskin supergradient localizes
-    the optimum; ties among active constraints average their supergradients.
-    The iterate is then refined until certified: if a single constraint is
-    active, the exact half-space solution is adopted once no other
-    constraint undercuts it (each half-space relaxes the union, so that
-    check is a true optimality certificate); with two arms a remaining
-    two-constraint kink is pinned by bisection on g_1 - g_2; otherwise
+    infimum, hence concave in w). With two arms it is a function of w_1 on
+    a segment: golden section from uniform weights finds its maximum, and
+    a two-constraint kink there is pinned by bisection on g_1 - g_2. With
+    more arms, projected supergradient ascent with the per-constraint
+    transport costs as the Danskin supergradient localizes the optimum
+    (ties among active constraints average their supergradients), then
     cutting planes with an LP upper bound shrink the duality gap below
-    tol_kkt. MaxIters is flagged when the budget ends first.
+    tol_kkt; MaxIters is flagged when the budget ends first. Either way, if
+    a single constraint is active, the exact half-space solution is adopted
+    once no other constraint undercuts it (each half-space relaxes the
+    union, so that check is a true optimality certificate).
     """
     mu = _validate_instance(models, mu)
     spec = UnionHalfSpaces(tuple((tuple(np.asarray(a, dtype=float)), float(b))
@@ -757,10 +807,11 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
 
     flags = []
 
-    # phase 1: projected supergradient ascent
+    # phase 1: projected supergradient ascent; with two arms the golden
+    # section below searches the whole segment, so it starts from uniform
     w = np.full(K, 1.0 / K)
     best_w, best_g = w.copy(), g_of(w)
-    n_ascent = min(settings.max_outer_iters, 250)
+    n_ascent = min(settings.max_outer_iters, 250) if K > 2 else 0
     for k in range(1, n_ascent + 1):
         vals, nus = g_and_nu(w)
         gmin = float(np.min(vals))

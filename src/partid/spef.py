@@ -49,13 +49,16 @@ class Direction(enum.Enum):
 class FamilyOps:
     """One family's formulas, each taking the SpefModel first and trusting
     its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup)
-    and kl_dnu_inverse inverts it in closed form, draw returns a
-    zero-argument sampler, a None kl_inverse means root finding."""
+    and kl_dnu_inverse inverts it in closed form, kl_prox(mu, w, alpha, c)
+    is the nu in the open domain solving w kl_dnu(mu, nu) + alpha (nu - c) = 0
+    for w > 0, alpha >= 0 and any real c, draw returns a zero-argument
+    sampler, a None kl_inverse means root finding."""
     domain: tuple[float, float]
     kl: Callable[..., float]
     kl_array: Callable[..., np.ndarray]
     kl_dnu: Callable[..., float]
     kl_dnu_inverse: Callable[..., float]
+    kl_prox: Callable[..., float]
     draw: Callable[..., Callable[[], float]]
     dnu_sup: float = math.inf
     kl_inverse: Optional[Callable[..., float]] = None
@@ -92,6 +95,29 @@ def _bernoulli_kl_dnu_inverse(m, mu, slope):
     return (root - c) / (2.0 * slope)
 
 
+def _bernoulli_kl_prox(m, mu, w, alpha, c):
+    # the left side increases in nu from -inf at 0 to +inf at 1 and its sign
+    # at mu is that of mu - c, so the root lies between mu and c clipped
+    # into [0, 1]; bisection never evaluates the bracket's ends
+    end = min(max(c, 0.0), 1.0)
+    if alpha == 0.0 or end == mu:
+        return mu
+    lo, hi = (mu, end) if end > mu else (end, mu)
+    return bisect_monotone(
+        lambda nu: w * (nu - mu) / (nu * (1.0 - nu)) + alpha * (nu - c),
+        lo, hi, 0.0, value_tol=0.0)
+
+
+def _poisson_kl_prox(m, mu, w, alpha, c):
+    # positive root of alpha nu^2 + (w - alpha c) nu - w mu = 0, each branch
+    # written so that no two terms of opposite sign are added
+    q = w - alpha * c
+    root = math.sqrt(q * q + 4.0 * alpha * w * mu)
+    if q > 0.0:
+        return 2.0 * w * mu / (q + root)
+    return (root - q) / (2.0 * alpha)
+
+
 FAMILIES: dict[Family, FamilyOps] = {
     Family.GAUSSIAN: FamilyOps(
         domain=(-math.inf, math.inf),
@@ -99,6 +125,8 @@ FAMILIES: dict[Family, FamilyOps] = {
         kl_array=lambda m, mu, nu: (mu - nu) ** 2 / (2.0 * m.variance),
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
         kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
+        kl_prox=lambda m, mu, w, alpha, c:
+            (w * mu / m.variance + alpha * c) / (w / m.variance + alpha),
         draw=_gaussian_draw,
         kl_inverse=_gaussian_kl_inverse,
         has_variance=True),
@@ -110,6 +138,7 @@ FAMILIES: dict[Family, FamilyOps] = {
             + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - nu))),
         kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
         kl_dnu_inverse=_bernoulli_kl_dnu_inverse,
+        kl_prox=_bernoulli_kl_prox,
         draw=lambda m, mean, rng: lambda: 1.0 if rng.random() < mean else 0.0),
     # the one slope that saturates: (nu - mu)/nu < 1 on an unbounded domain
     Family.POISSON: FamilyOps(
@@ -119,6 +148,7 @@ FAMILIES: dict[Family, FamilyOps] = {
             0.0, nu - mu + mu * np.log(mu / nu)),
         kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
         kl_dnu_inverse=lambda m, mu, slope: mu / (1.0 - slope),
+        kl_prox=_poisson_kl_prox,
         draw=lambda m, mean, rng: lambda: float(rng.poisson(mean)),
         dnu_sup=1.0),
 }

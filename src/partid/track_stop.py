@@ -152,7 +152,10 @@ class _SolverKernel:
 class _ThresholdKernel:
     """Step kernel for Threshold(u): the closed-form threshold branches of
     inner_inf and solve_threshold, the same expressions in the same order,
-    without the solver plumbing that would dominate nested simulations."""
+    without the solver plumbing that would dominate nested simulations.
+    statistic keeps the divergences to the level that it evaluates, and
+    allocation, which the loop calls next at the same means, reads those
+    back instead of evaluating them again."""
 
     def __init__(self, models: Sequence[SpefModel], spec: Threshold):
         check_threshold_level(models, spec.u)
@@ -162,9 +165,10 @@ class _ThresholdKernel:
         # gap[i](x, u): unchecked kl of arm i from mean x to the level
         self.gap = [functools.partial(FAMILIES[m.family].kl, m)
                     for m in models]
+        self.gaps = [0.0] * self.k
 
     def statistic(self, means, counts):
-        u, gap = self.u, self.gap
+        u, gap, gaps = self.u, self.gap, self.gaps
         margin = float(np.max(means)) - u
         if abs(margin) <= TOL_CLASS:
             return Side.BOUNDARY, 0.0
@@ -173,26 +177,27 @@ class _ThresholdKernel:
             for i in range(self.k):
                 v = means[i]
                 if v > u:
-                    z += float(counts[i]) * gap[i](v, u)
+                    g = gaps[i] = gap[i](v, u)
+                    z += float(counts[i]) * g
             return Side.A1, z
         z = math.inf
         for i in range(self.k):
-            c = float(counts[i]) * gap[i](means[i], u)
+            g = gaps[i] = gap[i](means[i], u)
+            c = float(counts[i]) * g
             if c < z:
                 z = c
         return Side.A2, z
 
     def allocation(self, means, side):
-        u, gap = self.u, self.gap
+        u, gaps = self.u, self.gaps
         if side is Side.BOUNDARY:
             return self.uniform
         if side is Side.A1:
             jstar = -1
             best = 0.0
             for i in range(self.k):
-                v = means[i]
-                if v > u:
-                    g = gap[i](v, u)
+                if means[i] > u:
+                    g = gaps[i]
                     if g > best:
                         best = g
                         jstar = i
@@ -201,7 +206,7 @@ class _ThresholdKernel:
             w_hat = np.zeros(self.k)
             w_hat[jstar] = 1.0
             return w_hat
-        gaps = np.array([gap[i](means[i], u) for i in range(self.k)])
+        gaps = np.array(gaps)
         if np.any(gaps <= 0.0):     # a mean pinned at the level
             return self.uniform
         inv = 1.0 / gaps

@@ -20,8 +20,9 @@ from partid.lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf,
 from partid.partitions import (ConvexSublevel, HalfSpace, Threshold,
                                UnionHalfSpaces, ball, ellipsoid)
 from partid.reference_oracle import brute_force_lb
-from partid.spef import bernoulli, gaussian, kl, poisson
-from support import random_halfspace_instance
+from partid.spef import (bernoulli, gaussian, kl, kl_array, kl_dnu,
+                         mean_domain, poisson)
+from support import random_ball_instance, random_halfspace_instance
 
 G1 = gaussian(1.0)
 
@@ -260,6 +261,118 @@ class TestSolveConvex:
         assert sol.kkt_residuals["boundary_gap"] <= 1e-6
 
 
+def _boundary_reference(models, mu, w, spec):
+    """min of sum_i w_i kl_i(mu_i, nu_i) over the boundary angle of a
+    two-arm ball or ellipsoid: a dense grid inside the mean domain, then a
+    bounded scalar refinement around the best grid point."""
+    from scipy.optimize import minimize_scalar
+
+    kind, center, extra = spec.shape
+    c = np.asarray(center)
+    s = np.full(2, extra[0]) if kind == "ball" else np.asarray(extra)
+
+    def cost(th):
+        nu = c[:, None] + s[:, None] * np.array([np.cos(th), np.sin(th)])
+        inside = np.ones(nu.shape[1], dtype=bool)
+        for m, row in zip(models, nu):
+            lo, hi = mean_domain(m)
+            inside &= (row > lo) & (row < hi)
+        out = np.full(nu.shape[1], math.inf)
+        out[inside] = sum(w[i] * kl_array(models[i], mu[i], nu[i, inside])
+                          for i in range(2))
+        return out
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 20001)
+    vals = cost(grid)
+    th0 = grid[int(np.argmin(vals))]
+    step = grid[1] - grid[0]
+    res = minimize_scalar(lambda th: float(cost(np.array([th]))[0]),
+                          bounds=(th0 - step, th0 + step),
+                          method="bounded", options={"xatol": 1e-13})
+    return min(float(res.fun), float(vals.min()))
+
+
+def _quad_instance(rng, family):
+    """(models, mu, spec) with mu outside a two-arm ball or ellipsoid whose
+    boundary lies inside the mean domain."""
+    if family == "gaussian":
+        return random_ball_instance(rng)
+    while True:
+        if family == "poisson":
+            models = [poisson(), poisson()]
+            mu = rng.uniform(0.4, 4.0, 2)
+            spec = ellipsoid(tuple(rng.uniform(1.5, 3.0, 2)),
+                             tuple(rng.uniform(0.4, 1.0, 2)))
+        else:
+            models = [bernoulli(), bernoulli()]
+            mu = rng.uniform(0.15, 0.85, 2)
+            spec = ball(tuple(rng.uniform(0.35, 0.65, 2)),
+                        float(rng.uniform(0.1, 0.3)))
+        if spec.value(mu) - spec.level > 0.05:
+            return models, mu, spec
+
+
+def _multipliers(models, mu, w, nu, spec):
+    """Per-coordinate multiplier lam_i that makes w_i kl_i'(mu_i, nu_i)
+    + 2 lam_i (nu_i - c_i) / s_i^2 vanish; stationarity means they tie."""
+    kind, center, extra = spec.shape
+    s = np.full(2, extra[0]) if kind == "ball" else np.asarray(extra)
+    return np.array([-w[i] * kl_dnu(models[i], mu[i], nu[i]) * s[i] ** 2
+                     / (2.0 * (nu[i] - center[i])) for i in range(2)])
+
+
+class TestQuadraticSetInner:
+    """Ball and ellipsoid inner infima: each coordinate solves its own
+    stationarity equation at a common multiplier."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli"])
+    def test_matches_boundary_angle_reference(self, family):
+        rng = np.random.default_rng(700 + len(family))
+        for _ in range(4):
+            models, mu, spec = _quad_instance(rng, family)
+            w = rng.uniform(0.2, 3.0, 2)
+            got = inner_inf(models, mu, w, spec)
+            want = _boundary_reference(models, mu, w, spec)
+            assert got.value == pytest.approx(want, rel=1e-10, abs=0.0)
+            # on the boundary, and stationary with one multiplier
+            assert spec.value(got.minimizer) == pytest.approx(
+                spec.level, rel=1e-11)
+            lam = _multipliers(models, mu, w, got.minimizer, spec)
+            assert np.all(lam > 0)
+            assert lam[0] == pytest.approx(lam[1], rel=1e-8)
+
+    @pytest.mark.parametrize("models,mu,spec", [
+        ([poisson(), poisson()], [2.0, 0.5],
+         ellipsoid((-0.5, 2.0), (1.0, 1.5))),
+        ([bernoulli(), bernoulli()], [0.3, 0.4], ball((1.3, 0.5), 0.5)),
+    ], ids=["poisson_center_below_zero", "bernoulli_center_beyond_one"])
+    def test_center_outside_mean_domain(self, models, mu, spec):
+        w = np.array([1.5, 0.5])
+        got = inner_inf(models, mu, w, spec)
+        nu = got.minimizer
+        assert all(mean_domain(m)[0] < x < mean_domain(m)[1]
+                   for m, x in zip(models, nu))
+        assert spec.value(nu) == pytest.approx(spec.level, rel=1e-11)
+        want = _boundary_reference(models, mu, w, spec)
+        assert got.value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_zero_weight_unsupported(self):
+        with pytest.raises(UnsupportedCase, match="strictly positive"):
+            inner_inf([G1, G1], [0.0, 0.0], [1.0, 0.0],
+                      ball((2.0, 1.0), 1.0))
+
+    @pytest.mark.parametrize("models,mu,spec", [
+        ([poisson(), poisson()], [0.8, 1.0],
+         ellipsoid((2.5, 2.2), (0.7, 0.9))),
+        ([bernoulli(), bernoulli()], [0.2, 0.3], ball((0.65, 0.6), 0.2)),
+    ], ids=["poisson_ellipsoid", "bernoulli_ball"])
+    def test_solve_matches_grid_oracle(self, models, mu, spec):
+        sol = solve(models, mu, spec)
+        c_grid, _ = brute_force_lb(models, mu, spec)
+        assert abs(c_grid - sol.c_star) <= 2e-3
+        assert sol.kkt_residuals["box_stationarity"] == 0.0
+
+
 class TestSolveUnionHalfspaces:
     ROWS = (((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0))
 
@@ -316,6 +429,22 @@ class TestTwoArmGaussianClosedForm:
         assert "case2" in sol.flags
         ref = solve_halfspace([G1, G1], [0.0, 0.0], hs2[0], hs2[1])
         assert sol.c_star == pytest.approx(ref.c_star, rel=1e-9)
+
+    @pytest.mark.parametrize("label,mu,hs1,hs2,variance", [
+        ("case1", [0.2, -0.1], ((1.0, 0.5), 1.0), ((0.5, 1.0), 30.0), 0.7),
+        ("case2", [0.0, 0.3], ((1.0, 0.5), 30.0), ((0.5, 1.0), 1.0), 1.6),
+        ("case3", [-0.2, 0.1], ((1.0, 0.4), 1.0), ((0.4, 1.0), 1.0), 0.5),
+        ("case3", [0.0, 0.0], ((2.0, -1.0), 1.5), ((-0.5, 1.0), 0.8), 1.0),
+    ])
+    def test_union_solver_matches_each_case(self, label, mu, hs1, hs2,
+                                            variance):
+        closed = solve_two_arm_gaussian(mu, hs1, hs2, variance)
+        assert label in closed.flags
+        g = gaussian(variance)
+        it = solve_union_halfspaces([g, g], mu, (hs1, hs2))
+        assert it.c_star == pytest.approx(closed.c_star, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(it.w_star, closed.w_star, rtol=0.0,
+                                   atol=1e-9)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(DegenerateInstance, match="parallel"):

@@ -124,6 +124,18 @@ class TestRun:
         assert res.declared is Side.A1
         assert res.correct
 
+    def test_ball_instance(self):
+        # truth outside the unit disk: every step solves the ball saddle
+        # and its inner infimum at the empirical means
+        cfg = StoppingConfig(delta=0.01, max_steps=100_000)
+        res = run([G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0), cfg,
+                  np.random.default_rng(1))
+        assert not res.truncated
+        assert res.declared is Side.A1
+        assert res.correct
+        assert res.glr_at_stop >= beta_threshold(res.stop_time, cfg)
+        assert res.forced_exploration_violations == 0
+
     def test_single_arm(self):
         res = run([G1], [1.5], Threshold(1.0), self.CFG,
                   np.random.default_rng(3))
