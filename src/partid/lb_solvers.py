@@ -12,7 +12,9 @@ gets the sharpest solver its structure allows:
   * HalfSpace: the minimizer equalizes divergences across arms and sits on
     the hyperplane. With Gaussian arms both the saddle and the weighted
     inner infimum are closed forms; otherwise each is one monotone scalar
-    root.
+    root. PreparedHalfSpace holds what does not depend on the means (unit
+    rows for both sides, their reach into the domain, the Gaussian saddle
+    weights), so a run that re-solves at every step prepares it once.
   * ConvexSublevel: the value is the smallest level t at which the
     coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t. For
     a ball or ellipsoid the box step is the center clipped into the box,
@@ -44,7 +46,7 @@ import numpy as np
 from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
                      NumericalError, UnsupportedCase)
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
-                         Threshold, UnionHalfSpaces, classify)
+                         Threshold, UnionHalfSpaces, classify, side_of_margin)
 from .rootfind import bisect_monotone, walk_to_root
 from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
                    kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse,
@@ -117,12 +119,16 @@ def _validate_instance(models: Sequence[SpefModel], mu) -> np.ndarray:
     if mu.ndim != 1 or len(models) != mu.size:
         raise ValueError(
             f"got {len(models)} models for mean vector of shape {mu.shape}")
-    for i, (m, x) in enumerate(zip(models, mu)):
-        lo, hi = mean_domain(m)
-        if not (math.isfinite(x) and lo < x < hi):
-            raise DomainError(
-                f"mu[{i}]={x} outside open {m.family.value} domain ({lo}, {hi})")
+    _check_domains(models, [mean_domain(m) for m in models], mu)
     return mu
+
+
+def _check_domains(models, domains, mu):
+    """DomainError unless each mu[i] is finite and inside domains[i]."""
+    for i, ((lo, hi), x) in enumerate(zip(domains, mu)):
+        if not (math.isfinite(x) and lo < x < hi):
+            raise DomainError(f"mu[{i}]={x} outside open "
+                              f"{models[i].family.value} domain ({lo}, {hi})")
 
 
 def covers(spec: PartitionSpec, side: Side) -> bool:
@@ -148,12 +154,16 @@ def check_threshold_level(models: Sequence[SpefModel], u: float):
                 f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
 
 
-def _solution(w, nu, cstar, active, residuals, flags=()):
-    cstar = float(cstar)
+def _check_saddle_value(cstar: float):
     if not (cstar > 0 and math.isfinite(cstar)):
         raise DegenerateInstance(
             f"saddle value {cstar} is not positive; the instance is on or "
             f"across the partition boundary")
+
+
+def _solution(w, nu, cstar, active, residuals, flags=()):
+    cstar = float(cstar)
+    _check_saddle_value(cstar)
     return LowerBoundSolution(
         w_star=np.asarray(w, dtype=float), nu_star=np.asarray(nu, dtype=float),
         c_star=cstar, t_star=1.0 / cstar, active_set=tuple(int(i) for i in active),
@@ -197,7 +207,20 @@ def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
 
 
 def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
-    """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b}.
+    """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b}, for any
+    nonzero row a; _unit_halfspace_inner after normalizing (a, b)."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        raise ValueError("half-space normal is the zero vector")
+    return _unit_halfspace_inner(models, mu, w, a / norm, float(b) / norm,
+                                 tol=tol, max_iter=max_iter)
+
+
+def _unit_halfspace_inner(models, mu, w, a, b, sup=None, *, tol=1e-12,
+                          max_iter=300):
+    """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
+    a; sup is _linear_sup(models, a) when the caller has it.
 
     Stationarity makes every coordinate nu_i the slope inverse of
     lam * a_i / w_i for a common multiplier lam >= 0, and <a, nu(lam)>
@@ -210,25 +233,23 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
     value is (b - <a, mu>)^2 / (2 S), with no root to find.
     """
     K = len(models)
-    a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise ValueError("half-space normal is the zero vector")
-    a = a / norm
-    b = float(b) / norm
-
     lin = float(np.dot(a, mu))
     if lin >= b:
         return 0.0, np.array(mu, dtype=float)
-    if not _linear_sup(models, a) > b:
+    if sup is None:
+        sup = _linear_sup(models, a)
+    if not sup > b:
         raise InfeasibleAlternative(
             "half-space does not intersect the mean domain")
 
-    free = [i for i in range(K) if w[i] == 0.0 and a[i] != 0.0]
+    # Python floats from here on: the same arithmetic, without the cost of
+    # numpy scalars
+    al, wl = a.tolist(), w.tolist()
+    free = [i for i in range(K) if wl[i] == 0.0 and al[i] != 0.0]
     if free:
         cap = 0.0
         for i in free:
-            term = a[i] * _edge_toward(models[i], a[i])
+            term = al[i] * _edge_toward(models[i], al[i])
             if math.isinf(term):
                 return 0.0, None
             cap += term
@@ -238,13 +259,16 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
                                   b - cap, tol=tol, max_iter=max_iter)
         return val, None
 
+    a, mu, w = al, mu.tolist(), wl
     busy = [i for i in range(K) if a[i] != 0.0]
-    nu = np.array(mu, dtype=float)
+    nu = list(mu)
     if all(models[i].family is Family.GAUSSIAN for i in busy):
-        lam = (b - lin) / sum(a[i] * a[i] * models[i].variance / w[i]
-                              for i in busy)
+        var = [m.variance for m in models]
+        lam = (b - lin) / sum(a[i] * a[i] * var[i] / w[i] for i in busy)
         for i in busy:
-            nu[i] = mu[i] + models[i].variance * lam * a[i] / w[i]
+            nu[i] = mu[i] + var[i] * lam * a[i] / w[i]
+        # spef.kl's checks hold: mu is in the domain, nu is tested below
+        divergence = FAMILIES[Family.GAUSSIAN].kl
     else:
         def constraint_at(lam):
             s = 0.0
@@ -269,11 +293,12 @@ def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
                               max_iter=max_iter)
         for i in busy:
             nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
+        divergence = kl
 
-    if not np.all(np.isfinite(nu)):
+    if not all(math.isfinite(x) for x in nu):
         raise NumericalError("inner minimizer escaped to the domain boundary")
-    value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in busy)
-    return float(value), nu
+    value = sum(w[i] * divergence(models[i], mu[i], nu[i]) for i in busy)
+    return float(value), np.array(nu)
 
 
 def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
@@ -467,11 +492,8 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
         return InnerSolution(float(costs[s]), nu)
 
     if isinstance(spec, HalfSpace):
-        a = np.asarray(spec.a, dtype=float)
-        b = spec.b
-        if side is Side.A2:
-            a, b = -a, -b
-        value, nu = _halfspace_inner(models, mu, w, a, b)
+        value, nu = PreparedHalfSpace(models, spec.a, spec.b).inner(mu, w,
+                                                                    side)
         return InnerSolution(value, nu)
 
     if isinstance(spec, UnionHalfSpaces):
@@ -544,6 +566,142 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
     return _solution(w, nu, cstar, range(K), residuals)
 
 
+class PreparedHalfSpace:
+    """What a half-space instance keeps fixed while the means move, computed
+    once: the raw row and its norm for classify's side test; for each side,
+    the unit row and offset of the closed half-space {<a, nu> >= b} opposite
+    it, with its _linear_sup; the arms' domains; and, when every arm is
+    Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
+    sum_i |a_i| sqrt(2 v_i). inner_inf and solve_halfspace prepare one per
+    call, a track-and-stop run one per run.
+    """
+
+    def __init__(self, models: Sequence[SpefModel], a, b: float):
+        self.models = list(models)
+        self.a = np.asarray(a, dtype=float)
+        self.b = float(b)
+        self.norm = float(np.linalg.norm(self.a))
+        if self.norm == 0.0:
+            raise ValueError("half-space normal is the zero vector")
+        unit, b_unit = self.a / self.norm, self.b / self.norm
+        # indexed by whether the means lie on A2 (a Side would be hashed)
+        self.targets = tuple((row, off, _linear_sup(models, row))
+                             for row, off in ((unit, b_unit),
+                                              (-unit, -b_unit)))
+        self.domains = [mean_domain(m) for m in models]
+        self.gaussian_w = None
+        if all(m.family is Family.GAUSSIAN for m in models):
+            variances = np.array([m.variance for m in models])
+            self.reach = np.sqrt(2.0 * variances)
+            self.reach_sum = float(np.dot(np.abs(unit), self.reach))
+            # not a / slopes: their rounding would break exact weight ties
+            raw = np.abs(unit) * np.sqrt(variances)
+            self.gaussian_w = raw / raw.sum()
+
+    def target(self, side: Side):
+        """(unit row, offset, _linear_sup of the row) of the closed
+        half-space {<a, nu> >= b} opposite means on side."""
+        return self.targets[side is Side.A2]
+
+    def side(self, mu) -> Side:
+        """classify(HalfSpace(a, b), mu), by the same expression."""
+        return side_of_margin(
+            (float(np.dot(self.a, mu)) - self.b) / self.norm, Side.A2)
+
+    def check_means(self, mu):
+        """DomainError unless every mean is finite and inside its domain."""
+        _check_domains(self.models, self.domains, mu)
+
+    def inner(self, mu, w, side: Side, *, tol=1e-12, max_iter=300):
+        """(value, minimizer) of the weighted inner infimum from means mu on
+        side to the closure of the other side."""
+        a, b, sup = self.target(side)
+        return _unit_halfspace_inner(self.models, mu, w, a, b, sup, tol=tol,
+                                     max_iter=max_iter)
+
+    def _orient(self, mu):
+        """The side of mu by the unit-row margin, which must clear 1e-12,
+        and that side's target, which must meet the domain."""
+        a, b, _ = self.target(Side.A1)
+        margin = float(np.dot(a, mu)) - b
+        if abs(margin) <= 1e-12:
+            raise DegenerateInstance("mu lies on the separating hyperplane")
+        side = Side.A2 if margin > 0 else Side.A1
+        a, b, sup = self.target(side)
+        if not sup > b:
+            raise InfeasibleAlternative(
+                "the open half-space does not intersect the mean domain")
+        return side, a, b
+
+    def _gaussian_r(self, mu, a, b) -> float:
+        """sqrt(c*) with Gaussian arms: (b - <a, mu>) / sum |a_i| sqrt(2 v_i)."""
+        return (b - float(np.dot(a, mu))) / self.reach_sum
+
+    def saddle(self, mu, settings: SolverSettings = DEFAULT_SETTINGS):
+        """(side of mu, c*, nu*, w*, divergence slopes at nu* or None) at
+        checked means mu, as solve_halfspace reports them: the closed form
+        with Gaussian arms, one scalar root along the first arm otherwise.
+        Raises DegenerateInstance within 1e-12 of the hyperplane and
+        InfeasibleAlternative when the opposite half-space misses the
+        domain."""
+        side, a, b = self._orient(mu)
+        if self.gaussian_w is not None:
+            r = self._gaussian_r(mu, a, b)
+            nu = mu + np.sign(a) * self.reach * r
+            return side, r * r, nu, self.gaussian_w, None
+
+        models = self.models
+        m0, mu0, a0 = models[0], float(mu[0]), float(a[0])
+        rest = range(1, mu.size)
+
+        def constraint_of(nu1):
+            # bracket expansion can overshoot to levels no bounded arm can
+            # express in floats; the capped inverse is off by under one ulp
+            level = kl(m0, mu0, nu1)
+            s = a0 * nu1
+            for i in rest:
+                toward = Direction.ABOVE if a[i] > 0 else Direction.BELOW
+                s += a[i] * kl_inverse_capped(models[i], mu[i], level, toward)
+            return s
+
+        boundary = _edge_toward(m0, a0)
+        nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
+                           value_tol=settings.tol_bisect * max(1.0, abs(b)),
+                           max_iter=300)
+
+        cstar = kl(m0, mu0, nu1)
+        nu = np.empty(mu.size)
+        nu[0] = nu1
+        for i in rest:
+            toward = Direction.ABOVE if a[i] > 0 else Direction.BELOW
+            nu[i] = kl_inverse(models[i], mu[i], cstar, toward)
+
+        slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
+                           for i in range(mu.size)])
+        for i, s in enumerate(slopes):
+            if s == 0.0 or not math.isfinite(s):
+                raise NumericalError(
+                    f"divergence slope {s} at arm {i}: the level {cstar} "
+                    f"is below what kl_inverse resolves at mu={mu[i]}")
+        raw = a / slopes
+        if np.any(raw <= 0):
+            raise NumericalError("weight signs violate the displacement pattern")
+        return side, cstar, nu, raw / raw.sum(), slopes
+
+    def weights(self, mu, settings: SolverSettings = DEFAULT_SETTINGS):
+        """w* of solve_halfspace at checked means mu, after the same checks
+        (c* > 0 included) but without nu* and the certificate when every arm
+        is Gaussian: those weights do not depend on mu."""
+        if self.gaussian_w is None:
+            _, cstar, _, w, _ = self.saddle(mu, settings)
+        else:
+            _, a, b = self._orient(mu)
+            r = self._gaussian_r(mu, a, b)
+            cstar, w = r * r, self.gaussian_w
+        _check_saddle_value(cstar)
+        return w
+
+
 def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
                     settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
     """Saddle point when the opposite component is an open half-space.
@@ -562,67 +720,12 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
     hs = HalfSpace(tuple(np.asarray(a, dtype=float)), float(b))
     if len(hs.a) != mu.size:
         raise ValueError(f"normal has {len(hs.a)} entries for {mu.size} arms")
-    a = np.asarray(hs.a) / np.linalg.norm(hs.a)
-    b = hs.b / float(np.linalg.norm(hs.a))
-
-    flags = []
-    margin = float(np.dot(a, mu)) - b
-    if abs(margin) <= 1e-12:
-        raise DegenerateInstance("mu lies on the separating hyperplane")
-    if margin > 0:
-        a, b = -a, -b
-        flags.append("mu_in_a2")
-    if not _linear_sup(models, a) > b:
-        raise InfeasibleAlternative(
-            "the open half-space does not intersect the mean domain")
-
-    gaussian_arms = all(m.family is Family.GAUSSIAN for m in models)
-    if gaussian_arms:
-        variances = np.array([m.variance for m in models])
-        reach = np.sqrt(2.0 * variances)
-        r = (b - float(np.dot(a, mu))) / float(np.dot(np.abs(a), reach))
-        cstar = r * r
-        nu = mu + np.sign(a) * reach * r
-    else:
-        m0, mu0, a0 = models[0], float(mu[0]), float(a[0])
-        rest = range(1, mu.size)
-
-        def constraint_of(nu1):
-            # bracket expansion can overshoot to levels no bounded arm can
-            # express in floats; the capped inverse is off by under one ulp
-            level = kl(m0, mu0, nu1)
-            s = a0 * nu1
-            for i in rest:
-                side = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-                s += a[i] * kl_inverse_capped(models[i], mu[i], level, side)
-            return s
-
-        boundary = _edge_toward(m0, a0)
-        nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
-                           value_tol=settings.tol_bisect * max(1.0, abs(b)),
-                           max_iter=300)
-
-        cstar = kl(m0, mu0, nu1)
-        nu = np.empty(mu.size)
-        nu[0] = nu1
-        for i in rest:
-            side = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-            nu[i] = kl_inverse(models[i], mu[i], cstar, side)
-
-    slopes = np.array([kl_dnu(models[i], mu[i], nu[i]) for i in range(mu.size)])
-    if gaussian_arms:
-        # not a / slopes: their rounding would break exact weight ties
-        raw = np.abs(a) * np.sqrt(variances)
-    else:
-        for i, s in enumerate(slopes):
-            if s == 0.0 or not math.isfinite(s):
-                raise NumericalError(
-                    f"divergence slope {s} at arm {i}: the level {cstar} "
-                    f"is below what kl_inverse resolves at mu={mu[i]}")
-        raw = a / slopes
-        if np.any(raw <= 0):
-            raise NumericalError("weight signs violate the displacement pattern")
-    w = raw / raw.sum()
+    geometry = PreparedHalfSpace(models, hs.a, hs.b)
+    side, cstar, nu, w, slopes = geometry.saddle(mu, settings)
+    a, b, _ = geometry.target(side)
+    if slopes is None:
+        slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
+                           for i in range(mu.size)])
 
     levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
     ratios = w * slopes / a
@@ -633,6 +736,7 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
         "tangency_spread": float(np.max(ratios) - np.min(ratios)),
         "saddle_gap": abs(float(np.dot(w, levels)) - cstar),
     }
+    flags = ("mu_in_a2",) if side is Side.A2 else ()
     return _solution(w, nu, cstar, range(mu.size), residuals, flags)
 
 

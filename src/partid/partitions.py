@@ -192,26 +192,27 @@ def classify(spec: PartitionSpec, point) -> Side:
     TOL_CLASS around the separating surface."""
     x = np.asarray(point, dtype=float)
     if isinstance(spec, Threshold):
-        m = float(np.max(x)) - spec.u
-        if abs(m) <= TOL_CLASS:
-            return Side.BOUNDARY
-        return Side.A1 if m > 0 else Side.A2
+        return side_of_margin(float(np.max(x)) - spec.u, Side.A1)
     if isinstance(spec, HalfSpace):
-        m = distance_to_halfspace(spec.a, spec.b, x)
-        if abs(m) <= TOL_CLASS:
-            return Side.BOUNDARY
-        return Side.A2 if m > 0 else Side.A1
+        return side_of_margin(distance_to_halfspace(spec.a, spec.b, x),
+                              Side.A2)
     if isinstance(spec, UnionHalfSpaces):
-        m = max(distance_to_halfspace(a, b, x) for a, b in spec.halfspaces)
-        if abs(m) <= TOL_CLASS:
-            return Side.BOUNDARY
-        return Side.A2 if m > 0 else Side.A1
+        return side_of_margin(
+            max(distance_to_halfspace(a, b, x) for a, b in spec.halfspaces),
+            Side.A2)
     if isinstance(spec, ConvexSublevel):
-        m = spec.value(x) - spec.level
-        if abs(m) <= TOL_CLASS:
-            return Side.BOUNDARY
-        return Side.A1 if m > 0 else Side.A2
+        return side_of_margin(spec.value(x) - spec.level, Side.A1)
     raise TypeError(f"not a partition spec: {spec!r}")
+
+
+def side_of_margin(m: float, positive: Side) -> Side:
+    """Boundary when |m| <= TOL_CLASS, else positive for m > 0 and the
+    other side otherwise (a NaN margin included)."""
+    if abs(m) <= TOL_CLASS:
+        return Side.BOUNDARY
+    if m > 0:
+        return positive
+    return Side.A2 if positive is Side.A1 else Side.A1
 
 
 def dimension(spec: PartitionSpec) -> Optional[int]:

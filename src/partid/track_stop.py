@@ -25,9 +25,12 @@ zero: the run keeps sampling rather than stopping on an undefined test.
 
 One loop serves every partition and asks a per-geometry step kernel for
 statistic(means, counts) -> (side, Z) and allocation(means, side) -> w_hat.
-The threshold kernel evaluates closed forms; the solver kernel calls
-classify, inner_inf and solve. On a threshold partition both kernels give
-the same trajectory from the same seed.
+The threshold kernel evaluates closed forms. The solver kernel calls
+classify, inner_inf and solve, except on a half-space: there it prepares
+the geometry once per run (lb_solvers.PreparedHalfSpace) and each step
+evaluates the same side test, inner infimum and saddle weights on it,
+with the same trajectory. On a threshold partition both kernels give the
+same trajectory from the same seed.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInstance, PartidError, UnsupportedCase
-from .lb_solvers import (DEFAULT_SETTINGS, SolverSettings,
+from .lb_solvers import (DEFAULT_SETTINGS, PreparedHalfSpace, SolverSettings,
                          check_threshold_level, inner_inf, require_covered,
                          solve)
-from .partitions import TOL_CLASS, PartitionSpec, Side, Threshold, classify
+from .partitions import (TOL_CLASS, HalfSpace, PartitionSpec, Side, Threshold,
+                         classify)
 from .spef import (DEFAULT_CLAMP, FAMILIES, ClampPolicy, SpefModel,
                    clamp_bounds, clamp_to_interior, sampler)
 
@@ -125,7 +129,12 @@ def glr_statistic(models: Sequence[SpefModel], state: RunState,
 class _SolverKernel:
     """Solver-backed step kernel, which run() uses for every geometry but
     the threshold. An undefined statistic counts as zero and a failed solve
-    as uniform weights, under which tracking pulls the least-sampled arm."""
+    as uniform weights, under which tracking pulls the least-sampled arm;
+    so does a step whose means sit on the boundary. A half-space is
+    prepared once per run (lb_solvers.PreparedHalfSpace): each step then
+    tests the side, checks the means and evaluates the inner infimum and
+    the saddle weights on the prepared rows, which with Gaussian arms are
+    fixed. Other geometries call classify, inner_inf and solve each step."""
 
     def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
                  settings: SolverSettings, true_side: Side):
@@ -134,19 +143,37 @@ class _SolverKernel:
         self.spec = spec
         self.settings = settings
         self.uniform = np.full(len(models), 1.0 / len(models))
+        self.halfspace = (PreparedHalfSpace(models, spec.a, spec.b)
+                          if isinstance(spec, HalfSpace) else None)
 
     def statistic(self, means, counts):
-        side = classify(self.spec, means)
+        hs = self.halfspace
+        if hs is None:
+            side = classify(self.spec, means)
+            if side is Side.BOUNDARY:
+                return side, 0.0
+            return side, _glr(self.models, means, counts, self.spec)
+        side = hs.side(means)
         if side is Side.BOUNDARY:
             return side, 0.0
-        return side, _glr(self.models, means, counts, self.spec)
+        hs.check_means(means)
+        try:
+            return side, hs.inner(means, counts.astype(float), side)[0]
+        except (DegenerateInstance, UnsupportedCase):
+            return side, 0.0
 
     def allocation(self, means, side):
+        if side is Side.BOUNDARY:
+            return self.uniform
         try:
-            w_hat = solve(self.models, means, self.spec, self.settings).w_star
+            if self.halfspace is not None:
+                w_hat = self.halfspace.weights(means, self.settings)
+            else:
+                w_hat = solve(self.models, means, self.spec,
+                              self.settings).w_star
         except PartidError:
             return self.uniform
-        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
+        return w_hat if np.isfinite(w_hat).all() else self.uniform
 
 
 class _ThresholdKernel:

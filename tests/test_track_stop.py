@@ -6,15 +6,19 @@ seed, bit for bit; the parity suite here is what licenses using it for the
 nested-simulation sweeps. Pinned trajectories guard the solver kernel.
 """
 
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partid.track_stop as track_stop
+from partid.cli import main
 from partid.config import parse_config
-from partid.errors import DegenerateInstance, DomainError, UnsupportedCase
-from partid.lb_solvers import DEFAULT_SETTINGS, inner_inf
+from partid.errors import (DegenerateInstance, DomainError,
+                           InfeasibleAlternative, PartidError, UnsupportedCase)
+from partid.lb_solvers import DEFAULT_SETTINGS, inner_inf, solve
 from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
                                ball, classify)
 from partid.spef import DEFAULT_CLAMP, bernoulli, gaussian, poisson
@@ -277,3 +281,123 @@ def test_solver_kernel_pinned_trajectory_mixed_families():
     assert res.glr_at_stop == pytest.approx(7.149238594614332, rel=1e-12,
                                             abs=0.0)
     assert res.final_counts.tolist() == [6, 17, 7]
+
+
+class _PublicApiKernel:
+    """Reference step kernel: the public classify, inner_inf and solve at
+    every step, with the fallbacks the run loop documents."""
+
+    def __init__(self, models, spec):
+        self.models, self.spec = models, spec
+        self.uniform = np.full(len(models), 1.0 / len(models))
+
+    def statistic(self, means, counts):
+        side = classify(self.spec, means)
+        if side is Side.BOUNDARY:
+            return side, 0.0
+        try:
+            return side, inner_inf(self.models, means, counts.astype(float),
+                                   self.spec).value
+        except (DegenerateInstance, UnsupportedCase):
+            return side, 0.0
+
+    def allocation(self, means, side):
+        try:
+            w_hat = solve(self.models, means, self.spec).w_star
+        except PartidError:
+            return self.uniform
+        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
+
+
+PREPARED_CASES = [
+    ("gaussian2_a1", [gaussian(0.5), gaussian(2.0)], [0.0, 0.3],
+     HalfSpace((1.0, 2.0), 1.9)),
+    ("gaussian3_a2", [gaussian(0.4), gaussian(1.3), gaussian(0.8)],
+     [0.5, -0.2, 0.9], HalfSpace((1.0, -0.5, 0.7), 0.6)),
+    ("gaussian4_a1", [G1, gaussian(0.3), gaussian(1.7), gaussian(0.6)],
+     [0.1, 0.2, -0.3, 0.0], HalfSpace((0.8, -1.2, 0.5, 1.1), 0.5)),
+    ("mixed_a1", [bernoulli(), poisson(), gaussian(0.7)], [0.3, 1.2, 0.1],
+     HalfSpace((1.0, -0.5, 0.8), 1.0)),
+    ("mixed_a2", [poisson(), bernoulli(), gaussian(1.5)], [2.0, 0.7, 0.8],
+     HalfSpace((0.5, 1.0, 1.0), 0.5)),
+]
+
+
+@pytest.mark.parametrize("name,models,mu,spec", PREPARED_CASES,
+                         ids=[c[0] for c in PREPARED_CASES])
+def test_halfspace_prepared_parity(name, models, mu, spec):
+    # the prepared half-space must reproduce, bit for bit, the run that
+    # calls the public functions at every step
+    mu = np.asarray(mu)
+    side = classify(spec, mu)
+    cfg = StoppingConfig(delta=0.01, max_steps=5000)
+    for seed in range(20):
+        got = run(models, mu, spec, cfg, np.random.default_rng(seed))
+        want = _track_and_stop(models, mu, side,
+                               _PublicApiKernel(models, spec), cfg,
+                               np.random.default_rng(seed), DEFAULT_CLAMP)
+        assert (got.stop_time, got.declared, got.glr_at_stop,
+                got.final_counts.tolist()) == \
+            (want.stop_time, want.declared, want.glr_at_stop,
+             want.final_counts.tolist()), f"seed {seed}"
+
+
+def _halfspace_kernel(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
+    kernel = _SolverKernel(list(models), spec, DEFAULT_SETTINGS, Side.A1)
+    assert kernel.halfspace is not None
+    return kernel
+
+
+class TestPreparedHalfSpaceChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_raises(self, bad):
+        kernel = _halfspace_kernel()
+        with pytest.raises(DomainError, match="mu\\[0\\]"):
+            kernel.statistic(np.array([bad, 0.0]), np.array([3, 3]))
+
+    def test_unreachable_half_space_raises(self, tmp_path, capsys):
+        models = [bernoulli(), bernoulli()]
+        spec = HalfSpace((1.0, 1.0), 2.5)
+        with pytest.raises(InfeasibleAlternative):
+            run(models, [0.5, 0.5], spec, StoppingConfig(delta=0.1),
+                np.random.default_rng(0))
+        path = tmp_path / "unreachable.json"
+        path.write_text(json.dumps({
+            "arms": [{"family": "bernoulli"}, {"family": "bernoulli"}],
+            "true_means": [0.5, 0.5],
+            "partition": {"type": "halfspace", "a": [1.0, 1.0], "b": 2.5},
+            "deltas": [0.1], "replications": 1, "seed": 1,
+            "max_steps": 50}))
+        code = main(["run", str(path), "--delta", "0.1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "does not intersect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("means", [[0.5, 0.5], [0.5, 0.5 + 1e-13]])
+    def test_boundary_band_gives_zero_and_uniform(self, means):
+        kernel = _halfspace_kernel()
+        means = np.array(means)
+        side, z = kernel.statistic(means, np.array([4, 4]))
+        assert (side, z) == (Side.BOUNDARY, 0.0)
+        np.testing.assert_array_equal(kernel.allocation(means, side),
+                                      [0.5, 0.5])
+
+
+def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
+    # one classify of the truth per run; no step goes through classify,
+    # inner_inf or solve
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("classify", "inner_inf", "solve"):
+        monkeypatch.setattr(track_stop, name,
+                            counted(name, getattr(track_stop, name)))
+    res = run([gaussian(0.5), G1], [0.0, 0.0], HalfSpace((1.0, 1.0), 1.0),
+              StoppingConfig(delta=0.01), np.random.default_rng(0))
+    assert res.stop_time > 10
+    assert calls == ["classify"]
