@@ -8,7 +8,8 @@ whose value c* bounds the rate at which any sound procedure can separate the
 two components, with characteristic time t* = 1/c*. Each partition family
 gets the sharpest solver its structure allows:
 
-  * Threshold: fully closed form on both sides.
+  * Threshold: fully closed form on both sides, written once in
+    PreparedThreshold.
   * HalfSpace: the minimizer equalizes divergences across arms and sits on
     the hyperplane. With Gaussian arms both the saddle and the weighted
     inner infimum are closed forms; otherwise each is one monotone scalar
@@ -33,10 +34,14 @@ gets the sharpest solver its structure allows:
 Hyperplane rows are normalized internally to unit Euclidean norm, which
 changes nothing about the sets or the saddle point but keeps every reported
 residual on a common scale.
+
+A track-and-stop run takes its geometry from prepare(): the threshold and
+half-space classes, or SolvedEachStep for convex sets and unions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,16 +65,13 @@ class SolverSettings:
     tol_kkt bounds reported optimality residuals, tol_bisect is the value
     tolerance of every scalar root, max_outer_iters caps iterative outer
     loops, simplex_floor keeps ascent iterates strictly inside the simplex,
-    active_set_tol is relative to c* when detecting binding arms, and
-    step_schedule picks the ascent step rule ("diminishing" for 1/sqrt(k),
-    "fixed" for a constant).
+    and active_set_tol is relative to c* when detecting binding arms.
     """
     tol_kkt: float = 1e-8
     tol_bisect: float = 1e-10
     max_outer_iters: int = 5000
     simplex_floor: float = 1e-9
     active_set_tol: float = 1e-6
-    step_schedule: str = "diminishing"
 
     def __post_init__(self):
         for name in ("tol_kkt", "tol_bisect", "simplex_floor", "active_set_tol"):
@@ -78,8 +80,6 @@ class SolverSettings:
                 raise ValueError(f"{name} must be positive, got {v}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.step_schedule not in ("diminishing", "fixed"):
-            raise ValueError(f"unknown step_schedule {self.step_schedule!r}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -143,15 +143,6 @@ def require_covered(spec: PartitionSpec, side: Side):
     if not covers(spec, side):
         raise UnsupportedCase(f"means on side {side.value} of a "
                               f"{type(spec).__name__} are not covered")
-
-
-def check_threshold_level(models: Sequence[SpefModel], u: float):
-    """Raise DomainError unless the level u is inside every arm's domain."""
-    for i, m in enumerate(models):
-        lo, hi = mean_domain(m)
-        if not lo < u < hi:
-            raise DomainError(
-                f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
 
 
 def _check_saddle_value(cstar: float):
@@ -474,22 +465,11 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
     require_covered(spec, side)
 
     if isinstance(spec, Threshold):
-        u = spec.u
-        check_threshold_level(models, u)
-        if side is Side.A1:
-            value = 0.0
-            nu = np.array(mu)
-            for i in range(mu.size):
-                if mu[i] > u:
-                    value += w[i] * kl(models[i], mu[i], u)
-                    nu[i] = u
-            return InnerSolution(float(value), nu)
-        costs = np.array([w[i] * kl(models[i], mu[i], u)
-                          for i in range(mu.size)])
-        s = int(np.argmin(costs))
+        geometry = PreparedThreshold(models, spec.u)
+        value = geometry.statistic(mu, w, side)
         nu = np.array(mu)
-        nu[s] = u
-        return InnerSolution(float(costs[s]), nu)
+        nu[mu > spec.u if side is Side.A1 else geometry.lowest] = spec.u
+        return InnerSolution(float(value), nu)
 
     if isinstance(spec, HalfSpace):
         value, nu = PreparedHalfSpace(models, spec.a, spec.b).inner(mu, w,
@@ -526,21 +506,21 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
     optimum; the reported minimizer raises the lowest-indexed arm.
     """
     mu = _validate_instance(models, mu)
-    check_threshold_level(models, u)
+    geometry = PreparedThreshold(models, u)
     side = classify(Threshold(u), mu)
     if side is Side.BOUNDARY:
         raise DegenerateInstance(f"max(mu) sits on the threshold level {u}")
 
     K = mu.size
+    # records each arm's divergence to the level in geometry.gaps
+    geometry.statistic(mu, np.ones(K), side)
+    gaps = geometry.gaps
     if side is Side.A1:
-        above = [i for i in range(K) if mu[i] > u]
-        gaps = np.array([kl(models[i], mu[i], u) for i in above])
-        jstar = above[int(np.argmax(gaps))]
-        cstar = float(np.max(gaps))
-        w = np.zeros(K)
-        w[jstar] = 1.0
+        w = geometry.weights(mu, side)
+        cstar = float(gaps[int(np.argmax(w))])
         nu = np.where(mu > u, u, mu)
-        active = [i for i, g in zip(above, gaps) if g >= cstar * (1 - 1e-12)]
+        active = [i for i in range(K)
+                  if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]
         residuals = {
             "saddle_gap": abs(sum(w[i] * kl(models[i], mu[i], nu[i])
                                   for i in range(K)) - cstar),
@@ -548,14 +528,7 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
         }
         return _solution(w, nu, cstar, active, residuals)
 
-    gaps = np.array([kl(models[i], mu[i], u) for i in range(K)])
-    if np.any(gaps <= 0):
-        raise DegenerateInstance(
-            "an arm mean coincides with the threshold level; the "
-            "characteristic time is unbounded")
-    inv = 1.0 / gaps
-    tstar = float(inv.sum())
-    w = inv / tstar
+    gaps, w, tstar = geometry.inverse_gap_weights()
     cstar = 1.0 / tstar
     nu = np.array(mu)
     nu[0] = u
@@ -564,6 +537,94 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
         "weight_sum": abs(w.sum() - 1.0),
     }
     return _solution(w, nu, cstar, range(K), residuals)
+
+
+# ---------------------------------------------------------------------------
+# prepared geometries
+
+
+class PreparedThreshold:
+    """The level, checked against every arm's domain, and each arm's
+    unchecked divergence to it. statistic records the divergences it
+    evaluates and weights at the same means reads them back. inner_inf and
+    solve_threshold prepare one per call, a track-and-stop run one per run.
+    """
+
+    def __init__(self, models: Sequence[SpefModel], u: float):
+        for i, m in enumerate(models):
+            lo, hi = mean_domain(m)
+            if not lo < u < hi:
+                raise DomainError(
+                    f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
+        self.u = u
+        self.k = len(models)
+        # gap[i](x, u): kl of arm i from mean x to the level, unchecked
+        self.gap = [functools.partial(FAMILIES[m.family].kl, m)
+                    for m in models]
+        self.gaps = [0.0] * self.k
+
+    def side(self, mu) -> Side:
+        """classify(Threshold(u), mu), by the same expression."""
+        return side_of_margin(float(np.max(mu)) - self.u, Side.A1)
+
+    def statistic(self, mu, w, side: Side) -> float:
+        """Weighted inner infimum from checked means mu on side: the sum of
+        w_i kl_i(mu_i, u) over the arms above the level, or below it the
+        least w_i kl_i(mu_i, u), whose arm (lowest index on ties) is kept
+        as lowest."""
+        u, gap, gaps = self.u, self.gap, self.gaps
+        if side is Side.A1:
+            z = 0.0
+            for i in range(self.k):
+                v = mu[i]
+                if v > u:
+                    g = gaps[i] = gap[i](v, u)
+                    z += float(w[i]) * g
+            return z
+        z, lowest = math.inf, 0
+        for i in range(self.k):
+            g = gaps[i] = gap[i](mu[i], u)
+            c = float(w[i]) * g
+            if c < z:
+                z, lowest = c, i
+        self.lowest = lowest
+        return z
+
+    def inverse_gap_weights(self):
+        """Below the level, (divergences, w*, t*) from the recorded
+        divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
+        sum of those inverses; DegenerateInstance when a mean sits at the
+        level or t* is not finite and positive."""
+        gaps = np.array(self.gaps)
+        if np.any(gaps <= 0.0):
+            raise DegenerateInstance(
+                "an arm mean coincides with the threshold level; the "
+                "characteristic time is unbounded")
+        inv = 1.0 / gaps
+        tstar = float(inv.sum())
+        # 0 when every divergence overflowed, inf when one is too small
+        if not 0.0 < tstar < math.inf:
+            raise DegenerateInstance(f"characteristic time {tstar} is not "
+                                     f"finite and positive")
+        return gaps, inv / tstar, tstar
+
+    def weights(self, mu, side: Side) -> np.ndarray:
+        """w* of solve_threshold at the means statistic last evaluated:
+        above the level, all on the arm with the largest recorded
+        divergence (lowest index on ties; DegenerateInstance when every one
+        underflowed to 0), below it inverse_gap_weights."""
+        if side is Side.A2:
+            return self.inverse_gap_weights()[1]
+        u, gaps = self.u, self.gaps
+        jstar, best = -1, 0.0
+        for i in range(self.k):
+            if mu[i] > u and gaps[i] > best:
+                jstar, best = i, gaps[i]
+        if jstar < 0:
+            _check_saddle_value(best)
+        w = np.zeros(self.k)
+        w[jstar] = 1.0
+        return w
 
 
 class PreparedHalfSpace:
@@ -576,8 +637,10 @@ class PreparedHalfSpace:
     call, a track-and-stop run one per run.
     """
 
-    def __init__(self, models: Sequence[SpefModel], a, b: float):
+    def __init__(self, models: Sequence[SpefModel], a, b: float,
+                 settings: SolverSettings = DEFAULT_SETTINGS):
         self.models = list(models)
+        self.settings = settings
         self.a = np.asarray(a, dtype=float)
         self.b = float(b)
         self.norm = float(np.linalg.norm(self.a))
@@ -608,16 +671,17 @@ class PreparedHalfSpace:
         return side_of_margin(
             (float(np.dot(self.a, mu)) - self.b) / self.norm, Side.A2)
 
-    def check_means(self, mu):
-        """DomainError unless every mean is finite and inside its domain."""
+    def statistic(self, mu, counts, side: Side) -> float:
+        """Count-weighted inner infimum from means mu on side; DomainError
+        unless every mean is finite and inside its domain."""
         _check_domains(self.models, self.domains, mu)
+        return self.inner(mu, counts.astype(float), side)[0]
 
-    def inner(self, mu, w, side: Side, *, tol=1e-12, max_iter=300):
+    def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from means mu on
         side to the closure of the other side."""
         a, b, sup = self.target(side)
-        return _unit_halfspace_inner(self.models, mu, w, a, b, sup, tol=tol,
-                                     max_iter=max_iter)
+        return _unit_halfspace_inner(self.models, mu, w, a, b, sup)
 
     def _orient(self, mu):
         """The side of mu by the unit-row margin, which must clear 1e-12,
@@ -637,7 +701,7 @@ class PreparedHalfSpace:
         """sqrt(c*) with Gaussian arms: (b - <a, mu>) / sum |a_i| sqrt(2 v_i)."""
         return (b - float(np.dot(a, mu))) / self.reach_sum
 
-    def saddle(self, mu, settings: SolverSettings = DEFAULT_SETTINGS):
+    def saddle(self, mu):
         """(side of mu, c*, nu*, w*, divergence slopes at nu* or None) at
         checked means mu, as solve_halfspace reports them: the closed form
         with Gaussian arms, one scalar root along the first arm otherwise.
@@ -665,9 +729,9 @@ class PreparedHalfSpace:
             return s
 
         boundary = _edge_toward(m0, a0)
+        tol = self.settings.tol_bisect * max(1.0, abs(b))
         nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
-                           value_tol=settings.tol_bisect * max(1.0, abs(b)),
-                           max_iter=300)
+                           value_tol=tol, max_iter=300)
 
         cstar = kl(m0, mu0, nu1)
         nu = np.empty(mu.size)
@@ -688,18 +752,62 @@ class PreparedHalfSpace:
             raise NumericalError("weight signs violate the displacement pattern")
         return side, cstar, nu, raw / raw.sum(), slopes
 
-    def weights(self, mu, settings: SolverSettings = DEFAULT_SETTINGS):
+    def weights(self, mu, side: Side) -> np.ndarray:
         """w* of solve_halfspace at checked means mu, after the same checks
         (c* > 0 included) but without nu* and the certificate when every arm
-        is Gaussian: those weights do not depend on mu."""
-        if self.gaussian_w is None:
-            _, cstar, _, w, _ = self.saddle(mu, settings)
-        else:
+        is Gaussian: those weights do not depend on mu. The side comes from
+        the unit-row margin, as in solve_halfspace. Other families' weights
+        can overflow, which raises NumericalError."""
+        if self.gaussian_w is not None:
             _, a, b = self._orient(mu)
             r = self._gaussian_r(mu, a, b)
-            cstar, w = r * r, self.gaussian_w
+            _check_saddle_value(r * r)
+            return self.gaussian_w
+        _, cstar, _, w, _ = self.saddle(mu)
         _check_saddle_value(cstar)
+        if not np.all(np.isfinite(w)):
+            raise NumericalError(f"saddle weights {w} are not finite")
         return w
+
+
+class SolvedEachStep:
+    """A convex sublevel set or a union of half-spaces, which nothing is
+    prepared for yet: each step calls this module's classify, inner_inf
+    and solve. NaN w* (NonUniqueHyperplane) raises NumericalError."""
+
+    def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
+                 settings: SolverSettings):
+        self.models = models
+        self.spec = spec
+        self.settings = settings
+
+    def side(self, mu) -> Side:
+        return classify(self.spec, mu)
+
+    def statistic(self, mu, counts, side: Side) -> float:
+        return inner_inf(self.models, mu, counts.astype(float),
+                         self.spec).value
+
+    def weights(self, mu, side: Side) -> np.ndarray:
+        w = solve(self.models, mu, self.spec, self.settings).w_star
+        if not np.all(np.isfinite(w)):
+            raise NumericalError(f"saddle weights {w} are not finite")
+        return w
+
+
+def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
+            settings: SolverSettings = DEFAULT_SETTINGS):
+    """spec's geometry prepared for a run: side(mu), statistic(mu, counts,
+    side) (the count-weighted inner infimum; DegenerateInstance or
+    UnsupportedCase where undefined) and weights(mu, side) (w*; a
+    PartidError where undefined) at any means off the boundary."""
+    if isinstance(spec, Threshold):
+        return PreparedThreshold(models, spec.u)
+    if isinstance(spec, HalfSpace):
+        return PreparedHalfSpace(models, spec.a, spec.b, settings)
+    if isinstance(spec, (ConvexSublevel, UnionHalfSpaces)):
+        return SolvedEachStep(models, spec, settings)
+    raise TypeError(f"not a partition spec: {spec!r}")
 
 
 def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
@@ -720,8 +828,8 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
     hs = HalfSpace(tuple(np.asarray(a, dtype=float)), float(b))
     if len(hs.a) != mu.size:
         raise ValueError(f"normal has {len(hs.a)} entries for {mu.size} arms")
-    geometry = PreparedHalfSpace(models, hs.a, hs.b)
-    side, cstar, nu, w, slopes = geometry.saddle(mu, settings)
+    geometry = PreparedHalfSpace(models, hs.a, hs.b, settings)
+    side, cstar, nu, w, slopes = geometry.saddle(mu)
     a, b, _ = geometry.target(side)
     if slopes is None:
         slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
@@ -864,11 +972,11 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
     infimum, hence concave in w). With two arms it is a function of w_1 on
     a segment: golden section from uniform weights finds its maximum, and
     a two-constraint kink there is pinned by bisection on g_1 - g_2. With
-    more arms, projected supergradient ascent with the per-constraint
-    transport costs as the Danskin supergradient localizes the optimum
-    (ties among active constraints average their supergradients), then
-    cutting planes with an LP upper bound shrink the duality gap below
-    tol_kkt; MaxIters is flagged when the budget ends first. Either way, if
+    more arms, projected supergradient ascent with step 1/sqrt(k) and the
+    per-constraint transport costs as the Danskin supergradient localizes
+    the optimum (ties among active constraints average their
+    supergradients), then cutting planes with an LP upper bound shrink the
+    duality gap below tol_kkt; MaxIters is flagged when the budget ends first. Either way, if
     a single constraint is active, the exact half-space solution is adopted
     once no other constraint undercuts it (each half-space relaxes the
     union, so that check is a true optimality certificate).
@@ -926,8 +1034,7 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
         for j in ties:
             grad += np.array([kl(models[i], mu[i], nus[j][i]) for i in range(K)])
         grad /= len(ties)
-        alpha = 1.0 / math.sqrt(k) if settings.step_schedule == "diminishing" else 1e-2
-        w = _project_simplex_floor(w + alpha * grad, floor)
+        w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad, floor)
 
     # phase 2: certified refinement
     gap = math.inf

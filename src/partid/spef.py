@@ -188,8 +188,8 @@ def mean_domain(model: SpefModel) -> tuple[float, float]:
 
 def _check_mean(model, x, name, arm=None):
     lo, hi = mean_domain(model)
-    ok = isinstance(x, (int, float, np.floating)) and math.isfinite(x) \
-        and lo < x < hi
+    ok = isinstance(x, (int, float, np.integer, np.floating)) \
+        and math.isfinite(x) and lo < x < hi
     if not ok:
         where = f" (arm {arm})" if arm is not None else ""
         raise DomainError(

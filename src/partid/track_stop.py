@@ -23,19 +23,15 @@ allocation cost at N/t. When the empirical means sit on the partition
 boundary, or on a component the inner solvers do not cover, Z is taken as
 zero: the run keeps sampling rather than stopping on an undefined test.
 
-One loop serves every partition and asks a per-geometry step kernel for
-statistic(means, counts) -> (side, Z) and allocation(means, side) -> w_hat.
-The threshold kernel evaluates closed forms. The solver kernel calls
-classify, inner_inf and solve, except on a half-space: there it prepares
-the geometry once per run (lb_solvers.PreparedHalfSpace) and each step
-evaluates the same side test, inner infimum and saddle weights on it,
-with the same trajectory. On a threshold partition both kernels give the
-same trajectory from the same seed.
+One loop serves every partition: it prepares the geometry once per run
+(lb_solvers.prepare) and asks it, at each step's clamped empirical means,
+for the side, the statistic and the allocation weights. Uniform weights
+stand in on a boundary step or where the allocation fails; tracking then
+pulls the least-sampled arm.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,13 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInstance, PartidError, UnsupportedCase
-from .lb_solvers import (DEFAULT_SETTINGS, PreparedHalfSpace, SolverSettings,
-                         check_threshold_level, inner_inf, require_covered,
-                         solve)
-from .partitions import (TOL_CLASS, HalfSpace, PartitionSpec, Side, Threshold,
-                         classify)
-from .spef import (DEFAULT_CLAMP, FAMILIES, ClampPolicy, SpefModel,
-                   clamp_bounds, clamp_to_interior, sampler)
+from .lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf, prepare,
+                         require_covered)
+# unused here: perfbench/test_tracer.py checks a traced pass swaps this site
+from .lb_solvers import solve  # noqa: F401
+from .partitions import PartitionSpec, Side, classify
+from .spef import (DEFAULT_CLAMP, ClampPolicy, SpefModel, clamp_bounds,
+                   clamp_to_interior, sampler)
 
 
 @dataclass(frozen=True)
@@ -111,134 +107,16 @@ def d_tracking_next(state: RunState, w_hat) -> int:
     return int(np.argmax(np.asarray(w_hat) - state.counts / state.t))
 
 
-def _glr(models, means, counts, spec) -> float:
-    try:
-        return inner_inf(models, means, counts.astype(float), spec).value
-    except (DegenerateInstance, UnsupportedCase):
-        return 0.0
-
-
 def glr_statistic(models: Sequence[SpefModel], state: RunState,
                   spec: PartitionSpec,
                   clamp: ClampPolicy = DEFAULT_CLAMP) -> float:
     """Count-weighted divergence from the empirical means to the closure of
     the opposite component; zero whenever that test is undefined."""
-    return _glr(models, state.means(models, clamp), state.counts, spec)
-
-
-class _SolverKernel:
-    """Solver-backed step kernel, which run() uses for every geometry but
-    the threshold. An undefined statistic counts as zero and a failed solve
-    as uniform weights, under which tracking pulls the least-sampled arm;
-    so does a step whose means sit on the boundary. A half-space is
-    prepared once per run (lb_solvers.PreparedHalfSpace): each step then
-    tests the side, checks the means and evaluates the inner infimum and
-    the saddle weights on the prepared rows, which with Gaussian arms are
-    fixed. Other geometries call classify, inner_inf and solve each step."""
-
-    def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
-                 settings: SolverSettings, true_side: Side):
-        require_covered(spec, true_side)
-        self.models = models
-        self.spec = spec
-        self.settings = settings
-        self.uniform = np.full(len(models), 1.0 / len(models))
-        self.halfspace = (PreparedHalfSpace(models, spec.a, spec.b)
-                          if isinstance(spec, HalfSpace) else None)
-
-    def statistic(self, means, counts):
-        hs = self.halfspace
-        if hs is None:
-            side = classify(self.spec, means)
-            if side is Side.BOUNDARY:
-                return side, 0.0
-            return side, _glr(self.models, means, counts, self.spec)
-        side = hs.side(means)
-        if side is Side.BOUNDARY:
-            return side, 0.0
-        hs.check_means(means)
-        try:
-            return side, hs.inner(means, counts.astype(float), side)[0]
-        except (DegenerateInstance, UnsupportedCase):
-            return side, 0.0
-
-    def allocation(self, means, side):
-        if side is Side.BOUNDARY:
-            return self.uniform
-        try:
-            if self.halfspace is not None:
-                w_hat = self.halfspace.weights(means, self.settings)
-            else:
-                w_hat = solve(self.models, means, self.spec,
-                              self.settings).w_star
-        except PartidError:
-            return self.uniform
-        return w_hat if np.isfinite(w_hat).all() else self.uniform
-
-
-class _ThresholdKernel:
-    """Step kernel for Threshold(u): the closed-form threshold branches of
-    inner_inf and solve_threshold, the same expressions in the same order,
-    without the solver plumbing that would dominate nested simulations.
-    statistic keeps the divergences to the level that it evaluates, and
-    allocation, which the loop calls next at the same means, reads those
-    back instead of evaluating them again."""
-
-    def __init__(self, models: Sequence[SpefModel], spec: Threshold):
-        check_threshold_level(models, spec.u)
-        self.u = spec.u
-        self.k = len(models)
-        self.uniform = np.full(self.k, 1.0 / self.k)
-        # gap[i](x, u): unchecked kl of arm i from mean x to the level
-        self.gap = [functools.partial(FAMILIES[m.family].kl, m)
-                    for m in models]
-        self.gaps = [0.0] * self.k
-
-    def statistic(self, means, counts):
-        u, gap, gaps = self.u, self.gap, self.gaps
-        margin = float(np.max(means)) - u
-        if abs(margin) <= TOL_CLASS:
-            return Side.BOUNDARY, 0.0
-        if margin > 0:
-            z = 0.0
-            for i in range(self.k):
-                v = means[i]
-                if v > u:
-                    g = gaps[i] = gap[i](v, u)
-                    z += float(counts[i]) * g
-            return Side.A1, z
-        z = math.inf
-        for i in range(self.k):
-            g = gaps[i] = gap[i](means[i], u)
-            c = float(counts[i]) * g
-            if c < z:
-                z = c
-        return Side.A2, z
-
-    def allocation(self, means, side):
-        u, gaps = self.u, self.gaps
-        if side is Side.BOUNDARY:
-            return self.uniform
-        if side is Side.A1:
-            jstar = -1
-            best = 0.0
-            for i in range(self.k):
-                if means[i] > u:
-                    g = gaps[i]
-                    if g > best:
-                        best = g
-                        jstar = i
-            if jstar < 0:       # every above-level divergence underflowed
-                return self.uniform
-            w_hat = np.zeros(self.k)
-            w_hat[jstar] = 1.0
-            return w_hat
-        gaps = np.array(gaps)
-        if np.any(gaps <= 0.0):     # a mean pinned at the level
-            return self.uniform
-        inv = 1.0 / gaps
-        w_hat = inv / float(inv.sum())
-        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
+    try:
+        return inner_inf(models, state.means(models, clamp),
+                         state.counts.astype(float), spec).value
+    except (DegenerateInstance, UnsupportedCase):
+        return 0.0
 
 
 def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
@@ -249,11 +127,10 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
 
     Draws from true_means (never shown to the decision logic), stops when
     the statistic clears beta_threshold or max_steps is hit; the latter is
-    reported as truncated, never silently dropped. Threshold partitions
-    get the closed-form kernel, every other geometry the solver kernel,
-    which solves the allocation afresh at each step's clamped empirical
-    means. A truth on a side that lb_solvers.covers rejects raises
-    UnsupportedCase before the first draw.
+    reported as truncated, never silently dropped. The geometry is
+    prepared once (lb_solvers.prepare), and each step evaluates it at the
+    step's clamped empirical means. A truth on a side that
+    lb_solvers.covers rejects raises UnsupportedCase before the first draw.
     """
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
@@ -262,18 +139,19 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     true_side = classify(spec, true_means)
     if true_side is Side.BOUNDARY:
         raise DegenerateInstance("true means lie on the partition boundary")
-    if isinstance(spec, Threshold):
-        kernel = _ThresholdKernel(models, spec)
-    else:
-        kernel = _SolverKernel(models, spec, settings, true_side)
-    return _track_and_stop(models, true_means, true_side, kernel, cfg, rng,
+    require_covered(spec, true_side)
+    geometry = prepare(models, spec, settings)
+    return _track_and_stop(models, true_means, true_side, geometry, cfg, rng,
                            clamp)
 
 
 def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
-                    true_side: Side, kernel, cfg: StoppingConfig,
+                    true_side: Side, geometry, cfg: StoppingConfig,
                     rng: np.random.Generator, clamp: ClampPolicy) -> RunResult:
-    """The run loop every geometry shares; the kernel supplies each step."""
+    """The run loop every geometry (see lb_solvers.prepare) shares. Z is 0
+    where the statistic raises DegenerateInstance or UnsupportedCase, and
+    w_hat is uniform on a boundary step or where weights raises any
+    PartidError."""
     k = len(models)
     # clamp_to_interior's bounds, for the arms with a finite domain edge
     bounds = [(i, lo, hi) for i, (lo, hi) in
@@ -287,6 +165,7 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
     for i in range(k):
         sums[i] += draws[i]()
         counts[i] += 1
+    uniform = np.full(k, 1.0 / k)
     violations = 0
     truncated = False
 
@@ -298,17 +177,29 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
                 means[i] = lo
             elif v > hi:
                 means[i] = hi
-        side, z = kernel.statistic(means, counts)
-        if side is not Side.BOUNDARY and z >= beta_threshold(state.t, cfg):
-            declared = side
-            break
+        side = geometry.side(means)
+        z = 0.0
+        if side is not Side.BOUNDARY:
+            try:
+                z = geometry.statistic(means, counts, side)
+            except (DegenerateInstance, UnsupportedCase):
+                pass
+            if z >= beta_threshold(state.t, cfg):
+                declared = side
+                break
         if state.t >= cfg.max_steps:
             truncated = True
             # an exact tie is measure-zero; it is declared A1
             declared = Side.A1 if side is Side.BOUNDARY else side
             break
 
-        arm = d_tracking_next(state, kernel.allocation(means, side))
+        w_hat = uniform
+        if side is not Side.BOUNDARY:
+            try:
+                w_hat = geometry.weights(means, side)
+            except PartidError:
+                pass
+        arm = d_tracking_next(state, w_hat)
         sums[arm] += draws[arm]()
         counts[arm] += 1
         state.t += 1

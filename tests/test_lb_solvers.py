@@ -13,8 +13,8 @@ import pytest
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
-from partid.lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf,
-                               solve, solve_convex, solve_halfspace,
+from partid.lb_solvers import (SolverSettings, inner_inf, solve,
+                               solve_convex, solve_halfspace,
                                solve_threshold, solve_two_arm_gaussian,
                                solve_union_halfspaces)
 from partid.partitions import (ConvexSublevel, HalfSpace, Threshold,
@@ -553,6 +553,3 @@ def test_solver_settings_validation():
         SolverSettings(tol_kkt=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        SolverSettings(step_schedule="warp")
-    assert DEFAULT_SETTINGS.step_schedule == "diminishing"

@@ -219,6 +219,20 @@ def test_kl_rejects_out_of_domain(bad_nu):
         kl(bernoulli(), 0.5, bad_nu)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int64, np.uint16])
+def test_numpy_integer_means_are_accepted(itype):
+    g, p = gaussian(), poisson()
+    assert kl(g, itype(1), 0.5) == kl(g, 1.0, 0.5)
+    assert kl_dnu(g, 0.5, itype(1)) == kl_dnu(g, 0.5, 1.0)
+    assert kl_inverse(p, itype(1), 0.3, Direction.ABOVE) == \
+        kl_inverse(p, 1.0, 0.3, Direction.ABOVE)
+    assert kl_dnu_inverse(p, itype(2), 0.5) == kl_dnu_inverse(p, 2.0, 0.5)
+    assert sample(p, itype(3), np.random.default_rng(5)) == \
+        sample(p, 3.0, np.random.default_rng(5))
+    with pytest.raises(DomainError):
+        kl(bernoulli(), itype(1), 0.5)
+
+
 def test_domain_error_names_arm():
     with pytest.raises(DomainError, match=r"arm 3"):
         kl(poisson(), 1.0, -1.0, arm=3)

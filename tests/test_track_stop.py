@@ -1,39 +1,64 @@
-"""Run loop: stopping rule, tracking rule, and the per-geometry kernels.
+"""Run loop: stopping rule, tracking rule, and the prepared geometries.
 
-On a threshold partition the closed-form threshold kernel must be
-indistinguishable from the solver kernel driving the same loop on the same
-seed, bit for bit; the parity suite here is what licenses using it for the
-nested-simulation sweeps. Pinned trajectories guard the solver kernel.
+The run loop takes each geometry from lb_solvers.prepare. Every prepared
+geometry must give, bit for bit, the trajectory of the same loop driven by
+this file's own reference, which calls the public classify, inner_inf and
+solve at every step; the parity suites here are what license the closed
+forms and prepared rows for the nested-simulation sweeps. Pinned
+trajectories guard the half-space runs.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import partid.track_stop as track_stop
 from partid.cli import main
 from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
-                           InfeasibleAlternative, PartidError, UnsupportedCase)
-from partid.lb_solvers import DEFAULT_SETTINGS, inner_inf, solve
+                           InfeasibleAlternative, NumericalError,
+                           UnsupportedCase)
+from partid.lb_solvers import PreparedHalfSpace, inner_inf, prepare, solve
 from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
-                               ball, classify)
+                               ball, classify, ellipsoid)
 from partid.spef import DEFAULT_CLAMP, bernoulli, gaussian, poisson
-from partid.track_stop import (RunState, StoppingConfig, _SolverKernel,
-                               _track_and_stop, beta_threshold,
-                               d_tracking_next, glr_statistic, run)
+from partid.track_stop import (RunState, StoppingConfig, _track_and_stop,
+                               beta_threshold, d_tracking_next, glr_statistic,
+                               run)
 
 G1 = gaussian(1.0)
 
 
-def _run_solver_kernel(models, mu, spec, cfg, rng):
-    """The run loop with the solver kernel, whatever the geometry."""
-    side = classify(spec, mu)
-    kernel = _SolverKernel(models, spec, DEFAULT_SETTINGS, side)
-    return _track_and_stop(models, mu, side, kernel, cfg, rng, DEFAULT_CLAMP)
+class _PublicApiKernel:
+    """Reference geometry for the run loop, independent of
+    lb_solvers.prepare: the public classify, inner_inf and solve at every
+    step. The loop applies the fallbacks it documents."""
+
+    def __init__(self, models, spec):
+        self.models, self.spec = models, spec
+
+    def side(self, means):
+        return classify(self.spec, means)
+
+    def statistic(self, means, counts, side):
+        return inner_inf(self.models, means, counts.astype(float),
+                         self.spec).value
+
+    def weights(self, means, side):
+        w_hat = solve(self.models, means, self.spec).w_star
+        if not np.all(np.isfinite(w_hat)):
+            raise NumericalError("non-finite reference weights")
+        return w_hat
+
+
+def _run_public_api(models, mu, spec, cfg, rng):
+    """The run loop driven by the public solvers, whatever the geometry."""
+    return _track_and_stop(models, mu, classify(spec, mu),
+                           _PublicApiKernel(models, spec), cfg, rng,
+                           DEFAULT_CLAMP)
 
 
 class TestStoppingConfig:
@@ -217,8 +242,8 @@ def test_threshold_fast_path_parity(name, models, mu, u, seed):
     cfg = StoppingConfig(delta=0.05, max_steps=4000)
     mu_arr = np.asarray(mu, dtype=float)
     fast = run(models, mu, spec, cfg, np.random.default_rng(seed))
-    slow = _run_solver_kernel(models, mu_arr, spec, cfg,
-                              np.random.default_rng(seed))
+    slow = _run_public_api(models, mu_arr, spec, cfg,
+                           np.random.default_rng(seed))
     assert fast.stop_time == slow.stop_time
     assert fast.declared is slow.declared
     assert fast.correct == slow.correct
@@ -235,8 +260,8 @@ def test_threshold_fast_path_parity_under_truncation():
     cfg = StoppingConfig(delta=1e-9, max_steps=60)
     mu = np.array([1.3, 0.9])
     fast = run([G1, G1], mu, spec, cfg, np.random.default_rng(13))
-    slow = _run_solver_kernel([G1, G1], mu, spec, cfg,
-                              np.random.default_rng(13))
+    slow = _run_public_api([G1, G1], mu, spec, cfg,
+                           np.random.default_rng(13))
     assert fast.truncated and slow.truncated
     assert fast.stop_time == slow.stop_time
     assert fast.declared is slow.declared
@@ -283,77 +308,57 @@ def test_solver_kernel_pinned_trajectory_mixed_families():
     assert res.final_counts.tolist() == [6, 17, 7]
 
 
-class _PublicApiKernel:
-    """Reference step kernel: the public classify, inner_inf and solve at
-    every step, with the fallbacks the run loop documents."""
-
-    def __init__(self, models, spec):
-        self.models, self.spec = models, spec
-        self.uniform = np.full(len(models), 1.0 / len(models))
-
-    def statistic(self, means, counts):
-        side = classify(self.spec, means)
-        if side is Side.BOUNDARY:
-            return side, 0.0
-        try:
-            return side, inner_inf(self.models, means, counts.astype(float),
-                                   self.spec).value
-        except (DegenerateInstance, UnsupportedCase):
-            return side, 0.0
-
-    def allocation(self, means, side):
-        try:
-            w_hat = solve(self.models, means, self.spec).w_star
-        except PartidError:
-            return self.uniform
-        return w_hat if np.all(np.isfinite(w_hat)) else self.uniform
-
-
 PREPARED_CASES = [
     ("gaussian2_a1", [gaussian(0.5), gaussian(2.0)], [0.0, 0.3],
-     HalfSpace((1.0, 2.0), 1.9)),
+     HalfSpace((1.0, 2.0), 1.9), 20),
     ("gaussian3_a2", [gaussian(0.4), gaussian(1.3), gaussian(0.8)],
-     [0.5, -0.2, 0.9], HalfSpace((1.0, -0.5, 0.7), 0.6)),
+     [0.5, -0.2, 0.9], HalfSpace((1.0, -0.5, 0.7), 0.6), 20),
     ("gaussian4_a1", [G1, gaussian(0.3), gaussian(1.7), gaussian(0.6)],
-     [0.1, 0.2, -0.3, 0.0], HalfSpace((0.8, -1.2, 0.5, 1.1), 0.5)),
+     [0.1, 0.2, -0.3, 0.0], HalfSpace((0.8, -1.2, 0.5, 1.1), 0.5), 20),
     ("mixed_a1", [bernoulli(), poisson(), gaussian(0.7)], [0.3, 1.2, 0.1],
-     HalfSpace((1.0, -0.5, 0.8), 1.0)),
+     HalfSpace((1.0, -0.5, 0.8), 1.0), 20),
     ("mixed_a2", [poisson(), bernoulli(), gaussian(1.5)], [2.0, 0.7, 0.8],
-     HalfSpace((0.5, 1.0, 1.0), 0.5)),
+     HalfSpace((0.5, 1.0, 1.0), 0.5), 20),
+    # truth outside the set: these geometries still solve at every step,
+    # and a class prepared for them later inherits this gate
+    ("gaussian_ball_a1", [G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0), 3),
+    ("poisson_ellipsoid_a1", [poisson(), poisson()], [2.5, 0.4],
+     ellipsoid((1.0, 1.0), (1.0, 0.5)), 3),
+    ("gaussian_union2_a1", [G1, gaussian(0.5)], [0.0, 0.0],
+     UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2))), 3),
 ]
 
 
-@pytest.mark.parametrize("name,models,mu,spec", PREPARED_CASES,
+@pytest.mark.parametrize("name,models,mu,spec,seeds", PREPARED_CASES,
                          ids=[c[0] for c in PREPARED_CASES])
-def test_halfspace_prepared_parity(name, models, mu, spec):
-    # the prepared half-space must reproduce, bit for bit, the run that
+def test_halfspace_prepared_parity(name, models, mu, spec, seeds):
+    # the prepared geometry must reproduce, bit for bit, the run that
     # calls the public functions at every step
     mu = np.asarray(mu)
-    side = classify(spec, mu)
     cfg = StoppingConfig(delta=0.01, max_steps=5000)
-    for seed in range(20):
+    for seed in range(seeds):
         got = run(models, mu, spec, cfg, np.random.default_rng(seed))
-        want = _track_and_stop(models, mu, side,
-                               _PublicApiKernel(models, spec), cfg,
-                               np.random.default_rng(seed), DEFAULT_CLAMP)
+        want = _run_public_api(models, mu, spec, cfg,
+                               np.random.default_rng(seed))
         assert (got.stop_time, got.declared, got.glr_at_stop,
                 got.final_counts.tolist()) == \
             (want.stop_time, want.declared, want.glr_at_stop,
              want.final_counts.tolist()), f"seed {seed}"
 
 
-def _halfspace_kernel(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
-    kernel = _SolverKernel(list(models), spec, DEFAULT_SETTINGS, Side.A1)
-    assert kernel.halfspace is not None
-    return kernel
+def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
+    geometry = prepare(list(models), spec)
+    assert isinstance(geometry, PreparedHalfSpace)
+    return geometry
 
 
 class TestPreparedHalfSpaceChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_raises(self, bad):
-        kernel = _halfspace_kernel()
+        geometry = _halfspace_geometry()
         with pytest.raises(DomainError, match="mu\\[0\\]"):
-            kernel.statistic(np.array([bad, 0.0]), np.array([3, 3]))
+            geometry.statistic(np.array([bad, 0.0]), np.array([3, 3]),
+                               Side.A1)
 
     def test_unreachable_half_space_raises(self, tmp_path, capsys):
         models = [bernoulli(), bernoulli()]
@@ -375,29 +380,73 @@ class TestPreparedHalfSpaceChecks:
 
     @pytest.mark.parametrize("means", [[0.5, 0.5], [0.5, 0.5 + 1e-13]])
     def test_boundary_band_gives_zero_and_uniform(self, means):
-        kernel = _halfspace_kernel()
+        geometry = _halfspace_geometry()
         means = np.array(means)
-        side, z = kernel.statistic(means, np.array([4, 4]))
-        assert (side, z) == (Side.BOUNDARY, 0.0)
-        np.testing.assert_array_equal(kernel.allocation(means, side),
-                                      [0.5, 0.5])
+        assert geometry.side(means) is Side.BOUNDARY
+
+        class OnTheBand:
+            # every step's means sit where the half-space puts them on the
+            # band; the loop must evaluate neither statistic nor weights
+            def side(self, mu):
+                return geometry.side(means)
+
+            def statistic(self, *args):
+                raise AssertionError("statistic on a boundary step")
+
+            def weights(self, *args):
+                raise AssertionError("weights on a boundary step")
+
+        res = _track_and_stop([G1, G1], np.zeros(2), Side.A1, OnTheBand(),
+                              StoppingConfig(delta=0.1, max_steps=40),
+                              np.random.default_rng(0), DEFAULT_CLAMP)
+        assert (res.truncated, res.declared, res.glr_at_stop) == \
+            (True, Side.A1, 0.0)
+        # uniform weights: tracking alternates between the two arms
+        assert res.final_counts.tolist() == [20, 20]
+
+
+def _count_public_calls(monkeypatch, names=("classify", "inner_inf",
+                                            "solve")):
+    """Wrap every binding site under partid of each named function, so a
+    call is counted whichever module's name it goes through."""
+    calls = []
+    sources = {"classify": "partid.partitions", "inner_inf":
+               "partid.lb_solvers", "solve": "partid.lb_solvers"}
+    for name in names:
+        real = getattr(sys.modules[sources[name]], name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or not (mod_name == "partid"
+                                   or mod_name.startswith("partid.")):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
-    # one classify of the truth per run; no step goes through classify,
-    # inner_inf or solve
-    calls = []
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("classify", "inner_inf", "solve"):
-        monkeypatch.setattr(track_stop, name,
-                            counted(name, getattr(track_stop, name)))
+    # one classify of the truth per run; no half-space or threshold step
+    # goes through classify, inner_inf or solve
+    calls = _count_public_calls(monkeypatch)
     res = run([gaussian(0.5), G1], [0.0, 0.0], HalfSpace((1.0, 1.0), 1.0),
               StoppingConfig(delta=0.01), np.random.default_rng(0))
     assert res.stop_time > 10
     assert calls == ["classify"]
+
+    calls.clear()
+    res = run([G1, bernoulli(), poisson()], [0.2, 0.4, 0.9], Threshold(0.6),
+              StoppingConfig(delta=0.01), np.random.default_rng(0))
+    assert res.stop_time > 10
+    assert calls == ["classify"]
+
+    # the wrappers do see the steps that still call the public solvers
+    calls.clear()
+    res = run([G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0),
+              StoppingConfig(delta=0.01), np.random.default_rng(1))
+    assert not res.truncated
+    assert calls.count("inner_inf") > 0 and calls.count("solve") > 0
