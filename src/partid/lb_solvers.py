@@ -12,10 +12,13 @@ gets the sharpest solver its structure allows:
     PreparedThreshold.
   * HalfSpace: the minimizer equalizes divergences across arms and sits on
     the hyperplane. With Gaussian arms both the saddle and the weighted
-    inner infimum are closed forms; otherwise each is one monotone scalar
-    root. PreparedHalfSpace holds what does not depend on the means (unit
-    rows for both sides, their reach into the domain, the Gaussian saddle
-    weights), so a run that re-solves at every step prepares it once.
+    inner infimum are closed forms; otherwise the saddle is one Newton root
+    in the common divergence level, each arm's coordinate its divergence
+    inverse at that level, and the inner infimum one bisection on a
+    multiplier. PreparedHalfSpace holds what does not depend on the means
+    (unit rows for both sides, their reach into the domain, the Gaussian
+    saddle weights), so a run that re-solves at every step prepares it
+    once.
   * ConvexSublevel: the value is the smallest level t at which the
     coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t. For
     a ball or ellipsoid the box step is the center clipped into the box,
@@ -52,20 +55,22 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
                      NumericalError, UnsupportedCase)
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify, side_of_margin)
-from .rootfind import bisect_monotone, walk_to_root
+from .rootfind import bisect_monotone, newton_root
 from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
-                   kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse,
-                   kl_inverse_capped, mean_domain)
+                   kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
+                   mean_domain)
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Shared numerical knobs.
 
-    tol_kkt bounds reported optimality residuals, tol_bisect is the value
-    tolerance of every scalar root, max_outer_iters caps iterative outer
-    loops, simplex_floor keeps ascent iterates strictly inside the simplex,
-    and active_set_tol is relative to c* when detecting binding arms.
+    tol_kkt bounds reported optimality residuals, tol_bisect is the
+    tolerance of every scalar root (on its value, or relative to the level
+    for the convex-set bracket and the half-space Newton step),
+    max_outer_iters caps iterative outer loops, simplex_floor keeps ascent
+    iterates strictly inside the simplex, and active_set_tol is relative to
+    c* when detecting binding arms.
     """
     tol_kkt: float = 1e-8
     tol_bisect: float = 1e-10
@@ -94,9 +99,9 @@ class LowerBoundSolution:
     the characteristic time. active_set lists the arms essential to the
     optimum. kkt_residuals carries solver-specific diagnostics; flags marks
     qualitative events ("case1", "case_boundary", "NonUniqueHyperplane",
-    "MaxIters"). When NonUniqueHyperplane is flagged w_star is NaN:
-    nu_star and c_star remain valid but no supporting hyperplane determines
-    the weights.
+    "MaxIters", "mu_in_a2", "edge_saturated"). When NonUniqueHyperplane is
+    flagged w_star is NaN: nu_star and c_star remain valid but no supporting
+    hyperplane determines the weights.
     """
     w_star: np.ndarray
     nu_star: np.ndarray
@@ -702,55 +707,85 @@ class PreparedHalfSpace:
         return (b - float(np.dot(a, mu))) / self.reach_sum
 
     def saddle(self, mu):
-        """(side of mu, c*, nu*, w*, divergence slopes at nu* or None) at
+        """(side of mu, c*, nu*, w*, divergence slopes at nu* or None,
+        whether an arm sits at the last float before its domain edge) at
         checked means mu, as solve_halfspace reports them: the closed form
-        with Gaussian arms, one scalar root along the first arm otherwise.
-        Raises DegenerateInstance within 1e-12 of the hyperplane and
+        with Gaussian arms, otherwise one root in the common divergence
+        level. Raises DegenerateInstance within 1e-12 of the hyperplane and
         InfeasibleAlternative when the opposite half-space misses the
         domain."""
         side, a, b = self._orient(mu)
         if self.gaussian_w is not None:
             r = self._gaussian_r(mu, a, b)
             nu = mu + np.sign(a) * self.reach * r
-            return side, r * r, nu, self.gaussian_w, None
+            return side, r * r, nu, self.gaussian_w, None, False
 
-        models = self.models
-        m0, mu0, a0 = models[0], float(mu[0]), float(a[0])
-        rest = range(1, mu.size)
+        models, K = self.models, mu.size
+        al, mul = a.tolist(), mu.tolist()
+        ops = [FAMILIES[m.family] for m in models]
+        toward = [Direction.ABOVE if ai > 0 else Direction.BELOW for ai in al]
+        # |a_i| d nu_i / dr at r = 0, with r = sqrt(c): the Gaussian reach
+        reach = [abs(al[i]) * math.sqrt(2.0 * ops[i].variance(models[i],
+                                                              mul[i]))
+                 for i in range(K)]
+        tried = {}
 
-        def constraint_of(nu1):
-            # bracket expansion can overshoot to levels no bounded arm can
-            # express in floats; the capped inverse is off by under one ulp
-            level = kl(m0, mu0, nu1)
-            s = a0 * nu1
-            for i in rest:
-                toward = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-                s += a[i] * kl_inverse_capped(models[i], mu[i], level, toward)
-            return s
+        def constraint_at(r):
+            # <a, nu> - b with each nu_i the capped inverse at level r^2,
+            # and its slope in r: a_i 2 r / kl_dnu_i summed, or the reach of
+            # an arm whose nu_i rounds onto mu_i
+            nu = [kl_inverse_capped(models[i], mul[i], r * r, toward[i])
+                  for i in range(K)]
+            value = slope = 0.0
+            for i in range(K):
+                value += al[i] * nu[i]
+                d = ops[i].kl_dnu(models[i], mul[i], nu[i])
+                slope += 2.0 * r * al[i] / d if d != 0.0 else reach[i]
+            tried["nu"] = nu
+            return value - b, slope
 
-        boundary = _edge_toward(m0, a0)
-        tol = self.settings.tol_bisect * max(1.0, abs(b))
-        nu1 = walk_to_root(constraint_of, mu0, boundary, b, rising=True,
-                           value_tol=tol, max_iter=300)
+        # the constraint rises with the level from -gap at c = 0; the
+        # Gaussian sqrt(c*) = gap / sum_i |a_i| sqrt(2 v_i), each variance
+        # taken at the mean, starts the Newton steps in r
+        gap = b - float(np.dot(a, mu))
+        r = newton_root(constraint_at, gap / sum(reach), 0.0, math.inf,
+                        f_neg=-gap, rtol=0.5 * self.settings.tol_bisect)
+        # the last float before each arm's edge, where a capped inverse
+        # saturates
+        last = [math.nextafter(_edge_toward(models[i], al[i]), mul[i])
+                for i in range(K)]
+        # one ulp of nu_i moves arm i's divergence by about |kl_dnu_i| ulp:
+        # the coarsest arm unsaturated at the last level tried is inverted
+        # at r^2, the level is taken exactly at its nu and the others are
+        # inverted at that, so each arm meets it to within its own
+        # resolution
+        nu = tried["nu"]
+        j = max((i for i in range(K) if nu[i] != last[i]), default=0,
+                key=lambda i: abs(ops[i].kl_dnu(models[i], mul[i], nu[i]))
+                * math.ulp(nu[i]))
+        nu_j = kl_inverse_capped(models[j], mul[j], r * r, toward[j])
+        cstar = r * r if nu_j == last[j] \
+            else ops[j].kl(models[j], mul[j], nu_j)
+        nu = [nu_j if i == j else
+              kl_inverse_capped(models[i], mul[i], cstar, toward[i])
+              for i in range(K)]
+        saturated = any(nu[i] == last[i] for i in range(K))
+        nu = np.array(nu)
 
-        cstar = kl(m0, mu0, nu1)
-        nu = np.empty(mu.size)
-        nu[0] = nu1
-        for i in rest:
-            toward = Direction.ABOVE if a[i] > 0 else Direction.BELOW
-            nu[i] = kl_inverse(models[i], mu[i], cstar, toward)
-
-        slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
-                           for i in range(mu.size)])
+        # an arm saturated at the smallest positive float may have a slope
+        # that overflows, and then has weight 0
+        slopes = np.array([kl_dnu(models[i], mu[i], nu[i]) for i in range(K)])
         for i, s in enumerate(slopes):
-            if s == 0.0 or not math.isfinite(s):
+            if s == 0.0:
                 raise NumericalError(
-                    f"divergence slope {s} at arm {i}: the level {cstar} "
-                    f"is below what kl_inverse resolves at mu={mu[i]}")
+                    f"divergence slope 0 at arm {i}: the level {cstar} does "
+                    f"not move nu off mu={mu[i]} in float64")
+            if not math.isfinite(s) and nu[i] != last[i]:
+                raise NumericalError(f"divergence slope {s} at arm {i}")
         raw = a / slopes
-        if np.any(raw <= 0):
+        if any(raw[i] <= 0 and nu[i] != last[i] for i in range(K)):
             raise NumericalError("weight signs violate the displacement pattern")
-        return side, cstar, nu, raw / raw.sum(), slopes
+        return side, cstar, nu, raw / raw.sum(), slopes, saturated
 
     def weights(self, mu, side: Side) -> np.ndarray:
         """w* of solve_halfspace at checked means mu, after the same checks
@@ -763,7 +798,7 @@ class PreparedHalfSpace:
             r = self._gaussian_r(mu, a, b)
             _check_saddle_value(r * r)
             return self.gaussian_w
-        _, cstar, _, w, _ = self.saddle(mu)
+        _, cstar, _, w, _, _ = self.saddle(mu)
         _check_saddle_value(cstar)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
@@ -820,23 +855,30 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
     slope at the minimizer. With Gaussian arms the level is r^2 for
     r = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i), each nu_i is
     mu_i + sign(a_i) sqrt(2 v_i) r and w_i is proportional to |a_i| sqrt(v_i).
-    Otherwise the construction parametrizes everything by the first arm's
-    alternative coordinate, along which the constraint value is strictly
-    monotone, leaving one scalar root.
+    Otherwise the constraint <a, nu(c)> - b, with each nu_i(c) the capped
+    divergence inverse at the common level c, rises with c, and Newton steps
+    in sqrt(c) from the Gaussian guess find its root. The level is then
+    taken exactly at the arm whose divergence is coarsest in float64 and
+    the others are inverted at it. An arm whose alternative lies past the
+    last float before its domain edge sits at that float, with weight a_i
+    over its slope there (0 where that slope overflows), and the solution
+    is flagged "edge_saturated"; equal_divergence reports the arm's gap to
+    c*, and tangency_spread leaves out an overflowed slope.
     """
     mu = _validate_instance(models, mu)
     hs = HalfSpace(tuple(np.asarray(a, dtype=float)), float(b))
     if len(hs.a) != mu.size:
         raise ValueError(f"normal has {len(hs.a)} entries for {mu.size} arms")
     geometry = PreparedHalfSpace(models, hs.a, hs.b, settings)
-    side, cstar, nu, w, slopes = geometry.saddle(mu)
+    side, cstar, nu, w, slopes, saturated = geometry.saddle(mu)
     a, b, _ = geometry.target(side)
     if slopes is None:
         slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
                            for i in range(mu.size)])
 
     levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
-    ratios = w * slopes / a
+    finite = np.isfinite(slopes)
+    ratios = w[finite] * slopes[finite] / a[finite]
     residuals = {
         "equal_divergence": float(np.max(np.abs(levels - cstar))),
         "hyperplane": abs(float(np.dot(a, nu)) - b),
@@ -844,7 +886,8 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
         "tangency_spread": float(np.max(ratios) - np.min(ratios)),
         "saddle_gap": abs(float(np.dot(w, levels)) - cstar),
     }
-    flags = ("mu_in_a2",) if side is Side.A2 else ()
+    flags = (("mu_in_a2",) if side is Side.A2 else ()) \
+        + (("edge_saturated",) if saturated else ())
     return _solution(w, nu, cstar, range(mu.size), residuals, flags)
 
 

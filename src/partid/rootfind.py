@@ -1,8 +1,10 @@
-"""Scalar root bracketing and bisection used throughout the solvers.
+"""Scalar root finding used throughout the solvers.
 
 All solvers in this package reduce to one-dimensional monotone root finding,
-so one careful implementation lives here. Functions may return +-inf; an
-infinite value is treated purely through its sign.
+so the careful implementations live here: bisection on a bracket, a walk
+that finds the bracket first, and Newton's method safeguarded by a bracket
+where the slope is known. Functions may return +-inf; an infinite value is
+treated purely through its sign.
 """
 
 from __future__ import annotations
@@ -82,3 +84,46 @@ def walk_to_root(f, start, boundary, target, *, rising=True, value_tol=1e-12,
     raise NumericalError(
         f"no bracket for target {target} between {start} and {boundary} "
         f"after {max_iter} expansions")
+
+
+def newton_root(f, x, neg, pos, *, f_neg=-math.inf, f_pos=math.inf, rtol=0.0,
+                max_iter=MAX_ITER):
+    """Root of f by Newton steps from x, kept inside the bracket (neg, pos).
+
+    f returns (value, slope). The root lies strictly between neg and pos
+    (in either order), where f is negative at neg and positive at pos; f_neg
+    and f_pos are those values where known, and an infinite one marks an
+    open end, such as a domain edge, that is never returned. A step that
+    leaves the open bracket, a start outside it, and a zero slope are
+    replaced by the bracket's midpoint; every evaluation moves one end. Stops when a Newton
+    step is at most max(rtol |x|, 2 ulp(x)) and returns the stepped point
+    (x itself if the step does not land strictly inside the bracket), or
+    when the bracket has collapsed to adjacent floats and returns the end
+    with the smaller |f|. Raises NumericalError when f is NaN, when the
+    midpoint of a bracket with an infinite end is needed, or after max_iter
+    evaluations.
+    """
+    for _ in range(max_iter):
+        if not (neg < x < pos or pos < x < neg):  # outside, an end or NaN
+            x = 0.5 * (neg + pos)
+            if math.isinf(x):
+                raise NumericalError(
+                    f"Newton step left the unbounded bracket ({neg}, {pos})")
+            if not (neg < x < pos or pos < x < neg):  # adjacent floats
+                return neg if abs(f_neg) <= abs(f_pos) else pos
+        fx, slope = f(x)
+        if fx < 0.0:
+            neg, f_neg = x, fx
+        elif fx > 0.0:
+            pos, f_pos = x, fx
+        elif fx == 0.0:
+            return x
+        else:
+            raise NumericalError(f"root function is NaN at {x}")
+        step = fx / slope if slope != 0.0 else math.nan
+        nxt = x - step
+        if abs(step) <= max(rtol * abs(x), 2.0 * math.ulp(x)):
+            # a step that rounds onto x or an end of the bracket stays at x
+            return nxt if neg < nxt < pos or pos < nxt < neg else x
+        x = nxt
+    raise NumericalError(f"Newton root not within {max_iter} evaluations")

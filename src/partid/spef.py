@@ -12,6 +12,16 @@ Closed forms, with v the Gaussian variance:
                     + (1-mu) log((1-mu)/(1-nu))  domain (0, 1)
     Poisson    kl = nu - mu + mu log(mu/nu)      domain (0, inf)
 
+Bernoulli and Poisson divergences are evaluated without cancellation: with
+x = (nu - mu)/mu, mu log(mu/nu) = -mu log1p(x), and the divergence is
+mu (x - log1p(x)), plus (1-mu) (y - log1p(y)) with y = (mu - nu)/(1 - mu)
+for Bernoulli; each term is nonnegative and close to mu x^2 / 2 near mu.
+Where 1 + x (or 1 + y) is below 1/2 the log of the ratio itself is taken.
+Scalar and array forms call numpy's logarithms alike, so they agree bit
+for bit. Their inverses in the divergence have no closed form and are
+found by Newton steps on the convex kl(mu, .) inside the bracket between
+mu and the domain edge.
+
 The public functions check their arguments, then look the formulas up in
 FAMILIES, which holds one FamilyOps record per supported family.
 """
@@ -21,16 +31,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .rootfind import bisect_monotone, walk_to_root
-
-#: Absolute tolerance on the achieved divergence in kl_inverse.
-TOL_INV = 1e-10
-MAX_ITER = 200
+from .rootfind import newton_root
+# unused here: perfbench/test_tracer.py counts this module's binding site
+from .rootfind import bisect_monotone  # noqa: F401
 
 
 class Family(enum.Enum):
@@ -49,19 +57,23 @@ class Direction(enum.Enum):
 class FamilyOps:
     """One family's formulas, each taking the SpefModel first and trusting
     its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup)
-    and kl_dnu_inverse inverts it in closed form, kl_prox(mu, w, alpha, c)
-    is the nu in the open domain solving w kl_dnu(mu, nu) + alpha (nu - c) = 0
-    for w > 0, alpha >= 0 and any real c, draw returns a zero-argument
-    sampler, a None kl_inverse means root finding."""
+    and kl_dnu_inverse inverts it in closed form, kl_inverse(mu, target,
+    direction) is the nu on that side of mu with kl(mu, nu) = target for
+    target > 0 (NumericalError when no float before the domain edge reaches
+    it), kl_prox(mu, w, alpha, c) is the nu in the open domain solving
+    w kl_dnu(mu, nu) + alpha (nu - c) = 0 for w > 0, alpha >= 0 and any
+    real c, variance(mu) is the variance of the arm at mean mu, and draw
+    returns a zero-argument sampler."""
     domain: tuple[float, float]
     kl: Callable[..., float]
     kl_array: Callable[..., np.ndarray]
     kl_dnu: Callable[..., float]
     kl_dnu_inverse: Callable[..., float]
+    kl_inverse: Callable[..., float]
     kl_prox: Callable[..., float]
+    variance: Callable[..., float]
     draw: Callable[..., Callable[[], float]]
     dnu_sup: float = math.inf
-    kl_inverse: Optional[Callable[..., float]] = None
     has_variance: bool = False
 
 
@@ -80,9 +92,92 @@ def _gaussian_draw(m, mean, rng):
     return lambda: float(rng.normal(mean, sd))
 
 
+def _log1p_of(x, num, den):
+    """log(num / den) for 1 + x = num / den: log1p(x) unless 1 + x < 1/2,
+    where x has lost the digits of the ratio."""
+    return float(np.log1p(x)) if x >= -0.5 else float(np.log(num / den))
+
+
+def _log1p_of_array(x, num, den):
+    return np.where(x >= -0.5, np.log1p(np.maximum(x, -0.5)),
+                    np.log(num / den))
+
+
 def _bernoulli_kl(m, mu, nu):
-    v = mu * math.log(mu / nu) + (1.0 - mu) * math.log((1.0 - mu) / (1.0 - nu))
-    return max(0.0, v)  # cancellation at nu within a few ulps of mu
+    x = (nu - mu) / mu
+    y = (mu - nu) / (1.0 - mu)
+    return max(0.0, mu * (x - _log1p_of(x, nu, mu))
+               + (1.0 - mu) * (y - _log1p_of(y, 1.0 - nu, 1.0 - mu)))
+
+
+def _bernoulli_kl_array(m, mu, nu):
+    x = (nu - mu) / mu
+    y = (mu - nu) / (1.0 - mu)
+    return np.maximum(0.0, mu * (x - _log1p_of_array(x, nu, mu))
+                      + (1.0 - mu) * (y - _log1p_of_array(y, 1.0 - nu,
+                                                           1.0 - mu)))
+
+
+def _poisson_kl(m, mu, nu):
+    x = (nu - mu) / mu
+    return max(0.0, mu * (x - _log1p_of(x, nu, mu)))
+
+
+def _poisson_kl_array(m, mu, nu):
+    x = (nu - mu) / mu
+    return np.maximum(0.0, mu * (x - _log1p_of_array(x, nu, mu)))
+
+
+def _kl_root(m, mu, target, start, edge):
+    """The nu between mu and edge with kl(mu, nu) = target: Newton steps on
+    the convex kl(mu, .) - target from start, kept inside that bracket, to
+    within two ulps. NumericalError when the target lies beyond the
+    divergence at the last float before the edge."""
+    ops = FAMILIES[m.family]
+    last = math.nextafter(edge, mu)
+    if not min(mu, edge) < start < max(mu, edge):
+        start = last if abs(start - mu) >= abs(edge - mu) \
+            else math.nextafter(mu, edge)
+    nu = newton_root(lambda x: (ops.kl(m, mu, x) - target,
+                                ops.kl_dnu(m, mu, x)),
+                     start, mu, edge, f_neg=-target)
+    if nu == last and ops.kl(m, mu, nu) < target:
+        raise NumericalError(
+            f"divergence {target} from mu={mu} is beyond every float before "
+            f"the {m.family.value} domain edge {edge}")
+    return nu
+
+
+def _bernoulli_kl_inverse(m, mu, target, direction):
+    # two starts: the Gaussian guess mu +- sqrt(2 v target), and the point
+    # where kl less one of its nonnegative terms reaches the target, which
+    # lies past the root by about that term; the second is taken when the
+    # first overshoots it or the dropped term is under half the target
+    step = math.sqrt(2.0 * mu * (1.0 - mu) * target)
+    if direction is Direction.ABOVE:
+        far = 1.0 - (1.0 - mu) * math.exp(
+            -(target - mu * math.log(mu)) / (1.0 - mu))
+        near, dropped, edge = mu + step, -mu * math.log(far), 1.0
+    else:
+        far = mu * math.exp(-(target - (1.0 - mu) * math.log1p(-mu)) / mu)
+        near, dropped, edge = mu - step, -(1.0 - mu) * math.log1p(-far), 0.0
+    if (near - far) * (edge - mu) >= 0.0 or 2.0 * dropped <= target:
+        return _kl_root(m, mu, target, far, edge)
+    return _kl_root(m, mu, target, near, edge)
+
+
+def _poisson_kl_inverse(m, mu, target, direction):
+    if direction is Direction.ABOVE:
+        # kl(mu, mu + d) <= min(d, d^2 / (2 mu)): both guesses are below
+        # the root, the nearer one is taken
+        return _kl_root(m, mu, target,
+                        mu + max(target, math.sqrt(2.0 * mu * target)),
+                        math.inf)
+    # kl(mu, mu - d) >= d^2 / (2 mu) and kl(mu, nu) >= mu log(mu/nu) - mu:
+    # both guesses are past the root, the nearer one is taken
+    return _kl_root(m, mu, target,
+                    max(mu - math.sqrt(2.0 * mu * target),
+                        mu * math.exp(-1.0 - target / mu)), 0.0)
 
 
 def _bernoulli_kl_dnu_inverse(m, mu, slope):
@@ -96,16 +191,28 @@ def _bernoulli_kl_dnu_inverse(m, mu, slope):
 
 
 def _bernoulli_kl_prox(m, mu, w, alpha, c):
-    # the left side increases in nu from -inf at 0 to +inf at 1 and its sign
-    # at mu is that of mu - c, so the root lies between mu and c clipped
-    # into [0, 1]; bisection never evaluates the bracket's ends
+    # times nu (1 - nu) > 0 the equation is the cubic
+    # p(nu) = w (nu - mu) + alpha (nu - c) nu (1 - nu), which increases
+    # from -w mu at 0 to w (1 - mu) at 1 and at mu has the sign of mu - c,
+    # so its root lies between mu and c clipped into [0, 1]; Newton steps
+    # start from the root with the divergence replaced by its quadratic at mu
     end = min(max(c, 0.0), 1.0)
     if alpha == 0.0 or end == mu:
         return mu
-    lo, hi = (mu, end) if end > mu else (end, mu)
-    return bisect_monotone(
-        lambda nu: w * (nu - mu) / (nu * (1.0 - nu)) + alpha * (nu - c),
-        lo, hi, 0.0, value_tol=0.0)
+    v = mu * (1.0 - mu)
+
+    def cubic(nu):
+        q = nu * (1.0 - nu)
+        return (w * (nu - mu) + alpha * (nu - c) * q,
+                w + alpha * (q + (nu - c) * (1.0 - 2.0 * nu)))
+
+    # a clipped end is a domain edge, which is never returned
+    at_mu = alpha * (mu - c) * v
+    at_end = cubic(end)[0] if end == c else math.copysign(math.inf, end - mu)
+    start = (w * mu / v + alpha * c) / (w / v + alpha)
+    if end > mu:
+        return newton_root(cubic, start, mu, end, f_neg=at_mu, f_pos=at_end)
+    return newton_root(cubic, start, end, mu, f_neg=at_end, f_pos=at_mu)
 
 
 def _poisson_kl_prox(m, mu, w, alpha, c):
@@ -125,30 +232,32 @@ FAMILIES: dict[Family, FamilyOps] = {
         kl_array=lambda m, mu, nu: (mu - nu) ** 2 / (2.0 * m.variance),
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
         kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
+        kl_inverse=_gaussian_kl_inverse,
         kl_prox=lambda m, mu, w, alpha, c:
             (w * mu / m.variance + alpha * c) / (w / m.variance + alpha),
+        variance=lambda m, mu: m.variance,
         draw=_gaussian_draw,
-        kl_inverse=_gaussian_kl_inverse,
         has_variance=True),
     Family.BERNOULLI: FamilyOps(
         domain=(0.0, 1.0),
         kl=_bernoulli_kl,
-        kl_array=lambda m, mu, nu: np.maximum(
-            0.0, mu * np.log(mu / nu)
-            + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - nu))),
+        kl_array=_bernoulli_kl_array,
         kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
         kl_dnu_inverse=_bernoulli_kl_dnu_inverse,
+        kl_inverse=_bernoulli_kl_inverse,
         kl_prox=_bernoulli_kl_prox,
+        variance=lambda m, mu: mu * (1.0 - mu),
         draw=lambda m, mean, rng: lambda: 1.0 if rng.random() < mean else 0.0),
     # the one slope that saturates: (nu - mu)/nu < 1 on an unbounded domain
     Family.POISSON: FamilyOps(
         domain=(0.0, math.inf),
-        kl=lambda m, mu, nu: max(0.0, nu - mu + mu * math.log(mu / nu)),
-        kl_array=lambda m, mu, nu: np.maximum(
-            0.0, nu - mu + mu * np.log(mu / nu)),
+        kl=_poisson_kl,
+        kl_array=_poisson_kl_array,
         kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
         kl_dnu_inverse=lambda m, mu, slope: mu / (1.0 - slope),
+        kl_inverse=_poisson_kl_inverse,
         kl_prox=_poisson_kl_prox,
+        variance=lambda m, mu: mu,
         draw=lambda m, mean, rng: lambda: float(rng.poisson(mean)),
         dnu_sup=1.0),
 }
@@ -234,25 +343,20 @@ def kl_inverse(model: SpefModel, mu: float, target: float,
                direction: Direction, *, arm=None) -> float:
     """The unique nu on the requested side of mu with kl(mu, nu) = target.
 
-    Achieved divergence is within TOL_INV of the target, except where float
-    spacing forbids it: approaching a finite domain edge the slope grows
-    without bound, and once slope * ulp(nu) exceeds TOL_INV the bracket
-    collapses to adjacent floats and the closest representable point is
-    returned. Every target is attainable over the reals (boundary
-    divergence); in float64 the extreme tail near finite edges saturates.
+    A closed form for Gaussian arms; for the others Newton steps on the
+    convex kl(mu, .), kept inside the bracket between mu and the domain
+    edge, stop once a step is within two ulps of nu, so nu is the float
+    root up to the rounding of kl itself. Every target is attainable over
+    the reals (boundary divergence), but in float64 the extreme tail near a
+    finite edge saturates: a target above the divergence at the last float
+    before the edge raises NumericalError.
     """
     mu = _check_mean(model, mu, "mu", arm)
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"divergence target must be finite and >= 0, got {target}")
     if target == 0.0:
         return mu
-    ops = FAMILIES[model.family]
-    if ops.kl_inverse is not None:
-        return ops.kl_inverse(model, mu, target, direction)
-    lo, hi = ops.domain
-    boundary = hi if direction is Direction.ABOVE else lo
-    return walk_to_root(lambda x: kl(model, mu, x), mu, boundary, target,
-                        rising=True, value_tol=TOL_INV, max_iter=MAX_ITER)
+    return FAMILIES[model.family].kl_inverse(model, mu, target, direction)
 
 
 def kl_inverse_capped(model: SpefModel, mu: float, target: float,
@@ -260,9 +364,9 @@ def kl_inverse_capped(model: SpefModel, mu: float, target: float,
     """kl_inverse, saturating at the last interior float of a finite edge.
 
     For divergence-box constructions the box is the sublevel set intersected
-    with the mean domain: a target beyond what float64 can express toward a
-    finite edge means the box side is the edge itself. An infinite edge has
-    no such cap, so there the error propagates.
+    with the mean domain: a target beyond the divergence at the last float
+    before a finite edge means the box side is that float. An infinite edge
+    has no such cap, so there the error propagates.
     """
     try:
         return kl_inverse(model, mu, target, direction, arm=arm)

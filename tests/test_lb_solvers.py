@@ -134,14 +134,92 @@ class TestSolveHalfspace:
                             (1.0, 1.0), 2.5)
 
 
-    def test_zero_slope_raises_numerical_error_without_warnings(self):
-        # the level sits below what kl_inverse resolves from mu = 1.0, so
-        # the Poisson arm's slope at the alternative is exactly zero
+    def test_tiny_level_solves_to_float_resolution_without_warnings(self):
+        # a gap of 1e-6 puts c* near 2.2e-13; the Poisson arm's alternative
+        # sits 6.7e-7 above mu = 1.0 and the last Bernoulli arm's 6.7e-10
+        # above its mean, one ulp of which moves its divergence by 7e-20
+        models = [bernoulli(), poisson(), bernoulli()]
+        mu, a, b = np.array([0.5, 1.0, 0.999999]), np.ones(3), 2.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="arm 1"):
-                solve_halfspace([bernoulli(), poisson(), bernoulli()],
-                                [0.5, 1.0, 0.999999], (1.0, 1.0, 1.0), 2.5)
+            sol = solve_halfspace(models, mu, a, b)
+        gap = b - float(a @ mu)
+        assert sol.flags == ()
+        assert sol.c_star == pytest.approx(2.219e-13, rel=1e-3)
+        assert sol.kkt_residuals["equal_divergence"] <= 1e-8 * sol.c_star
+        assert sol.kkt_residuals["hyperplane"] <= 1e-6 * gap
+
+
+def _sweep_certified(models, mu, spec):
+    """solve() at mu, checked as the bound_sweep benchmark checks every
+    solution: c* finite and positive, w* finite and summing to 1 within
+    1e-9, sum_i w_i kl_i(mu_i, nu*_i) equal to c* within 1e-6 relative, and
+    the inner infimum at the weights halfway to uniform at most
+    c* (1 + 1e-6)."""
+    sol = solve(models, mu, spec)
+    c, w = sol.c_star, sol.w_star
+    assert math.isfinite(c) and c > 0
+    assert np.all(np.isfinite(w)) and abs(float(w.sum()) - 1.0) <= 1e-9
+    saddle = sum(w[i] * kl(models[i], mu[i], sol.nu_star[i])
+                 for i in range(len(models)))
+    assert abs(saddle - c) <= 1e-6 * c
+    mixed = 0.5 * (w + 1.0 / len(models))
+    assert inner_inf(models, mu, mixed, spec).value <= c * (1.0 + 1e-6)
+    return sol
+
+
+# bound_sweep instances whose Bernoulli optimum lies closer to 1 than the
+# last float below 1: (models, mu, half-space, saturated arm, its
+# divergence at that float)
+EDGE_SATURATED_CASES = [
+    ("seed106_op15",
+     [bernoulli(), gaussian(0.4942820169266995)],
+     [0.7249538482348866, -1.7017388506333044],
+     HalfSpace((1.365524805183654, 1.2304552960154291), 3.485924823573154),
+     0, 9.52),
+    ("seed186_op72",
+     [gaussian(0.46038916224230786), bernoulli(), bernoulli()],
+     [-1.5921906847992564, 0.829013330849308, 0.8070680946843902],
+     HalfSpace((-0.545158553319188, -0.313972242222656, 0.47384676311720836),
+               -0.9153655052528171),
+     1, 5.82),
+]
+
+
+@pytest.mark.parametrize("name,models,mu,spec,arm,edge_level",
+                         EDGE_SATURATED_CASES,
+                         ids=[c[0] for c in EDGE_SATURATED_CASES])
+def test_bernoulli_optimum_past_the_last_float(name, models, mu, spec, arm,
+                                               edge_level):
+    # the level c* exceeds what the arm reaches at the last float below 1:
+    # it sits there, with a finite slope and a weight near 1e-15, and
+    # equal_divergence reports its shortfall
+    mu = np.array(mu)
+    sol = _sweep_certified(models, mu, spec)
+    last = math.nextafter(1.0, 0.0)
+    level = kl(models[arm], mu[arm], last)
+    assert level == pytest.approx(edge_level, abs=0.01) and level < sol.c_star
+    assert "edge_saturated" in sol.flags
+    assert sol.nu_star[arm] == last
+    assert 0.0 < sol.w_star[arm] < 1e-12
+    assert sol.kkt_residuals["equal_divergence"] == pytest.approx(
+        sol.c_star - level, rel=1e-9)
+
+
+def test_bernoulli_optimum_below_the_smallest_float():
+    # from mu = 1e-6 the divergence reaches only 7.3e-4 at the smallest
+    # positive float, far below c* = 2 set by the Gaussian arm; the slope
+    # there overflows, so the saturated arm has weight 0
+    models, mu = [bernoulli(), G1], np.array([1e-6, 0.0])
+    spec = HalfSpace((-1.0, 1.0), 2.0)
+    sol = _sweep_certified(models, mu, spec)
+    assert sol.flags == ("edge_saturated",)
+    assert sol.c_star == pytest.approx(2.0, rel=1e-12)
+    assert sol.nu_star[0] == math.nextafter(0.0, 1.0)
+    np.testing.assert_array_equal(sol.w_star, [0.0, 1.0])
+    assert sol.kkt_residuals["equal_divergence"] == pytest.approx(
+        2.0 - kl(bernoulli(), 1e-6, sol.nu_star[0]), rel=1e-9)
+    assert sol.kkt_residuals["tangency_spread"] == 0.0
 
 
 def _gaussian_halfspace(rng, k):

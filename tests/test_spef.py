@@ -5,6 +5,7 @@ drives the same properties into awkward corners, plus the deterministic
 edge cases.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partid import spef
 from partid.errors import DomainError, NumericalError
+from partid.rootfind import bisect_monotone, newton_root
 from partid.spef import (DEFAULT_CLAMP, ClampPolicy, Direction, Family,
                          bernoulli, clamp_to_interior, gaussian, kl,
                          kl_array, kl_dnu, kl_dnu_inverse, kl_dnu_range,
@@ -152,6 +155,101 @@ def test_kl_inverse_extreme_but_attainable_target():
     nu = kl_inverse(bernoulli(), 0.5, 9.0, Direction.ABOVE)
     assert 0.5 < nu < 1.0
     assert kl(bernoulli(), 0.5, nu) == pytest.approx(9.0, abs=1e-6)
+
+
+def _exact_poisson_kl_from_one(nu):
+    """Poisson kl(1, nu) in rational arithmetic near nu = 1: with x = nu - 1
+    (exact in float64 by Sterbenz's lemma), kl(1, 1 + x) = x - log(1 + x) =
+    sum_{k>=2} (-1)^k x^k / k, truncated at k = 8, whose next term is below
+    1e-55 for |x| < 1e-6."""
+    x = Fraction(nu) - 1
+    return sum(Fraction((-1) ** k, k) * x ** k for k in range(2, 9))
+
+
+def test_kl_inverse_tiny_target_within_two_ulps():
+    # at 2.2e-13 the divergence changes by 1.5e-22 per ulp of nu; the
+    # exact values two ulps either side of the result bracket the target
+    target = 2.2e-13
+    nu = kl_inverse(poisson(), 1.0, target, Direction.ABOVE)
+    assert nu == pytest.approx(1.0 + 6.6e-7, rel=1e-8)
+    below = _ulp_steps(nu, 2, -math.inf)
+    above = _ulp_steps(nu, 2, math.inf)
+    assert _exact_poisson_kl_from_one(below) <= Fraction(target) \
+        <= _exact_poisson_kl_from_one(above)
+
+
+@pytest.fixture
+def kl_evaluations(monkeypatch):
+    """A one-element list counting evaluations of the Bernoulli and Poisson
+    divergence formulas in FAMILIES."""
+    count = [0]
+    for family in (Family.BERNOULLI, Family.POISSON):
+        ops = spef.FAMILIES[family]
+
+        def counted(m, mu, nu, _kl=ops.kl):
+            count[0] += 1
+            return _kl(m, mu, nu)
+        monkeypatch.setitem(spef.FAMILIES, family,
+                            dataclasses.replace(ops, kl=counted))
+    return count
+
+
+@pytest.mark.parametrize("name,mus", [
+    ("bernoulli", np.linspace(0.01, 0.99, 25)),
+    ("poisson", np.geomspace(0.01, 50.0, 25)),
+])
+def test_kl_inverse_evaluation_budget(name, mus, kl_evaluations):
+    # root walking with bisection took a median of 23 evaluations and a
+    # 90th percentile of 34 on this grid; Newton steps need far fewer
+    per_call = []
+    for mu in mus:
+        for target in np.geomspace(1e-12, 12.0, 27):
+            for direction in Direction:
+                kl_evaluations[0] = 0
+                try:
+                    kl_inverse(MODELS[name], float(mu), float(target),
+                               direction)
+                except NumericalError:
+                    pass  # beyond the last float before the domain edge
+                per_call.append(kl_evaluations[0])
+    assert np.median(per_call) <= 13
+    assert np.percentile(per_call, 90) <= 21
+
+
+def test_bernoulli_kl_prox_takes_half_the_bisection_steps(monkeypatch):
+    # bisection to float resolution on the same bracket, which solved the
+    # stationarity equation before, is the yardstick for every call; both
+    # root finders spef can call are counted
+    steps = [0]
+
+    def counting(root_finder):
+        def counted(f, *args, **kwargs):
+            def g(x):
+                steps[0] += 1
+                return f(x)
+            return root_finder(g, *args, **kwargs)
+        return counted
+    monkeypatch.setattr(spef, "newton_root", counting(newton_root))
+    monkeypatch.setattr(spef, "bisect_monotone", counting(bisect_monotone))
+    prox = spef.FAMILIES[Family.BERNOULLI].kl_prox
+    model = bernoulli()
+    for mu in (0.05, 0.3, 0.5, 0.8, 0.97):
+        for w in (0.1, 1.0, 5.0):
+            for alpha in (1e-3, 0.1, 1.0, 10.0, 1e3):
+                for c in (-0.5, 0.02, 0.4, 0.9, 1.7):
+                    halvings = [0]
+
+                    def stationarity(nu):
+                        halvings[0] += 1
+                        return (w * (nu - mu) / (nu * (1.0 - nu))
+                                + alpha * (nu - c))
+                    lo, hi = sorted((mu, min(max(c, 0.0), 1.0)))
+                    want = bisect_monotone(stationarity, lo, hi, 0.0,
+                                           value_tol=0.0)
+                    steps[0] = 0
+                    got = prox(model, mu, w, alpha, c)
+                    assert steps[0] <= halvings[0] / 2, (mu, w, alpha, c)
+                    assert abs(got - want) <= 2 * math.ulp(want)
 
 
 @given(st.sampled_from(sorted(MODELS)), st.data(), st.floats(-20.0, 20.0))
