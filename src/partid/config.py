@@ -195,8 +195,9 @@ def _parse_experiment(data: dict, digest: str) -> ExperimentConfig:
                               default=100, minimum=1),
         seed=_integer(data, "seed", "seed", default=0, minimum=0,
                       maximum=2 ** 64 - 1),
+        # a run pulls every arm once before it can stop
         max_steps=_integer(data, "max_steps", "max_steps",
-                           default=1_000_000, minimum=1),
+                           default=1_000_000, minimum=len(arms)),
         c_const=_number(data, "c_const", "c_const", default=math.e,
                         minimum=0.0, strict_min=True),
         parallelism=_integer(data, "parallelism", "parallelism",
@@ -218,9 +219,11 @@ def _parse_risk(data: dict, digest: str) -> RiskDemoConfig:
     if payoff != "identity":
         _fail("payoff", f'only "identity" is implemented, got {payoff!r}')
 
+    n_outer = _integer(data, "n_outer", "n_outer", minimum=1)
+    horizon = _integer(data, "horizon", "horizon", minimum=1)
     return RiskDemoConfig(
-        n_outer=_integer(data, "n_outer", "n_outer", minimum=1),
-        horizon=_integer(data, "horizon", "horizon", minimum=1),
+        n_outer=n_outer,
+        horizon=horizon,
         u=_number(data, "u", "u"),
         inner_delta=_number(data, "inner_delta", "inner_delta",
                             minimum=0.0, maximum=1.0, strict_min=True,
@@ -229,8 +232,9 @@ def _parse_risk(data: dict, digest: str) -> RiskDemoConfig:
         payoff=payoff,
         seed=_integer(data, "seed", "seed", default=0, minimum=0,
                       maximum=2 ** 64 - 1),
+        # each inner run pulls all horizon arms once before it can stop
         max_steps=_integer(data, "max_steps", "max_steps",
-                           default=1_000_000, minimum=1),
+                           default=1_000_000, minimum=horizon),
         c_const=_number(data, "c_const", "c_const", default=math.e,
                         minimum=0.0, strict_min=True),
         parallelism=_integer(data, "parallelism", "parallelism",

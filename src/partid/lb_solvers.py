@@ -204,19 +204,25 @@ def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
 
 def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
     """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b}, for any
-    nonzero row a; _unit_halfspace_inner after normalizing (a, b)."""
-    a = np.asarray(a, dtype=float)
+    nonzero row a and any mean and weight vectors; _unit_halfspace_inner
+    after normalizing (a, b)."""
+    a, mu = np.asarray(a, dtype=float), np.asarray(mu, dtype=float)
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         raise ValueError("half-space normal is the zero vector")
-    return _unit_halfspace_inner(models, mu, w, a / norm, float(b) / norm,
-                                 tol=tol, max_iter=max_iter)
+    a = a / norm
+    value, nu = _unit_halfspace_inner(
+        models, mu.tolist(), np.asarray(w, dtype=float).tolist(), a,
+        float(b) / norm, lin=float(np.dot(a, mu)), tol=tol, max_iter=max_iter)
+    return value, None if nu is None else np.array(nu)
 
 
-def _unit_halfspace_inner(models, mu, w, a, b, sup=None, *, tol=1e-12,
-                          max_iter=300):
+def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
+                          tol=1e-12, max_iter=300):
     """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
-    a; sup is _linear_sup(models, a) when the caller has it.
+    a (an array), with mu and w sequences of Python numbers; sup is
+    _linear_sup(models, a) and lin is float(np.dot(a, mu)) when the caller
+    has them. The minimizer is a list.
 
     Stationarity makes every coordinate nu_i the slope inverse of
     lam * a_i / w_i for a common multiplier lam >= 0, and <a, nu(lam)>
@@ -229,19 +235,18 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, *, tol=1e-12,
     value is (b - <a, mu>)^2 / (2 S), with no root to find.
     """
     K = len(models)
-    lin = float(np.dot(a, mu))
+    if lin is None:
+        lin = float(np.dot(a, mu))
     if lin >= b:
-        return 0.0, np.array(mu, dtype=float)
+        return 0.0, list(mu)
     if sup is None:
         sup = _linear_sup(models, a)
     if not sup > b:
         raise InfeasibleAlternative(
             "half-space does not intersect the mean domain")
 
-    # Python floats from here on: the same arithmetic, without the cost of
-    # numpy scalars
-    al, wl = a.tolist(), w.tolist()
-    free = [i for i in range(K) if wl[i] == 0.0 and al[i] != 0.0]
+    al = a.tolist()
+    free = [i for i in range(K) if w[i] == 0.0 and al[i] != 0.0]
     if free:
         cap = 0.0
         for i in free:
@@ -250,12 +255,12 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, *, tol=1e-12,
                 return 0.0, None
             cap += term
         keep = [i for i in range(K) if i not in free]
-        sub_models = [models[i] for i in keep]
-        val, _ = _halfspace_inner(sub_models, mu[keep], w[keep], a[keep],
-                                  b - cap, tol=tol, max_iter=max_iter)
+        val, _ = _halfspace_inner([models[i] for i in keep],
+                                  [mu[i] for i in keep], [w[i] for i in keep],
+                                  a[keep], b - cap, tol=tol, max_iter=max_iter)
         return val, None
 
-    a, mu, w = al, mu.tolist(), wl
+    a = al
     busy = [i for i in range(K) if a[i] != 0.0]
     nu = list(mu)
     if all(models[i].family is Family.GAUSSIAN for i in busy):
@@ -294,7 +299,7 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, *, tol=1e-12,
     if not all(math.isfinite(x) for x in nu):
         raise NumericalError("inner minimizer escaped to the domain boundary")
     value = sum(w[i] * divergence(models[i], mu[i], nu[i]) for i in busy)
-    return float(value), np.array(nu)
+    return float(value), nu
 
 
 def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
@@ -471,7 +476,7 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
 
     if isinstance(spec, Threshold):
         geometry = PreparedThreshold(models, spec.u)
-        value = geometry.statistic(mu, w, side)
+        value = geometry.statistic(mu.tolist(), w.tolist(), side)
         nu = np.array(mu)
         nu[mu > spec.u if side is Side.A1 else geometry.lowest] = spec.u
         return InnerSolution(float(value), nu)
@@ -518,10 +523,10 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
 
     K = mu.size
     # records each arm's divergence to the level in geometry.gaps
-    geometry.statistic(mu, np.ones(K), side)
+    geometry.statistic(mu.tolist(), [1.0] * K, side)
     gaps = geometry.gaps
     if side is Side.A1:
-        w = geometry.weights(mu, side)
+        w = np.array(geometry.weights(mu, side))
         cstar = float(gaps[int(np.argmax(w))])
         nu = np.where(mu > u, u, mu)
         active = [i for i in range(K)
@@ -534,6 +539,7 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
         return _solution(w, nu, cstar, active, residuals)
 
     gaps, w, tstar = geometry.inverse_gap_weights()
+    gaps, w = np.array(gaps), np.array(w)
     cstar = 1.0 / tstar
     nu = np.array(mu)
     nu[0] = u
@@ -550,9 +556,11 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
 
 class PreparedThreshold:
     """The level, checked against every arm's domain, and each arm's
-    unchecked divergence to it. statistic records the divergences it
-    evaluates and weights at the same means reads them back. inner_inf and
-    solve_threshold prepare one per call, a track-and-stop run one per run.
+    unchecked divergence to it. Means, weights and counts are sequences of
+    Python numbers, and weights returns a list. statistic records the
+    divergences it evaluates and weights at the same means reads them back.
+    inner_inf and solve_threshold prepare one per call, a track-and-stop run
+    one per run.
     """
 
     def __init__(self, models: Sequence[SpefModel], u: float):
@@ -569,8 +577,8 @@ class PreparedThreshold:
         self.gaps = [0.0] * self.k
 
     def side(self, mu) -> Side:
-        """classify(Threshold(u), mu), by the same expression."""
-        return side_of_margin(float(np.max(mu)) - self.u, Side.A1)
+        """classify(Threshold(u), mu): side_of_margin of max(mu) - u."""
+        return side_of_margin(max(mu) - self.u, Side.A1)
 
     def statistic(self, mu, w, side: Side) -> float:
         """Weighted inner infimum from checked means mu on side: the sum of
@@ -584,12 +592,12 @@ class PreparedThreshold:
                 v = mu[i]
                 if v > u:
                     g = gaps[i] = gap[i](v, u)
-                    z += float(w[i]) * g
+                    z += w[i] * g
             return z
         z, lowest = math.inf, 0
         for i in range(self.k):
             g = gaps[i] = gap[i](mu[i], u)
-            c = float(w[i]) * g
+            c = w[i] * g
             if c < z:
                 z, lowest = c, i
         self.lowest = lowest
@@ -599,21 +607,22 @@ class PreparedThreshold:
         """Below the level, (divergences, w*, t*) from the recorded
         divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
         sum of those inverses; DegenerateInstance when a mean sits at the
-        level or t* is not finite and positive."""
-        gaps = np.array(self.gaps)
-        if np.any(gaps <= 0.0):
+        level or t* is not finite and positive. t* is np.add.reduce of the
+        inverses, as solve_threshold summed them on arrays."""
+        gaps = self.gaps
+        if min(gaps) <= 0.0:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
-        inv = 1.0 / gaps
-        tstar = float(inv.sum())
+        inv = [1.0 / g for g in gaps]
+        tstar = float(np.add.reduce(inv))
         # 0 when every divergence overflowed, inf when one is too small
         if not 0.0 < tstar < math.inf:
             raise DegenerateInstance(f"characteristic time {tstar} is not "
                                      f"finite and positive")
-        return gaps, inv / tstar, tstar
+        return gaps, [x / tstar for x in inv], tstar
 
-    def weights(self, mu, side: Side) -> np.ndarray:
+    def weights(self, mu, side: Side) -> list:
         """w* of solve_threshold at the means statistic last evaluated:
         above the level, all on the arm with the largest recorded
         divergence (lowest index on ties; DegenerateInstance when every one
@@ -627,9 +636,17 @@ class PreparedThreshold:
                 jstar, best = i, gaps[i]
         if jstar < 0:
             _check_saddle_value(best)
-        w = np.zeros(self.k)
+        w = [0.0] * self.k
         w[jstar] = 1.0
         return w
+
+
+def _check_recorded(geometry, mu):
+    """ValueError unless mu is the sequence geometry.side last took: its
+    statistic and weights read what side recorded for those means."""
+    if mu is not geometry.mu:
+        raise ValueError("statistic and weights take the means of the "
+                         "last side call")
 
 
 class PreparedHalfSpace:
@@ -640,6 +657,13 @@ class PreparedHalfSpace:
     Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
     sum_i |a_i| sqrt(2 v_i). inner_inf and solve_halfspace prepare one per
     call, a track-and-stop run one per run.
+
+    In a run, side(mu) takes the step's means as a list and records it,
+    the means as an array and their product with the unit row; statistic
+    and weights take that same list and read the array and product back, so
+    each margin is one np.dot per step. The opposite side's row is the
+    negated unit row, and np.dot of a negated row is the negated product,
+    bit for bit.
     """
 
     def __init__(self, models: Sequence[SpefModel], a, b: float,
@@ -652,11 +676,13 @@ class PreparedHalfSpace:
         if self.norm == 0.0:
             raise ValueError("half-space normal is the zero vector")
         unit, b_unit = self.a / self.norm, self.b / self.norm
+        self.unit, self.b_unit = unit, b_unit
         # indexed by whether the means lie on A2 (a Side would be hashed)
         self.targets = tuple((row, off, _linear_sup(models, row))
                              for row, off in ((unit, b_unit),
                                               (-unit, -b_unit)))
         self.domains = [mean_domain(m) for m in models]
+        self.mu = None
         self.gaussian_w = None
         if all(m.family is Family.GAUSSIAN for m in models):
             variances = np.array([m.variance for m in models])
@@ -664,7 +690,7 @@ class PreparedHalfSpace:
             self.reach_sum = float(np.dot(np.abs(unit), self.reach))
             # not a / slopes: their rounding would break exact weight ties
             raw = np.abs(unit) * np.sqrt(variances)
-            self.gaussian_w = raw / raw.sum()
+            self.gaussian_w = (raw / raw.sum()).tolist()
 
     def target(self, side: Side):
         """(unit row, offset, _linear_sup of the row) of the closed
@@ -672,27 +698,37 @@ class PreparedHalfSpace:
         return self.targets[side is Side.A2]
 
     def side(self, mu) -> Side:
-        """classify(HalfSpace(a, b), mu), by the same expression."""
+        """classify(HalfSpace(a, b), mu), by the same expression; records
+        the means as an array and their unit-row product."""
+        x = np.array(mu, dtype=float)
+        self.mu, self.x, self.dot = mu, x, float(np.dot(self.unit, x))
         return side_of_margin(
-            (float(np.dot(self.a, mu)) - self.b) / self.norm, Side.A2)
+            (float(np.dot(self.a, x)) - self.b) / self.norm, Side.A2)
 
     def statistic(self, mu, counts, side: Side) -> float:
-        """Count-weighted inner infimum from means mu on side; DomainError
-        unless every mean is finite and inside its domain."""
+        """Count-weighted inner infimum from the means side last took, on
+        side; DomainError unless every mean is finite and inside its
+        domain."""
+        _check_recorded(self, mu)
         _check_domains(self.models, self.domains, mu)
-        return self.inner(mu, counts.astype(float), side)[0]
+        a, b, sup = self.target(side)
+        lin = self.dot if side is Side.A1 else -self.dot
+        return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
+                                     lin)[0]
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from means mu on
-        side to the closure of the other side."""
+        side to the closure of the other side (mu and w arrays)."""
         a, b, sup = self.target(side)
-        return _unit_halfspace_inner(self.models, mu, w, a, b, sup)
+        value, nu = _unit_halfspace_inner(self.models, mu.tolist(),
+                                          w.tolist(), a, b, sup)
+        return value, None if nu is None else np.array(nu)
 
-    def _orient(self, mu):
-        """The side of mu by the unit-row margin, which must clear 1e-12,
-        and that side's target, which must meet the domain."""
-        a, b, _ = self.target(Side.A1)
-        margin = float(np.dot(a, mu)) - b
+    def _orient(self, dot: float):
+        """(side, unit row, offset, <row, mu>) for means whose unit-row
+        product is dot: the side by the unit-row margin, which must clear
+        1e-12, and that side's target, which must meet the domain."""
+        margin = dot - self.b_unit
         if abs(margin) <= 1e-12:
             raise DegenerateInstance("mu lies on the separating hyperplane")
         side = Side.A2 if margin > 0 else Side.A1
@@ -700,11 +736,11 @@ class PreparedHalfSpace:
         if not sup > b:
             raise InfeasibleAlternative(
                 "the open half-space does not intersect the mean domain")
-        return side, a, b
+        return side, a, b, dot if side is Side.A1 else -dot
 
-    def _gaussian_r(self, mu, a, b) -> float:
+    def _gaussian_r(self, b: float, lin: float) -> float:
         """sqrt(c*) with Gaussian arms: (b - <a, mu>) / sum |a_i| sqrt(2 v_i)."""
-        return (b - float(np.dot(a, mu))) / self.reach_sum
+        return (b - lin) / self.reach_sum
 
     def saddle(self, mu):
         """(side of mu, c*, nu*, w*, divergence slopes at nu* or None,
@@ -714,11 +750,11 @@ class PreparedHalfSpace:
         level. Raises DegenerateInstance within 1e-12 of the hyperplane and
         InfeasibleAlternative when the opposite half-space misses the
         domain."""
-        side, a, b = self._orient(mu)
+        side, a, b, lin = self._orient(float(np.dot(self.unit, mu)))
         if self.gaussian_w is not None:
-            r = self._gaussian_r(mu, a, b)
+            r = self._gaussian_r(b, lin)
             nu = mu + np.sign(a) * self.reach * r
-            return side, r * r, nu, self.gaussian_w, None, False
+            return side, r * r, nu, np.array(self.gaussian_w), None, False
 
         models, K = self.models, mu.size
         al, mul = a.tolist(), mu.tolist()
@@ -747,7 +783,7 @@ class PreparedHalfSpace:
         # the constraint rises with the level from -gap at c = 0; the
         # Gaussian sqrt(c*) = gap / sum_i |a_i| sqrt(2 v_i), each variance
         # taken at the mean, starts the Newton steps in r
-        gap = b - float(np.dot(a, mu))
+        gap = b - lin
         r = newton_root(constraint_at, gap / sum(reach), 0.0, math.inf,
                         f_neg=-gap, rtol=0.5 * self.settings.tol_bisect)
         # the last float before each arm's edge, where a capped inverse
@@ -787,55 +823,66 @@ class PreparedHalfSpace:
             raise NumericalError("weight signs violate the displacement pattern")
         return side, cstar, nu, raw / raw.sum(), slopes, saturated
 
-    def weights(self, mu, side: Side) -> np.ndarray:
-        """w* of solve_halfspace at checked means mu, after the same checks
-        (c* > 0 included) but without nu* and the certificate when every arm
-        is Gaussian: those weights do not depend on mu. The side comes from
-        the unit-row margin, as in solve_halfspace. Other families' weights
-        can overflow, which raises NumericalError."""
+    def weights(self, mu, side: Side) -> list:
+        """w* of solve_halfspace at the checked means side last took, after
+        the same checks (c* > 0 included) but without nu* and the
+        certificate when every arm is Gaussian: those weights do not depend
+        on mu. The side comes from the unit-row margin, as in
+        solve_halfspace. Other families' weights can overflow, which raises
+        NumericalError."""
+        _check_recorded(self, mu)
         if self.gaussian_w is not None:
-            _, a, b = self._orient(mu)
-            r = self._gaussian_r(mu, a, b)
+            _, _, b, lin = self._orient(self.dot)
+            r = self._gaussian_r(b, lin)
             _check_saddle_value(r * r)
             return self.gaussian_w
-        _, cstar, _, w, _, _ = self.saddle(mu)
+        _, cstar, _, w, _, _ = self.saddle(self.x)
         _check_saddle_value(cstar)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
-        return w
+        return w.tolist()
 
 
 class SolvedEachStep:
     """A convex sublevel set or a union of half-spaces, which nothing is
     prepared for yet: each step calls this module's classify, inner_inf
-    and solve. NaN w* (NonUniqueHyperplane) raises NumericalError."""
+    and solve, at the means side last took, recorded as an array. NaN w*
+    (NonUniqueHyperplane) raises NumericalError."""
 
     def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
                  settings: SolverSettings):
         self.models = models
         self.spec = spec
         self.settings = settings
+        self.mu = None
 
     def side(self, mu) -> Side:
-        return classify(self.spec, mu)
+        self.mu, self.x = mu, np.array(mu, dtype=float)
+        return classify(self.spec, self.x)
 
     def statistic(self, mu, counts, side: Side) -> float:
-        return inner_inf(self.models, mu, counts.astype(float),
+        _check_recorded(self, mu)
+        return inner_inf(self.models, self.x, np.array(counts, dtype=float),
                          self.spec).value
 
-    def weights(self, mu, side: Side) -> np.ndarray:
-        w = solve(self.models, mu, self.spec, self.settings).w_star
+    def weights(self, mu, side: Side) -> list:
+        _check_recorded(self, mu)
+        w = solve(self.models, self.x, self.spec, self.settings).w_star
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
-        return w
+        return w.tolist()
 
 
 def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
             settings: SolverSettings = DEFAULT_SETTINGS):
     """spec's geometry prepared for a run: side(mu), statistic(mu, counts,
     side) (the count-weighted inner infimum; DegenerateInstance or
-    UnsupportedCase where undefined) and weights(mu, side) (w*; a
-    PartidError where undefined) at any means off the boundary."""
+    UnsupportedCase where undefined) and weights(mu, side) (w* as a list; a
+    PartidError where undefined) at any means off the boundary. Means and
+    counts are lists of Python numbers. Each step calls side first, and
+    statistic and weights with the same means: they read back what side,
+    then statistic, record for them (the half-space and per-step geometries
+    raise ValueError for other means)."""
     if isinstance(spec, Threshold):
         return PreparedThreshold(models, spec.u)
     if isinstance(spec, HalfSpace):

@@ -28,6 +28,15 @@ One loop serves every partition: it prepares the geometry once per run
 for the side, the statistic and the allocation weights. Uniform weights
 stand in on a boundary step or where the allocation fails; tracking then
 pulls the least-sampled arm.
+
+The loop runs on Python scalars: the step count is an int, the counts a
+list of ints, the reward sums and the clamped means lists of floats, and
+the geometry takes those lists and returns its weights as a list. With
+K of 2 to a few dozen, numpy's per-call cost exceeds the arithmetic it
+would do; a geometry that needs an array (a hyperplane margin by np.dot, a
+solver) converts the means once per step. The arithmetic, and so every
+trajectory, is the one the same steps on numpy arrays give. The result's
+final counts and means are returned as numpy arrays.
 """
 
 from __future__ import annotations
@@ -67,10 +76,11 @@ class StoppingConfig:
 @dataclass
 class RunState:
     """Mutable per-run statistics: total pulls, per-arm counts, reward sums.
-    The run loop keeps one per run and updates it in place."""
+    The run loop keeps one per run, with lists for counts and sums, and
+    updates it in place; numpy arrays work as well."""
     t: int
-    counts: np.ndarray
-    sums: np.ndarray
+    counts: Sequence[int]
+    sums: Sequence[float]
 
     def means(self, models: Sequence[SpefModel],
               clamp: ClampPolicy = DEFAULT_CLAMP) -> np.ndarray:
@@ -98,13 +108,20 @@ def beta_threshold(t: int, cfg: StoppingConfig) -> float:
 
 def d_tracking_next(state: RunState, w_hat) -> int:
     """Arm to pull: a starved arm (count below sqrt(t) - K/2, lowest index
-    first) if any, else the arm whose realized fraction lags w_hat most."""
-    k = state.counts.size
-    need = math.sqrt(state.t) - k / 2.0
-    starved = np.nonzero(state.counts < need)[0]
-    if starved.size:
-        return int(starved[0])
-    return int(np.argmax(np.asarray(w_hat) - state.counts / state.t))
+    first) if any, else the arm whose realized fraction lags w_hat most
+    (lowest index on ties)."""
+    counts, t = state.counts, state.t
+    k = len(counts)
+    need = math.sqrt(t) - k / 2.0
+    for i in range(k):
+        if counts[i] < need:
+            return i
+    arm, lag = 0, w_hat[0] - counts[0] / t
+    for i in range(1, k):
+        v = w_hat[i] - counts[i] / t
+        if v > lag:
+            arm, lag = i, v
+    return arm
 
 
 def glr_statistic(models: Sequence[SpefModel], state: RunState,
@@ -114,7 +131,7 @@ def glr_statistic(models: Sequence[SpefModel], state: RunState,
     the opposite component; zero whenever that test is undefined."""
     try:
         return inner_inf(models, state.means(models, clamp),
-                         state.counts.astype(float), spec).value
+                         np.asarray(state.counts, dtype=float), spec).value
     except (DegenerateInstance, UnsupportedCase):
         return 0.0
 
@@ -130,12 +147,17 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     reported as truncated, never silently dropped. The geometry is
     prepared once (lb_solvers.prepare), and each step evaluates it at the
     step's clamped empirical means. A truth on a side that
-    lb_solvers.covers rejects raises UnsupportedCase before the first draw.
+    lb_solvers.covers rejects raises UnsupportedCase, and max_steps below
+    the number of arms (the first pulls alone would exceed it) raises
+    ValueError, both before the first draw.
     """
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
     if true_means.size != k:
         raise ValueError(f"{k} models for {true_means.size} true means")
+    if cfg.max_steps < k:
+        raise ValueError(f"max_steps {cfg.max_steps} is below the {k} "
+                         f"initial pulls, one per arm")
     true_side = classify(spec, true_means)
     if true_side is Side.BOUNDARY:
         raise DegenerateInstance("true means lie on the partition boundary")
@@ -159,18 +181,16 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
               if math.isfinite(lo) or math.isfinite(hi)]
     draws = [sampler(m, float(x), rng, arm=i)
              for i, (m, x) in enumerate(zip(models, true_means))]
-    state = RunState(t=k, counts=np.zeros(k, dtype=np.int64),
-                     sums=np.zeros(k))
+    state = RunState(t=k, counts=[1] * k, sums=[0.0] * k)
     counts, sums = state.counts, state.sums
     for i in range(k):
         sums[i] += draws[i]()
-        counts[i] += 1
-    uniform = np.full(k, 1.0 / k)
+    uniform = [1.0 / k] * k
     violations = 0
     truncated = False
 
     while True:
-        means = sums / counts
+        means = [s / n for s, n in zip(sums, counts)]
         for i, lo, hi in bounds:
             v = means[i]
             if v < lo:
@@ -204,7 +224,7 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         counts[arm] += 1
         state.t += 1
         floor = max(0.0, math.sqrt(state.t) - k / 2.0) - 1.0
-        if counts.min() < floor - 1e-9:
+        if min(counts) < floor - 1e-9:
             violations += 1
 
     return RunResult(
@@ -214,6 +234,6 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         glr_at_stop=float(z),
         forced_exploration_violations=violations,
         truncated=truncated,
-        final_counts=counts.copy(),
-        final_means=means,
+        final_counts=np.array(counts, dtype=np.int64),
+        final_means=np.array(means),
     )

@@ -88,6 +88,8 @@ class TestExperimentParsing:
         (lambda d: d.update(parallelism=0), "parallelism"),
         (lambda d: d.update(c_const=0.0), "c_const"),
         (lambda d: d.update(partition={"type": "wedge"}), "partition"),
+        # below the two first pulls, one per arm
+        (lambda d: d.update(max_steps=1), "max_steps: must be >= 2"),
     ])
     def test_field_errors_name_the_path(self, tmp_path, mutate, needle):
         data = json.loads(json.dumps(BASE))
@@ -152,6 +154,8 @@ class TestRiskParsing:
          "factor_model.volatility"),
         (lambda d: d.update(factor_model={"vol": 1.0}), "factor_model.vol"),
         (lambda d: d.update(arms=[]), "arms"),
+        # below the five first pulls of each inner run
+        (lambda d: d.update(max_steps=4), "max_steps: must be >= 5"),
     ])
     def test_risk_field_errors(self, tmp_path, mutate, needle):
         data = json.loads(json.dumps(RISK_BASE))

@@ -59,6 +59,20 @@ class TestSolveThreshold:
         # every product w_i * kl_i ties at c_star
         assert sol.kkt_residuals["product_spread"] <= 1e-15
 
+    @pytest.mark.parametrize("k", [2, 5, 7, 8, 9, 12, 17, 40, 130, 300])
+    def test_below_side_sums_t_star_in_numpy_order(self, k):
+        # the weights are computed on Python floats; t* and w* must still
+        # be numpy's sum of the inverse divergences, bit for bit
+        rng = np.random.default_rng(k)
+        models = [gaussian(v) for v in rng.uniform(0.2, 3.0, k)]
+        mu = rng.uniform(-2.0, 0.9, k)
+        sol = solve_threshold(models, mu, 1.0)
+        gaps = np.array([kl(m, x, 1.0) for m, x in zip(models, mu)])
+        inv = 1.0 / gaps
+        tstar = np.add.reduce(inv)
+        assert sol.c_star == 1.0 / tstar
+        np.testing.assert_array_equal(sol.w_star, inv / tstar)
+
     def test_below_side_matches_inner_inf_at_w_star(self):
         models = [bernoulli(), poisson()]
         mu = [0.2, 0.7]

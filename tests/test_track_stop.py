@@ -5,7 +5,8 @@ geometry must give, bit for bit, the trajectory of the same loop driven by
 this file's own reference, which calls the public classify, inner_inf and
 solve at every step; the parity suites here are what license the closed
 forms and prepared rows for the nested-simulation sweeps. Pinned
-trajectories guard the half-space runs.
+trajectories guard the half-space runs and the threshold runs with many
+arms.
 """
 
 import json
@@ -44,7 +45,7 @@ class _PublicApiKernel:
         return classify(self.spec, means)
 
     def statistic(self, means, counts, side):
-        return inner_inf(self.models, means, counts.astype(float),
+        return inner_inf(self.models, means, np.asarray(counts, dtype=float),
                          self.spec).value
 
     def weights(self, means, side):
@@ -108,6 +109,27 @@ class TestDTracking:
                       sums=np.zeros(3))
         assert d_tracking_next(st, [0.5, 0.25, 0.25]) == 0
         assert d_tracking_next(st, [0.1, 0.6, 0.3]) == 1
+
+    @pytest.mark.parametrize("t,counts,w_hat,want", [
+        # sqrt(100) - 2 = 8: arms 1 and 3 are starved, the lower one wins
+        (100, [40, 5, 50, 5], [0.25] * 4, 1),
+        # a count equal to the floor is not starved: sqrt(36) - 1 = 5
+        (36, [5, 31], [0.9, 0.1], 0),
+        # equal lags: the lowest index wins
+        (100, [30, 20, 30, 20], [0.3, 0.2, 0.3, 0.2], 0),
+        (100, [30, 20, 30, 20], [0.25, 0.25, 0.25, 0.25], 1),
+        # the run loop's uniform weights
+        (64, [16, 16, 16, 16], [0.25] * 4, 0),
+    ])
+    def test_lists_and_arrays_pick_the_same_arm(self, t, counts, w_hat,
+                                                want):
+        from_lists = RunState(t=t, counts=list(counts),
+                              sums=[0.0] * len(counts))
+        from_arrays = RunState(t=t, counts=np.array(counts, dtype=np.int64),
+                               sums=np.zeros(len(counts)))
+        assert d_tracking_next(from_lists, w_hat) == want
+        assert d_tracking_next(from_arrays, np.array(w_hat)) == want
+        assert d_tracking_next(from_arrays, w_hat) == want
 
 
 class TestGlrStatistic:
@@ -193,6 +215,27 @@ class TestRun:
             run([G1, G1], [1.0, 0.0], Threshold(1.0), self.CFG,
                 np.random.default_rng(0))
 
+    def test_max_steps_below_arm_count_rejected_before_drawing(self):
+        # the K first pulls alone would overrun max_steps
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="max_steps 2 is below the 5"):
+            run([G1] * 5, [0.0, 0.5, 1.5, 0.2, 0.1], Threshold(1.0),
+                StoppingConfig(delta=0.1, max_steps=2), rng)
+        assert rng.bit_generator.state == before
+        res = run([G1] * 5, [0.0, 0.5, 1.5, 0.2, 0.1], Threshold(1.0),
+                  StoppingConfig(delta=1e-9, max_steps=5), rng)
+        assert (res.stop_time, res.truncated) == (5, True)
+
+    def test_result_arrays(self):
+        res = run([G1, bernoulli()], [2.0, 0.3], Threshold(0.5), self.CFG,
+                  np.random.default_rng(0))
+        assert isinstance(res.final_counts, np.ndarray)
+        assert res.final_counts.dtype == np.int64
+        assert isinstance(res.final_means, np.ndarray)
+        assert res.final_means.dtype == np.float64
+        assert res.final_counts.shape == res.final_means.shape == (2,)
+
     def test_arm_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run([G1, G1], [1.0], Threshold(0.5), self.CFG,
@@ -268,6 +311,44 @@ def test_threshold_fast_path_parity_under_truncation():
     assert fast.glr_at_stop == slow.glr_at_stop
     np.testing.assert_array_equal(fast.final_counts, slow.final_counts)
     np.testing.assert_array_equal(fast.final_means, slow.final_means)
+
+
+WIDE_ARMS = {
+    9: [G1, bernoulli(), poisson(), gaussian(0.5), bernoulli(), gaussian(2.0),
+        poisson(), gaussian(0.8), bernoulli()],
+    12: [gaussian(v) for v in (1.0, 0.5, 2.0, 0.8, 1.5, 0.3, 1.2, 0.7, 1.0,
+                               2.5, 0.4, 0.9)],
+}
+
+# (K, truth, level, (stop_time, declared, glr_at_stop, final_counts)) at
+# delta 0.01 and seed 1. From K = 8 on, the inverse-gap weights sum t* in
+# numpy's pairwise blocks; a change here is a trajectory change.
+WIDE_PINNED = [
+    ("k9_below", 9, [0.2, 0.35, 0.1, 0.0, 0.45, -0.3, 0.25, 0.4, 0.3], 0.6,
+     (902, Side.A2, 12.41498875776166,
+      [145, 110, 27, 32, 260, 43, 93, 96, 96])),
+    ("k9_above", 9, [0.2, 0.35, 0.1, 0.0, 0.45, -0.3, 0.25, 0.9, 0.3], 0.6,
+     (445, Side.A1, 11.97195631133223,
+      [17, 17, 17, 17, 17, 17, 17, 309, 17])),
+    ("k12_below", 12, [0.1, -0.4, 0.3, -0.2, 0.0, 0.5, -0.6, 0.2, -0.1, 0.4,
+                       0.6, -0.3], 1.0,
+     (410, Side.A2, 11.675186458141967,
+      [47, 15, 63, 15, 25, 25, 19, 19, 15, 107, 45, 15])),
+    ("k12_above", 12, [0.1, -0.4, 0.3, -0.2, 0.0, 0.5, -0.6, 0.2, -0.1, 1.8,
+                       0.6, -0.3], 1.0,
+     (308, Side.A1, 11.445845732733677,
+      [12, 12, 12, 12, 12, 12, 12, 12, 12, 176, 12, 12])),
+]
+
+
+@pytest.mark.parametrize("name,k,mu,u,want", WIDE_PINNED,
+                         ids=[p[0] for p in WIDE_PINNED])
+def test_threshold_pinned_trajectory_many_arms(name, k, mu, u, want):
+    res = run(WIDE_ARMS[k], mu, Threshold(u), StoppingConfig(delta=0.01),
+              np.random.default_rng(1))
+    assert (res.stop_time, res.declared, res.glr_at_stop,
+            res.final_counts.tolist()) == want
+    assert not res.truncated
 
 
 def test_fast_path_validates_level_against_domains():
@@ -355,10 +436,20 @@ def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
 class TestPreparedHalfSpaceChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_raises(self, bad):
+        # as in the run loop: side first, then statistic on the same means
         geometry = _halfspace_geometry()
+        means = [bad, 0.0]
+        geometry.side(means)
         with pytest.raises(DomainError, match="mu\\[0\\]"):
-            geometry.statistic(np.array([bad, 0.0]), np.array([3, 3]),
-                               Side.A1)
+            geometry.statistic(means, [3, 3], Side.A1)
+
+    def test_means_other_than_sides_raise(self):
+        geometry = _halfspace_geometry()
+        with pytest.raises(ValueError, match="last side call"):
+            geometry.statistic([2.0, 0.0], [3, 3], Side.A2)
+        geometry.side([2.0, 0.0])
+        with pytest.raises(ValueError, match="last side call"):
+            geometry.weights([2.0, 0.0], Side.A2)
 
     def test_unreachable_half_space_raises(self, tmp_path, capsys):
         models = [bernoulli(), bernoulli()]
