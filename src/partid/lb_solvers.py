@@ -6,30 +6,32 @@ The object computed everywhere is the saddle point of
 
 whose value c* bounds the rate at which any sound procedure can separate the
 two components, with characteristic time t* = 1/c*. Each partition family
-gets the sharpest solver its structure allows:
+has one prepared class, which holds what does not depend on the means and
+gives the sharpest solver its structure allows:
 
-  * Threshold: fully closed form on both sides, written once in
-    PreparedThreshold.
-  * HalfSpace: the minimizer equalizes divergences across arms and sits on
-    the hyperplane. With Gaussian arms both the saddle and the weighted
-    inner infimum are closed forms; otherwise the saddle is one Newton root
-    in the common divergence level, each arm's coordinate its divergence
-    inverse at that level, and the inner infimum one bisection on a
-    multiplier. PreparedHalfSpace holds what does not depend on the means
-    (unit rows for both sides, their reach into the domain, the Gaussian
-    saddle weights), so a run that re-solves at every step prepares it
-    once.
-  * ConvexSublevel: the value is the smallest level t at which the
-    coordinate box {max_i kl_i <= t} touches {f <= c}; bisection on t. For
-    a ball or ellipsoid the box step is the center clipped into the box,
-    and the weighted inner infimum is a bisection on one multiplier with
-    each coordinate solved per family (kl_prox); custom oracles minimize by
-    projected gradient on a box instead.
-  * UnionHalfSpaces: concave max-min over the simplex; golden section on
-    the segment for two arms, supergradient ascent to localize otherwise,
-    then a certified refinement (exact single-constraint delegation, kink
-    bisection for two arms, cutting planes with an LP upper bound
-    otherwise) pins the optimum.
+  * Threshold (PreparedThreshold): fully closed form on both sides.
+  * HalfSpace (PreparedHalfSpace): the minimizer equalizes divergences
+    across arms and sits on the hyperplane. With Gaussian arms both the
+    saddle and the weighted inner infimum are closed forms; otherwise the
+    saddle is one Newton root in the common divergence level, each arm's
+    coordinate its divergence inverse at that level, and the inner
+    infimum one bisection on a multiplier. The class holds the unit rows
+    for both sides, their reach into the domain and the Gaussian saddle
+    weights.
+  * ConvexSublevel (PreparedConvex): the value is the smallest level t at
+    which the coordinate box {max_i kl_i <= t} touches {f <= c}; bisection
+    on t. For a ball or ellipsoid the box step is the center clipped into
+    the box, and the weighted inner infimum is a bisection on one
+    multiplier with each coordinate solved per family (kl_prox); custom
+    oracles minimize by projected gradient on a box instead.
+  * UnionHalfSpaces (PreparedUnion, one PreparedHalfSpace per row):
+    concave max-min over the simplex. The row whose exact saddle is
+    cheapest is tried first: when no other row undercuts it at its
+    weights, that saddle is the union's (each half-space relaxes the
+    union, so this is a true optimality certificate). Otherwise golden
+    section and kink bisection on the segment for two arms, or
+    supergradient ascent and cutting planes with an LP upper bound for
+    more, pin the optimum, and the duality gap is reported.
   * Two-arm Gaussian with two constraints: closed-form casework on whether
     one constraint can be ignored or the optimal level set is tangent to
     both lines.
@@ -38,21 +40,23 @@ Hyperplane rows are normalized internally to unit Euclidean norm, which
 changes nothing about the sets or the saddle point but keeps every reported
 residual on a common scale.
 
-A track-and-stop run takes its geometry from prepare(): the threshold and
-half-space classes, or SolvedEachStep for convex sets and unions.
+prepare() is the only dispatch on the partition type: inner_inf and solve
+evaluate the prepared geometry's inner and solution, and a track-and-stop
+run asks it for side, statistic and weights at every step.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
-                     NumericalError, UnsupportedCase)
+                     NumericalError, PartidError, UnsupportedCase)
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify, side_of_margin)
 from .rootfind import bisect_monotone, newton_root
@@ -140,7 +144,7 @@ def covers(spec: PartitionSpec, side: Side) -> bool:
     """Whether inner_inf and solve handle means on this side of spec: both
     sides of a threshold or half-space, only A1 (outside the set) of a
     convex sublevel set or a union of half-spaces."""
-    return side is not Side.A2 or isinstance(spec, (Threshold, HalfSpace))
+    return side is not Side.A2 or _prepared_class(spec).covers_a2
 
 
 def require_covered(spec: PartitionSpec, side: Side):
@@ -202,21 +206,6 @@ def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
     return kl_dnu_inverse(model, mu_i, slope)
 
 
-def _halfspace_inner(models, mu, w, a, b, *, tol=1e-12, max_iter=300):
-    """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b}, for any
-    nonzero row a and any mean and weight vectors; _unit_halfspace_inner
-    after normalizing (a, b)."""
-    a, mu = np.asarray(a, dtype=float), np.asarray(mu, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise ValueError("half-space normal is the zero vector")
-    a = a / norm
-    value, nu = _unit_halfspace_inner(
-        models, mu.tolist(), np.asarray(w, dtype=float).tolist(), a,
-        float(b) / norm, lin=float(np.dot(a, mu)), tol=tol, max_iter=max_iter)
-    return value, None if nu is None else np.array(nu)
-
-
 def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
                           tol=1e-12, max_iter=300):
     """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
@@ -229,7 +218,10 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
     increases in lam, so the constraint level is one monotone scalar root.
     Arms with zero weight are free: they absorb as much of the constraint as
     their domain edge allows at no cost, shrinking the effective level for
-    the rest; the infimum is then not attained and the minimizer is None.
+    the rest, whose row is normalized again; the infimum is then not
+    attained and the minimizer is None. When the free arms carry every
+    nonzero entry of the row, their reach is sup > b, so they meet the
+    constraint alone and the value is 0.
     When every arm the constraint touches is Gaussian the slope inverses are
     linear, so lam = (b - <a, mu>) / S with S = sum_i a_i^2 v_i / w_i and the
     value is (b - <a, mu>)^2 / (2 S), with no root to find.
@@ -255,9 +247,15 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
                 return 0.0, None
             cap += term
         keep = [i for i in range(K) if i not in free]
-        val, _ = _halfspace_inner([models[i] for i in keep],
-                                  [mu[i] for i in keep], [w[i] for i in keep],
-                                  a[keep], b - cap, tol=tol, max_iter=max_iter)
+        rest = a[keep]
+        norm = float(np.linalg.norm(rest))
+        if norm == 0.0:
+            return 0.0, None
+        rest, mu_rest = rest / norm, [mu[i] for i in keep]
+        val, _ = _unit_halfspace_inner(
+            [models[i] for i in keep], mu_rest, [w[i] for i in keep], rest,
+            (b - cap) / norm, lin=float(np.dot(rest, mu_rest)), tol=tol,
+            max_iter=max_iter)
         return val, None
 
     a = al
@@ -344,18 +342,6 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
     return x, resid
 
 
-def _quad_axes(sub: ConvexSublevel):
-    """(center, semi-axes) of a set built by ball() or ellipsoid(), which
-    is {sum_i ((x_i - c_i) / s_i)^2 <= level}; None for custom oracles."""
-    if sub.shape is None:
-        return None
-    kind, center, extra = sub.shape
-    center = np.asarray(center, dtype=float)
-    axes = np.ones(center.size) if kind == "ball" else \
-        np.asarray(extra, dtype=float)
-    return center, axes
-
-
 def _box_minimizer(models, mu, w, sub: ConvexSublevel):
     """nu(lam) for a custom oracle: projected gradient on an adaptively
     grown coordinate box, regrown whenever the optimum presses an edge,
@@ -397,159 +383,6 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
     return nu_of
 
 
-def _convex_inner(models, mu, w, sub: ConvexSublevel, *, tol=1e-12,
-                  max_iter=300):
-    """inf of sum_i w_i kl_i(mu_i, nu_i) over {f <= level}, all w_i > 0.
-
-    Lagrangian dual in the single multiplier lam: the unconstrained minimum
-    nu(lam) of sum w_i kl_i + lam f moves continuously with f(nu(lam))
-    decreasing, so the binding level is again a monotone scalar root. For a
-    ball or ellipsoid, stationarity at fixed lam is one scalar equation per
-    coordinate, w_i kl_i'(mu_i, nu_i) + alpha_i (nu_i - c_i) = 0 with
-    alpha_i = 2 lam / s_i^2, which each family's kl_prox solves (linear for
-    Gaussian, a quadratic for Poisson, a monotone root between mu_i and c_i
-    for Bernoulli). Custom oracles minimize on a coordinate box instead.
-    """
-    f, c = sub.value, sub.level
-    mu = np.asarray(mu, dtype=float)
-    if float(f(mu)) <= c:
-        return 0.0, np.array(mu)
-    if np.any(w <= 0):
-        raise UnsupportedCase(
-            "convex-set inner problem requires strictly positive weights")
-    K = len(models)
-
-    quad = _quad_axes(sub)
-    if quad is None:
-        nu_of = _box_minimizer(models, mu, w, sub)
-    else:
-        center, axes = quad
-        curvature = 2.0 / (axes * axes)
-        prox = [FAMILIES[m.family].kl_prox for m in models]
-
-        def nu_of(lam):
-            return np.array([prox[i](models[i], mu[i], w[i],
-                                     lam * curvature[i], center[i])
-                             for i in range(K)])
-
-    def level_at(lam):
-        return float(f(nu_of(lam)))
-
-    hi_lam = 1.0
-    for _ in range(max_iter):
-        if level_at(hi_lam) <= c:
-            break
-        hi_lam *= 2.0
-    else:
-        raise InfeasibleAlternative(
-            "sublevel set unreachable: f never drops to the requested level")
-    lam = bisect_monotone(level_at, 0.0, hi_lam, c, increasing=False,
-                          value_tol=tol * max(1.0, abs(c)), max_iter=max_iter)
-    nu = nu_of(lam)
-    value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in range(K))
-    return float(value), nu
-
-
-def inner_inf(models: Sequence[SpefModel], mu, weights,
-              spec: PartitionSpec) -> InnerSolution:
-    """Weighted transportation cost from mu to the closure of the opposite
-    component.
-
-    Weights are any nonnegative vector (counts work as-is: the value is
-    positively homogeneous in them). The minimizer is returned when the
-    infimum is attained; free arms pushing toward an open domain edge leave
-    it None. mu on the partition boundary is rejected, and sides that
-    covers() rejects raise UnsupportedCase.
-    """
-    mu = _validate_instance(models, mu)
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != mu.shape:
-        raise ValueError(f"weights shape {w.shape} != mean shape {mu.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    side = classify(spec, mu)
-    if side is Side.BOUNDARY:
-        raise DegenerateInstance("mu lies on the partition boundary")
-    if not np.any(w > 0):
-        return InnerSolution(0.0, None)
-    require_covered(spec, side)
-
-    if isinstance(spec, Threshold):
-        geometry = PreparedThreshold(models, spec.u)
-        value = geometry.statistic(mu.tolist(), w.tolist(), side)
-        nu = np.array(mu)
-        nu[mu > spec.u if side is Side.A1 else geometry.lowest] = spec.u
-        return InnerSolution(float(value), nu)
-
-    if isinstance(spec, HalfSpace):
-        value, nu = PreparedHalfSpace(models, spec.a, spec.b).inner(mu, w,
-                                                                    side)
-        return InnerSolution(value, nu)
-
-    if isinstance(spec, UnionHalfSpaces):
-        best = None
-        for a, b in spec.halfspaces:
-            value, nu = _halfspace_inner(models, mu, w, np.asarray(a), b)
-            if best is None or value < best[0]:
-                best = (value, nu)
-        return InnerSolution(best[0], best[1])
-
-    if isinstance(spec, ConvexSublevel):
-        value, nu = _convex_inner(models, mu, w, spec)
-        return InnerSolution(value, nu)
-
-    raise TypeError(f"not a partition spec: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# full solvers
-
-
-def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolution:
-    """Closed-form saddle point for the threshold partition.
-
-    Above side: the entire budget goes to the arm whose divergence down to
-    the level is largest (lowest index on ties); the critical alternative
-    drags every above-level arm to the level. Below side: weights are
-    inversely proportional to each arm's divergence up to the level,
-    t* = sum_i 1/kl_i(mu_i, u), and every arm's product w_i kl_i ties at the
-    optimum; the reported minimizer raises the lowest-indexed arm.
-    """
-    mu = _validate_instance(models, mu)
-    geometry = PreparedThreshold(models, u)
-    side = classify(Threshold(u), mu)
-    if side is Side.BOUNDARY:
-        raise DegenerateInstance(f"max(mu) sits on the threshold level {u}")
-
-    K = mu.size
-    # records each arm's divergence to the level in geometry.gaps
-    geometry.statistic(mu.tolist(), [1.0] * K, side)
-    gaps = geometry.gaps
-    if side is Side.A1:
-        w = np.array(geometry.weights(mu, side))
-        cstar = float(gaps[int(np.argmax(w))])
-        nu = np.where(mu > u, u, mu)
-        active = [i for i in range(K)
-                  if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]
-        residuals = {
-            "saddle_gap": abs(sum(w[i] * kl(models[i], mu[i], nu[i])
-                                  for i in range(K)) - cstar),
-            "weight_sum": abs(w.sum() - 1.0),
-        }
-        return _solution(w, nu, cstar, active, residuals)
-
-    gaps, w, tstar = geometry.inverse_gap_weights()
-    gaps, w = np.array(gaps), np.array(w)
-    cstar = 1.0 / tstar
-    nu = np.array(mu)
-    nu[0] = u
-    residuals = {
-        "product_spread": float(np.max(np.abs(w * gaps - cstar))),
-        "weight_sum": abs(w.sum() - 1.0),
-    }
-    return _solution(w, nu, cstar, range(K), residuals)
-
-
 # ---------------------------------------------------------------------------
 # prepared geometries
 
@@ -562,6 +395,7 @@ class PreparedThreshold:
     inner_inf and solve_threshold prepare one per call, a track-and-stop run
     one per run.
     """
+    covers_a2 = True
 
     def __init__(self, models: Sequence[SpefModel], u: float):
         for i, m in enumerate(models):
@@ -569,6 +403,7 @@ class PreparedThreshold:
             if not lo < u < hi:
                 raise DomainError(
                     f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
+        self.models = models
         self.u = u
         self.k = len(models)
         # gap[i](x, u): kl of arm i from mean x to the level, unchecked
@@ -640,6 +475,54 @@ class PreparedThreshold:
         w[jstar] = 1.0
         return w
 
+    @classmethod
+    def of(cls, models, spec: Threshold, settings: SolverSettings):
+        return cls(models, spec.u)
+
+    def inner(self, mu, w, side: Side):
+        """(value, minimizer) of the weighted inner infimum from checked
+        means mu on side (mu and w arrays): statistic, with every arm above
+        the level dragged to it, or below it the lowest arm raised to it."""
+        value = self.statistic(mu.tolist(), w.tolist(), side)
+        nu = np.array(mu)
+        nu[mu > self.u if side is Side.A1 else self.lowest] = self.u
+        return value, nu
+
+    def solution(self, mu) -> LowerBoundSolution:
+        """solve_threshold's saddle point at checked means mu (an array)."""
+        models, u = self.models, self.u
+        side = self.side(mu)
+        if side is Side.BOUNDARY:
+            raise DegenerateInstance(f"max(mu) sits on the threshold level {u}")
+
+        K = mu.size
+        # records each arm's divergence to the level in self.gaps
+        self.statistic(mu.tolist(), [1.0] * K, side)
+        gaps = self.gaps
+        if side is Side.A1:
+            w = np.array(self.weights(mu, side))
+            cstar = float(gaps[int(np.argmax(w))])
+            nu = np.where(mu > u, u, mu)
+            active = [i for i in range(K)
+                      if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]
+            residuals = {
+                "saddle_gap": abs(sum(w[i] * kl(models[i], mu[i], nu[i])
+                                      for i in range(K)) - cstar),
+                "weight_sum": abs(w.sum() - 1.0),
+            }
+            return _solution(w, nu, cstar, active, residuals)
+
+        gaps, w, tstar = self.inverse_gap_weights()
+        gaps, w = np.array(gaps), np.array(w)
+        cstar = 1.0 / tstar
+        nu = np.array(mu)
+        nu[0] = u
+        residuals = {
+            "product_spread": float(np.max(np.abs(w * gaps - cstar))),
+            "weight_sum": abs(w.sum() - 1.0),
+        }
+        return _solution(w, nu, cstar, range(K), residuals)
+
 
 def _check_recorded(geometry, mu):
     """ValueError unless mu is the sequence geometry.side last took: its
@@ -656,7 +539,8 @@ class PreparedHalfSpace:
     it, with its _linear_sup; the arms' domains; and, when every arm is
     Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
     sum_i |a_i| sqrt(2 v_i). inner_inf and solve_halfspace prepare one per
-    call, a track-and-stop run one per run.
+    call, a track-and-stop run one per run, and a union one per row (a row
+    may have zero entries).
 
     In a run, side(mu) takes the step's means as a list and records it,
     the means as an array and their product with the unit row; statistic
@@ -665,12 +549,16 @@ class PreparedHalfSpace:
     negated unit row, and np.dot of a negated row is the negated product,
     bit for bit.
     """
+    covers_a2 = True
 
     def __init__(self, models: Sequence[SpefModel], a, b: float,
                  settings: SolverSettings = DEFAULT_SETTINGS):
         self.models = list(models)
         self.settings = settings
         self.a = np.asarray(a, dtype=float)
+        if self.a.size != len(models):
+            raise ValueError(f"normal has {self.a.size} entries for "
+                             f"{len(models)} arms")
         self.b = float(b)
         self.norm = float(np.linalg.norm(self.a))
         if self.norm == 0.0:
@@ -716,12 +604,17 @@ class PreparedHalfSpace:
         return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
                                      lin)[0]
 
-    def inner(self, mu, w, side: Side):
+    @classmethod
+    def of(cls, models, spec: HalfSpace, settings: SolverSettings):
+        return cls(models, spec.a, spec.b, settings)
+
+    def inner(self, mu, w, side: Side, tol: float = 1e-12):
         """(value, minimizer) of the weighted inner infimum from means mu on
-        side to the closure of the other side (mu and w arrays)."""
+        side to the closure of the other side (mu and w arrays), with the
+        multiplier bisected to tol when arms are not all Gaussian."""
         a, b, sup = self.target(side)
         value, nu = _unit_halfspace_inner(self.models, mu.tolist(),
-                                          w.tolist(), a, b, sup)
+                                          w.tolist(), a, b, sup, tol=tol)
         return value, None if nu is None else np.array(nu)
 
     def _orient(self, dot: float):
@@ -842,192 +735,369 @@ class PreparedHalfSpace:
             raise NumericalError(f"saddle weights {w} are not finite")
         return w.tolist()
 
+    def solution(self, mu, saddle=None) -> LowerBoundSolution:
+        """solve_halfspace's saddle point at checked means mu (an array),
+        with its certificate; saddle is what self.saddle(mu) returned, when
+        the caller has it."""
+        models = self.models
+        side, cstar, nu, w, slopes, saturated = \
+            self.saddle(mu) if saddle is None else saddle
+        a, b, _ = self.target(side)
+        if slopes is None:
+            slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
+                               for i in range(mu.size)])
 
-class SolvedEachStep:
-    """A convex sublevel set or a union of half-spaces, which nothing is
-    prepared for yet: each step calls this module's classify, inner_inf
-    and solve, at the means side last took, recorded as an array. NaN w*
-    (NonUniqueHyperplane) raises NumericalError."""
+        levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
+        finite = np.isfinite(slopes)
+        ratios = w[finite] * slopes[finite] / a[finite]
+        residuals = {
+            "equal_divergence": float(np.max(np.abs(levels - cstar))),
+            "hyperplane": abs(float(np.dot(a, nu)) - b),
+            "sign_violations": float(np.sum(np.sign(nu - mu) != np.sign(a))),
+            "tangency_spread": float(np.max(ratios) - np.min(ratios)),
+            "saddle_gap": abs(float(np.dot(w, levels)) - cstar),
+        }
+        flags = (("mu_in_a2",) if side is Side.A2 else ()) \
+            + (("edge_saturated",) if saturated else ())
+        return _solution(w, nu, cstar, range(mu.size), residuals, flags)
+
+
+class _SolvedGeometry:
+    """Run steps for a geometry whose means must lie outside its set (A1):
+    side records the step's means as a list and as an array, statistic is
+    the class's inner at the counts and weights its solution's w*, both at
+    that array. A subclass gives _side(x), inner(mu, w, side) and
+    solution(mu), and is built from (models, spec, settings)."""
+    covers_a2 = False
 
     def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
-                 settings: SolverSettings):
-        self.models = models
+                 settings: SolverSettings = DEFAULT_SETTINGS):
+        self.models = list(models)
         self.spec = spec
         self.settings = settings
+        self.domains = [mean_domain(m) for m in models]
         self.mu = None
+
+    @classmethod
+    def of(cls, models, spec: PartitionSpec, settings: SolverSettings):
+        return cls(models, spec, settings)
+
+    def _check_side(self, mu, where: str):
+        """DegenerateInstance when checked means mu lie on the boundary
+        ('mu lies on the ' + where), UnsupportedCase on side A2."""
+        side = self._side(mu)
+        if side is Side.BOUNDARY:
+            raise DegenerateInstance(f"mu lies on the {where}")
+        require_covered(self.spec, side)
 
     def side(self, mu) -> Side:
         self.mu, self.x = mu, np.array(mu, dtype=float)
-        return classify(self.spec, self.x)
+        return self._side(self.x)
 
     def statistic(self, mu, counts, side: Side) -> float:
+        """inner_inf's value at the counts; DomainError unless every mean
+        is finite and inside its domain, UnsupportedCase on side A2."""
         _check_recorded(self, mu)
-        return inner_inf(self.models, self.x, np.array(counts, dtype=float),
-                         self.spec).value
+        _check_domains(self.models, self.domains, mu)
+        require_covered(self.spec, side)
+        return self.inner(self.x, np.array(counts, dtype=float), side)[0]
 
     def weights(self, mu, side: Side) -> list:
+        """solve's w*; NumericalError where it is NaN (NonUniqueHyperplane)."""
         _check_recorded(self, mu)
-        w = solve(self.models, self.x, self.spec, self.settings).w_star
+        w = self.solution(self.x).w_star
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
         return w.tolist()
 
 
-def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
-            settings: SolverSettings = DEFAULT_SETTINGS):
-    """spec's geometry prepared for a run: side(mu), statistic(mu, counts,
-    side) (the count-weighted inner infimum; DegenerateInstance or
-    UnsupportedCase where undefined) and weights(mu, side) (w* as a list; a
-    PartidError where undefined) at any means off the boundary. Means and
-    counts are lists of Python numbers. Each step calls side first, and
-    statistic and weights with the same means: they read back what side,
-    then statistic, record for them (the half-space and per-step geometries
-    raise ValueError for other means)."""
-    if isinstance(spec, Threshold):
-        return PreparedThreshold(models, spec.u)
-    if isinstance(spec, HalfSpace):
-        return PreparedHalfSpace(models, spec.a, spec.b, settings)
-    if isinstance(spec, (ConvexSublevel, UnionHalfSpaces)):
-        return SolvedEachStep(models, spec, settings)
-    raise TypeError(f"not a partition spec: {spec!r}")
+class PreparedConvex(_SolvedGeometry):
+    """A convex sublevel set {f <= level} with the means outside it: the
+    set and, when ball() or ellipsoid() built it as
+    {sum_i ((x_i - c_i) / s_i)^2 <= level}, its center, the curvatures
+    2 / s_i^2 and each arm's kl_prox (center is None for a custom oracle).
+    inner_inf and solve_convex prepare one per call, a track-and-stop run
+    one per run."""
 
+    def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel,
+                 settings: SolverSettings = DEFAULT_SETTINGS):
+        super().__init__(models, spec, settings)
+        self.center = None
+        if spec.shape is not None:
+            kind, center, extra = spec.shape
+            self.center = np.asarray(center, dtype=float)
+            axes = np.ones(self.center.size) if kind == "ball" else \
+                np.asarray(extra, dtype=float)
+            self.curvature = 2.0 / (axes * axes)
+            self.prox = [FAMILIES[m.family].kl_prox for m in models]
 
-def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
-                    settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
-    """Saddle point when the opposite component is an open half-space.
+    def _side(self, x) -> Side:
+        """classify(spec, x), by the same expression."""
+        return side_of_margin(self.spec.value(x) - self.spec.level, Side.A1)
 
-    At the optimum all arms share one divergence level, the minimizer sits
-    on the hyperplane with each coordinate displaced toward its side of the
-    constraint, and the weights are proportional to a_i over the divergence
-    slope at the minimizer. With Gaussian arms the level is r^2 for
-    r = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i), each nu_i is
-    mu_i + sign(a_i) sqrt(2 v_i) r and w_i is proportional to |a_i| sqrt(v_i).
-    Otherwise the constraint <a, nu(c)> - b, with each nu_i(c) the capped
-    divergence inverse at the common level c, rises with c, and Newton steps
-    in sqrt(c) from the Gaussian guess find its root. The level is then
-    taken exactly at the arm whose divergence is coarsest in float64 and
-    the others are inverted at it. An arm whose alternative lies past the
-    last float before its domain edge sits at that float, with weight a_i
-    over its slope there (0 where that slope overflows), and the solution
-    is flagged "edge_saturated"; equal_divergence reports the arm's gap to
-    c*, and tangency_spread leaves out an overflowed slope.
-    """
-    mu = _validate_instance(models, mu)
-    hs = HalfSpace(tuple(np.asarray(a, dtype=float)), float(b))
-    if len(hs.a) != mu.size:
-        raise ValueError(f"normal has {len(hs.a)} entries for {mu.size} arms")
-    geometry = PreparedHalfSpace(models, hs.a, hs.b, settings)
-    side, cstar, nu, w, slopes, saturated = geometry.saddle(mu)
-    a, b, _ = geometry.target(side)
-    if slopes is None:
-        slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
-                           for i in range(mu.size)])
+    def inner(self, mu, w, side: Side, *, tol=1e-12, max_iter=300):
+        """(value, minimizer) of inf sum_i w_i kl_i(mu_i, nu_i) over
+        {f <= level} from means mu outside it (mu and w arrays, every w_i
+        > 0; UnsupportedCase otherwise).
 
-    levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
-    finite = np.isfinite(slopes)
-    ratios = w[finite] * slopes[finite] / a[finite]
-    residuals = {
-        "equal_divergence": float(np.max(np.abs(levels - cstar))),
-        "hyperplane": abs(float(np.dot(a, nu)) - b),
-        "sign_violations": float(np.sum(np.sign(nu - mu) != np.sign(a))),
-        "tangency_spread": float(np.max(ratios) - np.min(ratios)),
-        "saddle_gap": abs(float(np.dot(w, levels)) - cstar),
-    }
-    flags = (("mu_in_a2",) if side is Side.A2 else ()) \
-        + (("edge_saturated",) if saturated else ())
-    return _solution(w, nu, cstar, range(mu.size), residuals, flags)
+        Lagrangian dual in the single multiplier lam: the unconstrained
+        minimum nu(lam) of sum w_i kl_i + lam f moves continuously with
+        f(nu(lam)) decreasing, so the binding level is again a monotone
+        scalar root. For a ball or ellipsoid, stationarity at fixed lam is
+        one scalar equation per coordinate, w_i kl_i'(mu_i, nu_i) +
+        alpha_i (nu_i - c_i) = 0 with alpha_i = 2 lam / s_i^2, which each
+        family's kl_prox solves (linear for Gaussian, a quadratic for
+        Poisson, a monotone root between mu_i and c_i for Bernoulli).
+        Custom oracles minimize on a coordinate box instead.
+        """
+        models, f, c = self.models, self.spec.value, self.spec.level
+        if float(f(mu)) <= c:
+            return 0.0, np.array(mu)
+        if np.any(w <= 0):
+            raise UnsupportedCase(
+                "convex-set inner problem requires strictly positive weights")
+        K = len(models)
 
-
-def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
-                 settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
-    """Saddle point when the opposite component is a smooth convex sublevel
-    set {f <= level} and mu lies outside it.
-
-    c* is the smallest t for which the coordinate box
-    {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set; the touching point is
-    the critical alternative. For a ball or ellipsoid, f is a separable
-    quadratic whose minimum over a box is the center clipped into it, so
-    each box step is exact and box_stationarity is 0; custom oracles run
-    projected gradient on the box. Arms whose divergence at the touching
-    point ties the maximum form the active set; weights on it follow the
-    smooth supporting-hyperplane rule w_i proportional to (df/dnu_i) over
-    the divergence slope, and are zero elsewhere. A sign-inconsistent
-    hyperplane (non-smooth contact) is flagged NonUniqueHyperplane with
-    w_star NaN.
-    """
-    mu = _validate_instance(models, mu)
-    f, gradf, c = sublevel.value, sublevel.grad, sublevel.level
-    side = classify(sublevel, mu)
-    if side is Side.BOUNDARY:
-        raise DegenerateInstance("mu lies on the sublevel boundary")
-    require_covered(sublevel, side)
-
-    K = mu.size
-    quad = _quad_axes(sublevel)
-    state = {"x": np.array(mu)}
-
-    def box_min(t):
-        lo = np.array([kl_inverse_capped(models[i], mu[i], t, Direction.BELOW)
-                       for i in range(K)])
-        hi = np.array([kl_inverse_capped(models[i], mu[i], t, Direction.ABOVE)
-                       for i in range(K)])
-        if quad is not None:
-            x, resid = np.clip(quad[0], lo, hi), 0.0
+        if self.center is None:
+            nu_of = _box_minimizer(models, mu, w, self.spec)
         else:
-            x, resid = _min_f_over_box(f, gradf, lo, hi,
-                                       np.clip(state["x"], lo, hi))
-            state["x"] = x
-        return float(f(x)), x, resid
+            center, curvature, prox = self.center, self.curvature, self.prox
 
-    t_hi = 1.0
-    t_lo = 0.0
-    for _ in range(300):
-        val, x, _ = box_min(t_hi)
-        if val <= c:
-            break
-        t_lo = t_hi
-        t_hi *= 2.0
-    else:
-        raise InfeasibleAlternative(
-            "sublevel set unreachable from mu inside the mean domain")
+            def nu_of(lam):
+                return np.array([prox[i](models[i], mu[i], w[i],
+                                         lam * curvature[i], center[i])
+                                 for i in range(K)])
 
-    x_feas, resid = x, math.inf
-    for _ in range(300):
-        if t_hi - t_lo <= settings.tol_bisect * max(1.0, t_hi):
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        val, x, resid = box_min(mid)
-        if val <= c:
-            t_hi, x_feas = mid, x
+        def level_at(lam):
+            return float(f(nu_of(lam)))
+
+        hi_lam = 1.0
+        for _ in range(max_iter):
+            if level_at(hi_lam) <= c:
+                break
+            hi_lam *= 2.0
         else:
-            t_lo = mid
+            raise InfeasibleAlternative(
+                "sublevel set unreachable: f never drops to the requested "
+                "level")
+        lam = bisect_monotone(level_at, 0.0, hi_lam, c, increasing=False,
+                              value_tol=tol * max(1.0, abs(c)),
+                              max_iter=max_iter)
+        nu = nu_of(lam)
+        value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in range(K))
+        return float(value), nu
 
-    nu = x_feas
-    levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(K)])
-    cstar = float(np.max(levels))
-    active = [i for i in range(K)
-              if levels[i] >= cstar * (1.0 - settings.active_set_tol)]
+    def solution(self, mu) -> LowerBoundSolution:
+        """solve_convex's saddle point at checked means mu (an array)."""
+        models, settings = self.models, self.settings
+        f, gradf, c = self.spec.value, self.spec.grad, self.spec.level
+        self._check_side(mu, "sublevel boundary")
 
-    grads = np.asarray(gradf(nu), dtype=float)
-    raw = np.zeros(K)
-    for i in active:
-        raw[i] = grads[i] / kl_dnu(models[i], mu[i], nu[i])
-    total = raw.sum()
-    flags = []
-    if total == 0.0 or np.any(raw[active] * np.sign(total) < 0):
-        flags.append("NonUniqueHyperplane")
-        w = np.full(K, math.nan)
-    else:
-        w = np.maximum(raw / total, 0.0)
+        K, center = mu.size, self.center
+        state = {"x": np.array(mu)}
+
+        def box_min(t):
+            lo = np.array([kl_inverse_capped(models[i], mu[i], t,
+                                             Direction.BELOW)
+                           for i in range(K)])
+            hi = np.array([kl_inverse_capped(models[i], mu[i], t,
+                                             Direction.ABOVE)
+                           for i in range(K)])
+            if center is not None:
+                x, resid = np.clip(center, lo, hi), 0.0
+            else:
+                x, resid = _min_f_over_box(f, gradf, lo, hi,
+                                           np.clip(state["x"], lo, hi))
+                state["x"] = x
+            return float(f(x)), x, resid
+
+        t_hi = 1.0
+        t_lo = 0.0
+        for _ in range(300):
+            val, x, _ = box_min(t_hi)
+            if val <= c:
+                break
+            t_lo = t_hi
+            t_hi *= 2.0
+        else:
+            raise InfeasibleAlternative(
+                "sublevel set unreachable from mu inside the mean domain")
+
+        x_feas, resid = x, math.inf
+        for _ in range(300):
+            if t_hi - t_lo <= settings.tol_bisect * max(1.0, t_hi):
+                break
+            mid = 0.5 * (t_lo + t_hi)
+            val, x, resid = box_min(mid)
+            if val <= c:
+                t_hi, x_feas = mid, x
+            else:
+                t_lo = mid
+
+        nu = x_feas
+        levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(K)])
+        cstar = float(np.max(levels))
+        active = [i for i in range(K)
+                  if levels[i] >= cstar * (1.0 - settings.active_set_tol)]
+
+        grads = np.asarray(gradf(nu), dtype=float)
+        raw = np.zeros(K)
+        for i in active:
+            raw[i] = grads[i] / kl_dnu(models[i], mu[i], nu[i])
+        total = raw.sum()
+        flags = []
+        if total == 0.0 or np.any(raw[active] * np.sign(total) < 0):
+            flags.append("NonUniqueHyperplane")
+            w = np.full(K, math.nan)
+        else:
+            w = np.maximum(raw / total, 0.0)
+            w = w / w.sum()
+
+        residuals = {
+            "boundary_gap": abs(float(f(nu)) - c),
+            "active_spread": float(cstar - np.min(levels[active])),
+            "box_stationarity": float(resid if math.isfinite(resid) else 0.0),
+            "level_bracket": float(t_hi - t_lo),
+        }
+        return _solution(w, nu, cstar, active, residuals, flags)
+
+
+class PreparedUnion(_SolvedGeometry):
+    """A union of half-spaces with the means in the polytope outside it:
+    one PreparedHalfSpace per row, built from the raw row, so each row is
+    normalized once. inner_inf and solve_union_halfspaces prepare one per
+    call, a track-and-stop run one per run."""
+
+    def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces,
+                 settings: SolverSettings = DEFAULT_SETTINGS):
+        if len(spec.halfspaces[0][0]) != len(models):
+            raise ValueError(
+                "constraint dimension does not match the arm count")
+        super().__init__(models, spec, settings)
+        self.rows = [PreparedHalfSpace(models, a, b, settings)
+                     for a, b in spec.halfspaces]
+
+    def _side(self, x) -> Side:
+        """classify(spec, x): the largest row margin, each by the same
+        expression as distance_to_halfspace."""
+        return side_of_margin(max((float(np.dot(r.a, x)) - r.b) / r.norm
+                                  for r in self.rows), Side.A2)
+
+    def _row_inners(self, mu, w, tol: float):
+        """(values as an array, minimizers) of every row's inner infimum
+        from means mu in the polytope, each multiplier bisected to tol."""
+        pairs = [row.inner(mu, w, Side.A1, tol=tol) for row in self.rows]
+        return np.array([v for v, _ in pairs]), [nu for _, nu in pairs]
+
+    def inner(self, mu, w, side: Side, tol: float = 1e-12):
+        """(value, minimizer) of the least row inner infimum (the first row
+        on ties)."""
+        vals, nus = self._row_inners(mu, w, tol)
+        j = int(np.argmin(vals))
+        return float(vals[j]), nus[j]
+
+    def solution(self, mu) -> LowerBoundSolution:
+        """solve_union_halfspaces's saddle point at checked means mu (an
+        array): the single-row certificate, else the searches."""
+        self._check_side(mu, "polytope boundary")
+        for j, row in enumerate(self.rows):
+            _, b, sup = row.target(Side.A1)
+            if not sup > b:
+                raise InfeasibleAlternative(
+                    f"half-space {j} does not intersect the mean domain")
+        return self._single_row(mu) or self._search(mu)
+
+    def _single_row(self, mu):
+        """The exact saddle of the row whose saddle is cheapest among the
+        rows with every entry nonzero, when no other row undercuts it at its
+        weights; None otherwise. c* is at most every row's c_k, so a row
+        that passes attains c*, even where another row's saddle raised."""
+        best = None
+        for row in self.rows:
+            if np.any(row.a == 0.0):
+                continue
+            try:
+                saddle = row.saddle(mu)
+            except PartidError:
+                continue
+            if best is None or saddle[1] < best[1][1]:
+                best = (row, saddle)
+        if best is None:
+            return None
+        row, saddle = best
+        sol = row.solution(mu, saddle)
+        for other in self.rows:
+            if other is row:
+                continue
+            v, _ = other.inner(mu, sol.w_star, Side.A1,
+                               tol=self.settings.tol_bisect)
+            if v < sol.c_star * (1.0 - 1e-9) - 1e-12:
+                return None  # another constraint undercuts: not optimal
+        residuals = dict(sol.kkt_residuals, duality_gap=0.0, active_rows=1.0)
+        return replace(sol, kkt_residuals=residuals,
+                       flags=sol.flags + ("single_constraint",))
+
+    def _search(self, mu) -> LowerBoundSolution:
+        """Golden section and kink bisection for two arms, supergradient
+        ascent and cutting planes otherwise; the duality gap is the LP's,
+        or for two arms _segment_gap's at the returned weights."""
+        models, settings, rows = self.models, self.settings, self.rows
+        K, m = mu.size, len(rows)
+        floor = settings.simplex_floor
+
+        def g_and_nu(w):
+            return self._row_inners(mu, w, settings.tol_bisect)
+
+        def g_of(w):
+            return float(np.min(g_and_nu(w)[0]))
+
+        flags = []
+
+        # phase 1: projected supergradient ascent; with two arms the golden
+        # section below searches the whole segment, so it starts from uniform
+        w = np.full(K, 1.0 / K)
+        best_w, best_g = w.copy(), g_of(w)
+        n_ascent = min(settings.max_outer_iters, 250) if K > 2 else 0
+        for k in range(1, n_ascent + 1):
+            vals, nus = g_and_nu(w)
+            gmin = float(np.min(vals))
+            if gmin > best_g:
+                best_g, best_w = gmin, w.copy()
+            ties = [j for j in range(m)
+                    if vals[j] <= gmin + 1e-12 * max(1.0, gmin)]
+            grad = np.zeros(K)
+            for j in ties:
+                grad += np.array([kl(models[i], mu[i], nus[j][i])
+                                  for i in range(K)])
+            grad /= len(ties)
+            w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad, floor)
+
+        # phase 2: certified refinement
+        if K == 2:
+            best_w, best_g = _refine_two_arm(mu, rows, best_w, best_g,
+                                             settings, g_of)
+        else:
+            best_w, best_g, gap, exhausted = _kelley_refine(
+                models, mu, rows, best_w, best_g, settings, g_and_nu)
+            if exhausted:
+                flags.append("MaxIters")
+
+        w = np.maximum(best_w, floor)
         w = w / w.sum()
-
-    residuals = {
-        "boundary_gap": abs(float(f(nu)) - c),
-        "active_spread": float(cstar - np.min(levels[active])),
-        "box_stationarity": float(resid if math.isfinite(resid) else 0.0),
-        "level_bracket": float(t_hi - t_lo),
-    }
-    return _solution(w, nu, cstar, active, residuals, flags)
+        vals, nus = g_and_nu(w)
+        cstar = float(np.min(vals))
+        if K == 2:
+            gap = _segment_gap(models, mu, w, vals, nus)
+        active_rows = [j for j in range(m)
+                       if vals[j] <= cstar + 1e-9 * max(1.0, cstar)]
+        nu = nus[min(active_rows)]
+        active = [i for i in range(K) if w[i] > floor * 10]
+        residuals = {
+            "duality_gap": gap,
+            "weight_sum": abs(float(w.sum()) - 1.0),
+            "active_rows": float(len(active_rows)),
+        }
+        return _solution(w, nu, cstar, active, residuals, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,112 +1123,10 @@ def _project_simplex_floor(v, floor):
     return _project_simplex(np.asarray(v, dtype=float) - floor, total) + floor
 
 
-def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
-                           settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
-    """Saddle point when the opposite component is a union of half-spaces
-    and mu lies strictly inside the complementary polytope.
-
-    The outer objective g(w) = min_j g_j(w) is concave (each g_j is an inner
-    infimum, hence concave in w). With two arms it is a function of w_1 on
-    a segment: golden section from uniform weights finds its maximum, and
-    a two-constraint kink there is pinned by bisection on g_1 - g_2. With
-    more arms, projected supergradient ascent with step 1/sqrt(k) and the
-    per-constraint transport costs as the Danskin supergradient localizes
-    the optimum (ties among active constraints average their
-    supergradients), then cutting planes with an LP upper bound shrink the
-    duality gap below tol_kkt; MaxIters is flagged when the budget ends first. Either way, if
-    a single constraint is active, the exact half-space solution is adopted
-    once no other constraint undercuts it (each half-space relaxes the
-    union, so that check is a true optimality certificate).
-    """
-    mu = _validate_instance(models, mu)
-    spec = UnionHalfSpaces(tuple((tuple(np.asarray(a, dtype=float)), float(b))
-                                 for a, b in halfspaces))
-    K = mu.size
-    if len(spec.halfspaces[0][0]) != K:
-        raise ValueError("constraint dimension does not match the arm count")
-    side = classify(spec, mu)
-    if side is Side.BOUNDARY:
-        raise DegenerateInstance("mu lies on the polytope boundary")
-    require_covered(spec, side)
-
-    rows = []
-    for a, b in spec.halfspaces:
-        a = np.asarray(a, dtype=float)
-        n = float(np.linalg.norm(a))
-        rows.append((a / n, b / n))
-    for j, (a, b) in enumerate(rows):
-        if not _linear_sup(models, a) > b:
-            raise InfeasibleAlternative(
-                f"half-space {j} does not intersect the mean domain")
-    m = len(rows)
-    floor = settings.simplex_floor
-    tol_in = settings.tol_bisect
-
-    def g_and_nu(w):
-        vals = np.empty(m)
-        nus = []
-        for j, (a, b) in enumerate(rows):
-            v, nu = _halfspace_inner(models, mu, w, a, b, tol=tol_in)
-            vals[j] = v
-            nus.append(nu)
-        return vals, nus
-
-    def g_of(w):
-        return float(np.min(g_and_nu(w)[0]))
-
-    flags = []
-
-    # phase 1: projected supergradient ascent; with two arms the golden
-    # section below searches the whole segment, so it starts from uniform
-    w = np.full(K, 1.0 / K)
-    best_w, best_g = w.copy(), g_of(w)
-    n_ascent = min(settings.max_outer_iters, 250) if K > 2 else 0
-    for k in range(1, n_ascent + 1):
-        vals, nus = g_and_nu(w)
-        gmin = float(np.min(vals))
-        if gmin > best_g:
-            best_g, best_w = gmin, w.copy()
-        ties = [j for j in range(m) if vals[j] <= gmin + 1e-12 * max(1.0, gmin)]
-        grad = np.zeros(K)
-        for j in ties:
-            grad += np.array([kl(models[i], mu[i], nus[j][i]) for i in range(K)])
-        grad /= len(ties)
-        w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad, floor)
-
-    # phase 2: certified refinement
-    gap = math.inf
-    if K == 2:
-        best_w, best_g = _refine_two_arm(models, mu, rows, best_w, best_g,
-                                         settings, g_of)
-    certified = _try_single_active(models, mu, rows, best_w, settings)
-    if certified is not None:
-        return certified
-    if K > 2:
-        best_w, best_g, gap, exhausted = _kelley_refine(
-            models, mu, rows, best_w, best_g, settings, g_and_nu)
-        if exhausted:
-            flags.append("MaxIters")
-
-    w = np.maximum(best_w, floor)
-    w = w / w.sum()
-    vals, nus = g_and_nu(w)
-    cstar = float(np.min(vals))
-    active_rows = [j for j in range(m)
-                   if vals[j] <= cstar + 1e-9 * max(1.0, cstar)]
-    nu = nus[min(active_rows)]
-    active = [i for i in range(K) if w[i] > floor * 10]
-    residuals = {
-        "duality_gap": gap if math.isfinite(gap) else -1.0,
-        "weight_sum": abs(float(w.sum()) - 1.0),
-        "active_rows": float(len(active_rows)),
-    }
-    return _solution(w, nu, cstar, active, residuals, flags)
-
-
-def _refine_two_arm(models, mu, rows, w0, g0, settings, g_of):
+def _refine_two_arm(mu, rows, w0, g0, settings, g_of):
     """Golden-section maximization of the concave one-dimensional
-    restriction, then kink bisection between the two lowest constraints."""
+    restriction, then kink bisection between the two lowest constraints
+    (rows are the union's PreparedHalfSpace rows)."""
     floor = settings.simplex_floor
     lo, hi = floor, 1.0 - floor
 
@@ -1188,18 +1156,15 @@ def _refine_two_arm(models, mu, rows, w0, g0, settings, g_of):
         cand_w, cand_g = w0, g0
 
     if len(rows) >= 2:
-        at_cand = [
-            _halfspace_inner(models, mu, cand_w, a_j, b_j,
-                             tol=settings.tol_bisect)[0] for a_j, b_j in rows]
+        def row_value(row, w):
+            return row.inner(mu, w, Side.A1, tol=settings.tol_bisect)[0]
+
+        at_cand = [row_value(row, cand_w) for row in rows]
         j1, j2 = (int(j) for j in np.argsort(at_cand)[:2])
 
         def diff(w1):
             w = np.array([w1, 1.0 - w1])
-            v1 = _halfspace_inner(models, mu, w, *rows[j1],
-                                  tol=settings.tol_bisect)[0]
-            v2 = _halfspace_inner(models, mu, w, *rows[j2],
-                                  tol=settings.tol_bisect)[0]
-            return v1 - v2
+            return row_value(rows[j1], w) - row_value(rows[j2], w)
 
         # bracket a sign change of g_j1 - g_j2 around the iterate
         w1c = float(cand_w[0])
@@ -1234,39 +1199,6 @@ def _refine_two_arm(models, mu, rows, w0, g0, settings, g_of):
                 cand_w = np.array([w1k, 1.0 - w1k])
                 cand_g = gk
     return cand_w, cand_g
-
-
-def _try_single_active(models, mu, rows, w, settings):
-    """If one constraint alone is active at w, delegate to the exact
-    half-space solver and certify it against every other constraint."""
-    vals = []
-    for a, b in rows:
-        v, _ = _halfspace_inner(models, mu, w, a, b, tol=settings.tol_bisect)
-        vals.append(v)
-    vals = np.asarray(vals)
-    gmin = float(np.min(vals))
-    order = np.argsort(vals)
-    jstar = int(order[0])
-    if len(rows) > 1 and vals[int(order[1])] <= gmin + 1e-7 * max(1.0, gmin):
-        return None  # two constraints matter; not a single-active optimum
-    a, b = rows[jstar]
-    if np.any(a == 0.0):
-        return None  # exact delegation needs every coefficient nonzero
-    sol = solve_halfspace(models, mu, a, b, settings)
-    for j, (aj, bj) in enumerate(rows):
-        if j == jstar:
-            continue
-        vj, _ = _halfspace_inner(models, mu, sol.w_star, aj, bj,
-                                 tol=settings.tol_bisect)
-        if vj < sol.c_star * (1.0 - 1e-9) - 1e-12:
-            return None  # another constraint undercuts: not optimal
-    residuals = dict(sol.kkt_residuals)
-    residuals["duality_gap"] = 0.0
-    residuals["active_rows"] = 1.0
-    return LowerBoundSolution(
-        w_star=sol.w_star, nu_star=sol.nu_star, c_star=sol.c_star,
-        t_star=sol.t_star, active_set=sol.active_set,
-        kkt_residuals=residuals, flags=sol.flags + ("single_constraint",))
 
 
 def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
@@ -1323,6 +1255,179 @@ def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
             exhausted = False
             break
     return best_w, best_g, gap, exhausted
+
+
+def _segment_gap(models, mu, w, vals, nus) -> float:
+    """Duality gap of two-arm weights w from the rows' Danskin
+    supergradients. Row j's inner value at w + t (1, -1) is at most
+    vals[j] + s_j t, with s_j = kl_1(mu_1, nu_j1) - kl_2(mu_2, nu_j2) at its
+    minimizer nus[j], so the largest least line over the segment
+    -w_1 <= t <= 1 - w_1 bounds c* from above; it sits at an end of the
+    segment or where two lines cross. The gap is that bound less the least
+    vals[j]."""
+    vals = vals.tolist()
+    lines = [(v, kl(models[0], mu[0], nu[0]) - kl(models[1], mu[1], nu[1]))
+             for v, nu in zip(vals, nus)]
+    ts = [-w[0], 1.0 - w[0]]
+    for (vj, sj), (vk, sk) in itertools.combinations(lines, 2):
+        if sj != sk and ts[0] < (vk - vj) / (sj - sk) < ts[1]:
+            ts.append((vk - vj) / (sj - sk))
+    upper = max(min(v + s * t for v, s in lines) for t in ts)
+    return float(upper - min(vals))
+
+
+# ---------------------------------------------------------------------------
+# dispatch and the public solvers
+
+
+_PREPARED = {Threshold: PreparedThreshold, HalfSpace: PreparedHalfSpace,
+             ConvexSublevel: PreparedConvex, UnionHalfSpaces: PreparedUnion}
+
+
+def _prepared_class(spec: PartitionSpec):
+    """The prepared class of spec's partition type."""
+    for kind, cls in _PREPARED.items():
+        if isinstance(spec, kind):
+            return cls
+    raise TypeError(f"not a partition spec: {spec!r}")
+
+
+def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
+            settings: SolverSettings = DEFAULT_SETTINGS):
+    """spec's geometry prepared once, and the only dispatch on its type:
+    PreparedThreshold, PreparedHalfSpace, PreparedConvex or PreparedUnion.
+
+    inner(mu, w, side) gives inner_inf's (value, minimizer) and
+    solution(mu) solve's LowerBoundSolution, at checked means as an array.
+    A run asks for side(mu), statistic(mu, counts, side) (the
+    count-weighted inner infimum; DegenerateInstance or UnsupportedCase
+    where undefined) and weights(mu, side) (w* as a list; a PartidError
+    where undefined) at any means off the boundary. Means and counts are
+    lists of Python numbers. Each step calls side first, and statistic and
+    weights with the same means: they read back what side, then statistic,
+    record for them (all but the threshold raise ValueError for other
+    means)."""
+    return _prepared_class(spec).of(models, spec, settings)
+
+
+def inner_inf(models: Sequence[SpefModel], mu, weights,
+              spec: PartitionSpec) -> InnerSolution:
+    """Weighted transportation cost from mu to the closure of the opposite
+    component.
+
+    Weights are any nonnegative vector (counts work as-is: the value is
+    positively homogeneous in them), except that a convex sublevel set
+    raises UnsupportedCase when some but not all weights are zero. The
+    minimizer is returned when the infimum is attained; free arms pushing
+    toward an open domain edge leave it None. mu on the partition boundary
+    is rejected, and sides that covers() rejects raise UnsupportedCase.
+    """
+    mu = _validate_instance(models, mu)
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if w.shape != mu.shape:
+        raise ValueError(f"weights shape {w.shape} != mean shape {mu.shape}")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative")
+    side = classify(spec, mu)
+    if side is Side.BOUNDARY:
+        raise DegenerateInstance("mu lies on the partition boundary")
+    if not np.any(w > 0):
+        return InnerSolution(0.0, None)
+    require_covered(spec, side)
+    value, nu = prepare(models, spec).inner(mu, w, side)
+    return InnerSolution(float(value), nu)
+
+
+def solve(models: Sequence[SpefModel], mu, spec: PartitionSpec,
+          settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+    """The saddle point of spec's geometry at mu; see the solve_* wrappers
+    for each one's method and certificate."""
+    mu = _validate_instance(models, mu)
+    return prepare(models, spec, settings).solution(mu)
+
+
+def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolution:
+    """Closed-form saddle point for the threshold partition.
+
+    Above side: the entire budget goes to the arm whose divergence down to
+    the level is largest (lowest index on ties); the critical alternative
+    drags every above-level arm to the level. Below side: weights are
+    inversely proportional to each arm's divergence up to the level,
+    t* = sum_i 1/kl_i(mu_i, u), and every arm's product w_i kl_i ties at the
+    optimum; the reported minimizer raises the lowest-indexed arm.
+    """
+    return solve(models, mu, Threshold(u))
+
+
+def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
+                    settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+    """Saddle point when the opposite component is an open half-space.
+
+    At the optimum all arms share one divergence level, the minimizer sits
+    on the hyperplane with each coordinate displaced toward its side of the
+    constraint, and the weights are proportional to a_i over the divergence
+    slope at the minimizer. With Gaussian arms the level is r^2 for
+    r = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i), each nu_i is
+    mu_i + sign(a_i) sqrt(2 v_i) r and w_i is proportional to |a_i| sqrt(v_i).
+    Otherwise the constraint <a, nu(c)> - b, with each nu_i(c) the capped
+    divergence inverse at the common level c, rises with c, and Newton steps
+    in sqrt(c) from the Gaussian guess find its root. The level is then
+    taken exactly at the arm whose divergence is coarsest in float64 and
+    the others are inverted at it. An arm whose alternative lies past the
+    last float before its domain edge sits at that float, with weight a_i
+    over its slope there (0 where that slope overflows), and the solution
+    is flagged "edge_saturated"; equal_divergence reports the arm's gap to
+    c*, and tangency_spread leaves out an overflowed slope.
+    """
+    return solve(models, mu, HalfSpace(tuple(np.asarray(a, dtype=float)),
+                                       float(b)), settings)
+
+
+def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
+                 settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+    """Saddle point when the opposite component is a smooth convex sublevel
+    set {f <= level} and mu lies outside it.
+
+    c* is the smallest t for which the coordinate box
+    {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set; the touching point is
+    the critical alternative. For a ball or ellipsoid, f is a separable
+    quadratic whose minimum over a box is the center clipped into it, so
+    each box step is exact and box_stationarity is 0; custom oracles run
+    projected gradient on the box. Arms whose divergence at the touching
+    point ties the maximum form the active set; weights on it follow the
+    smooth supporting-hyperplane rule w_i proportional to (df/dnu_i) over
+    the divergence slope, and are zero elsewhere. A sign-inconsistent
+    hyperplane (non-smooth contact) is flagged NonUniqueHyperplane with
+    w_star NaN.
+    """
+    return solve(models, mu, sublevel, settings)
+
+
+def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
+                           settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+    """Saddle point when the opposite component is a union of half-spaces
+    and mu lies strictly inside the complementary polytope.
+
+    Each half-space relaxes the union, so c* is at most every row's own
+    saddle value c_j. First, among the rows with every entry nonzero, the
+    one with the least exact half-space c_j is taken: if no other row's
+    inner infimum at its weights undercuts c_j, that half-space solution is
+    optimal and is returned flagged single_constraint with duality_gap 0.
+    Otherwise the outer objective g(w) = min_j g_j(w), concave as a minimum
+    of inner infima, is searched. With two arms it is a function of w_1 on
+    a segment: golden section from uniform weights finds its maximum, a
+    two-constraint kink there is pinned by bisection on g_1 - g_2, and
+    duality_gap comes from the rows' supergradients at the returned weights
+    (_segment_gap). With more arms, projected supergradient ascent with
+    step 1/sqrt(k) and the per-constraint transport costs as the Danskin
+    supergradient localizes the optimum (ties among active constraints
+    average their supergradients), then cutting planes with an LP upper
+    bound shrink the duality gap below tol_kkt; MaxIters is flagged when the
+    budget ends first.
+    """
+    return solve(models, mu, UnionHalfSpaces(
+        tuple((tuple(np.asarray(a, dtype=float)), float(b))
+              for a, b in halfspaces)), settings)
 
 
 def solve_two_arm_gaussian(mu, hs1, hs2, variance: float,
@@ -1418,16 +1523,3 @@ def solve_two_arm_gaussian(mu, hs1, hs2, variance: float,
     active = [0, 1]
     return _solution(w, nu, cstar, active, residuals, flags)
 
-
-def solve(models: Sequence[SpefModel], mu, spec: PartitionSpec,
-          settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
-    """Route an instance to the matching solver."""
-    if isinstance(spec, Threshold):
-        return solve_threshold(models, mu, spec.u)
-    if isinstance(spec, HalfSpace):
-        return solve_halfspace(models, mu, spec.a, spec.b, settings)
-    if isinstance(spec, ConvexSublevel):
-        return solve_convex(models, mu, spec, settings)
-    if isinstance(spec, UnionHalfSpaces):
-        return solve_union_halfspaces(models, mu, spec.halfspaces, settings)
-    raise TypeError(f"not a partition spec: {spec!r}")

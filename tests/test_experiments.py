@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from partid import (ExperimentConfig, RiskDemoConfig, Threshold, gaussian,
-                    risk_demo, run_experiment, run_single, write_rows_csv,
+from partid import (ExperimentConfig, RiskDemoConfig, Threshold,
+                    UnionHalfSpaces, ball, gaussian, risk_demo,
+                    run_experiment, run_single, write_rows_csv,
                     write_summary_json)
 from partid.experiments import (derive_seed_sequence, write_risk_csv,
                                 write_risk_json)
@@ -49,11 +50,21 @@ class TestRunExperiment:
                 assert row.seed == int(ss.generate_state(1, np.uint64)[0])
 
     def test_parallel_rows_equal_serial_rows(self):
-        cfg = small_campaign()
-        serial = run_experiment(cfg, parallelism=1)
-        parallel = run_experiment(cfg, parallelism=4)
-        assert serial.rows == parallel.rows
-        assert serial.summaries == parallel.summaries
+        # a threshold, a ball (truth outside) and a union (truth in the
+        # polytope), whose prepared geometries keep state within a run
+        for cfg in (small_campaign(),
+                    small_campaign(true_means=(1.5, 1.0),
+                                   partition=ball((0.0, 0.0), 1.0),
+                                   replications=3),
+                    small_campaign(true_means=(0.0, 0.0),
+                                   partition=UnionHalfSpaces((
+                                       ((1.0, 0.0), 1.0),
+                                       ((0.0, 1.0), 1.2))),
+                                   replications=3)):
+            serial = run_experiment(cfg, parallelism=1)
+            parallel = run_experiment(cfg, parallelism=4)
+            assert serial.rows == parallel.rows
+            assert serial.summaries == parallel.summaries
 
     def test_run_single_matches_campaign_row(self):
         cfg = small_campaign(deltas=(0.2,))

@@ -13,7 +13,9 @@ import pytest
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
-from partid.lb_solvers import (SolverSettings, inner_inf, solve,
+from partid import lb_solvers
+from partid.lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf,
+                               solve,
                                solve_convex, solve_halfspace,
                                solve_threshold, solve_two_arm_gaussian,
                                solve_union_halfspaces)
@@ -284,6 +286,13 @@ class TestGaussianHalfspaceClosedForms:
                                           rel=1e-14)
         np.testing.assert_allclose(got.minimizer, [0.5, 0.3], rtol=1e-15)
 
+    def test_free_arms_carrying_the_whole_row_meet_it_alone(self):
+        # the free arm reaches toward 1 > 0.5 at no cost; the rest of the
+        # row is zero, so nothing is left to pay for
+        got = inner_inf([bernoulli(), bernoulli()], [0.2, 0.2], [0.0, 1.0],
+                        UnionHalfSpaces((((1.0, 0.0), 0.5),)))
+        assert got.value == 0.0 and got.minimizer is None
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_saddle_weights_and_certificate(self, k):
         rng = np.random.default_rng(500 + k)
@@ -474,6 +483,11 @@ class TestSolveUnionHalfspaces:
         # vertex weight, the tie splits the budget
         np.testing.assert_allclose(sol.w_star, [0.5, 0.5], atol=1e-4)
         assert sol.c_star == pytest.approx(0.25, rel=1e-4)
+        # no single row certifies a kink: the gap comes from the rows'
+        # supergradients at the returned weights
+        assert "single_constraint" not in sol.flags
+        assert 0.0 <= sol.kkt_residuals["duality_gap"] <= \
+            DEFAULT_SETTINGS.tol_kkt
 
     def test_matches_single_halfspace_when_one_constraint_dominates(self):
         rows = (((1.0, 0.5), 1.0), ((1.0, 1.0), 40.0))
@@ -481,6 +495,32 @@ class TestSolveUnionHalfspaces:
         ref = solve_halfspace([G1, G1], [0.0, 0.0], (1.0, 0.5), 1.0)
         assert sol.c_star == pytest.approx(ref.c_star, rel=1e-8)
         np.testing.assert_allclose(sol.w_star, ref.w_star, atol=1e-6)
+
+    @pytest.mark.parametrize("models,rows,row", [
+        ([G1, G1], (((1.0, 0.5), 1.0), ((1.0, 1.0), 40.0)), 0),
+        ([G1, gaussian(0.5), gaussian(1.5)],
+         (((0.0, 1.0, 0.0), 3.0), ((1.0, 0.5, 0.8), 1.0),
+          ((1.0, 1.0, 1.0), 6.0)), 1),
+    ], ids=["two_arms", "three_arms"])
+    def test_certificate_comes_before_the_search(self, monkeypatch, models,
+                                                 rows, row):
+        # one all-nonzero row dominates: its exact saddle is certified
+        # without golden section (two arms) or the ascent (three)
+        def search(*args, **kwargs):
+            raise AssertionError("the search ran before the certificate")
+
+        monkeypatch.setattr(lb_solvers, "_refine_two_arm", search)
+        monkeypatch.setattr(lb_solvers, "_project_simplex_floor", search)
+        mu = [0.0] * len(models)
+        sol = solve_union_halfspaces(models, mu, rows)
+        ref = solve_halfspace(models, mu, *rows[row])
+        assert sol.flags == ref.flags + ("single_constraint",)
+        assert (sol.c_star, sol.t_star, sol.active_set) == \
+            (ref.c_star, ref.t_star, ref.active_set)
+        np.testing.assert_array_equal(sol.w_star, ref.w_star)
+        np.testing.assert_array_equal(sol.nu_star, ref.nu_star)
+        assert sol.kkt_residuals == dict(ref.kkt_residuals, duality_gap=0.0,
+                                         active_rows=1.0)
 
     def test_mu_inside_union_unsupported(self):
         with pytest.raises(UnsupportedCase):
@@ -537,6 +577,9 @@ class TestTwoArmGaussianClosedForm:
         assert it.c_star == pytest.approx(closed.c_star, rel=1e-9, abs=0.0)
         np.testing.assert_allclose(it.w_star, closed.w_star, rtol=0.0,
                                    atol=1e-9)
+        # certified by one row (gap 0) or by the rows' supergradients
+        assert 0.0 <= it.kkt_residuals["duality_gap"] <= \
+            DEFAULT_SETTINGS.tol_kkt
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(DegenerateInstance, match="parallel"):

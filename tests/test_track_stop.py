@@ -34,9 +34,10 @@ G1 = gaussian(1.0)
 
 
 class _PublicApiKernel:
-    """Reference geometry for the run loop, independent of
-    lb_solvers.prepare: the public classify, inner_inf and solve at every
-    step. The loop applies the fallbacks it documents."""
+    """Reference geometry for the run loop: the public classify, inner_inf
+    and solve at every step, which validate the means and prepare a fresh
+    geometry per call, so nothing a run records carries between steps. The
+    loop applies the fallbacks it documents."""
 
     def __init__(self, models, spec):
         self.models, self.spec = models, spec
@@ -400,13 +401,21 @@ PREPARED_CASES = [
      HalfSpace((1.0, -0.5, 0.8), 1.0), 20),
     ("mixed_a2", [poisson(), bernoulli(), gaussian(1.5)], [2.0, 0.7, 0.8],
      HalfSpace((0.5, 1.0, 1.0), 0.5), 20),
-    # truth outside the set: these geometries still solve at every step,
-    # and a class prepared for them later inherits this gate
+    # truth outside the set: PreparedConvex and PreparedUnion evaluate
+    # their own inner and solution at every step, which must match the
+    # public inner_inf and solve bit for bit
     ("gaussian_ball_a1", [G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0), 3),
     ("poisson_ellipsoid_a1", [poisson(), poisson()], [2.5, 0.4],
      ellipsoid((1.0, 1.0), (1.0, 0.5)), 3),
+    ("bernoulli_ball_a1", [bernoulli(), bernoulli()], [0.95, 0.5],
+     ball((0.5, 0.5), 0.25), 3),
     ("gaussian_union2_a1", [G1, gaussian(0.5)], [0.0, 0.0],
      UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2))), 3),
+    # one all-nonzero row dominates: the single-row certificate settles
+    # most steps before any search
+    ("gaussian_union3_single_a1", [G1, gaussian(0.5), gaussian(1.5)],
+     [0.0, 0.0, 0.0],
+     UnionHalfSpaces((((1.0, 0.5, 0.8), 1.0), ((0.0, 1.0, 0.0), 3.0))), 3),
 ]
 
 
@@ -443,13 +452,20 @@ class TestPreparedHalfSpaceChecks:
         with pytest.raises(DomainError, match="mu\\[0\\]"):
             geometry.statistic(means, [3, 3], Side.A1)
 
-    def test_means_other_than_sides_raise(self):
-        geometry = _halfspace_geometry()
+    # every class prepare returns that records the means side took (the
+    # threshold records none: its statistic takes the means it is given)
+    @pytest.mark.parametrize("spec,side", [
+        (HalfSpace((1.0, 1.0), 1.0), Side.A2),
+        (ball((0.0, 0.0), 1.0), Side.A1),
+        (UnionHalfSpaces((((1.0, 0.0), 3.0), ((0.0, 1.0), 1.0))), Side.A1),
+    ], ids=["halfspace", "convex", "union"])
+    def test_means_other_than_sides_raise(self, spec, side):
+        geometry = prepare([G1, G1], spec)
         with pytest.raises(ValueError, match="last side call"):
-            geometry.statistic([2.0, 0.0], [3, 3], Side.A2)
+            geometry.statistic([2.0, 0.0], [3, 3], side)
         geometry.side([2.0, 0.0])
         with pytest.raises(ValueError, match="last side call"):
-            geometry.weights([2.0, 0.0], Side.A2)
+            geometry.weights([2.0, 0.0], side)
 
     def test_unreachable_half_space_raises(self, tmp_path, capsys):
         models = [bernoulli(), bernoulli()]
@@ -535,9 +551,13 @@ def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
     assert res.stop_time > 10
     assert calls == ["classify"]
 
-    # the wrappers do see the steps that still call the public solvers
-    calls.clear()
-    res = run([G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0),
-              StoppingConfig(delta=0.01), np.random.default_rng(1))
-    assert not res.truncated
-    assert calls.count("inner_inf") > 0 and calls.count("solve") > 0
+    # nor does a convex-set or union step: they evaluate their prepared
+    # classes' inner and solution
+    for models, mu, spec in ([G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0)), \
+            ([G1, gaussian(0.5)], [0.0, 0.0],
+             UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2)))):
+        calls.clear()
+        res = run(models, mu, spec, StoppingConfig(delta=0.01),
+                  np.random.default_rng(1))
+        assert not res.truncated and res.stop_time > 10
+        assert calls == ["classify"]
