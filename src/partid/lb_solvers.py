@@ -47,6 +47,7 @@ run asks it for side, statistic and weights at every step.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -144,7 +145,7 @@ def covers(spec: PartitionSpec, side: Side) -> bool:
     """Whether inner_inf and solve handle means on this side of spec: both
     sides of a threshold or half-space, only A1 (outside the set) of a
     convex sublevel set or a union of half-spaces."""
-    return side is not Side.A2 or _prepared_class(spec).covers_a2
+    return side is not Side.A2 or isinstance(spec, (Threshold, HalfSpace))
 
 
 def require_covered(spec: PartitionSpec, side: Side):
@@ -395,9 +396,10 @@ class PreparedThreshold:
     inner_inf and solve_threshold prepare one per call, a track-and-stop run
     one per run.
     """
-    covers_a2 = True
 
-    def __init__(self, models: Sequence[SpefModel], u: float):
+    def __init__(self, models: Sequence[SpefModel], spec: Threshold,
+                 settings: SolverSettings = DEFAULT_SETTINGS):
+        u = spec.u
         for i, m in enumerate(models):
             lo, hi = mean_domain(m)
             if not lo < u < hi:
@@ -475,10 +477,6 @@ class PreparedThreshold:
         w[jstar] = 1.0
         return w
 
-    @classmethod
-    def of(cls, models, spec: Threshold, settings: SolverSettings):
-        return cls(models, spec.u)
-
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from checked
         means mu on side (mu and w arrays): statistic, with every arm above
@@ -549,17 +547,16 @@ class PreparedHalfSpace:
     negated unit row, and np.dot of a negated row is the negated product,
     bit for bit.
     """
-    covers_a2 = True
 
-    def __init__(self, models: Sequence[SpefModel], a, b: float,
+    def __init__(self, models: Sequence[SpefModel], spec: HalfSpace,
                  settings: SolverSettings = DEFAULT_SETTINGS):
         self.models = list(models)
         self.settings = settings
-        self.a = np.asarray(a, dtype=float)
+        self.a = np.asarray(spec.a, dtype=float)
         if self.a.size != len(models):
             raise ValueError(f"normal has {self.a.size} entries for "
                              f"{len(models)} arms")
-        self.b = float(b)
+        self.b = float(spec.b)
         self.norm = float(np.linalg.norm(self.a))
         if self.norm == 0.0:
             raise ValueError("half-space normal is the zero vector")
@@ -603,10 +600,6 @@ class PreparedHalfSpace:
         lin = self.dot if side is Side.A1 else -self.dot
         return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
                                      lin)[0]
-
-    @classmethod
-    def of(cls, models, spec: HalfSpace, settings: SolverSettings):
-        return cls(models, spec.a, spec.b, settings)
 
     def inner(self, mu, w, side: Side, tol: float = 1e-12):
         """(value, minimizer) of the weighted inner infimum from means mu on
@@ -766,9 +759,7 @@ class _SolvedGeometry:
     """Run steps for a geometry whose means must lie outside its set (A1):
     side records the step's means as a list and as an array, statistic is
     the class's inner at the counts and weights its solution's w*, both at
-    that array. A subclass gives _side(x), inner(mu, w, side) and
-    solution(mu), and is built from (models, spec, settings)."""
-    covers_a2 = False
+    that array. A subclass gives inner(mu, w, side) and solution(mu)."""
 
     def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
                  settings: SolverSettings = DEFAULT_SETTINGS):
@@ -778,21 +769,17 @@ class _SolvedGeometry:
         self.domains = [mean_domain(m) for m in models]
         self.mu = None
 
-    @classmethod
-    def of(cls, models, spec: PartitionSpec, settings: SolverSettings):
-        return cls(models, spec, settings)
-
     def _check_side(self, mu, where: str):
         """DegenerateInstance when checked means mu lie on the boundary
         ('mu lies on the ' + where), UnsupportedCase on side A2."""
-        side = self._side(mu)
+        side = classify(self.spec, mu)
         if side is Side.BOUNDARY:
             raise DegenerateInstance(f"mu lies on the {where}")
         require_covered(self.spec, side)
 
     def side(self, mu) -> Side:
         self.mu, self.x = mu, np.array(mu, dtype=float)
-        return self._side(self.x)
+        return classify(self.spec, self.x)
 
     def statistic(self, mu, counts, side: Side) -> float:
         """inner_inf's value at the counts; DomainError unless every mean
@@ -831,11 +818,7 @@ class PreparedConvex(_SolvedGeometry):
             self.curvature = 2.0 / (axes * axes)
             self.prox = [FAMILIES[m.family].kl_prox for m in models]
 
-    def _side(self, x) -> Side:
-        """classify(spec, x), by the same expression."""
-        return side_of_margin(self.spec.value(x) - self.spec.level, Side.A1)
-
-    def inner(self, mu, w, side: Side, *, tol=1e-12, max_iter=300):
+    def inner(self, mu, w, side: Side):
         """(value, minimizer) of inf sum_i w_i kl_i(mu_i, nu_i) over
         {f <= level} from means mu outside it (mu and w arrays, every w_i
         > 0; UnsupportedCase otherwise).
@@ -872,7 +855,7 @@ class PreparedConvex(_SolvedGeometry):
             return float(f(nu_of(lam)))
 
         hi_lam = 1.0
-        for _ in range(max_iter):
+        for _ in range(300):
             if level_at(hi_lam) <= c:
                 break
             hi_lam *= 2.0
@@ -881,8 +864,8 @@ class PreparedConvex(_SolvedGeometry):
                 "sublevel set unreachable: f never drops to the requested "
                 "level")
         lam = bisect_monotone(level_at, 0.0, hi_lam, c, increasing=False,
-                              value_tol=tol * max(1.0, abs(c)),
-                              max_iter=max_iter)
+                              value_tol=1e-12 * max(1.0, abs(c)),
+                              max_iter=300)
         nu = nu_of(lam)
         value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in range(K))
         return float(value), nu
@@ -962,6 +945,10 @@ class PreparedConvex(_SolvedGeometry):
         return _solution(w, nu, cstar, active, residuals, flags)
 
 
+# a union's row: HalfSpace's fields, where the normal may have zero entries
+_Row = collections.namedtuple("_Row", "a b")
+
+
 class PreparedUnion(_SolvedGeometry):
     """A union of half-spaces with the means in the polytope outside it:
     one PreparedHalfSpace per row, built from the raw row, so each row is
@@ -974,14 +961,8 @@ class PreparedUnion(_SolvedGeometry):
             raise ValueError(
                 "constraint dimension does not match the arm count")
         super().__init__(models, spec, settings)
-        self.rows = [PreparedHalfSpace(models, a, b, settings)
+        self.rows = [PreparedHalfSpace(models, _Row(a, b), settings)
                      for a, b in spec.halfspaces]
-
-    def _side(self, x) -> Side:
-        """classify(spec, x): the largest row margin, each by the same
-        expression as distance_to_halfspace."""
-        return side_of_margin(max((float(np.dot(r.a, x)) - r.b) / r.norm
-                                  for r in self.rows), Side.A2)
 
     def _row_inners(self, mu, w, tol: float):
         """(values as an array, minimizers) of every row's inner infimum
@@ -989,10 +970,10 @@ class PreparedUnion(_SolvedGeometry):
         pairs = [row.inner(mu, w, Side.A1, tol=tol) for row in self.rows]
         return np.array([v for v, _ in pairs]), [nu for _, nu in pairs]
 
-    def inner(self, mu, w, side: Side, tol: float = 1e-12):
+    def inner(self, mu, w, side: Side):
         """(value, minimizer) of the least row inner infimum (the first row
-        on ties)."""
-        vals, nus = self._row_inners(mu, w, tol)
+        on ties), each multiplier bisected to 1e-12."""
+        vals, nus = self._row_inners(mu, w, 1e-12)
         j = int(np.argmin(vals))
         return float(vals[j]), nus[j]
 
@@ -1041,17 +1022,13 @@ class PreparedUnion(_SolvedGeometry):
         """Golden section and kink bisection for two arms, supergradient
         ascent and cutting planes otherwise; the duality gap is the LP's,
         or for two arms _segment_gap's at the returned weights."""
-        models, settings, rows = self.models, self.settings, self.rows
-        K, m = mu.size, len(rows)
+        models, settings, K = self.models, self.settings, mu.size
         floor = settings.simplex_floor
-
-        def g_and_nu(w):
-            return self._row_inners(mu, w, settings.tol_bisect)
+        g_and_nu = functools.partial(self._row_inners, mu,
+                                     tol=settings.tol_bisect)
 
         def g_of(w):
             return float(np.min(g_and_nu(w)[0]))
-
-        flags = []
 
         # phase 1: projected supergradient ascent; with two arms the golden
         # section below searches the whole segment, so it starts from uniform
@@ -1063,7 +1040,7 @@ class PreparedUnion(_SolvedGeometry):
             gmin = float(np.min(vals))
             if gmin > best_g:
                 best_g, best_w = gmin, w.copy()
-            ties = [j for j in range(m)
+            ties = [j for j in range(len(vals))
                     if vals[j] <= gmin + 1e-12 * max(1.0, gmin)]
             grad = np.zeros(K)
             for j in ties:
@@ -1073,12 +1050,13 @@ class PreparedUnion(_SolvedGeometry):
             w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad, floor)
 
         # phase 2: certified refinement
+        flags = []
         if K == 2:
-            best_w, best_g = _refine_two_arm(mu, rows, best_w, best_g,
+            best_w, best_g = _refine_two_arm(mu, self.rows, best_w, best_g,
                                              settings, g_of)
         else:
             best_w, best_g, gap, exhausted = _kelley_refine(
-                models, mu, rows, best_w, best_g, settings, g_and_nu)
+                models, mu, self.rows, best_w, best_g, settings, g_and_nu)
             if exhausted:
                 flags.append("MaxIters")
 
@@ -1088,7 +1066,7 @@ class PreparedUnion(_SolvedGeometry):
         cstar = float(np.min(vals))
         if K == 2:
             gap = _segment_gap(models, mu, w, vals, nus)
-        active_rows = [j for j in range(m)
+        active_rows = [j for j in range(len(vals))
                        if vals[j] <= cstar + 1e-9 * max(1.0, cstar)]
         nu = nus[min(active_rows)]
         active = [i for i in range(K) if w[i] > floor * 10]
@@ -1284,14 +1262,6 @@ _PREPARED = {Threshold: PreparedThreshold, HalfSpace: PreparedHalfSpace,
              ConvexSublevel: PreparedConvex, UnionHalfSpaces: PreparedUnion}
 
 
-def _prepared_class(spec: PartitionSpec):
-    """The prepared class of spec's partition type."""
-    for kind, cls in _PREPARED.items():
-        if isinstance(spec, kind):
-            return cls
-    raise TypeError(f"not a partition spec: {spec!r}")
-
-
 def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
             settings: SolverSettings = DEFAULT_SETTINGS):
     """spec's geometry prepared once, and the only dispatch on its type:
@@ -1307,7 +1277,9 @@ def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
     weights with the same means: they read back what side, then statistic,
     record for them (all but the threshold raise ValueError for other
     means)."""
-    return _prepared_class(spec).of(models, spec, settings)
+    if type(spec) not in _PREPARED:
+        raise TypeError(f"not a partition spec: {spec!r}")
+    return _PREPARED[type(spec)](models, spec, settings)
 
 
 def inner_inf(models: Sequence[SpefModel], mu, weights,
