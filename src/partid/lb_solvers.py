@@ -224,8 +224,9 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
     nonzero entry of the row, their reach is sup > b, so they meet the
     constraint alone and the value is 0.
     When every arm the constraint touches is Gaussian the slope inverses are
-    linear, so lam = (b - <a, mu>) / S with S = sum_i a_i^2 v_i / w_i and the
-    value is (b - <a, mu>)^2 / (2 S), with no root to find.
+    linear and _gaussian_unit_inner gives the value with no root to find;
+    a run step with Gaussian arms and no zero count goes there directly
+    (PreparedHalfSpace.statistic).
     """
     K = len(models)
     if lin is None:
@@ -261,44 +262,72 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
 
     a = al
     busy = [i for i in range(K) if a[i] != 0.0]
-    nu = list(mu)
     if all(models[i].family is Family.GAUSSIAN for i in busy):
-        var = [m.variance for m in models]
-        lam = (b - lin) / sum(a[i] * a[i] * var[i] / w[i] for i in busy)
+        return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a))
+
+    def constraint_at(lam):
+        s = 0.0
         for i in busy:
-            nu[i] = mu[i] + var[i] * lam * a[i] / w[i]
-        # spef.kl's checks hold: mu is in the domain, nu is tested below
-        divergence = FAMILIES[Family.GAUSSIAN].kl
+            nu_i = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
+            term = a[i] * nu_i
+            if math.isinf(term):
+                return math.inf
+            s += term
+        return s
+
+    hi = 1.0
+    for _ in range(max_iter):
+        if constraint_at(hi) >= b:
+            break
+        hi *= 2.0
     else:
-        def constraint_at(lam):
-            s = 0.0
-            for i in busy:
-                nu_i = _slope_inverse_capped(models[i], mu[i],
-                                             lam * a[i] / w[i])
-                term = a[i] * nu_i
-                if math.isinf(term):
-                    return math.inf
-                s += term
-            return s
-
-        hi = 1.0
-        for _ in range(max_iter):
-            if constraint_at(hi) >= b:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("multiplier bracket expansion failed")
-        lam = bisect_monotone(constraint_at, 0.0, hi, b, increasing=True,
-                              value_tol=tol * max(1.0, abs(b)),
-                              max_iter=max_iter)
-        for i in busy:
-            nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
-        divergence = kl
-
-    if not all(math.isfinite(x) for x in nu):
-        raise NumericalError("inner minimizer escaped to the domain boundary")
-    value = sum(w[i] * divergence(models[i], mu[i], nu[i]) for i in busy)
+        raise NumericalError("multiplier bracket expansion failed")
+    lam = bisect_monotone(constraint_at, 0.0, hi, b, increasing=True,
+                          value_tol=tol * max(1.0, abs(b)), max_iter=max_iter)
+    nu = list(mu)
+    for i in busy:
+        nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
+    _check_minimizer(nu)
+    value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in busy)
     return float(value), nu
+
+
+def _check_minimizer(nu):
+    if not all(map(math.isfinite, nu)):
+        raise NumericalError("inner minimizer escaped to the domain boundary")
+
+
+def _gaussian_terms(models, a):
+    """(i, a_i, v_i, a_i^2 v_i, 2 v_i) for each arm i the row a (a list)
+    touches, every one of them Gaussian."""
+    return [(i, ai, m.variance, ai * ai * m.variance, 2.0 * m.variance)
+            for i, (m, ai) in enumerate(zip(models, a)) if ai != 0.0]
+
+
+def _gaussian_unit_inner(mu, w, b, lin, terms):
+    """_unit_halfspace_inner's closed form, for a row whose arms (terms, by
+    _gaussian_terms) are all Gaussian with nonzero weight and lin < b: the
+    slope inverses are linear, so lam = (b - lin) / S with
+    S = sum_i a_i^2 v_i / w_i, nu_i = mu_i + v_i lam a_i / w_i, and the
+    value is sum_i w_i (mu_i - nu_i)^2 / (2 v_i), summed left to right.
+    Returns (value, minimizer as a list)."""
+    s = 0.0
+    for i, _, _, a2v, _ in terms:
+        s += a2v / w[i]
+    lam = (b - lin) / s
+    nu = list(mu)
+    value = 0.0
+    for i, ai, v, _, two_v in terms:
+        wi, mi = w[i], mu[i]
+        x = mi + v * lam * ai / wi
+        nu[i] = x
+        d = mi - x
+        value += wi * (d * d / two_v)
+    # each w_i > 0, so a coordinate that is not finite leaves the value
+    # not finite; the other coordinates are the checked means
+    if not math.isfinite(value):
+        _check_minimizer(nu)
+    return value, nu
 
 
 def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
@@ -536,16 +565,21 @@ class PreparedHalfSpace:
     the unit row and offset of the closed half-space {<a, nu> >= b} opposite
     it, with its _linear_sup; the arms' domains; and, when every arm is
     Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
-    sum_i |a_i| sqrt(2 v_i). inner_inf and solve_halfspace prepare one per
-    call, a track-and-stop run one per run, and a union one per row (a row
-    may have zero entries).
+    sum_i |a_i| sqrt(2 v_i), and for each side the row as a list with the
+    variances and a_i^2 v_i of the arms it touches (_gaussian_terms).
+    inner_inf and solve_halfspace prepare one per call, a track-and-stop
+    run one per run, and a union one per row (a row may have zero entries).
 
     In a run, side(mu) takes the step's means as a list and records it,
     the means as an array and their product with the unit row; statistic
     and weights take that same list and read the array and product back, so
     each margin is one np.dot per step. The opposite side's row is the
     negated unit row, and np.dot of a negated row is the negated product,
-    bit for bit.
+    bit for bit. With Gaussian arms and no zero count, statistic is the
+    closed form of _gaussian_unit_inner as one loop over those lists, and
+    the domain check is a finiteness test of the unit-row product; weights
+    checks the margin and c* > 0 and returns the fixed weights. Both give
+    the floats inner_inf and solve give at the same means.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: HalfSpace,
@@ -576,6 +610,15 @@ class PreparedHalfSpace:
             # not a / slopes: their rounding would break exact weight ties
             raw = np.abs(unit) * np.sqrt(variances)
             self.gaussian_w = (raw / raw.sum()).tolist()
+            # statistic's closed form, per side as targets: the row's
+            # _gaussian_terms, offset and _linear_sup; the negated row's
+            # terms negate a_i alone
+            terms = _gaussian_terms(models, unit.tolist())
+            (_, b1, sup1), (_, b2, sup2) = self.targets
+            self.gaussian_targets = (
+                (terms, b1, sup1),
+                ([(i, -ai, v, a2v, tv) for i, ai, v, a2v, tv in terms],
+                 b2, sup2))
 
     def target(self, side: Side):
         """(unit row, offset, _linear_sup of the row) of the closed
@@ -595,11 +638,24 @@ class PreparedHalfSpace:
         side; DomainError unless every mean is finite and inside its
         domain."""
         _check_recorded(self, mu)
-        _check_domains(self.models, self.domains, mu)
-        a, b, sup = self.target(side)
-        lin = self.dot if side is Side.A1 else -self.dot
-        return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
-                                     lin)[0]
+        dot = self.dot
+        lin = dot if side is Side.A1 else -dot
+        if self.gaussian_w is None or 0 in counts:
+            _check_domains(self.models, self.domains, mu)
+            a, b, sup = self.target(side)
+            return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
+                                         lin)[0]
+        # a mean that is not finite makes the unit-row product NaN or
+        # infinite, and the Gaussian domain is the whole line
+        if not math.isfinite(dot):
+            _check_domains(self.models, self.domains, mu)
+        terms, b, sup = self.gaussian_targets[side is Side.A2]
+        if lin >= b:
+            return 0.0
+        if not sup > b:
+            raise InfeasibleAlternative(
+                "half-space does not intersect the mean domain")
+        return _gaussian_unit_inner(mu, counts, b, lin, terms)[0]
 
     def inner(self, mu, w, side: Side, tol: float = 1e-12):
         """(value, minimizer) of the weighted inner infimum from means mu on
@@ -624,10 +680,6 @@ class PreparedHalfSpace:
                 "the open half-space does not intersect the mean domain")
         return side, a, b, dot if side is Side.A1 else -dot
 
-    def _gaussian_r(self, b: float, lin: float) -> float:
-        """sqrt(c*) with Gaussian arms: (b - <a, mu>) / sum |a_i| sqrt(2 v_i)."""
-        return (b - lin) / self.reach_sum
-
     def saddle(self, mu):
         """(side of mu, c*, nu*, w*, divergence slopes at nu* or None,
         whether an arm sits at the last float before its domain edge) at
@@ -638,7 +690,8 @@ class PreparedHalfSpace:
         domain."""
         side, a, b, lin = self._orient(float(np.dot(self.unit, mu)))
         if self.gaussian_w is not None:
-            r = self._gaussian_r(b, lin)
+            # sqrt(c*) = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i)
+            r = (b - lin) / self.reach_sum
             nu = mu + np.sign(a) * self.reach * r
             return side, r * r, nu, np.array(self.gaussian_w), None, False
 
@@ -718,8 +771,17 @@ class PreparedHalfSpace:
         NumericalError."""
         _check_recorded(self, mu)
         if self.gaussian_w is not None:
-            _, _, b, lin = self._orient(self.dot)
-            r = self._gaussian_r(b, lin)
+            # _orient's checks and saddle's c* = r^2, where b - <a, mu> on
+            # the means' side is -margin or margin, bit for bit
+            margin = self.dot - self.b_unit
+            if abs(margin) <= 1e-12:
+                raise DegenerateInstance(
+                    "mu lies on the separating hyperplane")
+            _, b, sup = self.gaussian_targets[margin > 0]
+            if not sup > b:
+                raise InfeasibleAlternative(
+                    "the open half-space does not intersect the mean domain")
+            r = margin / self.reach_sum
             _check_saddle_value(r * r)
             return self.gaussian_w
         _, cstar, _, w, _, _ = self.saddle(self.x)

@@ -88,8 +88,11 @@ def _gaussian_kl_inverse(m, mu, target, direction):
 
 
 def _gaussian_draw(m, mean, rng):
+    # the floats of float(rng.normal(mean, sd)), which computes
+    # mean + sd * z from one standard normal z, without its argument parsing
     sd = math.sqrt(m.variance)
-    return lambda: float(rng.normal(mean, sd))
+    standard_normal = rng.standard_normal
+    return lambda: mean + sd * standard_normal()
 
 
 def _log1p_of(x, num, den):

@@ -34,9 +34,11 @@ list of ints, the reward sums and the clamped means lists of floats, and
 the geometry takes those lists and returns its weights as a list. With
 K of 2 to a few dozen, numpy's per-call cost exceeds the arithmetic it
 would do; a geometry that needs an array (a hyperplane margin by np.dot, a
-solver) converts the means once per step. The arithmetic, and so every
-trajectory, is the one the same steps on numpy arrays give. The result's
-final counts and means are returned as numpy arrays.
+solver) converts the means once per step. A Gaussian half-space step uses
+that array for its two margins alone: its statistic is the closed form on
+the lists, with constants prepared once per run. The arithmetic, and so
+every trajectory, is the one the same steps on numpy arrays give. The
+result's final counts and means are returned as numpy arrays.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ The pinned anchor instances and the big randomized batteries live in the
 acceptance suite; these tests pin the solver semantics one case at a time.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -268,6 +269,28 @@ class TestGaussianHalfspaceClosedForms:
             step = (got.minimizer - mu) * w / (a * v)
             np.testing.assert_allclose(step, step[0], rtol=1e-10)
         assert sides == {False, True}
+
+    def test_inner_values_pinned_bit_for_bit(self):
+        # a digest of 400 inner values and minimizers (K = 1-6, mixed
+        # variances, integer weights as a run's counts): the run step and
+        # inner_inf share one closed form, so parity between them cannot
+        # see it drift by an ulp, and this can; a change here is a
+        # trajectory change
+        rng = np.random.default_rng(2024)
+        out = []
+        for _ in range(400):
+            k = int(rng.integers(1, 7))
+            models = [gaussian(float(v))
+                      for v in 10.0 ** rng.uniform(-2, 2, k)]
+            a = rng.uniform(0.1, 2.0, k) * rng.choice((-1.0, 1.0), k)
+            mu = rng.normal(0.0, 2.0, k)
+            w = rng.integers(1, 500, k).astype(float)
+            got = inner_inf(models, mu, w,
+                            HalfSpace(tuple(a), float(rng.normal())))
+            out.append(got.value)
+            out.extend(got.minimizer.tolist())
+        digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
+        assert digest == "3a762a379a6aed8f"
 
     def test_zero_weight_arm_absorbs_the_constraint(self):
         # S is infinite with a free Gaussian arm, so g^2 / (2 S) = 0

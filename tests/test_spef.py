@@ -427,3 +427,23 @@ def test_gaussian_variance_validation():
         gaussian(0.0)
     with pytest.raises(ValueError):
         gaussian(-1.0)
+
+
+def test_gaussian_sampler_draws_the_floats_of_generator_normal():
+    # twin generators: the sampler's draws must equal rng.normal's bit for
+    # bit, over means in [-1e6, 1e6] and variances from 1e-12 to 1e12
+    cases = np.random.default_rng(3)
+    means = np.concatenate([[0.0, -1e6, 1e6, 1e-300],
+                            cases.uniform(-1e6, 1e6, 46)])
+    variances = np.concatenate([[1e-12, 1e12, 1.0, 0.5],
+                                10.0 ** cases.uniform(-12.0, 12.0, 46)])
+    for seed, (mean, variance) in enumerate(zip(means, variances)):
+        mean, sd = float(mean), math.sqrt(float(variance))
+        draw = spef.sampler(gaussian(variance), mean,
+                            np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        got = [draw() for _ in range(2000)]
+        want = [float(twin.normal(mean, sd)) for _ in range(2000)]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), \
+            (mean, variance)
+        assert all(type(x) is float for x in got)

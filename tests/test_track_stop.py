@@ -22,7 +22,8 @@ from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
-from partid.lb_solvers import PreparedHalfSpace, inner_inf, prepare, solve
+from partid.lb_solvers import (PreparedHalfSpace, _Row, inner_inf, prepare,
+                               solve)
 from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
                                ball, classify, ellipsoid)
 from partid.spef import DEFAULT_CLAMP, bernoulli, gaussian, poisson
@@ -380,6 +381,43 @@ def test_solver_kernel_pinned_trajectory(name, seed, want):
     assert res.final_counts.tolist() == want[3]
 
 
+K4_GAUSSIAN = [gaussian(0.5), G1, gaussian(2.0), gaussian(0.8)]
+K4_TRUTH = [0.5, 0.1, 0.3, 0.4]
+
+# (row, seed, (stop_time, declared, glr_at_stop, final_counts)) of K = 4
+# Gaussian half-space runs with the truth on A2, at delta 0.01. HalfSpace
+# rejects a zero entry, so the row with one runs as a union's row is
+# prepared. Both the run's statistic and the public inner_inf take the
+# same Gaussian closed form, so the parity suites cannot see it drift;
+# these tuples can, and a change here is a trajectory change.
+K4_PINNED = [
+    ("zero_entry_seed1", (1.0, -0.6, 0.0, 0.9), 1,
+     (273, Side.A2, 11.579032608460196, [86, 73, 15, 99])),
+    ("zero_entry_seed2", (1.0, -0.6, 0.0, 0.9), 2,
+     (219, Side.A2, 11.13367782213977, [69, 58, 13, 79])),
+    ("all_nonzero_seed1", (1.0, -0.6, 0.3, 0.9), 1,
+     (461, Side.A2, 11.804293716257765, [129, 109, 77, 146])),
+    ("all_nonzero_seed2", (1.0, -0.6, 0.3, 0.9), 2,
+     (640, Side.A2, 12.209352279803543, [178, 152, 107, 203])),
+]
+
+
+@pytest.mark.parametrize("name,a,seed,want", K4_PINNED,
+                         ids=[p[0] for p in K4_PINNED])
+def test_gaussian_halfspace_pinned_trajectory_k4(name, a, seed, want):
+    cfg = StoppingConfig(delta=0.01)
+    rng = np.random.default_rng(seed)
+    if 0.0 in a:
+        geometry = PreparedHalfSpace(K4_GAUSSIAN, _Row(a, 0.2))
+        res = _track_and_stop(K4_GAUSSIAN, np.array(K4_TRUTH), Side.A2,
+                              geometry, cfg, rng, DEFAULT_CLAMP)
+    else:
+        res = run(K4_GAUSSIAN, K4_TRUTH, HalfSpace(a, 0.2), cfg, rng)
+    assert (res.stop_time, res.declared, res.glr_at_stop,
+            res.final_counts.tolist()) == want
+    assert not res.truncated
+
+
 def test_solver_kernel_pinned_trajectory_mixed_families():
     models = [bernoulli(), poisson(), bernoulli()]
     res = run(models, [0.3, 0.5, 0.4], HalfSpace((1.0, 1.0, 1.0), 2.5),
@@ -510,6 +548,111 @@ class TestPreparedHalfSpaceChecks:
             (True, Side.A1, 0.0)
         # uniform weights: tracking alternates between the two arms
         assert res.final_counts.tolist() == [20, 20]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the solver error it raised."""
+    try:
+        return f(*args)
+    except (DegenerateInstance, InfeasibleAlternative, DomainError,
+            NumericalError) as exc:
+        return type(exc)
+
+
+def _step_and_public(models, a, b, means, counts):
+    """(run step, public reference) outcomes of side, statistic and weights
+    at the means. The reference is classify, inner_inf and solve on
+    HalfSpace(a, b); a row with a zero entry, which HalfSpace rejects, is
+    classified as a one-row union and evaluated by a freshly prepared
+    row's inner and solution, the array entry points inner_inf and solve
+    call (inner_inf on the union checks means that are not finite).
+    Statistic and weights follow the step's side, as in the run loop, and
+    weights only at means statistic has checked."""
+    geometry = PreparedHalfSpace(models, _Row(a, b))
+    side = geometry.side(means)
+    got, want = [side], []
+    x = np.array(means)
+    if 0.0 in a:
+        union = UnionHalfSpaces(((a, b),))
+        want.append(classify(union, x))
+        fresh = PreparedHalfSpace(models, _Row(a, b))
+        w = np.array(counts, dtype=float)
+        if np.all(np.isfinite(x)):
+            want.append(_outcome(lambda: fresh.inner(x, w, side)[0]))
+        else:
+            want.append(_outcome(lambda: inner_inf(models, x, counts,
+                                                   union).value))
+        # the certificate's tangency ratio is 0/0 at an untouched arm
+        with np.errstate(invalid="ignore"):
+            want.append(_outcome(lambda: fresh.solution(x).w_star.tolist()))
+    else:
+        spec = HalfSpace(a, b)
+        want.append(classify(spec, x))
+        want.append(_outcome(lambda: inner_inf(models, x, counts,
+                                               spec).value))
+        want.append(_outcome(lambda: solve(models, x, spec).w_star.tolist()))
+    if side is Side.BOUNDARY:
+        return got, want[:1]
+    got.append(_outcome(geometry.statistic, means, counts, side))
+    if not np.all(np.isfinite(x)):
+        return got, want[:2]
+    got.append(_outcome(geometry.weights, means, side))
+    return got, want
+
+
+def _gaussian_row(rng, k):
+    """k Gaussian arms of mixed variances and a random row for them, with
+    some zero entries (never all) in about 40% of rows, and an offset."""
+    models = [gaussian(float(v)) for v in 10.0 ** rng.uniform(-2, 2, k)]
+    a = rng.uniform(0.1, 2.0, k) * rng.choice((-1.0, 1.0), k)
+    if k > 1 and rng.random() < 0.4:
+        a[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+    return models, tuple(a.tolist()), float(rng.normal(0.0, 2.0))
+
+
+def _means_near(rng, a, b, margin):
+    """Means whose unit-row margin is about margin, up to rounding."""
+    a = np.array(a)
+    unit = a / np.linalg.norm(a)
+    p = rng.normal(0.0, 1.5, a.size) * 10.0 ** rng.integers(0, 3)
+    p -= (float(unit @ p) - b / np.linalg.norm(a)) * unit
+    return (p + margin * unit).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_gaussian_halfspace_step_matches_the_public_solvers(k):
+    # the run step's closed form on floats against classify, inner_inf and
+    # solve, with ==: both sides, means at the edge of the boundary band
+    # (1e-3 relative of +-TOL_CLASS), counts with a zero entry (the
+    # general path) and means that are not finite
+    rng = np.random.default_rng(700 + k)
+    seen = set()
+    for _ in range(120):
+        models, a, b = _gaussian_row(rng, k)
+        margins = [float(rng.normal(0.0, 2.0)) for _ in range(2)] + [
+            s * 1e-12 * (1.0 + float(rng.uniform(-1e-3, 1e-3)))
+            for s in (1.0, -1.0)]
+        for margin in margins:
+            means = _means_near(rng, a, b, margin)
+            counts = rng.integers(1, 60, k).tolist()
+            cases = [counts]
+            if k > 1:
+                cases.append(counts[:])
+                cases[-1][int(rng.integers(k))] = 0
+            for c in cases:
+                got, want = _step_and_public(models, a, b, means, c)
+                assert got == want, (models, a, b, means, c)
+                seen.add((got[0], 0 in c,
+                          len(got) > 1 and isinstance(got[1], float)
+                          and got[1] > 0.0))
+        bad = means[:]
+        bad[int(rng.integers(k))] = [math.nan, math.inf,
+                                     -math.inf][int(rng.integers(3))]
+        with np.errstate(invalid="ignore"):
+            got, want = _step_and_public(models, a, b, bad, counts)
+        assert got == want and got[1] is DomainError, (a, b, bad)
+    assert {(Side.A1, False, True), (Side.A2, False, True)} <= seen
+    assert Side.BOUNDARY in {s for s, _, _ in seen}
 
 
 def _count_public_calls(monkeypatch, names=("classify", "inner_inf",
