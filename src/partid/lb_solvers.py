@@ -419,11 +419,13 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
 
 class PreparedThreshold:
     """The level, checked against every arm's domain, and each arm's
-    unchecked divergence to it. Means, weights and counts are sequences of
-    Python numbers, and weights returns a list. statistic records the
-    divergences it evaluates and weights at the same means reads them back.
-    inner_inf and solve_threshold prepare one per call, a track-and-stop run
-    one per run.
+    unchecked divergence to it; with all-Gaussian arms, 2 v_i per arm, so
+    the divergence (mu_i - u)^2 / (2 v_i) is taken inline by _gaussian_kl's
+    operations. Means, weights and counts are sequences of Python numbers,
+    and weights returns a list. statistic records the divergences it
+    evaluates, and above the level the arm with the largest; weights at the
+    same means reads them back. inner_inf and solve_threshold prepare one
+    per call, a track-and-stop run one per run.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: Threshold,
@@ -440,6 +442,8 @@ class PreparedThreshold:
         # gap[i](x, u): kl of arm i from mean x to the level, unchecked
         self.gap = [functools.partial(FAMILIES[m.family].kl, m)
                     for m in models]
+        self.two_v = [2.0 * m.variance for m in models] \
+            if all(m.family is Family.GAUSSIAN for m in models) else None
         self.gaps = [0.0] * self.k
 
     def side(self, mu) -> Side:
@@ -448,21 +452,34 @@ class PreparedThreshold:
 
     def statistic(self, mu, w, side: Side) -> float:
         """Weighted inner infimum from checked means mu on side: the sum of
-        w_i kl_i(mu_i, u) over the arms above the level, or below it the
-        least w_i kl_i(mu_i, u), whose arm (lowest index on ties) is kept
-        as lowest."""
-        u, gap, gaps = self.u, self.gap, self.gaps
+        w_i kl_i(mu_i, u) over the arms above the level, whose arm with the
+        largest divergence (lowest index on ties, -1 when none is positive)
+        is kept as top; or below it the least w_i kl_i(mu_i, u), whose arm
+        (lowest index on ties) is kept as lowest."""
+        u, gap, gaps, two_v = self.u, self.gap, self.gaps, self.two_v
         if side is Side.A1:
-            z = 0.0
-            for i in range(self.k):
-                v = mu[i]
-                if v > u:
-                    g = gaps[i] = gap[i](v, u)
+            z, top, best = 0.0, -1, 0.0
+            for i, x in enumerate(mu):
+                if x > u:
+                    if two_v is None:
+                        g = gap[i](x, u)
+                    else:
+                        d = x - u
+                        g = d * d / two_v[i]
+                    gaps[i] = g
                     z += w[i] * g
+                    if g > best:
+                        top, best = i, g
+            self.top = top
             return z
         z, lowest = math.inf, 0
-        for i in range(self.k):
-            g = gaps[i] = gap[i](mu[i], u)
+        for i, x in enumerate(mu):
+            if two_v is None:
+                g = gap[i](x, u)
+            else:
+                d = x - u
+                g = d * d / two_v[i]
+            gaps[i] = g
             c = w[i] * g
             if c < z:
                 z, lowest = c, i
@@ -495,15 +512,10 @@ class PreparedThreshold:
         underflowed to 0), below it inverse_gap_weights."""
         if side is Side.A2:
             return self.inverse_gap_weights()[1]
-        u, gaps = self.u, self.gaps
-        jstar, best = -1, 0.0
-        for i in range(self.k):
-            if mu[i] > u and gaps[i] > best:
-                jstar, best = i, gaps[i]
-        if jstar < 0:
-            _check_saddle_value(best)
+        if self.top < 0:
+            _check_saddle_value(0.0)
         w = [0.0] * self.k
-        w[jstar] = 1.0
+        w[self.top] = 1.0
         return w
 
     def inner(self, mu, w, side: Side):
@@ -803,10 +815,13 @@ class PreparedHalfSpace:
                                for i in range(mu.size)])
 
         levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
-        finite = np.isfinite(slopes)
+        # an arm the row does not touch keeps its mean, at divergence 0
+        touched = a != 0.0
+        finite = touched & np.isfinite(slopes)
         ratios = w[finite] * slopes[finite] / a[finite]
         residuals = {
-            "equal_divergence": float(np.max(np.abs(levels - cstar))),
+            "equal_divergence": float(np.max(np.abs(levels[touched]
+                                                    - cstar))),
             "hyperplane": abs(float(np.dot(a, nu)) - b),
             "sign_violations": float(np.sum(np.sign(nu - mu) != np.sign(a))),
             "tangency_spread": float(np.max(ratios) - np.min(ratios)),

@@ -31,7 +31,12 @@ pulls the least-sampled arm.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and
-the geometry takes those lists and returns its weights as a list. With
+the geometry takes those lists and returns its weights as a list. Each
+step does work only for the arm that moved: the clamped means list is
+built once, and after a pull only that arm's mean is recomputed and
+clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
+exploration-floor test, and the next step's starved-arm test reuses them
+(_d_tracking, which d_tracking_next wraps). With
 K of 2 to a few dozen, numpy's per-call cost exceeds the arithmetic it
 would do; a geometry that needs an array (a hyperplane margin by np.dot, a
 solver) converts the means once per step. A Gaussian half-space step uses
@@ -77,9 +82,9 @@ class StoppingConfig:
 
 @dataclass
 class RunState:
-    """Mutable per-run statistics: total pulls, per-arm counts, reward sums.
-    The run loop keeps one per run, with lists for counts and sums, and
-    updates it in place; numpy arrays work as well."""
+    """Mutable per-run statistics: total pulls, per-arm counts, reward sums,
+    as d_tracking_next and glr_statistic take them (lists or numpy
+    arrays). The run loop keeps the same three in locals."""
     t: int
     counts: Sequence[int]
     sums: Sequence[float]
@@ -113,11 +118,18 @@ def d_tracking_next(state: RunState, w_hat) -> int:
     first) if any, else the arm whose realized fraction lags w_hat most
     (lowest index on ties)."""
     counts, t = state.counts, state.t
+    return _d_tracking(counts, t, math.sqrt(t) - len(counts) / 2.0,
+                       min(counts), w_hat)
+
+
+def _d_tracking(counts, t: int, need: float, least, w_hat) -> int:
+    """d_tracking_next with need = sqrt(t) - K/2 and least = min(counts)
+    given, as the run loop has them from its exploration-floor test."""
     k = len(counts)
-    need = math.sqrt(t) - k / 2.0
-    for i in range(k):
-        if counts[i] < need:
-            return i
+    if least < need:
+        for i in range(k):
+            if counts[i] < need:
+                return i
     arm, lag = 0, w_hat[0] - counts[0] / t
     for i in range(1, k):
         v = w_hat[i] - counts[i] / t
@@ -177,60 +189,66 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
     w_hat is uniform on a boundary step or where weights raises any
     PartidError."""
     k = len(models)
-    # clamp_to_interior's bounds, for the arms with a finite domain edge
-    bounds = [(i, lo, hi) for i, (lo, hi) in
-              enumerate(clamp_bounds(m, clamp) for m in models)
-              if math.isfinite(lo) or math.isfinite(hi)]
+    # clamp_to_interior's interval per arm, unbounded on infinite sides
+    bounds = [clamp_bounds(m, clamp) for m in models]
     draws = [sampler(m, float(x), rng, arm=i)
              for i, (m, x) in enumerate(zip(models, true_means))]
-    state = RunState(t=k, counts=[1] * k, sums=[0.0] * k)
-    counts, sums = state.counts, state.sums
+    counts, sums = [1] * k, [0.0] * k
     for i in range(k):
         sums[i] += draws[i]()
+    # built once; after each pull only the pulled arm's entry is refreshed,
+    # by the comparisons clamp_to_interior makes
+    means = [clamp_to_interior(m, s / n, clamp)
+             for m, s, n in zip(models, sums, counts)]
+    t, max_steps, half, sqrt = k, cfg.max_steps, k / 2.0, math.sqrt
+    need, least = sqrt(t) - half, 1
     uniform = [1.0 / k] * k
+    boundary = Side.BOUNDARY
+    side_of, statistic, weights = \
+        geometry.side, geometry.statistic, geometry.weights
     violations = 0
     truncated = False
 
     while True:
-        means = [s / n for s, n in zip(sums, counts)]
-        for i, lo, hi in bounds:
-            v = means[i]
-            if v < lo:
-                means[i] = lo
-            elif v > hi:
-                means[i] = hi
-        side = geometry.side(means)
+        side = side_of(means)
         z = 0.0
-        if side is not Side.BOUNDARY:
+        if side is not boundary:
             try:
-                z = geometry.statistic(means, counts, side)
+                z = statistic(means, counts, side)
             except (DegenerateInstance, UnsupportedCase):
                 pass
-            if z >= beta_threshold(state.t, cfg):
+            if z >= beta_threshold(t, cfg):
                 declared = side
                 break
-        if state.t >= cfg.max_steps:
+        if t >= max_steps:
             truncated = True
             # an exact tie is measure-zero; it is declared A1
-            declared = Side.A1 if side is Side.BOUNDARY else side
+            declared = Side.A1 if side is boundary else side
             break
 
         w_hat = uniform
-        if side is not Side.BOUNDARY:
+        if side is not boundary:
             try:
-                w_hat = geometry.weights(means, side)
+                w_hat = weights(means, side)
             except PartidError:
                 pass
-        arm = d_tracking_next(state, w_hat)
-        sums[arm] += draws[arm]()
-        counts[arm] += 1
-        state.t += 1
-        floor = max(0.0, math.sqrt(state.t) - k / 2.0) - 1.0
-        if min(counts) < floor - 1e-9:
+        arm = _d_tracking(counts, t, need, least, w_hat)
+        s = sums[arm] = sums[arm] + draws[arm]()
+        n = counts[arm] = counts[arm] + 1
+        v = s / n
+        lo, hi = bounds[arm]
+        if v < lo:
+            v = lo
+        elif v > hi:
+            v = hi
+        means[arm] = v
+        t += 1
+        need, least = sqrt(t) - half, min(counts)
+        if least < max(0.0, need) - 1.0 - 1e-9:
             violations += 1
 
     return RunResult(
-        stop_time=state.t,
+        stop_time=t,
         declared=declared,
         correct=declared is true_side,
         glr_at_stop=float(z),

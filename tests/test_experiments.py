@@ -205,3 +205,18 @@ class TestRiskDemo:
         payload = json.loads(json_path.read_text())
         assert payload["summary"]["n_outer"] == 4
         assert payload["provenance"]["config_digest"] == cfg.digest
+
+
+# (path, stop_time, w_declared, truncated) of risk_demo(small_risk()). The
+# run step's Gaussian threshold divergence is shared by inner_inf, solve and
+# the run, so parity between them cannot see all three drift together;
+# these rows can, and a change here is a trajectory change.
+RISK_PINNED = [(0, 46, 0, False), (1, 51, 1, False), (2, 11, 1, False),
+               (3, 11, 0, False), (4, 22, 0, False), (5, 12, 0, False),
+               (6, 34, 0, False), (7, 35, 1, False)]
+
+
+def test_risk_demo_rows_pinned():
+    report = risk_demo(small_risk())
+    assert [(r.path, r.stop_time, r.w_declared, r.truncated)
+            for r in report.rows] == RISK_PINNED

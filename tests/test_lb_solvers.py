@@ -10,17 +10,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partid import spef
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
 from partid import lb_solvers
-from partid.lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf,
-                               solve,
+from partid.lb_solvers import (DEFAULT_SETTINGS, PreparedHalfSpace,
+                               PreparedThreshold, SolverSettings, _Row,
+                               inner_inf, solve,
                                solve_convex, solve_halfspace,
                                solve_threshold, solve_two_arm_gaussian,
                                solve_union_halfspaces)
-from partid.partitions import (ConvexSublevel, HalfSpace, Threshold,
+from partid.partitions import (ConvexSublevel, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, ellipsoid)
 from partid.reference_oracle import brute_force_lb
 from partid.spef import (bernoulli, gaussian, kl, kl_array, kl_dnu,
@@ -711,3 +715,84 @@ def test_solver_settings_validation():
         SolverSettings(tol_kkt=0.0)
     with pytest.raises(ValueError):
         SolverSettings(max_outer_iters=0)
+
+
+@st.composite
+def _gaussian_threshold_step(draw):
+    """(models, means, level, counts): K = 1-8 Gaussian arms with variances
+    from 1e-6 to 1e6, any finite means and level, positive counts."""
+    k = draw(st.integers(1, 8))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    models = [gaussian(v) for v in
+              draw(st.lists(st.floats(1e-6, 1e6), min_size=k, max_size=k))]
+    mu = draw(st.lists(floats, min_size=k, max_size=k))
+    counts = draw(st.lists(st.integers(1, 10 ** 6), min_size=k, max_size=k))
+    return models, mu, draw(floats), counts
+
+
+@given(_gaussian_threshold_step())
+@settings(max_examples=400, deadline=None)
+def test_gaussian_threshold_statistic_is_the_checked_divergence(step):
+    # the prepared Gaussian statistic and weights against spef.kl, with ==
+    models, mu, u, counts = step
+    geometry = PreparedThreshold(models, Threshold(u))
+    side = geometry.side(mu)
+    if side is Side.BOUNDARY:
+        return
+    products = [w * spef.kl(m, x, u) for m, x, w in zip(models, mu, counts)]
+    z = geometry.statistic(mu, counts, side)
+    if side is Side.A2:
+        assert z == min(products)
+        return
+    want = 0.0
+    for x, p in zip(mu, products):
+        if x > u:
+            want += p
+    assert z == want
+    gaps = [spef.kl(m, x, u) if x > u else -1.0 for m, x in zip(models, mu)]
+    best = max(gaps)
+    if best == 0.0:
+        with pytest.raises(DegenerateInstance):
+            geometry.weights(mu, side)
+        return
+    w = geometry.weights(mu, side)
+    assert w == [1.0 if i == gaps.index(best) else 0.0
+                 for i in range(len(mu))]
+
+
+class TestHalfSpaceCertificate:
+    @pytest.mark.parametrize("models,mu,a", [
+        ([gaussian(0.5), G1, gaussian(2.0)], [0.2, -0.4, 0.1],
+         (1.0, 0.0, 0.5)),
+        ([G1, gaussian(0.3), gaussian(1.7), gaussian(0.6)],
+         [0.1, 0.2, -0.3, 0.0], (0.0, -1.2, 0.0, 1.1)),
+    ], ids=["k3", "k4_two_zeros"])
+    def test_zero_entry_row_residuals_skip_the_untouched_arms(self, models,
+                                                               mu, a):
+        # an arm with a_i = 0 keeps its mean: its divergence 0 is not the
+        # common level and its tangency ratio would be 0/0
+        mu = np.array(mu)
+        untouched = [i for i, ai in enumerate(a) if ai == 0.0]
+        for b in (1.0, -0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = PreparedHalfSpace(models, _Row(a, b)).solution(mu)
+            r = sol.kkt_residuals
+            assert all(math.isfinite(v) for v in r.values()), r
+            assert r["equal_divergence"] <= 1e-12 * sol.c_star, r
+            assert r["tangency_spread"] <= 1e-12, r
+            for i in untouched:
+                assert sol.nu_star[i] == mu[i] and sol.w_star[i] == 0.0
+
+    def test_all_nonzero_row_residuals_pinned_bit_for_bit(self):
+        # a digest of the five residuals of 60 random half-space solves
+        # (K = 2-5, mixed families), recorded before the residuals skipped
+        # zero entries: on rows without one they must not move
+        rng = np.random.default_rng(31)
+        out = []
+        for _ in range(60):
+            models, mu, a, b = random_halfspace_instance(rng)
+            r = solve(models, mu, HalfSpace(tuple(a), b)).kkt_residuals
+            out.extend(r[k] for k in sorted(r))
+        digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
+        assert digest == "11726aeb7d6027f1"

@@ -4,9 +4,10 @@ The run loop takes each geometry from lb_solvers.prepare. Every prepared
 geometry must give, bit for bit, the trajectory of the same loop driven by
 this file's own reference, which calls the public classify, inner_inf and
 solve at every step; the parity suites here are what license the closed
-forms and prepared rows for the nested-simulation sweeps. Pinned
-trajectories guard the half-space runs and the threshold runs with many
-arms.
+forms and prepared rows for the nested-simulation sweeps. The loop itself
+is checked against a plain loop written here, which recomputes every mean
+each step. Pinned trajectories guard the half-space runs and the threshold
+runs with many arms or with means that cross the level.
 """
 
 import json
@@ -21,12 +22,13 @@ from partid.cli import main
 from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
-                           UnsupportedCase)
+                           PartidError, UnsupportedCase)
 from partid.lb_solvers import (PreparedHalfSpace, _Row, inner_inf, prepare,
                                solve)
 from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
                                ball, classify, ellipsoid)
-from partid.spef import DEFAULT_CLAMP, bernoulli, gaussian, poisson
+from partid.spef import (DEFAULT_CLAMP, bernoulli, clamp_to_interior,
+                         gaussian, poisson, sampler)
 from partid.track_stop import (RunState, StoppingConfig, _track_and_stop,
                                beta_threshold, d_tracking_next, glr_statistic,
                                run)
@@ -704,3 +706,127 @@ def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
                   np.random.default_rng(1))
         assert not res.truncated and res.stop_time > 10
         assert "inner_inf" not in calls and "solve" not in calls
+
+
+def _reference_run(models, true_means, spec, cfg, rng, clamp=DEFAULT_CLAMP):
+    """(result fields, sides) of the run loop written out plainly, apart
+    from the one in track_stop: every step recomputes every mean and clamps
+    it with clamp_to_interior, takes the side, statistic and weights of a
+    geometry from prepare, and calls d_tracking_next and beta_threshold on a
+    RunState. sides lists the side of every step."""
+    true_means = np.asarray(true_means, dtype=float)
+    k = len(models)
+    geometry = prepare(list(models), spec)
+    draws = [sampler(m, float(x), rng, arm=i)
+             for i, (m, x) in enumerate(zip(models, true_means))]
+    state = RunState(t=k, counts=[1] * k, sums=[0.0] * k)
+    for i in range(k):
+        state.sums[i] += draws[i]()
+    violations, truncated, sides = 0, False, []
+    while True:
+        means = [clamp_to_interior(m, s / n, clamp)
+                 for m, s, n in zip(models, state.sums, state.counts)]
+        side = geometry.side(means)
+        sides.append(side)
+        z = 0.0
+        if side is not Side.BOUNDARY:
+            try:
+                z = geometry.statistic(means, state.counts, side)
+            except (DegenerateInstance, UnsupportedCase):
+                pass
+            if z >= beta_threshold(state.t, cfg):
+                declared = side
+                break
+        if state.t >= cfg.max_steps:
+            truncated = True
+            declared = Side.A1 if side is Side.BOUNDARY else side
+            break
+        w_hat = [1.0 / k] * k
+        if side is not Side.BOUNDARY:
+            try:
+                w_hat = geometry.weights(means, side)
+            except PartidError:
+                pass
+        arm = d_tracking_next(state, w_hat)
+        state.sums[arm] += draws[arm]()
+        state.counts[arm] += 1
+        state.t += 1
+        floor = max(0.0, math.sqrt(state.t) - k / 2.0) - 1.0
+        if min(state.counts) < floor - 1e-9:
+            violations += 1
+    return (state.t, declared, float(z), violations, truncated,
+            list(state.counts), means), sides
+
+
+def _result_fields(res):
+    return (res.stop_time, res.declared, res.glr_at_stop,
+            res.forced_exploration_violations, res.truncated,
+            res.final_counts.tolist(), res.final_means.tolist())
+
+
+GV = [gaussian(v) for v in (1.0, 0.5, 2.0, 0.8, 1.5, 0.3)]
+
+# (name, models, truth, spec, delta, max_steps, seeds)
+REFERENCE_CASES = [
+    *[(f"gaussian_threshold_above_k{k}", GV[:k],
+       [0.1 * i for i in range(k - 1)] + [1.6], Threshold(1.0), 0.01,
+       100_000, (1, 2)) for k in range(1, 7)],
+    *[(f"gaussian_threshold_below_k{k}", GV[:k],
+       [0.5 - 0.15 * i for i in range(k)], Threshold(1.0), 0.01,
+       100_000, (1, 2)) for k in range(1, 7)],
+    # a Bernoulli draw is 0 or 1, so the first means sit on the clamp edges
+    ("bernoulli_threshold_above", [bernoulli()] * 3, [0.3, 0.85, 0.5],
+     Threshold(0.7), 0.05, 100_000, (1, 2, 3)),
+    ("bernoulli_threshold_below", [bernoulli()] * 3, [0.2, 0.35, 0.1],
+     Threshold(0.6), 0.05, 100_000, (1, 2, 3)),
+    ("poisson_threshold", [poisson()] * 3, [0.5, 2.2, 1.0], Threshold(1.5),
+     0.05, 100_000, (1, 2)),
+    ("gaussian_halfspace", [gaussian(0.5), G1, gaussian(2.0)],
+     [0.3, 0.1, 0.2], HalfSpace((1.0, -0.6, 0.9), 0.2), 0.01, 100_000,
+     (1, 2)),
+    ("mixed_halfspace", [bernoulli(), poisson(), gaussian(0.7)],
+     [0.3, 1.2, 0.1], HalfSpace((1.0, -0.5, 0.8), 1.0), 0.05, 100_000,
+     (1,)),
+    ("ball", [G1, G1], [1.5, 1.0], ball((0.0, 0.0), 1.0), 0.05, 100_000,
+     (1,)),
+    ("union2", [G1, gaussian(0.5)], [0.0, 0.0],
+     UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2))), 0.05,
+     100_000, (1,)),
+    ("truncated", [G1, G1, G1], [1.3, 0.9, 1.1], Threshold(1.0), 1e-9, 150,
+     (1, 2)),
+    # Bernoulli means of 1/2 sit on the level: boundary steps
+    ("boundary_band", [bernoulli(), bernoulli()], [0.3, 0.45],
+     Threshold(0.5), 0.05, 100_000, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("name,models,mu,spec,delta,max_steps,seeds",
+                         REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_run_matches_the_plain_reference_loop(name, models, mu, spec, delta,
+                                              max_steps, seeds):
+    # run's loop against a separately written one, with ==, on the same
+    # prepared geometry class: drift in the loop itself shows here
+    cfg = StoppingConfig(delta=delta, max_steps=max_steps)
+    for seed in seeds:
+        got = run(models, mu, spec, cfg, np.random.default_rng(seed))
+        want, sides = _reference_run(models, mu, spec, cfg,
+                                     np.random.default_rng(seed))
+        assert _result_fields(got) == want, f"seed {seed}"
+        if name == "truncated":
+            assert got.truncated
+        if name == "boundary_band":
+            assert Side.BOUNDARY in sides
+
+
+def test_gaussian_threshold_pinned_trajectory_crossing_the_level():
+    # K = 5 unit-variance arms, as in the risk demo, whose empirical means
+    # cross the level many times before the run stops; a change here is a
+    # trajectory change
+    models, mu, spec = [G1] * 5, [0.2, 0.9, 1.15, 0.5, 0.0], Threshold(1.0)
+    cfg = StoppingConfig(delta=0.01)
+    res = run(models, mu, spec, cfg, np.random.default_rng(2))
+    assert (res.stop_time, res.declared, res.glr_at_stop,
+            res.final_counts.tolist(), res.truncated) == \
+        (2545, Side.A1, 13.455193193543366, [48, 115, 2286, 48, 48], False)
+    _, sides = _reference_run(models, mu, spec, cfg, np.random.default_rng(2))
+    assert sum(a is not b for a, b in zip(sides, sides[1:])) > 10
