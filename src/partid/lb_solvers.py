@@ -59,7 +59,8 @@ import numpy as np
 from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
                      NumericalError, PartidError, UnsupportedCase)
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
-                         Threshold, UnionHalfSpaces, classify, side_of_margin)
+                         Threshold, UnionHalfSpaces, classify, row_dot,
+                         side_of_margin)
 from .rootfind import bisect_monotone, newton_root
 from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
                    kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
@@ -210,16 +211,17 @@ def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
 def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
                           tol=1e-12, max_iter=300):
     """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
-    a (an array), with mu and w sequences of Python numbers; sup is
-    _linear_sup(models, a) and lin is float(np.dot(a, mu)) when the caller
-    has them. The minimizer is a list.
+    a, with a, mu and w sequences of Python numbers; sup is
+    _linear_sup(models, a) and lin is row_dot(a, mu) when the caller has
+    them. The minimizer is a list. Products and norms are row_dot's.
 
     Stationarity makes every coordinate nu_i the slope inverse of
     lam * a_i / w_i for a common multiplier lam >= 0, and <a, nu(lam)>
     increases in lam, so the constraint level is one monotone scalar root.
     Arms with zero weight are free: they absorb as much of the constraint as
     their domain edge allows at no cost, shrinking the effective level for
-    the rest, whose row is normalized again; the infimum is then not
+    the rest, whose row is normalized again (by row_dot, as
+    PreparedHalfSpace normalizes a row); the infimum is then not
     attained and the minimizer is None. When the free arms carry every
     nonzero entry of the row, their reach is sup > b, so they meet the
     constraint alone and the value is 0.
@@ -230,7 +232,7 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
     """
     K = len(models)
     if lin is None:
-        lin = float(np.dot(a, mu))
+        lin = row_dot(a, mu)
     if lin >= b:
         return 0.0, list(mu)
     if sup is None:
@@ -239,28 +241,26 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
         raise InfeasibleAlternative(
             "half-space does not intersect the mean domain")
 
-    al = a.tolist()
-    free = [i for i in range(K) if w[i] == 0.0 and al[i] != 0.0]
+    free = [i for i in range(K) if w[i] == 0.0 and a[i] != 0.0]
     if free:
         cap = 0.0
         for i in free:
-            term = al[i] * _edge_toward(models[i], al[i])
+            term = a[i] * _edge_toward(models[i], a[i])
             if math.isinf(term):
                 return 0.0, None
             cap += term
         keep = [i for i in range(K) if i not in free]
-        rest = a[keep]
-        norm = float(np.linalg.norm(rest))
+        rest = [a[i] for i in keep]
+        norm = math.sqrt(row_dot(rest, rest))
         if norm == 0.0:
             return 0.0, None
-        rest, mu_rest = rest / norm, [mu[i] for i in keep]
+        rest, mu_rest = [x / norm for x in rest], [mu[i] for i in keep]
         val, _ = _unit_halfspace_inner(
             [models[i] for i in keep], mu_rest, [w[i] for i in keep], rest,
-            (b - cap) / norm, lin=float(np.dot(rest, mu_rest)), tol=tol,
+            (b - cap) / norm, lin=row_dot(rest, mu_rest), tol=tol,
             max_iter=max_iter)
         return val, None
 
-    a = al
     busy = [i for i in range(K) if a[i] != 0.0]
     if all(models[i].family is Family.GAUSSIAN for i in busy):
         return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a))
@@ -490,15 +490,22 @@ class PreparedThreshold:
         """Below the level, (divergences, w*, t*) from the recorded
         divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
         sum of those inverses; DegenerateInstance when a mean sits at the
-        level or t* is not finite and positive. t* is np.add.reduce of the
-        inverses, as solve_threshold summed them on arrays."""
+        level or t* is not finite and positive. t* is the sum
+        np.add.reduce gives, as solve_threshold summed on arrays: below 8
+        terms that is the left-to-right loop, taken here without numpy, and
+        from 8 on np.add.reduce's pairwise blocks."""
         gaps = self.gaps
         if min(gaps) <= 0.0:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
         inv = [1.0 / g for g in gaps]
-        tstar = float(np.add.reduce(inv))
+        if self.k < 8:
+            tstar = 0.0
+            for x in inv:
+                tstar += x
+        else:
+            tstar = float(np.add.reduce(inv))
         # 0 when every divergence overflowed, inf when one is too small
         if not 0.0 < tstar < math.inf:
             raise DegenerateInstance(f"characteristic time {tstar} is not "
@@ -577,55 +584,60 @@ class PreparedHalfSpace:
     the unit row and offset of the closed half-space {<a, nu> >= b} opposite
     it, with its _linear_sup; the arms' domains; and, when every arm is
     Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
-    sum_i |a_i| sqrt(2 v_i), and for each side the row as a list with the
-    variances and a_i^2 v_i of the arms it touches (_gaussian_terms).
-    inner_inf and solve_halfspace prepare one per call, a track-and-stop
-    run one per run, and a union one per row (a row may have zero entries).
+    sum_i |a_i| sqrt(2 v_i), and for each side the row's variances and
+    a_i^2 v_i on the arms it touches (_gaussian_terms). Rows are lists of
+    Python floats, and every product and norm is row_dot's, so they round
+    the same on every host. inner_inf and solve_halfspace prepare one per
+    call, a track-and-stop run one per run, and a union one per row (a row
+    may have zero entries).
 
-    In a run, side(mu) takes the step's means as a list and records it,
-    the means as an array and their product with the unit row; statistic
-    and weights take that same list and read the array and product back, so
-    each margin is one np.dot per step. The opposite side's row is the
-    negated unit row, and np.dot of a negated row is the negated product,
-    bit for bit. With Gaussian arms and no zero count, statistic is the
-    closed form of _gaussian_unit_inner as one loop over those lists, and
-    the domain check is a finiteness test of the unit-row product; weights
-    checks the margin and c* > 0 and returns the fixed weights. Both give
-    the floats inner_inf and solve give at the same means.
+    In a run, side(mu) takes the step's means as a list and records it and
+    their product with the unit row; statistic and weights take that same
+    list and read the product back, so each margin is one row_dot per step.
+    The opposite side's row is the negated unit row, and row_dot of a
+    negated row is the negated product, bit for bit. With Gaussian arms and
+    no zero count, statistic is the closed form of _gaussian_unit_inner as
+    one loop over those lists, and the domain check is a finiteness test of
+    the unit-row product; weights checks the margin and c* > 0 and returns
+    the fixed weights, so such a step makes no numpy call. With other
+    families weights makes the means an array for saddle. Both give the
+    floats inner_inf and solve give at the same means.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: HalfSpace,
                  settings: SolverSettings = DEFAULT_SETTINGS):
         self.models = list(models)
         self.settings = settings
-        self.a = np.asarray(spec.a, dtype=float)
-        if self.a.size != len(models):
-            raise ValueError(f"normal has {self.a.size} entries for "
+        self.a = [float(x) for x in spec.a]
+        if len(self.a) != len(models):
+            raise ValueError(f"normal has {len(self.a)} entries for "
                              f"{len(models)} arms")
         self.b = float(spec.b)
-        self.norm = float(np.linalg.norm(self.a))
+        self.norm = math.sqrt(row_dot(self.a, self.a))
         if self.norm == 0.0:
             raise ValueError("half-space normal is the zero vector")
-        unit, b_unit = self.a / self.norm, self.b / self.norm
+        unit = [x / self.norm for x in self.a]
+        b_unit = self.b / self.norm
         self.unit, self.b_unit = unit, b_unit
         # indexed by whether the means lie on A2 (a Side would be hashed)
         self.targets = tuple((row, off, _linear_sup(models, row))
                              for row, off in ((unit, b_unit),
-                                              (-unit, -b_unit)))
+                                              ([-x for x in unit], -b_unit)))
         self.domains = [mean_domain(m) for m in models]
         self.mu = None
         self.gaussian_w = None
         if all(m.family is Family.GAUSSIAN for m in models):
             variances = np.array([m.variance for m in models])
             self.reach = np.sqrt(2.0 * variances)
-            self.reach_sum = float(np.dot(np.abs(unit), self.reach))
+            self.reach_sum = row_dot([abs(x) for x in unit],
+                                     self.reach.tolist())
             # not a / slopes: their rounding would break exact weight ties
             raw = np.abs(unit) * np.sqrt(variances)
             self.gaussian_w = (raw / raw.sum()).tolist()
             # statistic's closed form, per side as targets: the row's
             # _gaussian_terms, offset and _linear_sup; the negated row's
             # terms negate a_i alone
-            terms = _gaussian_terms(models, unit.tolist())
+            terms = _gaussian_terms(models, unit)
             (_, b1, sup1), (_, b2, sup2) = self.targets
             self.gaussian_targets = (
                 (terms, b1, sup1),
@@ -639,11 +651,10 @@ class PreparedHalfSpace:
 
     def side(self, mu) -> Side:
         """classify(HalfSpace(a, b), mu), by the same expression; records
-        the means as an array and their unit-row product."""
-        x = np.array(mu, dtype=float)
-        self.mu, self.x, self.dot = mu, x, float(np.dot(self.unit, x))
-        return side_of_margin(
-            (float(np.dot(self.a, x)) - self.b) / self.norm, Side.A2)
+        the means and their unit-row product."""
+        self.mu, self.dot = mu, row_dot(self.unit, mu)
+        return side_of_margin((row_dot(self.a, mu) - self.b) / self.norm,
+                              Side.A2)
 
     def statistic(self, mu, counts, side: Side) -> float:
         """Count-weighted inner infimum from the means side last took, on
@@ -697,34 +708,40 @@ class PreparedHalfSpace:
         whether an arm sits at the last float before its domain edge) at
         checked means mu, as solve_halfspace reports them: the closed form
         with Gaussian arms, otherwise one root in the common divergence
-        level. Raises DegenerateInstance within 1e-12 of the hyperplane and
+        level. An arm the row does not touch keeps its mean, at weight 0.
+        Raises DegenerateInstance within 1e-12 of the hyperplane and
         InfeasibleAlternative when the opposite half-space misses the
         domain."""
-        side, a, b, lin = self._orient(float(np.dot(self.unit, mu)))
+        mul = mu.tolist()
+        side, a, b, lin = self._orient(row_dot(self.unit, mul))
         if self.gaussian_w is not None:
             # sqrt(c*) = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i)
             r = (b - lin) / self.reach_sum
             nu = mu + np.sign(a) * self.reach * r
             return side, r * r, nu, np.array(self.gaussian_w), None, False
 
-        models, K = self.models, mu.size
-        al, mul = a.tolist(), mu.tolist()
+        models, K, al = self.models, mu.size, a
+        busy = [i for i in range(K) if al[i] != 0.0]
         ops = [FAMILIES[m.family] for m in models]
         toward = [Direction.ABOVE if ai > 0 else Direction.BELOW for ai in al]
         # |a_i| d nu_i / dr at r = 0, with r = sqrt(c): the Gaussian reach
         reach = [abs(al[i]) * math.sqrt(2.0 * ops[i].variance(models[i],
                                                               mul[i]))
                  for i in range(K)]
+        reach_sum = 0.0
+        for i in busy:
+            reach_sum += reach[i]
         tried = {}
 
         def constraint_at(r):
             # <a, nu> - b with each nu_i the capped inverse at level r^2,
             # and its slope in r: a_i 2 r / kl_dnu_i summed, or the reach of
             # an arm whose nu_i rounds onto mu_i
-            nu = [kl_inverse_capped(models[i], mul[i], r * r, toward[i])
-                  for i in range(K)]
+            nu = list(mul)
+            for i in busy:
+                nu[i] = kl_inverse_capped(models[i], mul[i], r * r, toward[i])
             value = slope = 0.0
-            for i in range(K):
+            for i in busy:
                 value += al[i] * nu[i]
                 d = ops[i].kl_dnu(models[i], mul[i], nu[i])
                 slope += 2.0 * r * al[i] / d if d != 0.0 else reach[i]
@@ -735,7 +752,7 @@ class PreparedHalfSpace:
         # Gaussian sqrt(c*) = gap / sum_i |a_i| sqrt(2 v_i), each variance
         # taken at the mean, starts the Newton steps in r
         gap = b - lin
-        r = newton_root(constraint_at, gap / sum(reach), 0.0, math.inf,
+        r = newton_root(constraint_at, gap / reach_sum, 0.0, math.inf,
                         f_neg=-gap, rtol=0.5 * self.settings.tol_bisect)
         # the last float before each arm's edge, where a capped inverse
         # saturates
@@ -747,32 +764,38 @@ class PreparedHalfSpace:
         # inverted at that, so each arm meets it to within its own
         # resolution
         nu = tried["nu"]
-        j = max((i for i in range(K) if nu[i] != last[i]), default=0,
+        j = max((i for i in busy if nu[i] != last[i]), default=busy[0],
                 key=lambda i: abs(ops[i].kl_dnu(models[i], mul[i], nu[i]))
                 * math.ulp(nu[i]))
         nu_j = kl_inverse_capped(models[j], mul[j], r * r, toward[j])
         cstar = r * r if nu_j == last[j] \
             else ops[j].kl(models[j], mul[j], nu_j)
-        nu = [nu_j if i == j else
-              kl_inverse_capped(models[i], mul[i], cstar, toward[i])
-              for i in range(K)]
-        saturated = any(nu[i] == last[i] for i in range(K))
-        nu = np.array(nu)
+        nu = list(mul)
+        for i in busy:
+            nu[i] = nu_j if i == j else \
+                kl_inverse_capped(models[i], mul[i], cstar, toward[i])
+        saturated = any(nu[i] == last[i] for i in busy)
 
         # an arm saturated at the smallest positive float may have a slope
-        # that overflows, and then has weight 0
-        slopes = np.array([kl_dnu(models[i], mu[i], nu[i]) for i in range(K)])
-        for i, s in enumerate(slopes):
+        # that overflows, and then has weight 0; an untouched arm's slope
+        # at its own mean is 0, and so is its weight
+        slopes = [kl_dnu(models[i], mul[i], nu[i]) for i in range(K)]
+        raw = [0.0] * K
+        for i in busy:
+            s = slopes[i]
             if s == 0.0:
                 raise NumericalError(
                     f"divergence slope 0 at arm {i}: the level {cstar} does "
                     f"not move nu off mu={mu[i]} in float64")
             if not math.isfinite(s) and nu[i] != last[i]:
                 raise NumericalError(f"divergence slope {s} at arm {i}")
-        raw = a / slopes
-        if any(raw[i] <= 0 and nu[i] != last[i] for i in range(K)):
-            raise NumericalError("weight signs violate the displacement pattern")
-        return side, cstar, nu, raw / raw.sum(), slopes, saturated
+            raw[i] = al[i] / s
+            if raw[i] <= 0 and nu[i] != last[i]:
+                raise NumericalError(
+                    "weight signs violate the displacement pattern")
+        raw = np.array(raw)
+        return side, cstar, np.array(nu), raw / raw.sum(), np.array(slopes), \
+            saturated
 
     def weights(self, mu, side: Side) -> list:
         """w* of solve_halfspace at the checked means side last took, after
@@ -796,7 +819,7 @@ class PreparedHalfSpace:
             r = margin / self.reach_sum
             _check_saddle_value(r * r)
             return self.gaussian_w
-        _, cstar, _, w, _, _ = self.saddle(self.x)
+        _, cstar, _, w, _, _ = self.saddle(np.array(mu, dtype=float))
         _check_saddle_value(cstar)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
@@ -809,7 +832,8 @@ class PreparedHalfSpace:
         models = self.models
         side, cstar, nu, w, slopes, saturated = \
             self.saddle(mu) if saddle is None else saddle
-        a, b, _ = self.target(side)
+        al, b, _ = self.target(side)
+        a = np.array(al)
         if slopes is None:
             slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
                                for i in range(mu.size)])
@@ -822,10 +846,10 @@ class PreparedHalfSpace:
         residuals = {
             "equal_divergence": float(np.max(np.abs(levels[touched]
                                                     - cstar))),
-            "hyperplane": abs(float(np.dot(a, nu)) - b),
+            "hyperplane": abs(row_dot(al, nu.tolist()) - b),
             "sign_violations": float(np.sum(np.sign(nu - mu) != np.sign(a))),
             "tangency_spread": float(np.max(ratios) - np.min(ratios)),
-            "saddle_gap": abs(float(np.dot(w, levels)) - cstar),
+            "saddle_gap": abs(row_dot(w.tolist(), levels.tolist()) - cstar),
         }
         flags = (("mu_in_a2",) if side is Side.A2 else ()) \
             + (("edge_saturated",) if saturated else ())
@@ -1072,7 +1096,7 @@ class PreparedUnion(_SolvedGeometry):
         that passes attains c*, even where another row's saddle raised."""
         best = None
         for row in self.rows:
-            if np.any(row.a == 0.0):
+            if 0.0 in row.a:
                 continue
             try:
                 saddle = row.saddle(mu)

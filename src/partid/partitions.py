@@ -177,14 +177,26 @@ class UnionHalfSpaces:
 PartitionSpec = Union[Threshold, HalfSpace, ConvexSublevel, UnionHalfSpaces]
 
 
+def row_dot(a, x) -> float:
+    """<a, x> as a left-to-right sum of products, one rounding per
+    operation. Every hyperplane product and row norm is taken this way, so
+    it is the same float on every host: np.dot rounds as the BLAS kernel
+    the CPU selects does, with fused multiply-adds or without, and sum()
+    of floats is compensated from Python 3.12 on. a and x are sequences of
+    numbers (numpy scalars among them give the same value)."""
+    s = 0.0
+    for ai, xi in zip(a, x):
+        s += ai * xi
+    return s
+
+
 def distance_to_halfspace(a, b: float, point) -> float:
     """Signed Euclidean margin (<a, x> - b) / ||a||; positive on the
     {>= b} side."""
-    a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(row_dot(a, a))
     if norm == 0.0:
         raise ValueError("half-space normal is the zero vector")
-    return (float(np.dot(a, np.asarray(point, dtype=float))) - b) / norm
+    return float(row_dot(a, point) - b) / norm
 
 
 def classify(spec: PartitionSpec, point) -> Side:
@@ -194,9 +206,10 @@ def classify(spec: PartitionSpec, point) -> Side:
     if isinstance(spec, Threshold):
         return side_of_margin(float(np.max(x)) - spec.u, Side.A1)
     if isinstance(spec, HalfSpace):
-        return side_of_margin(distance_to_halfspace(spec.a, spec.b, x),
-                              Side.A2)
+        return side_of_margin(distance_to_halfspace(spec.a, spec.b,
+                                                    x.tolist()), Side.A2)
     if isinstance(spec, UnionHalfSpaces):
+        x = x.tolist()
         return side_of_margin(
             max(distance_to_halfspace(a, b, x) for a, b in spec.halfspaces),
             Side.A2)

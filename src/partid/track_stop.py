@@ -38,12 +38,13 @@ clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
 exploration-floor test, and the next step's starved-arm test reuses them
 (_d_tracking, which d_tracking_next wraps). With
 K of 2 to a few dozen, numpy's per-call cost exceeds the arithmetic it
-would do; a geometry that needs an array (a hyperplane margin by np.dot, a
-solver) converts the means once per step. A Gaussian half-space step uses
-that array for its two margins alone: its statistic is the closed form on
-the lists, with constants prepared once per run. The arithmetic, and so
-every trajectory, is the one the same steps on numpy arrays give. The
-result's final counts and means are returned as numpy arrays.
+would do; a geometry that needs an array (a solver) converts the means
+once per step. A Gaussian half-space step needs none: its two margins are
+left-to-right sums on the list (partitions.row_dot), and its statistic is
+the closed form on the lists, with constants prepared once per run. Every
+hyperplane product is taken that way, so a trajectory does not depend on
+the host's BLAS. The result's final counts and means are returned as
+numpy arrays.
 """
 
 from __future__ import annotations

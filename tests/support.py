@@ -9,7 +9,7 @@ tests).
 
 import numpy as np
 
-from partid.partitions import ball
+from partid.partitions import ball, distance_to_halfspace, row_dot
 from partid.spef import Family, bernoulli, gaussian, poisson
 
 FAMILY_NAMES = ("gaussian", "bernoulli", "poisson")
@@ -40,9 +40,11 @@ def random_halfspace_instance(rng, k=None, families=FAMILY_NAMES):
         models = [random_model(rng, families) for _ in range(kk)]
         mu = np.array([random_mean_for(m, rng) for m in models])
         a = rng.uniform(0.25, 1.5, kk) * rng.choice((-1.0, 1.0), kk)
-        anchor = np.array([random_mean_for(m, rng) for m in models])
-        b = float(a @ anchor)
-        if abs(float(a @ mu) - b) / float(np.linalg.norm(a)) > 0.05:
+        anchor = [random_mean_for(m, rng) for m in models]
+        # row_dot, not a @ anchor: the BLAS dot rounds differently on hosts
+        # with and without fused multiply-adds, and b would follow it
+        b = row_dot(a.tolist(), anchor)
+        if abs(distance_to_halfspace(a.tolist(), b, mu.tolist())) > 0.05:
             return models, mu, a, b
 
 

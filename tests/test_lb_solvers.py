@@ -279,13 +279,14 @@ class TestGaussianHalfspaceClosedForms:
         # variances, integer weights as a run's counts): the run step and
         # inner_inf share one closed form, so parity between them cannot
         # see it drift by an ulp, and this can; a change here is a
-        # trajectory change
+        # trajectory change. The variances are exact powers of two, so no
+        # vectorized power function decides their last bit
         rng = np.random.default_rng(2024)
         out = []
         for _ in range(400):
             k = int(rng.integers(1, 7))
-            models = [gaussian(float(v))
-                      for v in 10.0 ** rng.uniform(-2, 2, k)]
+            models = [gaussian(math.ldexp(1.0, int(e)))
+                      for e in rng.integers(-7, 8, k)]
             a = rng.uniform(0.1, 2.0, k) * rng.choice((-1.0, 1.0), k)
             mu = rng.normal(0.0, 2.0, k)
             w = rng.integers(1, 500, k).astype(float)
@@ -294,7 +295,7 @@ class TestGaussianHalfspaceClosedForms:
             out.append(got.value)
             out.extend(got.minimizer.tolist())
         digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
-        assert digest == "3a762a379a6aed8f"
+        assert digest == "05bef9b05ccd84b8"
 
     def test_zero_weight_arm_absorbs_the_constraint(self):
         # S is infinite with a free Gaussian arm, so g^2 / (2 S) = 0
@@ -717,6 +718,26 @@ def test_solver_settings_validation():
         SolverSettings(max_outer_iters=0)
 
 
+@given(st.integers(1, 7).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(1e-6, 1e6), min_size=k, max_size=k),
+    st.lists(st.floats(1e-6, 1e6), min_size=k, max_size=k))))
+@settings(max_examples=400, deadline=None)
+def test_threshold_t_star_below_eight_arms_is_numpys_sum(case):
+    # t* is summed by a Python loop below 8 arms; it must be the float
+    # np.add.reduce gives, as solve_threshold summed on arrays
+    variances, below = case
+    k = len(variances)
+    geometry = PreparedThreshold([gaussian(v) for v in variances],
+                                 Threshold(0.0))
+    mu = [-x for x in below]
+    side = geometry.side(mu)
+    geometry.statistic(mu, [1] * k, side)
+    gaps, w, tstar = geometry.inverse_gap_weights()
+    inv = [1.0 / g for g in gaps]
+    assert tstar == float(np.add.reduce(inv))
+    assert w == [x / tstar for x in inv]
+
+
 @st.composite
 def _gaussian_threshold_step(draw):
     """(models, means, level, counts): K = 1-8 Gaussian arms with variances
@@ -784,6 +805,23 @@ class TestHalfSpaceCertificate:
             for i in untouched:
                 assert sol.nu_star[i] == mu[i] and sol.w_star[i] == 0.0
 
+    @pytest.mark.parametrize("b", [1.0, -0.5])
+    def test_zero_entry_row_saddle_is_the_saddle_without_that_arm(self, b):
+        # non-Gaussian arms: the untouched arm keeps its mean at weight 0,
+        # and the rest is the saddle of the instance without it
+        models = [bernoulli(), poisson(), gaussian(0.7)]
+        mu = np.array([0.3, 1.2, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = PreparedHalfSpace(models, _Row((1.0, 0.0, 0.5), b)) \
+                .solution(mu)
+        reduced = solve_halfspace([models[0], models[2]], mu[[0, 2]],
+                                  (1.0, 0.5), b)
+        assert sol.c_star == reduced.c_star
+        assert sol.nu_star[1] == mu[1] and sol.w_star[1] == 0.0
+        np.testing.assert_array_equal(sol.w_star[[0, 2]], reduced.w_star)
+        assert all(math.isfinite(v) for v in sol.kkt_residuals.values())
+
     def test_all_nonzero_row_residuals_pinned_bit_for_bit(self):
         # a digest of the five residuals of 60 random half-space solves
         # (K = 2-5, mixed families), recorded before the residuals skipped
@@ -795,4 +833,4 @@ class TestHalfSpaceCertificate:
             r = solve(models, mu, HalfSpace(tuple(a), b)).kkt_residuals
             out.extend(r[k] for k in sorted(r))
         digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
-        assert digest == "11726aeb7d6027f1"
+        assert digest == "83b5886d3108afcd"

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from partid import lb_solvers, partitions
 from partid.cli import main
 from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
@@ -25,8 +26,8 @@ from partid.errors import (DegenerateInstance, DomainError,
                            PartidError, UnsupportedCase)
 from partid.lb_solvers import (PreparedHalfSpace, _Row, inner_inf, prepare,
                                solve)
-from partid.partitions import (HalfSpace, Side, Threshold, UnionHalfSpaces,
-                               ball, classify, ellipsoid)
+from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
+                               UnionHalfSpaces, ball, classify, ellipsoid)
 from partid.spef import (DEFAULT_CLAMP, bernoulli, clamp_to_interior,
                          gaussian, poisson, sampler)
 from partid.track_stop import (RunState, StoppingConfig, _track_and_stop,
@@ -655,6 +656,98 @@ def test_gaussian_halfspace_step_matches_the_public_solvers(k):
         assert got == want and got[1] is DomainError, (a, b, bad)
     assert {(Side.A1, False, True), (Side.A2, False, True)} <= seen
     assert Side.BOUNDARY in {s for s, _, _ in seen}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_side_and_classify_agree_at_the_band_edges(k):
+    # walk one arm's mean a float at a time across +-TOL_CLASS and compare
+    # the prepared side with classify at every float within a few ulps of
+    # the crossing, with `is`: the band is decided by one expression
+    rng = np.random.default_rng(900 + k)
+    seen = set()
+    for _ in range(30):
+        models, a, b = _gaussian_row(rng, k)
+        spec = UnionHalfSpaces(((a, b),)) if 0.0 in a else HalfSpace(a, b)
+        geometry = PreparedHalfSpace(models, _Row(a, b))
+        i = next(j for j, aj in enumerate(a) if aj != 0.0)
+        for edge in (TOL_CLASS, -TOL_CLASS):
+            means = _means_near(rng, a, b, edge)
+            start = geometry.side(means)
+            # leaving the band needs |margin| to grow, entering it to shrink
+            grow = (start is Side.BOUNDARY) == (edge > 0)
+            toward = math.inf if grow == (a[i] > 0) else -math.inf
+            for _ in range(10 ** 4):
+                if geometry.side(means) is not start:
+                    break
+                means[i] = math.nextafter(means[i], toward)
+            else:
+                raise AssertionError("the walk never crossed the band edge")
+            crossing = means[i]
+            for step in range(-4, 5):
+                x = crossing
+                for _ in range(abs(step)):
+                    x = math.nextafter(x, math.copysign(math.inf, step))
+                means[i] = x
+                got = geometry.side(means)
+                assert got is classify(spec, np.array(means)), (a, b, means)
+                seen.add(got)
+    assert seen == {Side.A1, Side.A2, Side.BOUNDARY}
+
+
+class _NoNumpy:
+    """Stands in for a module's numpy: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used on a Gaussian half-space step")
+
+
+@pytest.mark.parametrize("models,a,b,truth", [
+    ([G1, G1], (1.0, 1.0), 1.0, [0.0, 0.0]),
+    ([gaussian(0.4), gaussian(1.3), gaussian(0.8)], (1.0, -0.5, 0.7), 0.6,
+     [0.5, -0.2, 0.9]),
+    (K4_GAUSSIAN, (1.0, -0.6, 0.0, 0.9), 0.2, K4_TRUTH),
+], ids=["k2", "k3", "k4_zero_entry"])
+def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
+                                                     b, truth):
+    # after prepare, side, statistic and weights (zero counts included)
+    # and a whole run give the same floats with numpy taken away from
+    # lb_solvers and partitions
+    rng = np.random.default_rng(17)
+    geometry = PreparedHalfSpace(models, _Row(a, b))
+    steps = []
+    for _ in range(40):
+        means = [float(x) for x in rng.normal(0.0, 1.5, len(a))]
+        counts = rng.integers(0, 30, len(a)).tolist()
+        steps.append((means, counts))
+
+    def step_outcomes():
+        out = []
+        for means, counts in steps:
+            side = geometry.side(means)
+            out.append(side)
+            if side is not Side.BOUNDARY:
+                out.append(_outcome(geometry.statistic, means, counts, side))
+                out.append(_outcome(geometry.weights, means, side))
+        return out
+
+    truth = np.array(truth)
+    true_side = classify(UnionHalfSpaces(((a, b),)), truth)
+
+    def one_run():
+        res = _track_and_stop(models, truth, true_side, geometry,
+                              StoppingConfig(delta=0.01),
+                              np.random.default_rng(3), DEFAULT_CLAMP)
+        return (res.stop_time, res.declared, res.glr_at_stop,
+                res.final_counts.tolist())
+
+    want = step_outcomes(), one_run()
+    monkeypatch.setattr(lb_solvers, "np", _NoNumpy())
+    monkeypatch.setattr(partitions, "np", _NoNumpy())
+    got = step_outcomes(), one_run()
+    assert got == want
+    assert {Side.A1, Side.A2} <= {x for x in want[0] if isinstance(x, Side)}
+    # some steps have a zero count, whose statistic is the general path
+    assert any(0 in counts for _, counts in steps)
 
 
 def _count_public_calls(monkeypatch, names=("classify", "inner_inf",
