@@ -43,6 +43,10 @@ residual on a common scale.
 prepare() is the only dispatch on the partition type: inner_inf and solve
 evaluate the prepared geometry's inner and solution, and a track-and-stop
 run asks it for side, statistic and weights at every step.
+
+Every solver uses one numerical policy, the module constants below.
+Weighted divergence sums are taken left to right (_weighted_kl), as
+hyperplane products are (partitions.row_dot).
 """
 
 from __future__ import annotations
@@ -67,33 +71,19 @@ from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
                    mean_domain)
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Shared numerical knobs.
-
-    tol_kkt bounds reported optimality residuals, tol_bisect is the
-    tolerance of every scalar root (on its value, or relative to the level
-    for the convex-set bracket and the half-space Newton step),
-    max_outer_iters caps iterative outer loops, simplex_floor keeps ascent
-    iterates strictly inside the simplex, and active_set_tol is relative to
-    c* when detecting binding arms.
-    """
-    tol_kkt: float = 1e-8
-    tol_bisect: float = 1e-10
-    max_outer_iters: int = 5000
-    simplex_floor: float = 1e-9
-    active_set_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("tol_kkt", "tol_bisect", "simplex_floor", "active_set_tol"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-
-
-DEFAULT_SETTINGS = SolverSettings()
+# The solvers' numerical policy. The cutting planes stop at a duality gap of
+# TOL_KKT; TOL_BISECT is the tolerance of the solvers' scalar roots, on the
+# value or relative to the level for the convex-set bracket and the half-space
+# Newton step; SIMPLEX_FLOOR keeps union ascent iterates strictly inside the
+# simplex; ACTIVE_SET_TOL is relative to c* when detecting binding arms. A
+# union of more than two arms takes ASCENT_STEPS supergradient steps, then at
+# most MAX_CUTS cutting-plane rounds.
+TOL_KKT = 1e-8
+TOL_BISECT = 1e-10
+SIMPLEX_FLOOR = 1e-9
+ACTIVE_SET_TOL = 1e-6
+ASCENT_STEPS = 250
+MAX_CUTS = 500
 
 
 @dataclass(frozen=True)
@@ -288,8 +278,17 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
     for i in busy:
         nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
     _check_minimizer(nu)
-    value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in busy)
-    return float(value), nu
+    return _weighted_kl(models, mu, w, nu, busy), nu
+
+
+def _weighted_kl(models, mu, w, nu, arms) -> float:
+    """sum of w_i kl_i(mu_i, nu_i) over arms, left to right: built-in sum()
+    of floats is compensated from Python 3.12 on, so its rounding would
+    depend on the interpreter."""
+    s = 0.0
+    for i in arms:
+        s += w[i] * kl(models[i], mu[i], nu[i])
+    return float(s)
 
 
 def _check_minimizer(nu):
@@ -391,7 +390,7 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
                            for i in range(K)])
 
             def psi(x):
-                return sum(w[i] * kl(models[i], mu[i], x[i]) for i in range(K)) \
+                return _weighted_kl(models, mu, w, x, range(K)) \
                     + lam * float(f(x))
 
             def psi_grad(x):
@@ -428,8 +427,7 @@ class PreparedThreshold:
     per call, a track-and-stop run one per run.
     """
 
-    def __init__(self, models: Sequence[SpefModel], spec: Threshold,
-                 settings: SolverSettings = DEFAULT_SETTINGS):
+    def __init__(self, models: Sequence[SpefModel], spec: Threshold):
         u = spec.u
         for i, m in enumerate(models):
             lo, hi = mean_domain(m)
@@ -552,8 +550,8 @@ class PreparedThreshold:
             active = [i for i in range(K)
                       if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]
             residuals = {
-                "saddle_gap": abs(sum(w[i] * kl(models[i], mu[i], nu[i])
-                                      for i in range(K)) - cstar),
+                "saddle_gap": abs(_weighted_kl(models, mu, w, nu, range(K))
+                                  - cstar),
                 "weight_sum": abs(w.sum() - 1.0),
             }
             return _solution(w, nu, cstar, active, residuals)
@@ -604,10 +602,8 @@ class PreparedHalfSpace:
     floats inner_inf and solve give at the same means.
     """
 
-    def __init__(self, models: Sequence[SpefModel], spec: HalfSpace,
-                 settings: SolverSettings = DEFAULT_SETTINGS):
+    def __init__(self, models: Sequence[SpefModel], spec: HalfSpace):
         self.models = list(models)
-        self.settings = settings
         self.a = [float(x) for x in spec.a]
         if len(self.a) != len(models):
             raise ValueError(f"normal has {len(self.a)} entries for "
@@ -753,7 +749,7 @@ class PreparedHalfSpace:
         # taken at the mean, starts the Newton steps in r
         gap = b - lin
         r = newton_root(constraint_at, gap / reach_sum, 0.0, math.inf,
-                        f_neg=-gap, rtol=0.5 * self.settings.tol_bisect)
+                        f_neg=-gap, rtol=0.5 * TOL_BISECT)
         # the last float before each arm's edge, where a capped inverse
         # saturates
         last = [math.nextafter(_edge_toward(models[i], al[i]), mul[i])
@@ -862,11 +858,9 @@ class _SolvedGeometry:
     the class's inner at the counts and weights its solution's w*, both at
     that array. A subclass gives inner(mu, w, side) and solution(mu)."""
 
-    def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec,
-                 settings: SolverSettings = DEFAULT_SETTINGS):
+    def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec):
         self.models = list(models)
         self.spec = spec
-        self.settings = settings
         self.domains = [mean_domain(m) for m in models]
         self.mu = None
 
@@ -907,12 +901,14 @@ class PreparedConvex(_SolvedGeometry):
     inner_inf and solve_convex prepare one per call, a track-and-stop run
     one per run."""
 
-    def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel,
-                 settings: SolverSettings = DEFAULT_SETTINGS):
-        super().__init__(models, spec, settings)
+    def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel):
+        super().__init__(models, spec)
         self.center = None
         if spec.shape is not None:
             kind, center, extra = spec.shape
+            if len(center) != len(models):
+                raise ValueError(f"center has {len(center)} entries for "
+                                 f"{len(models)} arms")
             self.center = np.asarray(center, dtype=float)
             axes = np.ones(self.center.size) if kind == "ball" else \
                 np.asarray(extra, dtype=float)
@@ -968,12 +964,11 @@ class PreparedConvex(_SolvedGeometry):
                               value_tol=1e-12 * max(1.0, abs(c)),
                               max_iter=300)
         nu = nu_of(lam)
-        value = sum(w[i] * kl(models[i], mu[i], nu[i]) for i in range(K))
-        return float(value), nu
+        return _weighted_kl(models, mu, w, nu, range(K)), nu
 
     def solution(self, mu) -> LowerBoundSolution:
         """solve_convex's saddle point at checked means mu (an array)."""
-        models, settings = self.models, self.settings
+        models = self.models
         f, gradf, c = self.spec.value, self.spec.grad, self.spec.level
         self._check_side(mu, "sublevel boundary")
 
@@ -1009,7 +1004,7 @@ class PreparedConvex(_SolvedGeometry):
 
         x_feas, resid = x, math.inf
         for _ in range(300):
-            if t_hi - t_lo <= settings.tol_bisect * max(1.0, t_hi):
+            if t_hi - t_lo <= TOL_BISECT * max(1.0, t_hi):
                 break
             mid = 0.5 * (t_lo + t_hi)
             val, x, resid = box_min(mid)
@@ -1022,7 +1017,7 @@ class PreparedConvex(_SolvedGeometry):
         levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(K)])
         cstar = float(np.max(levels))
         active = [i for i in range(K)
-                  if levels[i] >= cstar * (1.0 - settings.active_set_tol)]
+                  if levels[i] >= cstar * (1.0 - ACTIVE_SET_TOL)]
 
         grads = np.asarray(gradf(nu), dtype=float)
         raw = np.zeros(K)
@@ -1056,13 +1051,12 @@ class PreparedUnion(_SolvedGeometry):
     normalized once. inner_inf and solve_union_halfspaces prepare one per
     call, a track-and-stop run one per run."""
 
-    def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces,
-                 settings: SolverSettings = DEFAULT_SETTINGS):
+    def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces):
         if len(spec.halfspaces[0][0]) != len(models):
             raise ValueError(
                 "constraint dimension does not match the arm count")
-        super().__init__(models, spec, settings)
-        self.rows = [PreparedHalfSpace(models, _Row(a, b), settings)
+        super().__init__(models, spec)
+        self.rows = [PreparedHalfSpace(models, _Row(a, b))
                      for a, b in spec.halfspaces]
 
     def _row_inners(self, mu, w, tol: float):
@@ -1111,8 +1105,7 @@ class PreparedUnion(_SolvedGeometry):
         for other in self.rows:
             if other is row:
                 continue
-            v, _ = other.inner(mu, sol.w_star, Side.A1,
-                               tol=self.settings.tol_bisect)
+            v, _ = other.inner(mu, sol.w_star, Side.A1, tol=TOL_BISECT)
             if v < sol.c_star * (1.0 - 1e-9) - 1e-12:
                 return None  # another constraint undercuts: not optimal
         residuals = dict(sol.kkt_residuals, duality_gap=0.0, active_rows=1.0)
@@ -1123,10 +1116,8 @@ class PreparedUnion(_SolvedGeometry):
         """Golden section and kink bisection for two arms, supergradient
         ascent and cutting planes otherwise; the duality gap is the LP's,
         or for two arms _segment_gap's at the returned weights."""
-        models, settings, K = self.models, self.settings, mu.size
-        floor = settings.simplex_floor
-        g_and_nu = functools.partial(self._row_inners, mu,
-                                     tol=settings.tol_bisect)
+        models, K = self.models, mu.size
+        g_and_nu = functools.partial(self._row_inners, mu, tol=TOL_BISECT)
 
         def g_of(w):
             return float(np.min(g_and_nu(w)[0]))
@@ -1135,7 +1126,7 @@ class PreparedUnion(_SolvedGeometry):
         # section below searches the whole segment, so it starts from uniform
         w = np.full(K, 1.0 / K)
         best_w, best_g = w.copy(), g_of(w)
-        n_ascent = min(settings.max_outer_iters, 250) if K > 2 else 0
+        n_ascent = ASCENT_STEPS if K > 2 else 0
         for k in range(1, n_ascent + 1):
             vals, nus = g_and_nu(w)
             gmin = float(np.min(vals))
@@ -1148,20 +1139,20 @@ class PreparedUnion(_SolvedGeometry):
                 grad += np.array([kl(models[i], mu[i], nus[j][i])
                                   for i in range(K)])
             grad /= len(ties)
-            w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad, floor)
+            w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad)
 
         # phase 2: certified refinement
         flags = []
         if K == 2:
             best_w, best_g = _refine_two_arm(mu, self.rows, best_w, best_g,
-                                             settings, g_of)
+                                             g_of)
         else:
             best_w, best_g, gap, exhausted = _kelley_refine(
-                models, mu, self.rows, best_w, best_g, settings, g_and_nu)
+                models, mu, self.rows, best_w, best_g, g_and_nu)
             if exhausted:
                 flags.append("MaxIters")
 
-        w = np.maximum(best_w, floor)
+        w = np.maximum(best_w, SIMPLEX_FLOOR)
         w = w / w.sum()
         vals, nus = g_and_nu(w)
         cstar = float(np.min(vals))
@@ -1170,7 +1161,7 @@ class PreparedUnion(_SolvedGeometry):
         active_rows = [j for j in range(len(vals))
                        if vals[j] <= cstar + 1e-9 * max(1.0, cstar)]
         nu = nus[min(active_rows)]
-        active = [i for i in range(K) if w[i] > floor * 10]
+        active = [i for i in range(K) if w[i] > SIMPLEX_FLOOR * 10]
         residuals = {
             "duality_gap": gap,
             "weight_sum": abs(float(w.sum()) - 1.0),
@@ -1194,20 +1185,18 @@ def _project_simplex(v, total=1.0):
     return np.maximum(v - theta, 0.0)
 
 
-def _project_simplex_floor(v, floor):
-    k = len(v)
-    total = 1.0 - k * floor
-    if total <= 0:
-        raise ValueError("simplex floor too large for the arm count")
-    return _project_simplex(np.asarray(v, dtype=float) - floor, total) + floor
+def _project_simplex_floor(v):
+    """Projection onto the simplex with every entry at least SIMPLEX_FLOOR."""
+    total = 1.0 - len(v) * SIMPLEX_FLOOR
+    return _project_simplex(np.asarray(v, dtype=float) - SIMPLEX_FLOOR,
+                            total) + SIMPLEX_FLOOR
 
 
-def _refine_two_arm(mu, rows, w0, g0, settings, g_of):
+def _refine_two_arm(mu, rows, w0, g0, g_of):
     """Golden-section maximization of the concave one-dimensional
     restriction, then kink bisection between the two lowest constraints
     (rows are the union's PreparedHalfSpace rows)."""
-    floor = settings.simplex_floor
-    lo, hi = floor, 1.0 - floor
+    lo, hi = SIMPLEX_FLOOR, 1.0 - SIMPLEX_FLOOR
 
     def phi(w1):
         return g_of(np.array([w1, 1.0 - w1]))
@@ -1236,7 +1225,7 @@ def _refine_two_arm(mu, rows, w0, g0, settings, g_of):
 
     if len(rows) >= 2:
         def row_value(row, w):
-            return row.inner(mu, w, Side.A1, tol=settings.tol_bisect)[0]
+            return row.inner(mu, w, Side.A1, tol=TOL_BISECT)[0]
 
         at_cand = [row_value(row, cand_w) for row in rows]
         j1, j2 = (int(j) for j in np.argsort(at_cand)[:2])
@@ -1280,7 +1269,7 @@ def _refine_two_arm(mu, rows, w0, g0, settings, g_of):
     return cand_w, cand_g
 
 
-def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
+def _kelley_refine(models, mu, rows, w0, g0, g_and_nu):
     """Cutting-plane refinement: concavity makes every linearization an
     overestimate, so the LP value is a true upper bound and the best
     evaluated point a lower bound; stop when the gap closes."""
@@ -1288,7 +1277,6 @@ def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
 
     K = len(mu)
     m = len(rows)
-    floor = settings.simplex_floor
     cuts = []  # rows of the LP: -grad . w + t <= g - grad . w_pt, per (j, point)
 
     def add_cuts(w_pt):
@@ -1302,8 +1290,8 @@ def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
     best_w, best_g = np.asarray(w0, dtype=float), g0
     seeds = [best_w, np.full(K, 1.0 / K)]
     for i in range(K):
-        v = np.full(K, floor)
-        v[i] = 1.0 - (K - 1) * floor
+        v = np.full(K, SIMPLEX_FLOOR)
+        v[i] = 1.0 - (K - 1) * SIMPLEX_FLOOR
         seeds.append(v)
     for s in seeds:
         g = add_cuts(s)
@@ -1311,12 +1299,11 @@ def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
             best_g, best_w = g, s.copy()
 
     gap = math.inf
-    budget = max(50, min(500, settings.max_outer_iters))
     exhausted = True
     cost = np.concatenate([np.zeros(K), [-1.0]])
     a_eq = np.concatenate([np.ones(K), [0.0]]).reshape(1, -1)
     bounds = [(0.0, 1.0)] * K + [(None, None)]
-    for _ in range(budget):
+    for _ in range(MAX_CUTS):
         a_ub = np.array([c[0] for c in cuts])
         b_ub = np.array([c[1] for c in cuts])
         res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
@@ -1324,13 +1311,13 @@ def _kelley_refine(models, mu, rows, w0, g0, settings, g_and_nu):
         if not res.success:
             raise NumericalError(f"cutting-plane LP failed: {res.message}")
         t_ub = float(res.x[-1])
-        w_new = np.maximum(res.x[:K], floor)
+        w_new = np.maximum(res.x[:K], SIMPLEX_FLOOR)
         w_new = w_new / w_new.sum()
         g = add_cuts(w_new)
         if g > best_g:
             best_g, best_w = g, w_new
         gap = t_ub - best_g
-        if gap <= settings.tol_kkt:
+        if gap <= TOL_KKT:
             exhausted = False
             break
     return best_w, best_g, gap, exhausted
@@ -1363,8 +1350,7 @@ _PREPARED = {Threshold: PreparedThreshold, HalfSpace: PreparedHalfSpace,
              ConvexSublevel: PreparedConvex, UnionHalfSpaces: PreparedUnion}
 
 
-def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
-            settings: SolverSettings = DEFAULT_SETTINGS):
+def prepare(models: Sequence[SpefModel], spec: PartitionSpec):
     """spec's geometry prepared once, and the only dispatch on its type:
     PreparedThreshold, PreparedHalfSpace, PreparedConvex or PreparedUnion.
 
@@ -1380,7 +1366,7 @@ def prepare(models: Sequence[SpefModel], spec: PartitionSpec,
     means)."""
     if type(spec) not in _PREPARED:
         raise TypeError(f"not a partition spec: {spec!r}")
-    return _PREPARED[type(spec)](models, spec, settings)
+    return _PREPARED[type(spec)](models, spec)
 
 
 def inner_inf(models: Sequence[SpefModel], mu, weights,
@@ -1411,12 +1397,12 @@ def inner_inf(models: Sequence[SpefModel], mu, weights,
     return InnerSolution(float(value), nu)
 
 
-def solve(models: Sequence[SpefModel], mu, spec: PartitionSpec,
-          settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+def solve(models: Sequence[SpefModel], mu,
+          spec: PartitionSpec) -> LowerBoundSolution:
     """The saddle point of spec's geometry at mu; see the solve_* wrappers
     for each one's method and certificate."""
     mu = _validate_instance(models, mu)
-    return prepare(models, spec, settings).solution(mu)
+    return prepare(models, spec).solution(mu)
 
 
 def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolution:
@@ -1432,8 +1418,8 @@ def solve_threshold(models: Sequence[SpefModel], mu, u: float) -> LowerBoundSolu
     return solve(models, mu, Threshold(u))
 
 
-def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
-                    settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+def solve_halfspace(models: Sequence[SpefModel], mu, a,
+                    b) -> LowerBoundSolution:
     """Saddle point when the opposite component is an open half-space.
 
     At the optimum all arms share one divergence level, the minimizer sits
@@ -1453,11 +1439,11 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a, b,
     c*, and tangency_spread leaves out an overflowed slope.
     """
     return solve(models, mu, HalfSpace(tuple(np.asarray(a, dtype=float)),
-                                       float(b)), settings)
+                                       float(b)))
 
 
-def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
-                 settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+def solve_convex(models: Sequence[SpefModel], mu,
+                 sublevel: ConvexSublevel) -> LowerBoundSolution:
     """Saddle point when the opposite component is a smooth convex sublevel
     set {f <= level} and mu lies outside it.
 
@@ -1473,11 +1459,11 @@ def solve_convex(models: Sequence[SpefModel], mu, sublevel: ConvexSublevel,
     hyperplane (non-smooth contact) is flagged NonUniqueHyperplane with
     w_star NaN.
     """
-    return solve(models, mu, sublevel, settings)
+    return solve(models, mu, sublevel)
 
 
-def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
-                           settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+def solve_union_halfspaces(models: Sequence[SpefModel], mu,
+                           halfspaces) -> LowerBoundSolution:
     """Saddle point when the opposite component is a union of half-spaces
     and mu lies strictly inside the complementary polytope.
 
@@ -1495,16 +1481,16 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu, halfspaces,
     step 1/sqrt(k) and the per-constraint transport costs as the Danskin
     supergradient localizes the optimum (ties among active constraints
     average their supergradients), then cutting planes with an LP upper
-    bound shrink the duality gap below tol_kkt; MaxIters is flagged when the
+    bound shrink the duality gap below TOL_KKT; MaxIters is flagged when the
     budget ends first.
     """
     return solve(models, mu, UnionHalfSpaces(
         tuple((tuple(np.asarray(a, dtype=float)), float(b))
-              for a, b in halfspaces)), settings)
+              for a, b in halfspaces)))
 
 
-def solve_two_arm_gaussian(mu, hs1, hs2, variance: float,
-                           settings: SolverSettings = DEFAULT_SETTINGS) -> LowerBoundSolution:
+def solve_two_arm_gaussian(mu, hs1, hs2,
+                           variance: float) -> LowerBoundSolution:
     """Closed-form saddle point for two Gaussian arms of common variance and
     an alternative that is the union of two half-spaces with all-nonzero
     normals.

@@ -411,36 +411,21 @@ def kl_dnu_inverse(model: SpefModel, mu: float, slope: float, *, arm=None) -> fl
     return nu
 
 
-@dataclass(frozen=True)
-class ClampPolicy:
-    """How far inside a finite domain edge empirical means are pushed."""
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+# how far inside a finite domain edge empirical means are pushed
+CLAMP_EPSILON = 1e-6
 
 
-DEFAULT_CLAMP = ClampPolicy()
-
-
-def clamp_bounds(model: SpefModel,
-                 policy: ClampPolicy = DEFAULT_CLAMP) -> tuple[float, float]:
-    """The interval clamp_to_interior snaps into: epsilon inside every
+def clamp_bounds(model: SpefModel) -> tuple[float, float]:
+    """The interval clamp_to_interior snaps into: CLAMP_EPSILON inside every
     finite boundary of the mean domain, unbounded on infinite sides."""
     lo, hi = mean_domain(model)
-    eps = policy.epsilon
-    if math.isfinite(lo) and math.isfinite(hi) and hi - lo <= 2 * eps:
-        raise ValueError(
-            f"epsilon {eps} too large for domain ({lo}, {hi})")
-    return lo + eps, hi - eps
+    return lo + CLAMP_EPSILON, hi - CLAMP_EPSILON
 
 
-def clamp_to_interior(model: SpefModel, x: float,
-                      policy: ClampPolicy = DEFAULT_CLAMP) -> float:
-    """Snap x to at least epsilon inside every finite boundary of the mean
-    domain. Infinite sides are left untouched."""
-    lo, hi = clamp_bounds(model, policy)
+def clamp_to_interior(model: SpefModel, x: float) -> float:
+    """Snap x to at least CLAMP_EPSILON inside every finite boundary of the
+    mean domain. Infinite sides are left untouched."""
+    lo, hi = clamp_bounds(model)
     return min(max(float(x), lo), hi)
 
 

@@ -36,15 +36,15 @@ step does work only for the arm that moved: the clamped means list is
 built once, and after a pull only that arm's mean is recomputed and
 clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
 exploration-floor test, and the next step's starved-arm test reuses them
-(_d_tracking, which d_tracking_next wraps). With
-K of 2 to a few dozen, numpy's per-call cost exceeds the arithmetic it
-would do; a geometry that needs an array (a solver) converts the means
-once per step. A Gaussian half-space step needs none: its two margins are
-left-to-right sums on the list (partitions.row_dot), and its statistic is
-the closed form on the lists, with constants prepared once per run. Every
-hyperplane product is taken that way, so a trajectory does not depend on
-the host's BLAS. The result's final counts and means are returned as
-numpy arrays.
+(_d_tracking). With K of 2 to a few dozen, numpy's per-call cost exceeds
+the arithmetic it would do; a geometry that needs an array (a solver)
+converts the means once per step. A Gaussian half-space step needs none:
+its two margins are left-to-right sums on the list (partitions.row_dot),
+and its statistic is the closed form on the lists, with constants
+prepared once per run. Every hyperplane product is taken that way, so a
+trajectory does not depend on the host's BLAS. The result's final
+counts and means are returned as numpy arrays. Empirical means are
+clamped spef.CLAMP_EPSILON inside every finite domain edge.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInstance, PartidError, UnsupportedCase
-from .lb_solvers import (DEFAULT_SETTINGS, SolverSettings, inner_inf, prepare,
-                         require_covered)
+from .lb_solvers import prepare, require_covered
 # unused here: perfbench/test_tracer.py checks a traced pass swaps this site
 from .lb_solvers import solve  # noqa: F401
 from .partitions import PartitionSpec, Side, classify
-from .spef import (DEFAULT_CLAMP, ClampPolicy, SpefModel, clamp_bounds,
-                   clamp_to_interior, sampler)
+from .spef import SpefModel, clamp_bounds, clamp_to_interior, sampler
 
 
 @dataclass(frozen=True)
@@ -79,22 +77,6 @@ class StoppingConfig:
             raise ValueError(f"c_const must be positive, got {self.c_const}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-
-
-@dataclass
-class RunState:
-    """Mutable per-run statistics: total pulls, per-arm counts, reward sums,
-    as d_tracking_next and glr_statistic take them (lists or numpy
-    arrays). The run loop keeps the same three in locals."""
-    t: int
-    counts: Sequence[int]
-    sums: Sequence[float]
-
-    def means(self, models: Sequence[SpefModel],
-              clamp: ClampPolicy = DEFAULT_CLAMP) -> np.ndarray:
-        raw = self.sums / np.maximum(self.counts, 1)
-        return np.array([clamp_to_interior(m, x, clamp)
-                         for m, x in zip(models, raw)])
 
 
 @dataclass(frozen=True)
@@ -114,18 +96,13 @@ def beta_threshold(t: int, cfg: StoppingConfig) -> float:
     return math.log(cfg.c_const * t / cfg.delta)
 
 
-def d_tracking_next(state: RunState, w_hat) -> int:
-    """Arm to pull: a starved arm (count below sqrt(t) - K/2, lowest index
-    first) if any, else the arm whose realized fraction lags w_hat most
-    (lowest index on ties)."""
-    counts, t = state.counts, state.t
-    return _d_tracking(counts, t, math.sqrt(t) - len(counts) / 2.0,
-                       min(counts), w_hat)
-
-
 def _d_tracking(counts, t: int, need: float, least, w_hat) -> int:
-    """d_tracking_next with need = sqrt(t) - K/2 and least = min(counts)
-    given, as the run loop has them from its exploration-floor test."""
+    """The D-tracking rule: the arm to pull after t pulls with the given
+    per-arm counts and target weights w_hat. A starved arm, one whose count
+    is below need = sqrt(t) - K/2, goes first (lowest index first); else the
+    arm whose realized fraction counts[i] / t lags w_hat[i] most (lowest
+    index on ties). least is min(counts); the run loop passes need and
+    least as its exploration-floor test computed them."""
     k = len(counts)
     if least < need:
         for i in range(k):
@@ -139,22 +116,8 @@ def _d_tracking(counts, t: int, need: float, least, w_hat) -> int:
     return arm
 
 
-def glr_statistic(models: Sequence[SpefModel], state: RunState,
-                  spec: PartitionSpec,
-                  clamp: ClampPolicy = DEFAULT_CLAMP) -> float:
-    """Count-weighted divergence from the empirical means to the closure of
-    the opposite component; zero whenever that test is undefined."""
-    try:
-        return inner_inf(models, state.means(models, clamp),
-                         np.asarray(state.counts, dtype=float), spec).value
-    except (DegenerateInstance, UnsupportedCase):
-        return 0.0
-
-
 def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
-        cfg: StoppingConfig, rng: np.random.Generator,
-        settings: SolverSettings = DEFAULT_SETTINGS,
-        clamp: ClampPolicy = DEFAULT_CLAMP) -> RunResult:
+        cfg: StoppingConfig, rng: np.random.Generator) -> RunResult:
     """Execute one run against the given ground truth.
 
     Draws from true_means (never shown to the decision logic), stops when
@@ -177,21 +140,20 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     if true_side is Side.BOUNDARY:
         raise DegenerateInstance("true means lie on the partition boundary")
     require_covered(spec, true_side)
-    geometry = prepare(models, spec, settings)
-    return _track_and_stop(models, true_means, true_side, geometry, cfg, rng,
-                           clamp)
+    geometry = prepare(models, spec)
+    return _track_and_stop(models, true_means, true_side, geometry, cfg, rng)
 
 
 def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
                     true_side: Side, geometry, cfg: StoppingConfig,
-                    rng: np.random.Generator, clamp: ClampPolicy) -> RunResult:
+                    rng: np.random.Generator) -> RunResult:
     """The run loop every geometry (see lb_solvers.prepare) shares. Z is 0
     where the statistic raises DegenerateInstance or UnsupportedCase, and
     w_hat is uniform on a boundary step or where weights raises any
     PartidError."""
     k = len(models)
     # clamp_to_interior's interval per arm, unbounded on infinite sides
-    bounds = [clamp_bounds(m, clamp) for m in models]
+    bounds = [clamp_bounds(m) for m in models]
     draws = [sampler(m, float(x), rng, arm=i)
              for i, (m, x) in enumerate(zip(models, true_means))]
     counts, sums = [1] * k, [0.0] * k
@@ -199,7 +161,7 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         sums[i] += draws[i]()
     # built once; after each pull only the pulled arm's entry is refreshed,
     # by the comparisons clamp_to_interior makes
-    means = [clamp_to_interior(m, s / n, clamp)
+    means = [clamp_to_interior(m, s / n)
              for m, s, n in zip(models, sums, counts)]
     t, max_steps, half, sqrt = k, cfg.max_steps, k / 2.0, math.sqrt
     need, least = sqrt(t) - half, 1

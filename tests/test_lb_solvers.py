@@ -18,8 +18,7 @@ from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
 from partid import lb_solvers
-from partid.lb_solvers import (DEFAULT_SETTINGS, PreparedHalfSpace,
-                               PreparedThreshold, SolverSettings, _Row,
+from partid.lb_solvers import (PreparedHalfSpace, PreparedThreshold, _Row,
                                inner_inf, solve,
                                solve_convex, solve_halfspace,
                                solve_threshold, solve_two_arm_gaussian,
@@ -372,6 +371,16 @@ class TestSolveConvex:
         with pytest.raises(UnsupportedCase):
             solve_convex([G1, G1], [2.0, 0.0], ball((2.0, 0.0), 1.0))
 
+    @pytest.mark.parametrize("spec", [ball((0.0,), 1.0),
+                                      ellipsoid((0.0,), (1.0,))],
+                             ids=["ball", "ellipsoid"])
+    def test_center_of_another_dimension_rejected(self, spec):
+        # numpy would broadcast a one-entry center over both arms
+        with pytest.raises(ValueError, match="center has 1 entries for 2"):
+            solve([G1, G1], [2.0, 2.0], spec)
+        with pytest.raises(ValueError, match="center has 1 entries for 2"):
+            inner_inf([G1, G1], [2.0, 2.0], [1.0, 1.0], spec)
+
     def test_mu_on_sublevel_boundary_rejected(self):
         with pytest.raises(DegenerateInstance):
             solve_convex([G1, G1], [1.0, 0.0], ball((2.0, 0.0), 1.0))
@@ -515,7 +524,7 @@ class TestSolveUnionHalfspaces:
         # supergradients at the returned weights
         assert "single_constraint" not in sol.flags
         assert 0.0 <= sol.kkt_residuals["duality_gap"] <= \
-            DEFAULT_SETTINGS.tol_kkt
+            lb_solvers.TOL_KKT
 
     def test_matches_single_halfspace_when_one_constraint_dominates(self):
         rows = (((1.0, 0.5), 1.0), ((1.0, 1.0), 40.0))
@@ -607,7 +616,7 @@ class TestTwoArmGaussianClosedForm:
                                    atol=1e-9)
         # certified by one row (gap 0) or by the rows' supergradients
         assert 0.0 <= it.kkt_residuals["duality_gap"] <= \
-            DEFAULT_SETTINGS.tol_kkt
+            lb_solvers.TOL_KKT
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(DegenerateInstance, match="parallel"):
@@ -711,11 +720,28 @@ class TestDispatch:
             solve([G1], [0.0], object())
 
 
-def test_solver_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(tol_kkt=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_outer_iters=0)
+# (models, means, spec, weights): three arms, so a compensated sum of the
+# three weighted divergences can round differently from the left-to-right
+# one; at each weight vector it does for these means
+WEIGHTED_SUM_CASES = [
+    ("mixed_halfspace", [bernoulli(), poisson(), gaussian(0.7)],
+     [0.3, 1.2, 0.1], HalfSpace((1.0, -0.5, 0.8), 1.0),
+     [[1.0, 1.0, 5.0], [1.0, 2.0, 3.0]]),
+    ("gaussian_ball", [G1, gaussian(0.5), gaussian(2.0)], [1.5, 1.0, -0.7],
+     ball((0.0, 0.0, 0.0), 1.0), [[1.0, 1.0, 2.0], [1.0, 2.0, 3.0]]),
+]
+
+
+@pytest.mark.parametrize("name,models,mu,spec,weights", WEIGHTED_SUM_CASES,
+                         ids=[c[0] for c in WEIGHTED_SUM_CASES])
+def test_inner_values_do_not_use_builtin_sum(monkeypatch, name, models, mu,
+                                             spec, weights):
+    # built-in sum() of floats is compensated from Python 3.12 on; the
+    # inner values are left-to-right sums, the same on every version, so a
+    # compensated sum swapped in for sum() must not move them
+    want = [inner_inf(models, mu, w, spec).value for w in weights]
+    monkeypatch.setattr(lb_solvers, "sum", math.fsum, raising=False)
+    assert [inner_inf(models, mu, w, spec).value for w in weights] == want
 
 
 @given(st.integers(1, 7).flatmap(lambda k: st.tuples(

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from partid import spef
 from partid.errors import DomainError, NumericalError
 from partid.rootfind import bisect_monotone, newton_root
-from partid.spef import (DEFAULT_CLAMP, ClampPolicy, Direction, Family,
-                         bernoulli, clamp_to_interior, gaussian, kl,
-                         kl_array, kl_dnu, kl_dnu_inverse, kl_dnu_range,
-                         kl_inverse, kl_inverse_capped, mean_domain, poisson,
-                         sample)
+from partid.spef import (CLAMP_EPSILON, Direction, Family, bernoulli,
+                         clamp_to_interior, gaussian, kl, kl_array, kl_dnu,
+                         kl_dnu_inverse, kl_dnu_range, kl_inverse,
+                         kl_inverse_capped, mean_domain, poisson, sample)
 
 MODELS = {
     "gaussian": gaussian(0.7),
@@ -394,14 +393,11 @@ def test_kl_dnu_inverse_unrepresentable_root_raises():
 
 def test_clamp_to_interior():
     b = bernoulli()
-    eps = DEFAULT_CLAMP.epsilon
-    assert clamp_to_interior(b, -0.3) == eps
-    assert clamp_to_interior(b, 1.7) == 1.0 - eps
+    assert clamp_to_interior(b, -0.3) == CLAMP_EPSILON
+    assert clamp_to_interior(b, 1.7) == 1.0 - CLAMP_EPSILON
     assert clamp_to_interior(b, 0.42) == 0.42
-    assert clamp_to_interior(poisson(), 0.0) == eps
+    assert clamp_to_interior(poisson(), 0.0) == CLAMP_EPSILON
     assert clamp_to_interior(gaussian(), -1e9) == -1e9
-    with pytest.raises(ValueError):
-        clamp_to_interior(b, 0.5, ClampPolicy(epsilon=0.6))
 
 
 def test_sample_reproducible_and_in_support(rng):

@@ -28,11 +28,10 @@ from partid.lb_solvers import (PreparedHalfSpace, _Row, inner_inf, prepare,
                                solve)
 from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, classify, ellipsoid)
-from partid.spef import (DEFAULT_CLAMP, bernoulli, clamp_to_interior,
-                         gaussian, poisson, sampler)
-from partid.track_stop import (RunState, StoppingConfig, _track_and_stop,
-                               beta_threshold, d_tracking_next, glr_statistic,
-                               run)
+from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
+                         sampler)
+from partid.track_stop import (StoppingConfig, _d_tracking, _track_and_stop,
+                               beta_threshold, run)
 
 G1 = gaussian(1.0)
 
@@ -63,8 +62,7 @@ class _PublicApiKernel:
 def _run_public_api(models, mu, spec, cfg, rng):
     """The run loop driven by the public solvers, whatever the geometry."""
     return _track_and_stop(models, mu, classify(spec, mu),
-                           _PublicApiKernel(models, spec), cfg, rng,
-                           DEFAULT_CLAMP)
+                           _PublicApiKernel(models, spec), cfg, rng)
 
 
 class TestStoppingConfig:
@@ -87,33 +85,22 @@ class TestStoppingConfig:
             math.log(math.e * 5 / 0.1))
 
 
-class TestRunState:
-    def test_means_clamp_into_open_domain(self):
-        st = RunState(t=2, counts=np.array([2, 2]),
-                      sums=np.array([0.0, 2.0]))
-        means = st.means([bernoulli(), bernoulli()])
-        eps = DEFAULT_CLAMP.epsilon
-        np.testing.assert_allclose(means, [eps, 1.0 - eps])
-
-    def test_means_with_unvisited_arm(self):
-        st = RunState(t=1, counts=np.array([1, 0]),
-                      sums=np.array([3.0, 0.0]))
-        means = st.means([G1, G1])
-        np.testing.assert_allclose(means, [3.0, 0.0])
+def _next_arm(t, counts, w_hat):
+    """_d_tracking with sqrt(t) - K/2 and min(counts) taken from t and
+    counts."""
+    return _d_tracking(counts, t, math.sqrt(t) - len(counts) / 2.0,
+                       min(counts), w_hat)
 
 
 class TestDTracking:
     def test_starved_arm_wins_lowest_index_first(self):
-        st = RunState(t=100, counts=np.array([3, 50, 47]),
-                      sums=np.zeros(3))
         # sqrt(100) - 3/2 = 8.5, so arm 0 is starved
-        assert d_tracking_next(st, [0.0, 0.5, 0.5]) == 0
+        assert _next_arm(100, np.array([3, 50, 47]), [0.0, 0.5, 0.5]) == 0
 
     def test_tracks_largest_deficit_otherwise(self):
-        st = RunState(t=100, counts=np.array([20, 40, 40]),
-                      sums=np.zeros(3))
-        assert d_tracking_next(st, [0.5, 0.25, 0.25]) == 0
-        assert d_tracking_next(st, [0.1, 0.6, 0.3]) == 1
+        counts = np.array([20, 40, 40])
+        assert _next_arm(100, counts, [0.5, 0.25, 0.25]) == 0
+        assert _next_arm(100, counts, [0.1, 0.6, 0.3]) == 1
 
     @pytest.mark.parametrize("t,counts,w_hat,want", [
         # sqrt(100) - 2 = 8: arms 1 and 3 are starved, the lower one wins
@@ -128,31 +115,10 @@ class TestDTracking:
     ])
     def test_lists_and_arrays_pick_the_same_arm(self, t, counts, w_hat,
                                                 want):
-        from_lists = RunState(t=t, counts=list(counts),
-                              sums=[0.0] * len(counts))
-        from_arrays = RunState(t=t, counts=np.array(counts, dtype=np.int64),
-                               sums=np.zeros(len(counts)))
-        assert d_tracking_next(from_lists, w_hat) == want
-        assert d_tracking_next(from_arrays, np.array(w_hat)) == want
-        assert d_tracking_next(from_arrays, w_hat) == want
-
-
-class TestGlrStatistic:
-    def test_counts_weighted_inner_value(self):
-        models = [G1, G1]
-        st = RunState(t=4, counts=np.array([3, 1]),
-                      sums=np.array([6.0, 0.0]))
-        spec = Threshold(1.0)
-        got = glr_statistic(models, st, spec)
-        want = inner_inf(models, [2.0, 0.0], [3.0, 1.0], spec).value
-        assert got == want
-        assert got == pytest.approx(3 * 0.5)
-
-    def test_zero_when_means_sit_on_boundary(self):
-        models = [G1, G1]
-        st = RunState(t=2, counts=np.array([1, 1]),
-                      sums=np.array([1.0, 0.0]))
-        assert glr_statistic(models, st, Threshold(1.0)) == 0.0
+        as_array = np.array(counts, dtype=np.int64)
+        assert _next_arm(t, list(counts), w_hat) == want
+        assert _next_arm(t, as_array, np.array(w_hat)) == want
+        assert _next_arm(t, as_array, w_hat) == want
 
 
 class TestRun:
@@ -231,6 +197,16 @@ class TestRun:
         res = run([G1] * 5, [0.0, 0.5, 1.5, 0.2, 0.1], Threshold(1.0),
                   StoppingConfig(delta=1e-9, max_steps=5), rng)
         assert (res.stop_time, res.truncated) == (5, True)
+
+    @pytest.mark.parametrize("spec", [ball((0.0,), 1.0),
+                                      ellipsoid((0.0,), (1.0,))],
+                             ids=["ball", "ellipsoid"])
+    def test_center_of_another_dimension_rejected_before_drawing(self, spec):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="center has 1 entries for 2"):
+            run([G1, G1], [2.0, 2.0], spec, self.CFG, rng)
+        assert rng.bit_generator.state == before
 
     def test_result_arrays(self):
         res = run([G1, bernoulli()], [2.0, 0.3], Threshold(0.5), self.CFG,
@@ -413,7 +389,7 @@ def test_gaussian_halfspace_pinned_trajectory_k4(name, a, seed, want):
     if 0.0 in a:
         geometry = PreparedHalfSpace(K4_GAUSSIAN, _Row(a, 0.2))
         res = _track_and_stop(K4_GAUSSIAN, np.array(K4_TRUTH), Side.A2,
-                              geometry, cfg, rng, DEFAULT_CLAMP)
+                              geometry, cfg, rng)
     else:
         res = run(K4_GAUSSIAN, K4_TRUTH, HalfSpace(a, 0.2), cfg, rng)
     assert (res.stop_time, res.declared, res.glr_at_stop,
@@ -546,7 +522,7 @@ class TestPreparedHalfSpaceChecks:
 
         res = _track_and_stop([G1, G1], np.zeros(2), Side.A1, OnTheBand(),
                               StoppingConfig(delta=0.1, max_steps=40),
-                              np.random.default_rng(0), DEFAULT_CLAMP)
+                              np.random.default_rng(0))
         assert (res.truncated, res.declared, res.glr_at_stop) == \
             (True, Side.A1, 0.0)
         # uniform weights: tracking alternates between the two arms
@@ -736,7 +712,7 @@ def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
     def one_run():
         res = _track_and_stop(models, truth, true_side, geometry,
                               StoppingConfig(delta=0.01),
-                              np.random.default_rng(3), DEFAULT_CLAMP)
+                              np.random.default_rng(3))
         return (res.stop_time, res.declared, res.glr_at_stop,
                 res.final_counts.tolist())
 
@@ -801,36 +777,36 @@ def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
         assert "inner_inf" not in calls and "solve" not in calls
 
 
-def _reference_run(models, true_means, spec, cfg, rng, clamp=DEFAULT_CLAMP):
+def _reference_run(models, true_means, spec, cfg, rng):
     """(result fields, sides) of the run loop written out plainly, apart
     from the one in track_stop: every step recomputes every mean and clamps
     it with clamp_to_interior, takes the side, statistic and weights of a
-    geometry from prepare, and calls d_tracking_next and beta_threshold on a
-    RunState. sides lists the side of every step."""
+    geometry from prepare, and calls beta_threshold and _d_tracking, by
+    _next_arm from t and the counts. sides lists the side of every step."""
     true_means = np.asarray(true_means, dtype=float)
     k = len(models)
     geometry = prepare(list(models), spec)
     draws = [sampler(m, float(x), rng, arm=i)
              for i, (m, x) in enumerate(zip(models, true_means))]
-    state = RunState(t=k, counts=[1] * k, sums=[0.0] * k)
+    t, counts, sums = k, [1] * k, [0.0] * k
     for i in range(k):
-        state.sums[i] += draws[i]()
+        sums[i] += draws[i]()
     violations, truncated, sides = 0, False, []
     while True:
-        means = [clamp_to_interior(m, s / n, clamp)
-                 for m, s, n in zip(models, state.sums, state.counts)]
+        means = [clamp_to_interior(m, s / n)
+                 for m, s, n in zip(models, sums, counts)]
         side = geometry.side(means)
         sides.append(side)
         z = 0.0
         if side is not Side.BOUNDARY:
             try:
-                z = geometry.statistic(means, state.counts, side)
+                z = geometry.statistic(means, counts, side)
             except (DegenerateInstance, UnsupportedCase):
                 pass
-            if z >= beta_threshold(state.t, cfg):
+            if z >= beta_threshold(t, cfg):
                 declared = side
                 break
-        if state.t >= cfg.max_steps:
+        if t >= cfg.max_steps:
             truncated = True
             declared = Side.A1 if side is Side.BOUNDARY else side
             break
@@ -840,15 +816,15 @@ def _reference_run(models, true_means, spec, cfg, rng, clamp=DEFAULT_CLAMP):
                 w_hat = geometry.weights(means, side)
             except PartidError:
                 pass
-        arm = d_tracking_next(state, w_hat)
-        state.sums[arm] += draws[arm]()
-        state.counts[arm] += 1
-        state.t += 1
-        floor = max(0.0, math.sqrt(state.t) - k / 2.0) - 1.0
-        if min(state.counts) < floor - 1e-9:
+        arm = _next_arm(t, counts, w_hat)
+        sums[arm] += draws[arm]()
+        counts[arm] += 1
+        t += 1
+        floor = max(0.0, math.sqrt(t) - k / 2.0) - 1.0
+        if min(counts) < floor - 1e-9:
             violations += 1
-    return (state.t, declared, float(z), violations, truncated,
-            list(state.counts), means), sides
+    return (t, declared, float(z), violations, truncated, list(counts),
+            means), sides
 
 
 def _result_fields(res):
