@@ -42,7 +42,7 @@ residual on a common scale.
 
 prepare() is the only dispatch on the partition type: inner_inf and solve
 evaluate the prepared geometry's inner and solution, and a track-and-stop
-run asks it for side, statistic and weights at every step.
+run asks it for one step at a time.
 
 Every solver uses one numerical policy, the module constants below.
 Weighted divergence sums are taken left to right (_weighted_kl), as
@@ -62,9 +62,9 @@ import numpy as np
 
 from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
                      NumericalError, PartidError, UnsupportedCase)
-from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
-                         Threshold, UnionHalfSpaces, classify, row_dot,
-                         side_of_margin)
+from .partitions import (_A1, _A2, _BOUNDARY, ConvexSublevel, HalfSpace,
+                         PartitionSpec, Side, Threshold, UnionHalfSpaces,
+                         classify, row_dot, side_of_margin)
 from .rootfind import bisect_monotone, newton_root
 from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
                    kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
@@ -218,7 +218,7 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
     When every arm the constraint touches is Gaussian the slope inverses are
     linear and _gaussian_unit_inner gives the value with no root to find;
     a run step with Gaussian arms and no zero count goes there directly
-    (PreparedHalfSpace.statistic).
+    (PreparedHalfSpace.step).
     """
     K = len(models)
     if lin is None:
@@ -253,7 +253,9 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
 
     busy = [i for i in range(K) if a[i] != 0.0]
     if all(models[i].family is Family.GAUSSIAN for i in busy):
-        return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a))
+        nu = list(mu)
+        return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a),
+                                    nu), nu
 
     def constraint_at(lam):
         s = 0.0
@@ -303,18 +305,19 @@ def _gaussian_terms(models, a):
             for i, (m, ai) in enumerate(zip(models, a)) if ai != 0.0]
 
 
-def _gaussian_unit_inner(mu, w, b, lin, terms):
+def _gaussian_unit_inner(mu, w, b, lin, terms, nu):
     """_unit_halfspace_inner's closed form, for a row whose arms (terms, by
     _gaussian_terms) are all Gaussian with nonzero weight and lin < b: the
     slope inverses are linear, so lam = (b - lin) / S with
     S = sum_i a_i^2 v_i / w_i, nu_i = mu_i + v_i lam a_i / w_i, and the
     value is sum_i w_i (mu_i - nu_i)^2 / (2 v_i), summed left to right.
-    Returns (value, minimizer as a list)."""
+    Returns the value and writes each nu_i the row touches into the list
+    nu, whose other entries must be finite (a copy of mu gives the
+    minimizer); NumericalError when a written one is not finite."""
     s = 0.0
     for i, _, _, a2v, _ in terms:
         s += a2v / w[i]
     lam = (b - lin) / s
-    nu = list(mu)
     value = 0.0
     for i, ai, v, _, two_v in terms:
         wi, mi = w[i], mu[i]
@@ -323,10 +326,10 @@ def _gaussian_unit_inner(mu, w, b, lin, terms):
         d = mi - x
         value += wi * (d * d / two_v)
     # each w_i > 0, so a coordinate that is not finite leaves the value
-    # not finite; the other coordinates are the checked means
+    # not finite
     if not math.isfinite(value):
         _check_minimizer(nu)
-    return value, nu
+    return value
 
 
 def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
@@ -416,6 +419,42 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
 # prepared geometries
 
 
+def _step_from_parts(geometry, mu, counts, beta):
+    """A run step, (side, Z, w_hat), from the geometry's side, statistic
+    and weights at means mu with the given counts, with the run loop's
+    fallbacks: on a boundary step Z is 0 and w_hat uniform; Z is 0 where
+    the statistic raises DegenerateInstance or UnsupportedCase; w_hat is
+    None when Z >= beta (the run stops), else the weights, or uniform
+    where they raise any PartidError. Every class prepare returns gives its
+    step this way, or the same values by a shorter way."""
+    side = geometry.side(mu)
+    if side is _BOUNDARY:
+        return side, 0.0, [1.0 / len(mu)] * len(mu)
+    z = 0.0
+    try:
+        z = geometry.statistic(mu, counts, side)
+    except (DegenerateInstance, UnsupportedCase):
+        pass
+    if z >= beta:
+        return side, z, None
+    try:
+        return side, z, geometry.weights(mu, side)
+    except PartidError:
+        return side, z, [1.0 / len(mu)] * len(mu)
+
+
+def _sum(xs) -> float:
+    """The sum np.add.reduce gives of a list of floats: below 8 terms the
+    left-to-right loop, taken without numpy, and from 8 on np.add.reduce's
+    pairwise blocks, which round otherwise."""
+    if len(xs) < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    return float(np.add.reduce(xs))
+
+
 class PreparedThreshold:
     """The level, checked against every arm's domain, and each arm's
     unchecked divergence to it; with all-Gaussian arms, 2 v_i per arm, so
@@ -446,7 +485,7 @@ class PreparedThreshold:
 
     def side(self, mu) -> Side:
         """classify(Threshold(u), mu): side_of_margin of max(mu) - u."""
-        return side_of_margin(max(mu) - self.u, Side.A1)
+        return side_of_margin(max(mu) - self.u, _A1)
 
     def statistic(self, mu, w, side: Side) -> float:
         """Weighted inner infimum from checked means mu on side: the sum of
@@ -455,7 +494,7 @@ class PreparedThreshold:
         is kept as top; or below it the least w_i kl_i(mu_i, u), whose arm
         (lowest index on ties) is kept as lowest."""
         u, gap, gaps, two_v = self.u, self.gap, self.gaps, self.two_v
-        if side is Side.A1:
+        if side is _A1:
             z, top, best = 0.0, -1, 0.0
             for i, x in enumerate(mu):
                 if x > u:
@@ -489,21 +528,14 @@ class PreparedThreshold:
         divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
         sum of those inverses; DegenerateInstance when a mean sits at the
         level or t* is not finite and positive. t* is the sum
-        np.add.reduce gives, as solve_threshold summed on arrays: below 8
-        terms that is the left-to-right loop, taken here without numpy, and
-        from 8 on np.add.reduce's pairwise blocks."""
+        np.add.reduce gives (_sum), as solve_threshold summed on arrays."""
         gaps = self.gaps
         if min(gaps) <= 0.0:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
         inv = [1.0 / g for g in gaps]
-        if self.k < 8:
-            tstar = 0.0
-            for x in inv:
-                tstar += x
-        else:
-            tstar = float(np.add.reduce(inv))
+        tstar = _sum(inv)
         # 0 when every divergence overflowed, inf when one is too small
         if not 0.0 < tstar < math.inf:
             raise DegenerateInstance(f"characteristic time {tstar} is not "
@@ -515,13 +547,17 @@ class PreparedThreshold:
         above the level, all on the arm with the largest recorded
         divergence (lowest index on ties; DegenerateInstance when every one
         underflowed to 0), below it inverse_gap_weights."""
-        if side is Side.A2:
+        if side is _A2:
             return self.inverse_gap_weights()[1]
         if self.top < 0:
             _check_saddle_value(0.0)
         w = [0.0] * self.k
         w[self.top] = 1.0
         return w
+
+    # one pass over the arms already: side is max(mu), the statistic one
+    # loop, and the weights read what it recorded
+    step = _step_from_parts
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from checked
@@ -589,17 +625,17 @@ class PreparedHalfSpace:
     call, a track-and-stop run one per run, and a union one per row (a row
     may have zero entries).
 
-    In a run, side(mu) takes the step's means as a list and records it and
-    their product with the unit row; statistic and weights take that same
-    list and read the product back, so each margin is one row_dot per step.
-    The opposite side's row is the negated unit row, and row_dot of a
-    negated row is the negated product, bit for bit. With Gaussian arms and
-    no zero count, statistic is the closed form of _gaussian_unit_inner as
-    one loop over those lists, and the domain check is a finiteness test of
-    the unit-row product; weights checks the margin and c* > 0 and returns
-    the fixed weights, so such a step makes no numpy call. With other
-    families weights makes the means an array for saddle. Both give the
-    floats inner_inf and solve give at the same means.
+    side(mu) takes means as a list and records it and their product with
+    the unit row; statistic and weights take that same list and read the
+    product back, so each margin is one row_dot. The opposite side's row
+    is the negated unit row, and row_dot of a negated row is the negated
+    product, bit for bit. With Gaussian arms and no zero count, a run's
+    step takes the side and the unit-row product in one pass over the
+    means, the statistic is _gaussian_unit_inner with the domain check a
+    finiteness test of that product, and the weights are checked on its
+    margin and c* > 0 and fixed, so such a step makes no numpy call. With
+    other families weights makes the means an array for saddle. Both give
+    the floats inner_inf and solve give at the same means.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: HalfSpace):
@@ -623,17 +659,20 @@ class PreparedHalfSpace:
         self.mu = None
         self.gaussian_w = None
         if all(m.family is Family.GAUSSIAN for m in models):
-            variances = np.array([m.variance for m in models])
-            self.reach = np.sqrt(2.0 * variances)
-            self.reach_sum = row_dot([abs(x) for x in unit],
-                                     self.reach.tolist())
+            variances = [m.variance for m in models]
+            self.reach = [math.sqrt(2.0 * v) for v in variances]
+            self.reach_sum = row_dot([abs(x) for x in unit], self.reach)
             # not a / slopes: their rounding would break exact weight ties
-            raw = np.abs(unit) * np.sqrt(variances)
-            self.gaussian_w = (raw / raw.sum()).tolist()
+            raw = [abs(x) * math.sqrt(v) for x, v in zip(unit, variances)]
+            total = _sum(raw)
+            self.gaussian_w = [x / total for x in raw]
             # statistic's closed form, per side as targets: the row's
             # _gaussian_terms, offset and _linear_sup; the negated row's
             # terms negate a_i alone
             terms = _gaussian_terms(models, unit)
+            # where step has _gaussian_unit_inner write the minimizer; the
+            # entries of arms the row does not touch stay 0
+            self.nu = [0.0] * len(models)
             (_, b1, sup1), (_, b2, sup2) = self.targets
             self.gaussian_targets = (
                 (terms, b1, sup1),
@@ -645,36 +684,66 @@ class PreparedHalfSpace:
         half-space {<a, nu> >= b} opposite means on side."""
         return self.targets[side is Side.A2]
 
+    def _dot_and_side(self, mu):
+        """(unit-row product of mu, classify(HalfSpace(a, b), mu)) in one
+        pass over the arms: the side by classify's expression
+        (<a, mu> - b) / ||a||, and each product the left-to-right sum
+        row_dot takes."""
+        dot = raw = 0.0
+        for ui, ai, x in zip(self.unit, self.a, mu):
+            dot += ui * x
+            raw += ai * x
+        return dot, side_of_margin((raw - self.b) / self.norm, _A2)
+
     def side(self, mu) -> Side:
         """classify(HalfSpace(a, b), mu), by the same expression; records
         the means and their unit-row product."""
-        self.mu, self.dot = mu, row_dot(self.unit, mu)
-        return side_of_margin((row_dot(self.a, mu) - self.b) / self.norm,
-                              Side.A2)
+        self.dot, side = self._dot_and_side(mu)
+        self.mu = mu
+        return side
 
     def statistic(self, mu, counts, side: Side) -> float:
         """Count-weighted inner infimum from the means side last took, on
         side; DomainError unless every mean is finite and inside its
         domain."""
         _check_recorded(self, mu)
-        dot = self.dot
-        lin = dot if side is Side.A1 else -dot
+        _check_domains(self.models, self.domains, mu)
+        a, b, sup = self.target(side)
+        return _unit_halfspace_inner(
+            self.models, mu, counts, a, b, sup,
+            self.dot if side is _A1 else -self.dot)[0]
+
+    def step(self, mu, counts, beta):
+        """_step_from_parts, where with Gaussian arms and no zero count the
+        side and the unit-row product are one pass over the arms
+        (_dot_and_side), the statistic is the closed form statistic reaches
+        through _unit_halfspace_inner, with the domain check a finiteness
+        test of that product, and the weights are weights' Gaussian branch.
+        A boundary step and weights that raise go to _step_from_parts, for
+        its fallbacks."""
         if self.gaussian_w is None or 0 in counts:
-            _check_domains(self.models, self.domains, mu)
-            a, b, sup = self.target(side)
-            return _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
-                                         lin)[0]
+            return _step_from_parts(self, mu, counts, beta)
+        dot, side = self._dot_and_side(mu)
+        if side is _BOUNDARY:
+            return _step_from_parts(self, mu, counts, beta)
         # a mean that is not finite makes the unit-row product NaN or
         # infinite, and the Gaussian domain is the whole line
         if not math.isfinite(dot):
             _check_domains(self.models, self.domains, mu)
-        terms, b, sup = self.gaussian_targets[side is Side.A2]
-        if lin >= b:
-            return 0.0
-        if not sup > b:
-            raise InfeasibleAlternative(
-                "half-space does not intersect the mean domain")
-        return _gaussian_unit_inner(mu, counts, b, lin, terms)[0]
+        terms, b, sup = self.gaussian_targets[side is _A2]
+        lin = dot if side is _A1 else -dot
+        z = 0.0
+        if lin < b:
+            if not sup > b:
+                raise InfeasibleAlternative(
+                    "half-space does not intersect the mean domain")
+            z = _gaussian_unit_inner(mu, counts, b, lin, terms, self.nu)
+        if z >= beta:
+            return side, z, None
+        try:
+            return side, z, self._gaussian_weights(dot)
+        except PartidError:
+            return _step_from_parts(self, mu, counts, beta)
 
     def inner(self, mu, w, side: Side, tol: float = 1e-12):
         """(value, minimizer) of the weighted inner infimum from means mu on
@@ -802,24 +871,27 @@ class PreparedHalfSpace:
         NumericalError."""
         _check_recorded(self, mu)
         if self.gaussian_w is not None:
-            # _orient's checks and saddle's c* = r^2, where b - <a, mu> on
-            # the means' side is -margin or margin, bit for bit
-            margin = self.dot - self.b_unit
-            if abs(margin) <= 1e-12:
-                raise DegenerateInstance(
-                    "mu lies on the separating hyperplane")
-            _, b, sup = self.gaussian_targets[margin > 0]
-            if not sup > b:
-                raise InfeasibleAlternative(
-                    "the open half-space does not intersect the mean domain")
-            r = margin / self.reach_sum
-            _check_saddle_value(r * r)
-            return self.gaussian_w
+            return self._gaussian_weights(self.dot)
         _, cstar, _, w, _, _ = self.saddle(np.array(mu, dtype=float))
         _check_saddle_value(cstar)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
         return w.tolist()
+
+    def _gaussian_weights(self, dot: float) -> list:
+        """weights with Gaussian arms, for means whose unit-row product is
+        dot: _orient's checks and saddle's c* = r^2 > 0, where b - <a, mu>
+        on the means' side is -margin or margin, bit for bit."""
+        margin = dot - self.b_unit
+        if abs(margin) <= 1e-12:
+            raise DegenerateInstance("mu lies on the separating hyperplane")
+        _, b, sup = self.gaussian_targets[margin > 0]
+        if not sup > b:
+            raise InfeasibleAlternative(
+                "the open half-space does not intersect the mean domain")
+        r = margin / self.reach_sum
+        _check_saddle_value(r * r)
+        return self.gaussian_w
 
     def solution(self, mu, saddle=None) -> LowerBoundSolution:
         """solve_halfspace's saddle point at checked means mu (an array),
@@ -891,6 +963,8 @@ class _SolvedGeometry:
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"saddle weights {w} are not finite")
         return w.tolist()
+
+    step = _step_from_parts
 
 
 class PreparedConvex(_SolvedGeometry):
@@ -1356,14 +1430,17 @@ def prepare(models: Sequence[SpefModel], spec: PartitionSpec):
 
     inner(mu, w, side) gives inner_inf's (value, minimizer) and
     solution(mu) solve's LowerBoundSolution, at checked means as an array.
-    A run asks for side(mu), statistic(mu, counts, side) (the
+    A run asks for step(mu, counts, beta) at every step: (side, Z, w_hat),
+    with Z the count-weighted inner infimum and w_hat w* as a list, or
+    None when Z >= beta. Means and counts are lists of Python numbers.
+    A step is its class's side(mu), statistic(mu, counts, side) (the
     count-weighted inner infimum; DegenerateInstance or UnsupportedCase
     where undefined) and weights(mu, side) (w* as a list; a PartidError
-    where undefined) at any means off the boundary. Means and counts are
-    lists of Python numbers. Each step calls side first, and statistic and
-    weights with the same means: they read back what side, then statistic,
-    record for them (all but the threshold raise ValueError for other
-    means)."""
+    where undefined), with the run loop's fallbacks (_step_from_parts);
+    the Gaussian half-space takes a shorter way to the same values.
+    Called directly, statistic and weights take the means side last took:
+    they read back what side, then statistic, record for them (all but
+    the threshold raise ValueError for other means)."""
     if type(spec) not in _PREPARED:
         raise TypeError(f"not a partition spec: {spec!r}")
     return _PREPARED[type(spec)](models, spec)

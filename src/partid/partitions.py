@@ -32,6 +32,13 @@ class Side(enum.Enum):
     BOUNDARY = "boundary"
 
 
+# Side's members as module names, for code that runs at every step of a
+# run: an Enum class's metaclass defines __getattr__, which puts every
+# Side.X lookup on CPython's slow attribute path (about 0.1 us, several
+# times a global name's cost)
+_A1, _A2, _BOUNDARY = Side.A1, Side.A2, Side.BOUNDARY
+
+
 @dataclass(frozen=True)
 class Threshold:
     """Partition by whether any coordinate exceeds the level u."""
@@ -222,10 +229,10 @@ def side_of_margin(m: float, positive: Side) -> Side:
     """Boundary when |m| <= TOL_CLASS, else positive for m > 0 and the
     other side otherwise (a NaN margin included)."""
     if abs(m) <= TOL_CLASS:
-        return Side.BOUNDARY
+        return _BOUNDARY
     if m > 0:
         return positive
-    return Side.A2 if positive is Side.A1 else Side.A1
+    return _A2 if positive is _A1 else _A1
 
 
 def dimension(spec: PartitionSpec) -> Optional[int]:

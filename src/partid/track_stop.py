@@ -24,27 +24,34 @@ boundary, or on a component the inner solvers do not cover, Z is taken as
 zero: the run keeps sampling rather than stopping on an undefined test.
 
 One loop serves every partition: it prepares the geometry once per run
-(lb_solvers.prepare) and asks it, at each step's clamped empirical means,
-for the side, the statistic and the allocation weights. Uniform weights
-stand in on a boundary step or where the allocation fails; tracking then
-pulls the least-sampled arm.
+(lb_solvers.prepare) and asks it one thing per step,
+geometry.step(means, counts, beta) at the step's clamped empirical
+means, which returns the side, Z and the weights to track, or None for
+the weights when Z clears beta and the run stops. The fallbacks above,
+and uniform weights on a boundary step or where the allocation fails
+(tracking then pulls the least-sampled arm), live in one helper,
+lb_solvers._step_from_parts, which builds a step from the geometry's
+side, statistic and weights; a geometry's shorter step gives the same
+values.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and
 the geometry takes those lists and returns its weights as a list. Each
 step does work only for the arm that moved: the clamped means list is
-built once, and after a pull only that arm's mean is recomputed and
+built once, and after each pull only that arm's mean is recomputed and
 clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
 exploration-floor test, and the next step's starved-arm test reuses them
 (_d_tracking). With K of 2 to a few dozen, numpy's per-call cost exceeds
 the arithmetic it would do; a geometry that needs an array (a solver)
-converts the means once per step. A Gaussian half-space step needs none:
-its two margins are left-to-right sums on the list (partitions.row_dot),
-and its statistic is the closed form on the lists, with constants
-prepared once per run. Every hyperplane product is taken that way, so a
-trajectory does not depend on the host's BLAS. The result's final
-counts and means are returned as numpy arrays. Empirical means are
-clamped spef.CLAMP_EPSILON inside every finite domain edge.
+converts the means once per step. A threshold step needs none, nor
+does a Gaussian half-space step: its margins are left-to-right sums on
+the list, and its statistic is the closed form on the lists, with
+constants prepared once per run. Every hyperplane product is taken that
+way, so a trajectory does not depend on the host's BLAS. Rewards come from spef.samplers:
+with every arm Gaussian they are the floats of one scalar standard
+normal per pull, drawn from numpy in blocks. The result's final counts
+and means are returned as numpy arrays. Empirical means are clamped
+spef.CLAMP_EPSILON inside every finite domain edge.
 """
 
 from __future__ import annotations
@@ -55,12 +62,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInstance, PartidError, UnsupportedCase
+from .errors import DegenerateInstance
 from .lb_solvers import prepare, require_covered
 # unused here: perfbench/test_tracer.py checks a traced pass swaps this site
 from .lb_solvers import solve  # noqa: F401
 from .partitions import PartitionSpec, Side, classify
-from .spef import SpefModel, clamp_bounds, clamp_to_interior, sampler
+from .spef import SpefModel, clamp_bounds, clamp_to_interior, samplers
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,9 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     step's clamped empirical means. A truth on a side that
     lb_solvers.covers rejects raises UnsupportedCase, and max_steps below
     the number of arms (the first pulls alone would exceed it) raises
-    ValueError, both before the first draw.
+    ValueError, both before the first draw. With every arm Gaussian the
+    rewards are drawn from rng in blocks (spef.samplers), so the run
+    leaves rng past the last draw it used.
     """
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
@@ -147,15 +156,14 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
 def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
                     true_side: Side, geometry, cfg: StoppingConfig,
                     rng: np.random.Generator) -> RunResult:
-    """The run loop every geometry (see lb_solvers.prepare) shares. Z is 0
-    where the statistic raises DegenerateInstance or UnsupportedCase, and
-    w_hat is uniform on a boundary step or where weights raises any
-    PartidError."""
+    """The run loop every geometry (see lb_solvers.prepare) shares: each
+    step is one geometry.step(means, counts, beta), which gives the side,
+    the statistic Z and the weights to track, or None for the weights when
+    Z clears beta and the run stops."""
     k = len(models)
     # clamp_to_interior's interval per arm, unbounded on infinite sides
     bounds = [clamp_bounds(m) for m in models]
-    draws = [sampler(m, float(x), rng, arm=i)
-             for i, (m, x) in enumerate(zip(models, true_means))]
+    draws = samplers(models, true_means, rng)
     counts, sums = [1] * k, [0.0] * k
     for i in range(k):
         sums[i] += draws[i]()
@@ -165,36 +173,22 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
              for m, s, n in zip(models, sums, counts)]
     t, max_steps, half, sqrt = k, cfg.max_steps, k / 2.0, math.sqrt
     need, least = sqrt(t) - half, 1
-    uniform = [1.0 / k] * k
-    boundary = Side.BOUNDARY
-    side_of, statistic, weights = \
-        geometry.side, geometry.statistic, geometry.weights
+    # beta_threshold's operations, on locals
+    log, c_const, delta = math.log, cfg.c_const, cfg.delta
+    step = geometry.step
     violations = 0
     truncated = False
 
     while True:
-        side = side_of(means)
-        z = 0.0
-        if side is not boundary:
-            try:
-                z = statistic(means, counts, side)
-            except (DegenerateInstance, UnsupportedCase):
-                pass
-            if z >= beta_threshold(t, cfg):
-                declared = side
-                break
+        side, z, w_hat = step(means, counts, log(c_const * t / delta))
+        if w_hat is None:
+            declared = side
+            break
         if t >= max_steps:
             truncated = True
             # an exact tie is measure-zero; it is declared A1
-            declared = Side.A1 if side is boundary else side
+            declared = Side.A1 if side is Side.BOUNDARY else side
             break
-
-        w_hat = uniform
-        if side is not boundary:
-            try:
-                w_hat = weights(means, side)
-            except PartidError:
-                pass
         arm = _d_tracking(counts, t, need, least, w_hat)
         s = sums[arm] = sums[arm] + draws[arm]()
         n = counts[arm] = counts[arm] + 1
@@ -207,7 +201,9 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         means[arm] = v
         t += 1
         need, least = sqrt(t) - half, min(counts)
-        if least < max(0.0, need) - 1.0 - 1e-9:
+        # the floor (sqrt(t) - K/2)^+ - 1, less a rounding slack: with
+        # need <= 0 both it and need - 1 are below every count
+        if least < need - 1.0 - 1e-9:
             violations += 1
 
     return RunResult(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partid import spef
+from partid import partitions, spef
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
@@ -762,6 +762,44 @@ def test_threshold_t_star_below_eight_arms_is_numpys_sum(case):
     inv = [1.0 / g for g in gaps]
     assert tstar == float(np.add.reduce(inv))
     assert w == [x / tstar for x in inv]
+
+
+class _NoNumpy:
+    """Stands in for a module's numpy: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_gaussian_halfspace_prepare_is_todays_numpy_floats(monkeypatch, k):
+    # reach, reach_sum and gaussian_w are taken on Python floats; they must
+    # be the floats of the numpy expressions they replace, bit for bit,
+    # over variances from 1e-6 to 1e6 and rows with zero entries. Below 8
+    # arms the weights' normalizer is the left-to-right loop, which equals
+    # np.add.reduce's sum there, and prepare makes no numpy call at all
+    rng = np.random.default_rng(4100 + k)
+    for _ in range(300):
+        variances = 10.0 ** rng.uniform(-6, 6, k)
+        a = rng.uniform(0.01, 100.0, k) * rng.choice((-1.0, 1.0), k)
+        if k > 1 and rng.random() < 0.3:
+            a[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+        models = [gaussian(float(v)) for v in variances]
+        spec = _Row(tuple(a.tolist()), float(rng.normal()))
+        geometry = PreparedHalfSpace(models, spec)
+        v = np.array([m.variance for m in models])
+        reach = np.sqrt(2.0 * v)
+        raw = np.abs(geometry.unit) * np.sqrt(v)
+        assert geometry.reach == reach.tolist()
+        assert geometry.reach_sum == \
+            partitions.row_dot([abs(x) for x in geometry.unit],
+                               reach.tolist())
+        assert geometry.gaussian_w == (raw / raw.sum()).tolist()
+    if k < 8:
+        monkeypatch.setattr(lb_solvers, "np", _NoNumpy())
+        monkeypatch.setattr(partitions, "np", _NoNumpy())
+        assert PreparedHalfSpace(models, spec).gaussian_w == \
+            geometry.gaussian_w
 
 
 @st.composite

@@ -443,3 +443,65 @@ def test_gaussian_sampler_draws_the_floats_of_generator_normal():
         assert np.array(got).tobytes() == np.array(want).tobytes(), \
             (mean, variance)
         assert all(type(x) is float for x in got)
+
+
+def _pull_order(rng, k, n):
+    """n arm indices in an arbitrary order: runs of one arm of random
+    length, as a tracking rule pulls them."""
+    order = []
+    while len(order) < n:
+        order += [int(rng.integers(k))] * int(rng.integers(1, 40))
+    return order[:n]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gaussian_samplers_share_one_stream_of_scalar_floats(seed):
+    # K = 5 Gaussian arms drawn in an arbitrary order over 6,000 pulls, so
+    # over many blocks of every size up to the cap: the floats of per-arm
+    # sampler calls on a twin generator, bit for bit, as Python floats
+    cases = np.random.default_rng(seed)
+    k = 5
+    models = [gaussian(float(v)) for v in 10.0 ** cases.uniform(-3, 3, k)]
+    means = cases.uniform(-1e3, 1e3, k)
+    draws = spef.samplers(models, means, np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    scalar = [spef.sampler(m, float(x), twin, arm=i)
+              for i, (m, x) in enumerate(zip(models, means))]
+    order = _pull_order(cases, k, 6000)
+    assert sum(2 ** j for j in range(4, 11)) < len(order)
+    got = [draws[i]() for i in order]
+    want = [scalar[i]() for i in order]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("models", [
+    [gaussian(1.0), bernoulli(), poisson(), gaussian(0.5), bernoulli()],
+    [bernoulli()] * 5,
+    [poisson(), poisson(), gaussian(2.0), poisson(), poisson()],
+], ids=["all_three", "bernoulli", "poisson_gaussian"])
+def test_other_families_keep_scalar_draws(models):
+    # without every arm Gaussian each draw is one scalar call, so the
+    # generator is where per-arm samplers on a twin leave it after every
+    # draw
+    means = [0.3 if m.family is Family.BERNOULLI else 1.5 for m in models]
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    draws = spef.samplers(models, means, rng)
+    scalar = [spef.sampler(m, x, twin) for m, x in zip(models, means)]
+    for i in _pull_order(np.random.default_rng(4), len(models), 600):
+        assert draws[i]() == scalar[i]()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("models", [[gaussian(1.0)] * 3,
+                                    [gaussian(1.0), bernoulli(), poisson()]],
+                         ids=["gaussian", "mixed"])
+def test_samplers_check_every_mean_before_any_draw(models):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError, match="arm 2"):
+        spef.samplers(models, [0.5, 0.5, math.nan], rng)
+    with pytest.raises(ValueError, match="3 models for 2 means"):
+        spef.samplers(models, [0.5, 0.5], rng)
+    spef.samplers(models, [0.5, 0.5, 0.5], rng)
+    assert rng.bit_generator.state == before

@@ -24,8 +24,8 @@ from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            PartidError, UnsupportedCase)
-from partid.lb_solvers import (PreparedHalfSpace, _Row, inner_inf, prepare,
-                               solve)
+from partid.lb_solvers import (PreparedHalfSpace, _Row, _step_from_parts,
+                               inner_inf, prepare, solve)
 from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, classify, ellipsoid)
 from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
@@ -39,8 +39,11 @@ G1 = gaussian(1.0)
 class _PublicApiKernel:
     """Reference geometry for the run loop: the public classify, inner_inf
     and solve at every step, which validate the means and prepare a fresh
-    geometry per call, so nothing a run records carries between steps. The
-    loop applies the fallbacks it documents."""
+    geometry per call, so nothing a run records carries between steps. Its
+    step is the shared _step_from_parts, which applies the loop's
+    fallbacks."""
+
+    step = _step_from_parts
 
     def __init__(self, models, spec):
         self.models, self.spec = models, spec
@@ -510,7 +513,9 @@ class TestPreparedHalfSpaceChecks:
 
         class OnTheBand:
             # every step's means sit where the half-space puts them on the
-            # band; the loop must evaluate neither statistic nor weights
+            # band; the step must evaluate neither statistic nor weights
+            step = _step_from_parts
+
             def side(self, mu):
                 return geometry.side(means)
 
@@ -670,6 +675,155 @@ def test_side_and_classify_agree_at_the_band_edges(k):
     assert seen == {Side.A1, Side.A2, Side.BOUNDARY}
 
 
+def _step_bits(step, means, counts, beta):
+    """step(means, counts, beta) with each float as its bits (float.hex,
+    which tells -0.0 from 0.0), or the type of the error it raised."""
+    try:
+        side, z, w_hat = step(means, counts, beta)
+    except PartidError as exc:
+        return type(exc)
+    return side, float(z).hex(), \
+        None if w_hat is None else [float(x).hex() for x in w_hat]
+
+
+def _step_parity(make, means, counts, beta):
+    """(geometry.step, _step_from_parts) outcomes at the same inputs, each
+    on its own geometry from make(), so neither reads what the other
+    recorded."""
+    return (_step_bits(make().step, means, counts, beta),
+            _step_bits(lambda *args: _step_from_parts(make(), *args),
+                       means, counts, beta))
+
+
+def _betas_and_tie(rng, step, means, counts):
+    """_betas, and the Z that step gives at these means as a beta of its
+    own, where Z >= beta holds with equality (PartidError: no tie)."""
+    betas = _betas(rng)
+    try:
+        betas.append(step(means, counts, math.inf)[1])
+    except PartidError:
+        pass
+    return betas
+
+
+def _arms(rng, k, kind):
+    """k arms: Gaussian of mixed variances, Bernoulli and Poisson, or all
+    three families."""
+    pick = {"gaussian": [0], "bernoulli_poisson": [1, 2],
+            "mixed": [0, 1, 2]}[kind]
+    out = []
+    for _ in range(k):
+        j = pick[int(rng.integers(len(pick)))]
+        out.append(gaussian(float(10.0 ** rng.uniform(-2, 2))) if j == 0
+                   else bernoulli() if j == 1 else poisson())
+    return out
+
+
+def _inside(model, x):
+    """x moved into the arm's open mean domain, 1e-3 inside a finite
+    edge."""
+    lo, hi = lb_solvers.mean_domain(model)
+    return min(max(x, lo + 1e-3), hi - 1e-3)
+
+
+def _betas(rng):
+    # below any statistic (every step off the boundary stops), at 0, a
+    # level some steps clear, and one none does
+    return [-1.0, 0.0, float(rng.uniform(0.0, 5.0)), 1e300]
+
+
+def _step_counts(rng, k):
+    counts = rng.integers(1, 60, k).tolist()
+    if k == 1:
+        return [counts]
+    zero = counts[:]
+    zero[int(rng.integers(k))] = 0
+    return [counts, zero]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli_poisson", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(kind,
+                                                                      k):
+    # a prepared threshold's step (_step_from_parts on its own parts)
+    # against _step_from_parts on classify, inner_inf and solve, bit for
+    # bit: means on both sides, the top mean within a few ulps of
+    # TOL_CLASS of the level and inside the band, and counts with a zero.
+    # inner_inf rejects means that are not finite, which the prepared
+    # threshold takes unchecked, so every mean here is finite
+    rng = np.random.default_rng(1300 + 10 * k + len(kind))
+    seen = set()
+    for _ in range(40):
+        models = _arms(rng, k, kind)
+        u = float(rng.uniform(0.2, 0.8))
+        spec = Threshold(u)
+        base = [_inside(m, u + float(rng.normal(0.0, 0.3))) for m in models]
+        top = int(rng.integers(k))
+        offsets = [float(rng.normal(0.0, 0.3))] + [
+            s * TOL_CLASS * (1.0 + float(rng.uniform(-1e-3, 1e-3)))
+            for s in (1.0, -1.0)] + [0.5 * TOL_CLASS, 0.0]
+        for off in offsets:
+            means = [min(x, u - 0.05) for x in base]
+            means[top] = _inside(models[top], u + off)
+            for counts in _step_counts(rng, k):
+                for beta in _betas_and_tie(rng, prepare(models, spec).step,
+                                           means, counts):
+                    got = _step_bits(prepare(models, spec).step, means,
+                                     counts, beta)
+                    want = _step_bits(
+                        lambda *args: _step_from_parts(
+                            _PublicApiKernel(models, spec), *args),
+                        means, counts, beta)
+                    assert got == want, (models, u, means, counts, beta)
+                    seen.add((got[0], got[2] is None))
+    assert {(Side.A1, True), (Side.A1, False), (Side.A2, True),
+            (Side.A2, False), (Side.BOUNDARY, False)} <= seen
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli_poisson", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_halfspace_step_is_the_parts_with_the_loop_fallbacks(kind, k):
+    # PreparedHalfSpace.step against _step_from_parts on the same inputs,
+    # bit for bit: rows with and without zero entries, unit-row margins
+    # on both sides, within a few ulps of 1e-12 (where classify and the
+    # weights' hyperplane test part) and inside the band, counts with a
+    # zero, and a mean that is not finite
+    rng = np.random.default_rng(1500 + 10 * k + len(kind))
+    seen = set()
+    for _ in range(30):
+        models = _arms(rng, k, kind)
+        a = rng.uniform(0.1, 2.0, k) * rng.choice((-1.0, 1.0), k)
+        if k > 1 and rng.random() < 0.4:
+            a[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+        a = tuple(a.tolist())
+        base = [_inside(m, float(rng.uniform(0.0, 1.0))) for m in models]
+        norm = math.sqrt(partitions.row_dot(a, a))
+        margins = [float(rng.normal(0.0, 0.5)) for _ in range(2)] + [
+            s * 1e-12 * (1.0 + float(rng.uniform(-1e-3, 1e-3)))
+            for s in (1.0, -1.0)] + [0.3e-12, 0.0]
+        for margin in margins:
+            # the offset that puts the base means at about this margin
+            spec = _Row(a, partitions.row_dot(a, base) - margin * norm)
+            means = base[:]
+            if rng.random() < 0.15:
+                means[int(rng.integers(k))] = [math.nan, math.inf,
+                                               -math.inf][int(rng.integers(3))]
+            for counts in _step_counts(rng, k):
+                for beta in _betas_and_tie(
+                        rng, PreparedHalfSpace(models, spec).step, means,
+                        counts):
+                    got, want = _step_parity(
+                        lambda: PreparedHalfSpace(models, spec), means,
+                        counts, beta)
+                    assert got == want, (models, a, means, counts, beta)
+                    seen.add(got if isinstance(got, type)
+                             else (got[0], got[2] is None))
+    assert {(Side.A1, True), (Side.A1, False), (Side.A2, True),
+            (Side.A2, False), (Side.BOUNDARY, False)} <= seen
+    if kind != "bernoulli_poisson":
+        assert DomainError in seen
+
+
 class _NoNumpy:
     """Stands in for a module's numpy: any use fails the test."""
 
@@ -685,9 +839,9 @@ class _NoNumpy:
 ], ids=["k2", "k3", "k4_zero_entry"])
 def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
                                                      b, truth):
-    # after prepare, side, statistic and weights (zero counts included)
-    # and a whole run give the same floats with numpy taken away from
-    # lb_solvers and partitions
+    # after prepare, step, side, statistic and weights (zero counts
+    # included) and a whole run give the same floats with numpy taken away
+    # from lb_solvers and partitions
     rng = np.random.default_rng(17)
     geometry = PreparedHalfSpace(models, _Row(a, b))
     steps = []
@@ -699,6 +853,7 @@ def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
     def step_outcomes():
         out = []
         for means, counts in steps:
+            out.append(_step_bits(geometry.step, means, counts, 5.0))
             side = geometry.side(means)
             out.append(side)
             if side is not Side.BOUNDARY:
@@ -780,9 +935,11 @@ def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
 def _reference_run(models, true_means, spec, cfg, rng):
     """(result fields, sides) of the run loop written out plainly, apart
     from the one in track_stop: every step recomputes every mean and clamps
-    it with clamp_to_interior, takes the side, statistic and weights of a
-    geometry from prepare, and calls beta_threshold and _d_tracking, by
-    _next_arm from t and the counts. sides lists the side of every step."""
+    it with clamp_to_interior, takes the step of a geometry from prepare
+    from its side, statistic and weights (_step_from_parts, whatever
+    shorter step the class has), and calls beta_threshold and _d_tracking,
+    by _next_arm from t and the counts. Its draws are per-arm samplers on
+    rng. sides lists the side of every step."""
     true_means = np.asarray(true_means, dtype=float)
     k = len(models)
     geometry = prepare(list(models), spec)
@@ -795,27 +952,16 @@ def _reference_run(models, true_means, spec, cfg, rng):
     while True:
         means = [clamp_to_interior(m, s / n)
                  for m, s, n in zip(models, sums, counts)]
-        side = geometry.side(means)
+        side, z, w_hat = _step_from_parts(geometry, means, counts,
+                                          beta_threshold(t, cfg))
         sides.append(side)
-        z = 0.0
-        if side is not Side.BOUNDARY:
-            try:
-                z = geometry.statistic(means, counts, side)
-            except (DegenerateInstance, UnsupportedCase):
-                pass
-            if z >= beta_threshold(t, cfg):
-                declared = side
-                break
+        if w_hat is None:
+            declared = side
+            break
         if t >= cfg.max_steps:
             truncated = True
             declared = Side.A1 if side is Side.BOUNDARY else side
             break
-        w_hat = [1.0 / k] * k
-        if side is not Side.BOUNDARY:
-            try:
-                w_hat = geometry.weights(means, side)
-            except PartidError:
-                pass
         arm = _next_arm(t, counts, w_hat)
         sums[arm] += draws[arm]()
         counts[arm] += 1
@@ -899,3 +1045,19 @@ def test_gaussian_threshold_pinned_trajectory_crossing_the_level():
         (2545, Side.A1, 13.455193193543366, [48, 115, 2286, 48, 48], False)
     _, sides = _reference_run(models, mu, spec, cfg, np.random.default_rng(2))
     assert sum(a is not b for a, b in zip(sides, sides[1:])) > 10
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gaussian_threshold_run_truncated_near_the_level(seed):
+    # K = 5 unit-variance arms with the top mean 0.003 above the level, as
+    # risk-demo paths that reach max_steps: 20,000 steps of block draws and
+    # the threshold step against the plain loop on per-arm samplers and
+    # _step_from_parts, bit for bit
+    models, mu = [G1] * 5, [0.2, 0.9, 1.003, 0.5, 0.0]
+    cfg = StoppingConfig(delta=0.05, max_steps=20_000)
+    got = run(models, mu, Threshold(1.0), cfg, np.random.default_rng(seed))
+    want, sides = _reference_run(models, mu, Threshold(1.0), cfg,
+                                 np.random.default_rng(seed))
+    assert _result_fields(got) == want
+    assert got.truncated and got.stop_time == 20_000
+    assert {Side.A1, Side.A2} <= set(sides)
