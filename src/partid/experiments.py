@@ -13,6 +13,16 @@ live in a JSON summary next to the CSV: per-delta error rate over completed
 runs, stopping-time moments, the mean stopping time divided by log(1/delta)
 against a freshly solved characteristic time, realized sampling fractions,
 and provenance (seed, config digest, package version).
+
+Every run of a campaign has the same arms and partition, so a campaign
+prepares its geometry (lb_solvers.prepare) once, builds one
+StoppingConfig per delta, and passes both to each track_stop.run, which
+still checks the run's truth. A prepared geometry carries nothing from
+one run into the next. On a process pool it travels in the task
+arguments, and pickle keeps one copy of it per chunk of tasks. The risk
+demo's tasks carry only numbers and build their arms, threshold and
+geometry per path: that setup is a few microseconds of a path's
+milliseconds, and shipping those objects to the pool measured slower.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, RiskDemoConfig
-from .lb_solvers import solve
+from .lb_solvers import prepare, solve
 from .partitions import Side, Threshold
 from .spef import gaussian
 from .track_stop import StoppingConfig, run
@@ -90,14 +100,13 @@ def _fingerprint(ss: np.random.SeedSequence) -> int:
 
 
 def _mc_task(args) -> RunRow:
-    (models, true_means, spec, delta, c_const, max_steps,
-     master, delta_idx, rep_idx) = args
+    (models, true_means, spec, geometry, stop, master, delta_idx,
+     rep_idx) = args
     ss = derive_seed_sequence(master, delta_idx, rep_idx)
-    rng = np.random.default_rng(ss)
-    cfg = StoppingConfig(delta=delta, c_const=c_const, max_steps=max_steps)
-    res = run(list(models), np.array(true_means), spec, cfg, rng)
+    res = run(models, true_means, spec, stop, np.random.default_rng(ss),
+              geometry)
     return RunRow(
-        delta=delta,
+        delta=stop.delta,
         replication=rep_idx,
         seed=_fingerprint(ss),
         stop_time=res.stop_time,
@@ -118,24 +127,36 @@ def _map_tasks(task, args, parallelism: int):
         return list(pool.map(task, args, chunksize=chunk))
 
 
+def _stopping(cfg: ExperimentConfig, delta: float) -> StoppingConfig:
+    return StoppingConfig(delta=delta, c_const=cfg.c_const,
+                          max_steps=cfg.max_steps)
+
+
+def _campaign(cfg: ExperimentConfig) -> tuple:
+    """(models, true means, partition, prepared geometry): what every run
+    of the campaign shares, with the geometry prepared once."""
+    models = list(cfg.arms)
+    return (models, cfg.true_means, cfg.partition,
+            prepare(models, cfg.partition))
+
+
 def run_single(cfg: ExperimentConfig, delta: float,
                replication: int = 0) -> RunRow:
     """One run, seeded exactly like replication `replication` of an mc
     campaign at delta index 0."""
-    return _mc_task((tuple(cfg.arms), cfg.true_means, cfg.partition, delta,
-                     cfg.c_const, cfg.max_steps, cfg.seed, 0, replication))
+    stop = _stopping(cfg, delta)
+    return _mc_task((*_campaign(cfg), stop, cfg.seed, 0, replication))
 
 
 def run_experiment(cfg: ExperimentConfig,
                    parallelism: Optional[int] = None) -> ExperimentReport:
     """Full campaign: replications x deltas runs, ordered aggregation."""
     par = cfg.parallelism if parallelism is None else parallelism
-    args = [
-        (tuple(cfg.arms), cfg.true_means, cfg.partition, delta,
-         cfg.c_const, cfg.max_steps, cfg.seed, di, ri)
-        for di, delta in enumerate(cfg.deltas)
-        for ri in range(cfg.replications)
-    ]
+    stops = [_stopping(cfg, delta) for delta in cfg.deltas]
+    shared = _campaign(cfg)
+    args = [(*shared, stop, cfg.seed, di, ri)
+            for di, stop in enumerate(stops)
+            for ri in range(cfg.replications)]
     rows = _map_tasks(_mc_task, args, par)
 
     sol = solve(list(cfg.arms), np.array(cfg.true_means), cfg.partition)

@@ -463,7 +463,7 @@ class PreparedThreshold:
     and weights returns a list. statistic records the divergences it
     evaluates, and above the level the arm with the largest; weights at the
     same means reads them back. inner_inf and solve_threshold prepare one
-    per call, a track-and-stop run one per run.
+    per call, a Monte Carlo campaign one for all its runs.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: Threshold):
@@ -527,10 +527,14 @@ class PreparedThreshold:
         """Below the level, (divergences, w*, t*) from the recorded
         divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
         sum of those inverses; DegenerateInstance when a mean sits at the
-        level or t* is not finite and positive. t* is the sum
-        np.add.reduce gives (_sum), as solve_threshold summed on arrays."""
+        level, a divergence is NaN or t* is not finite and positive. t* is
+        the sum np.add.reduce gives (_sum), as solve_threshold summed on
+        arrays."""
         gaps = self.gaps
-        if min(gaps) <= 0.0:
+        # NaN-proof: min is NaN when a NaN comes first (so a 0 after it
+        # must not pass as positive), else the least of the numbers; a NaN
+        # after that makes t* NaN, which raises below
+        if not min(gaps) > 0.0:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
@@ -622,8 +626,8 @@ class PreparedHalfSpace:
     a_i^2 v_i on the arms it touches (_gaussian_terms). Rows are lists of
     Python floats, and every product and norm is row_dot's, so they round
     the same on every host. inner_inf and solve_halfspace prepare one per
-    call, a track-and-stop run one per run, and a union one per row (a row
-    may have zero entries).
+    call, a Monte Carlo campaign one for all its runs, and a union one per
+    row (a row may have zero entries).
 
     side(mu) takes means as a list and records it and their product with
     the unit row; statistic and weights take that same list and read the
@@ -972,8 +976,8 @@ class PreparedConvex(_SolvedGeometry):
     set and, when ball() or ellipsoid() built it as
     {sum_i ((x_i - c_i) / s_i)^2 <= level}, its center, the curvatures
     2 / s_i^2 and each arm's kl_prox (center is None for a custom oracle).
-    inner_inf and solve_convex prepare one per call, a track-and-stop run
-    one per run."""
+    inner_inf and solve_convex prepare one per call, a Monte Carlo
+    campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel):
         super().__init__(models, spec)
@@ -1123,7 +1127,7 @@ class PreparedUnion(_SolvedGeometry):
     """A union of half-spaces with the means in the polytope outside it:
     one PreparedHalfSpace per row, built from the raw row, so each row is
     normalized once. inner_inf and solve_union_halfspaces prepare one per
-    call, a track-and-stop run one per run."""
+    call, a Monte Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces):
         if len(spec.halfspaces[0][0]) != len(models):
@@ -1440,7 +1444,12 @@ def prepare(models: Sequence[SpefModel], spec: PartitionSpec):
     the Gaussian half-space takes a shorter way to the same values.
     Called directly, statistic and weights take the means side last took:
     they read back what side, then statistic, record for them (all but
-    the threshold raise ValueError for other means)."""
+    the threshold raise ValueError for other means).
+
+    What a step records, it reads back within that step only, so a
+    geometry carries nothing from one run into the next: a Monte Carlo
+    campaign prepares one for all its runs, and a process pool gets a
+    pickled copy with each chunk of runs."""
     if type(spec) not in _PREPARED:
         raise TypeError(f"not a partition spec: {spec!r}")
     return _PREPARED[type(spec)](models, spec)

@@ -84,6 +84,12 @@ def _gaussian_kl(m, mu, nu):
     return d * d / (2.0 * m.variance)
 
 
+# a named function, not a lambda, so that a prepared geometry holding it
+# pickles to pool workers
+def _gaussian_kl_prox(m, mu, w, alpha, c):
+    return (w * mu / m.variance + alpha * c) / (w / m.variance + alpha)
+
+
 def _gaussian_kl_inverse(m, mu, target, direction):
     step = math.sqrt(2.0 * m.variance * target)
     return mu + step if direction is Direction.ABOVE else mu - step
@@ -239,8 +245,7 @@ FAMILIES: dict[Family, FamilyOps] = {
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
         kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
         kl_inverse=_gaussian_kl_inverse,
-        kl_prox=lambda m, mu, w, alpha, c:
-            (w * mu / m.variance + alpha * c) / (w / m.variance + alpha),
+        kl_prox=_gaussian_kl_prox,
         variance=lambda m, mu: m.variance,
         draw=lambda m, mean, rng: _gaussian_draw(m, mean, rng.standard_normal),
         has_variance=True),

@@ -23,16 +23,18 @@ allocation cost at N/t. When the empirical means sit on the partition
 boundary, or on a component the inner solvers do not cover, Z is taken as
 zero: the run keeps sampling rather than stopping on an undefined test.
 
-One loop serves every partition: it prepares the geometry once per run
-(lb_solvers.prepare) and asks it one thing per step,
-geometry.step(means, counts, beta) at the step's clamped empirical
-means, which returns the side, Z and the weights to track, or None for
-the weights when Z clears beta and the run stops. The fallbacks above,
-and uniform weights on a boundary step or where the allocation fails
-(tracking then pulls the least-sampled arm), live in one helper,
-lb_solvers._step_from_parts, which builds a step from the geometry's
-side, statistic and weights; a geometry's shorter step gives the same
-values.
+One loop serves every partition. run checks the truth, takes the
+geometry that lb_solvers.prepare builds (or the one its caller passes)
+and asks it one thing per step, geometry.step(means, counts, beta) at
+the step's clamped empirical means, which returns the side, Z and the
+weights to track, or None for the weights when Z clears beta and the run
+stops. A geometry carries nothing from one run into the next, so a
+campaign (experiments) prepares one for all its runs and passes it to
+each. The fallbacks above, and uniform weights on a boundary step or
+where the allocation fails (tracking then pulls the least-sampled arm),
+live in one helper, lb_solvers._step_from_parts, which builds a step
+from the geometry's side, statistic and weights; a geometry's shorter
+step gives the same values.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and
@@ -40,17 +42,18 @@ the geometry takes those lists and returns its weights as a list. Each
 step does work only for the arm that moved: the clamped means list is
 built once, and after each pull only that arm's mean is recomputed and
 clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
-exploration-floor test, and the next step's starved-arm test reuses them
-(_d_tracking). With K of 2 to a few dozen, numpy's per-call cost exceeds
-the arithmetic it would do; a geometry that needs an array (a solver)
-converts the means once per step. A threshold step needs none, nor
-does a Gaussian half-space step: its margins are left-to-right sums on
-the list, and its statistic is the closed form on the lists, with
-constants prepared once per run. Every hyperplane product is taken that
-way, so a trajectory does not depend on the host's BLAS. Rewards come from spef.samplers:
-with every arm Gaussian they are the floats of one scalar standard
-normal per pull, drawn from numpy in blocks. The result's final counts
-and means are returned as numpy arrays. Empirical means are clamped
+exploration-floor test, and the D-tracking of the next step, written
+out in the loop, reuses them for its starved-arm test. With K of 2 to a
+few dozen, numpy's per-call cost exceeds the arithmetic it would do; a
+geometry that needs an array (a solver) converts the means once per
+step. A threshold step needs none, nor does a Gaussian half-space step:
+its margins are left-to-right sums on the list, and its statistic is
+the closed form on the lists, with constants prepared once. Every
+hyperplane product is taken that way, so a trajectory does not depend
+on the host's BLAS. Rewards come from spef.samplers: with every arm
+Gaussian they are the floats of one scalar standard normal per pull,
+drawn from numpy in blocks. The result's final counts and means are
+returned as numpy arrays. Empirical means are clamped
 spef.CLAMP_EPSILON inside every finite domain edge.
 """
 
@@ -103,40 +106,21 @@ def beta_threshold(t: int, cfg: StoppingConfig) -> float:
     return math.log(cfg.c_const * t / cfg.delta)
 
 
-def _d_tracking(counts, t: int, need: float, least, w_hat) -> int:
-    """The D-tracking rule: the arm to pull after t pulls with the given
-    per-arm counts and target weights w_hat. A starved arm, one whose count
-    is below need = sqrt(t) - K/2, goes first (lowest index first); else the
-    arm whose realized fraction counts[i] / t lags w_hat[i] most (lowest
-    index on ties). least is min(counts); the run loop passes need and
-    least as its exploration-floor test computed them."""
-    k = len(counts)
-    if least < need:
-        for i in range(k):
-            if counts[i] < need:
-                return i
-    arm, lag = 0, w_hat[0] - counts[0] / t
-    for i in range(1, k):
-        v = w_hat[i] - counts[i] / t
-        if v > lag:
-            arm, lag = i, v
-    return arm
-
-
 def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
-        cfg: StoppingConfig, rng: np.random.Generator) -> RunResult:
+        cfg: StoppingConfig, rng: np.random.Generator,
+        geometry=None) -> RunResult:
     """Execute one run against the given ground truth.
 
     Draws from true_means (never shown to the decision logic), stops when
     the statistic clears beta_threshold or max_steps is hit; the latter is
-    reported as truncated, never silently dropped. The geometry is
-    prepared once (lb_solvers.prepare), and each step evaluates it at the
-    step's clamped empirical means. A truth on a side that
-    lb_solvers.covers rejects raises UnsupportedCase, and max_steps below
-    the number of arms (the first pulls alone would exceed it) raises
-    ValueError, both before the first draw. With every arm Gaussian the
-    rewards are drawn from rng in blocks (spef.samplers), so the run
-    leaves rng past the last draw it used.
+    reported as truncated, never silently dropped. geometry is
+    lb_solvers.prepare(models, spec), prepared here when not given; a
+    campaign prepares it once and passes it to every run. A truth on a
+    side that lb_solvers.covers rejects raises UnsupportedCase, and
+    max_steps below the number of arms (the first pulls alone would
+    exceed it) raises ValueError, both before the first draw. With every
+    arm Gaussian the rewards are drawn from rng in blocks (spef.samplers),
+    so the run leaves rng past the last draw it used.
     """
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
@@ -149,7 +133,8 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     if true_side is Side.BOUNDARY:
         raise DegenerateInstance("true means lie on the partition boundary")
     require_covered(spec, true_side)
-    geometry = prepare(models, spec)
+    if geometry is None:
+        geometry = prepare(models, spec)
     return _track_and_stop(models, true_means, true_side, geometry, cfg, rng)
 
 
@@ -189,7 +174,20 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
             # an exact tie is measure-zero; it is declared A1
             declared = Side.A1 if side is Side.BOUNDARY else side
             break
-        arm = _d_tracking(counts, t, need, least, w_hat)
+        # D-tracking: a starved arm, one whose count is below
+        # need = sqrt(t) - K/2, goes first (lowest index first; least is
+        # min(counts), so one is found); else the arm whose fraction
+        # counts[i] / t lags w_hat[i] most (lowest index on ties)
+        if least < need:
+            for arm in range(k):
+                if counts[arm] < need:
+                    break
+        else:
+            arm, lag = 0, w_hat[0] - counts[0] / t
+            for i in range(1, k):
+                v = w_hat[i] - counts[i] / t
+                if v > lag:
+                    arm, lag = i, v
         s = sums[arm] = sums[arm] + draws[arm]()
         n = counts[arm] = counts[arm] + 1
         v = s / n

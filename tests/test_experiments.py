@@ -7,12 +7,27 @@ import math
 import numpy as np
 import pytest
 
-from partid import (ExperimentConfig, RiskDemoConfig, Threshold,
-                    UnionHalfSpaces, ball, gaussian, risk_demo,
-                    run_experiment, run_single, write_rows_csv,
-                    write_summary_json)
+from partid import (ExperimentConfig, RiskDemoConfig, StoppingConfig,
+                    Threshold, UnionHalfSpaces, ball, experiments, gaussian,
+                    risk_demo, run, run_experiment, run_single,
+                    write_rows_csv, write_summary_json)
 from partid.experiments import (derive_seed_sequence, write_risk_csv,
                                 write_risk_json)
+
+
+def _count_calls(monkeypatch, *names):
+    """Record in a list, by name, each call the experiments module makes
+    to the named functions it imports."""
+    calls = []
+    for name in names:
+        real = getattr(experiments, name)
+
+        def wrapper(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+    return calls
 
 
 def small_campaign(**overrides) -> ExperimentConfig:
@@ -65,6 +80,24 @@ class TestRunExperiment:
             parallel = run_experiment(cfg, parallelism=4)
             assert serial.rows == parallel.rows
             assert serial.summaries == parallel.summaries
+
+    def test_a_campaign_prepares_once(self, monkeypatch):
+        # every run of a campaign enters through run() and shares one
+        # prepared geometry, and gives the row a run() of its own would give
+        calls = _count_calls(monkeypatch, "prepare", "run")
+        cfg = small_campaign(true_means=(1.5, 1.0),
+                             partition=ball((0.0, 0.0), 1.0), replications=3)
+        report = run_experiment(cfg, parallelism=1)
+        assert calls == ["prepare"] + ["run"] * 6
+        for row in report.rows:
+            res = run(list(cfg.arms), cfg.true_means, cfg.partition,
+                      StoppingConfig(delta=row.delta, max_steps=20_000),
+                      np.random.default_rng(derive_seed_sequence(
+                          7, cfg.deltas.index(row.delta), row.replication)))
+            assert (row.stop_time, row.declared, row.glr_at_stop,
+                    row.counts) == (res.stop_time, res.declared.value,
+                                    res.glr_at_stop,
+                                    tuple(res.final_counts.tolist()))
 
     def test_run_single_matches_campaign_row(self):
         cfg = small_campaign(deltas=(0.2,))

@@ -12,6 +12,7 @@ runs with many arms or with means that cross the level.
 
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, classify, ellipsoid)
 from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
                          sampler)
-from partid.track_stop import (StoppingConfig, _d_tracking, _track_and_stop,
+from partid.track_stop import (StoppingConfig, _track_and_stop,
                                beta_threshold, run)
 
 G1 = gaussian(1.0)
@@ -89,10 +90,46 @@ class TestStoppingConfig:
 
 
 def _next_arm(t, counts, w_hat):
-    """_d_tracking with sqrt(t) - K/2 and min(counts) taken from t and
-    counts."""
-    return _d_tracking(counts, t, math.sqrt(t) - len(counts) / 2.0,
-                       min(counts), w_hat)
+    """The D-tracking rule written out from t and the counts: a starved
+    arm, one whose count is below sqrt(t) - K/2, goes first (lowest index
+    first); else the arm whose fraction counts[i] / t lags w_hat[i] most
+    (lowest index on ties). _reference_run pulls by it, so the run loop's
+    own D-tracking is checked against it there and in
+    test_loop_pulls_by_the_d_tracking_rule."""
+    need = math.sqrt(t) - len(counts) / 2.0
+    for i, c in enumerate(counts):
+        if c < need:
+            return i
+    lags = [w - c / t for w, c in zip(w_hat, counts)]
+    return lags.index(max(lags))
+
+
+class _Scripted:
+    """A geometry for the run loop that never stops: each step records the
+    counts it is shown and returns script(t, counts) as the weights."""
+
+    def __init__(self, script):
+        self.script, self.seen = script, []
+
+    def step(self, means, counts, beta):
+        counts = list(counts)
+        w_hat = self.script(sum(counts), counts)
+        self.seen.append((sum(counts), counts, w_hat))
+        return Side.A1, 0.0, w_hat
+
+
+def _loop_pulls(k, script, steps):
+    """(t, counts, w_hat, arm pulled) at every step of a run loop of
+    `steps` pulls on k arms driven by _Scripted(script)."""
+    geometry = _Scripted(script)
+    res = _track_and_stop([G1] * k, np.zeros(k), Side.A1, geometry,
+                          StoppingConfig(delta=0.1, max_steps=steps),
+                          np.random.default_rng(0))
+    assert res.truncated and res.stop_time == steps
+    seen = geometry.seen
+    return [(t, counts, w_hat,
+             [b - a for a, b in zip(counts, seen[j + 1][1])].index(1))
+            for j, (t, counts, w_hat) in enumerate(seen[:-1])]
 
 
 class TestDTracking:
@@ -122,6 +159,47 @@ class TestDTracking:
         assert _next_arm(t, list(counts), w_hat) == want
         assert _next_arm(t, as_array, np.array(w_hat)) == want
         assert _next_arm(t, as_array, w_hat) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9])
+    def test_loop_pulls_by_the_d_tracking_rule(self, k):
+        # every pull of the loop, under weights from a coarse grid (so lags
+        # tie), uniform, random, and one-hot on one arm for stretches of
+        # steps (which starve the others), is _next_arm's; the run passes
+        # through starved steps, ties and (from K = 5) sqrt(t) <= K/2
+        rng = np.random.default_rng(40 + k)
+        # one-hot on arm 0 for the first 60 pulls, which starves the others
+        mode = [(3, 0)]
+
+        def script(t, counts):
+            if t > 60 and rng.random() < 0.05:
+                mode[0] = (int(rng.integers(4)), int(rng.integers(k)))
+            kind, arm = mode[0]
+            if kind == 0:
+                return [1.0 / k] * k
+            if kind == 1:
+                w = rng.integers(0, 4, k).astype(float) + 1e-300
+                return (w / w.sum()).tolist()
+            if kind == 2:
+                return rng.dirichlet(np.ones(k)).tolist()
+            w = [0.0] * k
+            w[arm] = 1.0
+            return w
+
+        pulls = _loop_pulls(k, script, 600)
+        kinds = set()
+        for t, counts, w_hat, arm in pulls:
+            assert arm == _next_arm(t, counts, w_hat), (t, counts, w_hat)
+            need = math.sqrt(t) - k / 2.0
+            if need <= 0:
+                kinds.add("need <= 0")
+            if min(counts) < need:
+                kinds.add("starved")
+            else:
+                lags = [w - c / t for w, c in zip(w_hat, counts)]
+                if lags.count(max(lags)) > 1:
+                    kinds.add("tie")
+        assert {"starved", "tie"} <= kinds or k == 1
+        assert ("need <= 0" in kinds) == (k >= 5)
 
 
 class TestRun:
@@ -456,6 +534,54 @@ def test_halfspace_prepared_parity(name, models, mu, spec, seeds):
              want.final_counts.tolist()), f"seed {seed}"
 
 
+# (name, models, spec, (truth, seed) of run A, (truth, seed) of run B):
+# where both sides are covered, A and B lie on opposite sides, and A's
+# weights differ from B's, so weights kept from run A would show in run B
+ISOLATION_CASES = [
+    ("gaussian_threshold", [G1, gaussian(0.5), gaussian(2.0)],
+     Threshold(1.0), ([0.9, 0.2, 0.5], 1), ([1.3, 0.2, 0.7], 2)),
+    ("mixed_threshold", [G1, bernoulli(), poisson()], Threshold(0.6),
+     ([0.2, 0.4, 0.3], 1), ([0.2, 0.9, 0.4], 2)),
+    ("gaussian_halfspace", [G1, gaussian(0.5)], HalfSpace((1.0, 1.0), 0.5),
+     ([0.6, 0.6], 1), ([0.0, 0.0], 2)),
+    ("mixed_halfspace", [bernoulli(), poisson(), G1],
+     HalfSpace((1.0, 1.0, 1.0), 2.2), ([0.6, 1.5, 0.5], 1),
+     ([0.3, 1.0, 0.2], 2)),
+    ("ball", [G1, G1], ball((0.0, 0.0), 1.0), ([0.0, 1.4], 1),
+     ([1.3, 0.6], 2)),
+    ("union2", [G1, gaussian(0.5)],
+     UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2))),
+     ([0.0, 0.0], 1), ([0.3, -0.2], 2)),
+]
+
+
+@pytest.mark.parametrize("name,models,spec,first,second", ISOLATION_CASES,
+                         ids=[c[0] for c in ISOLATION_CASES])
+def test_a_geometry_carries_nothing_from_one_run_into_the_next(
+        name, models, spec, first, second):
+    # a campaign prepares one geometry for all its runs (and a pool worker
+    # gets a pickled copy of it): run B after run A on one geometry, and on
+    # that geometry pickled after run A, gives run B on a fresh geometry,
+    # bit for bit
+    cfg = StoppingConfig(delta=0.05, max_steps=5000)
+
+    def run_on(geometry, truth, seed):
+        res = run(models, truth, spec, cfg, np.random.default_rng(seed),
+                  geometry)
+        return (res.stop_time, res.declared, res.glr_at_stop.hex(),
+                res.final_counts.tolist(),
+                [x.hex() for x in res.final_means.tolist()], res.truncated)
+
+    shared = prepare(models, spec)
+    a = run_on(shared, *first)
+    b = run_on(shared, *second)
+    assert b == run_on(prepare(models, spec), *second)
+    assert b == run_on(pickle.loads(pickle.dumps(shared)), *second)
+    assert a != b and not a[-1] and not b[-1]
+    if isinstance(spec, (Threshold, HalfSpace)):
+        assert {a[1], b[1]} == {Side.A1, Side.A2}
+
+
 def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
     geometry = prepare(list(models), spec)
     assert isinstance(geometry, PreparedHalfSpace)
@@ -741,16 +867,20 @@ def _step_counts(rng, k):
     return [counts, zero]
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "bernoulli_poisson", "mixed"])
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(kind,
-                                                                      k):
-    # a prepared threshold's step (_step_from_parts on its own parts)
-    # against _step_from_parts on classify, inner_inf and solve, bit for
-    # bit: means on both sides, the top mean within a few ulps of
-    # TOL_CLASS of the level and inside the band, and counts with a zero.
-    # inner_inf rejects means that are not finite, which the prepared
-    # threshold takes unchecked, so every mean here is finite
+@pytest.mark.parametrize("k,kind", [
+    (k, kind) for k in (1, 2, 3, 5)
+    for kind in ("bernoulli_poisson", "gaussian", "mixed")] + [
+    # t* is np.add.reduce's sum from 8 arms on (_sum)
+    (8, "gaussian"), (9, "gaussian")])
+def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
+                                                                      kind):
+    # a prepared threshold's step against _step_from_parts on classify,
+    # inner_inf and solve, bit for bit: means on both sides, the top mean
+    # within a few ulps of TOL_CLASS of the level and inside the band, and
+    # counts with a zero. inner_inf rejects means that are not finite,
+    # which the prepared threshold takes unchecked, so every mean here is
+    # finite (test_threshold_weights_at_a_nan_mean_are_degenerate takes
+    # NaN means)
     rng = np.random.default_rng(1300 + 10 * k + len(kind))
     seen = set()
     for _ in range(40):
@@ -778,6 +908,35 @@ def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(kind,
                     seen.add((got[0], got[2] is None))
     assert {(Side.A1, True), (Side.A1, False), (Side.A2, True),
             (Side.A2, False), (Side.BOUNDARY, False)} <= seen
+
+
+@pytest.mark.parametrize("means,side,z", [
+    ([math.nan, 0.5], Side.A2, 0.0),
+    ([0.5, math.nan], Side.BOUNDARY, 0.0),
+    ([math.nan, -0.5], Side.A2, 2.0),
+    ([-0.5, math.nan], Side.A2, 1.5),
+])
+def test_threshold_weights_at_a_nan_mean_are_degenerate(means, side, z):
+    # a NaN divergence before a zero one makes min() NaN, which a <= 0.0
+    # test let through to 1 / 0.0 (ZeroDivisionError); below the level
+    # inverse_gap_weights raises DegenerateInstance at any NaN divergence,
+    # and the step falls back to uniform weights
+    geometry = prepare([G1, G1], Threshold(0.5))
+    geometry.statistic(means, [3, 4], Side.A2)
+    with pytest.raises(DegenerateInstance):
+        geometry.inverse_gap_weights()
+    assert prepare([G1, G1], Threshold(0.5)).step(means, [3, 4], 10.0) == \
+        (side, z, [0.5, 0.5])
+
+
+def test_threshold_step_where_every_divergence_underflows():
+    # the one arm above the level has (mu - u)^2 / (2 v) = 4e-24 / 2e300,
+    # which underflows to 0: no arm is kept as top, the weights raise
+    # DegenerateInstance, and the step falls back to uniform weights
+    models, spec = [gaussian(1e300), G1], Threshold(0.0)
+    got, want = _step_parity(lambda: prepare(models, spec), [2e-12, -1.0],
+                             [3, 4], 1.0)
+    assert got == want == (Side.A1, (0.0).hex(), [(0.5).hex()] * 2)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli_poisson", "mixed"])
@@ -937,9 +1096,9 @@ def _reference_run(models, true_means, spec, cfg, rng):
     from the one in track_stop: every step recomputes every mean and clamps
     it with clamp_to_interior, takes the step of a geometry from prepare
     from its side, statistic and weights (_step_from_parts, whatever
-    shorter step the class has), and calls beta_threshold and _d_tracking,
-    by _next_arm from t and the counts. Its draws are per-arm samplers on
-    rng. sides lists the side of every step."""
+    shorter step the class has), calls beta_threshold, and pulls by
+    _next_arm, the D-tracking rule taken from t and the counts. Its draws
+    are per-arm samplers on rng. sides lists the side of every step."""
     true_means = np.asarray(true_means, dtype=float)
     k = len(models)
     geometry = prepare(list(models), spec)
