@@ -443,11 +443,16 @@ def _step_from_parts(geometry, mu, counts, beta):
         return side, z, [1.0 / len(mu)] * len(mu)
 
 
+# np.add.reduce sums fewer floats than this left to right, and from this
+# many on in pairwise blocks, which round otherwise
+_PAIRWISE_FROM = 8
+
+
 def _sum(xs) -> float:
-    """The sum np.add.reduce gives of a list of floats: below 8 terms the
-    left-to-right loop, taken without numpy, and from 8 on np.add.reduce's
-    pairwise blocks, which round otherwise."""
-    if len(xs) < 8:
+    """The sum np.add.reduce gives of a list of floats: below
+    _PAIRWISE_FROM terms the left-to-right loop, taken without numpy, and
+    from there on np.add.reduce's pairwise blocks."""
+    if len(xs) < _PAIRWISE_FROM:
         s = 0.0
         for x in xs:
             s += x
@@ -459,11 +464,21 @@ class PreparedThreshold:
     """The level, checked against every arm's domain, and each arm's
     unchecked divergence to it; with all-Gaussian arms, 2 v_i per arm, so
     the divergence (mu_i - u)^2 / (2 v_i) is taken inline by _gaussian_kl's
-    operations. Means, weights and counts are sequences of Python numbers,
-    and weights returns a list. statistic records the divergences it
-    evaluates, and above the level the arm with the largest; weights at the
-    same means reads them back. inner_inf and solve_threshold prepare one
-    per call, a Monte Carlo campaign one for all its runs.
+    operations. Means, weights and counts are sequences of Python numbers.
+
+    statistic is the one pass over the arms, and the rest reads what it
+    records. Above the level it keeps the divergence of each arm above u
+    in gaps and the arm with the largest as top, whose w* is the one-hot
+    list built for it here. Below the level it keeps every divergence in
+    gaps, the arm with the least weighted one as lowest, the inverse of
+    each positive divergence in inv, their left-to-right sum as total,
+    and whether every divergence is positive. inverse_gap_weights then
+    only checks and normalises; weights (a fresh list), inner and solution
+    read the record at the means statistic last took. step is
+    side_of_margin, the pass and the normalisation; it sends a boundary
+    step, and weights that raise, to _step_from_parts for its fallbacks.
+    inner_inf and solve_threshold prepare one per call, a Monte Carlo
+    campaign one for all its runs.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: Threshold):
@@ -475,13 +490,18 @@ class PreparedThreshold:
                     f"threshold level {u} outside arm {i} domain ({lo}, {hi})")
         self.models = models
         self.u = u
-        self.k = len(models)
+        self.k = k = len(models)
         # gap[i](x, u): kl of arm i from mean x to the level, unchecked
         self.gap = [functools.partial(FAMILIES[m.family].kl, m)
                     for m in models]
         self.two_v = [2.0 * m.variance for m in models] \
             if all(m.family is Family.GAUSSIAN for m in models) else None
-        self.gaps = [0.0] * self.k
+        self.gaps = [0.0] * k
+        self.inv = [0.0] * k
+        # w* above the level with arm i on top; the run loop only reads
+        # the weights a step returns, so its steps share these lists
+        self.one_hot = [[0.0] * i + [1.0] + [0.0] * (k - 1 - i)
+                        for i in range(k)]
 
     def side(self, mu) -> Side:
         """classify(Threshold(u), mu): side_of_margin of max(mu) - u."""
@@ -492,7 +512,9 @@ class PreparedThreshold:
         w_i kl_i(mu_i, u) over the arms above the level, whose arm with the
         largest divergence (lowest index on ties, -1 when none is positive)
         is kept as top; or below it the least w_i kl_i(mu_i, u), whose arm
-        (lowest index on ties) is kept as lowest."""
+        (lowest index on ties) is kept as lowest, with the inverses of the
+        positive divergences, their sum and whether every one is
+        positive."""
         u, gap, gaps, two_v = self.u, self.gap, self.gaps, self.two_v
         if side is _A1:
             z, top, best = 0.0, -1, 0.0
@@ -509,7 +531,8 @@ class PreparedThreshold:
                         top, best = i, g
             self.top = top
             return z
-        z, lowest = math.inf, 0
+        inv = self.inv
+        z, lowest, total, positive = math.inf, 0, 0.0, True
         for i, x in enumerate(mu):
             if two_v is None:
                 g = gap[i](x, u)
@@ -520,48 +543,67 @@ class PreparedThreshold:
             c = w[i] * g
             if c < z:
                 z, lowest = c, i
-        self.lowest = lowest
+            # a NaN divergence fails this test too
+            if g > 0.0:
+                r = inv[i] = 1.0 / g
+                total += r
+            else:
+                positive = False
+        self.lowest, self.total, self.positive = lowest, total, positive
         return z
 
     def inverse_gap_weights(self):
-        """Below the level, (divergences, w*, t*) from the recorded
-        divergences: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
+        """Below the level, (divergences, w*, t*) from what statistic
+        recorded: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
         sum of those inverses; DegenerateInstance when a mean sits at the
         level, a divergence is NaN or t* is not finite and positive. t* is
         the sum np.add.reduce gives (_sum), as solve_threshold summed on
-        arrays."""
-        gaps = self.gaps
-        # NaN-proof: min is NaN when a NaN comes first (so a 0 after it
-        # must not pass as positive), else the least of the numbers; a NaN
-        # after that makes t* NaN, which raises below
-        if not min(gaps) > 0.0:
+        arrays: the recorded left-to-right sum below _PAIRWISE_FROM arms."""
+        if not self.positive:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
-        inv = [1.0 / g for g in gaps]
-        tstar = _sum(inv)
+        inv = self.inv
+        tstar = self.total if self.k < _PAIRWISE_FROM else _sum(inv)
         # 0 when every divergence overflowed, inf when one is too small
         if not 0.0 < tstar < math.inf:
             raise DegenerateInstance(f"characteristic time {tstar} is not "
                                      f"finite and positive")
-        return gaps, [x / tstar for x in inv], tstar
+        return self.gaps, [x / tstar for x in inv], tstar
+
+    def _top_weights(self) -> list:
+        """Above the level, w* at the means statistic last evaluated: the
+        shared one-hot list of the arm with the largest recorded
+        divergence; DegenerateInstance when every one underflowed to 0."""
+        if self.top < 0:
+            _check_saddle_value(0.0)
+        return self.one_hot[self.top]
 
     def weights(self, mu, side: Side) -> list:
         """w* of solve_threshold at the means statistic last evaluated:
         above the level, all on the arm with the largest recorded
-        divergence (lowest index on ties; DegenerateInstance when every one
-        underflowed to 0), below it inverse_gap_weights."""
+        divergence (lowest index on ties), below it inverse_gap_weights."""
         if side is _A2:
             return self.inverse_gap_weights()[1]
-        if self.top < 0:
-            _check_saddle_value(0.0)
-        w = [0.0] * self.k
-        w[self.top] = 1.0
-        return w
+        return self._top_weights()[:]
 
-    # one pass over the arms already: side is max(mu), the statistic one
-    # loop, and the weights read what it recorded
-    step = _step_from_parts
+    def step(self, mu, counts, beta):
+        """_step_from_parts in three calls: the side, the pass (statistic)
+        and the normalisation, with the weights above the level shared
+        across steps. A boundary step and weights that raise go to
+        _step_from_parts, for its fallbacks."""
+        side = side_of_margin(max(mu) - self.u, _A1)
+        if side is _BOUNDARY:
+            return _step_from_parts(self, mu, counts, beta)
+        z = self.statistic(mu, counts, side)
+        if z >= beta:
+            return side, z, None
+        try:
+            if side is _A2:
+                return side, z, self.inverse_gap_weights()[1]
+            return side, z, self._top_weights()
+        except PartidError:
+            return _step_from_parts(self, mu, counts, beta)
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from checked
@@ -584,8 +626,8 @@ class PreparedThreshold:
         self.statistic(mu.tolist(), [1.0] * K, side)
         gaps = self.gaps
         if side is Side.A1:
-            w = np.array(self.weights(mu, side))
-            cstar = float(gaps[int(np.argmax(w))])
+            w = np.array(self._top_weights())
+            cstar = float(gaps[self.top])
             nu = np.where(mu > u, u, mu)
             active = [i for i in range(K)
                       if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]

@@ -31,6 +31,8 @@ class Side(enum.Enum):
     A2 = "A2"
     BOUNDARY = "boundary"
 
+    __hash__ = object.__hash__  # as spef.Family's
+
 
 # Side's members as module names, for code that runs at every step of a
 # run: an Enum class's metaclass defines __getattr__, which puts every

@@ -48,11 +48,18 @@ class Family(enum.Enum):
     BERNOULLI = "bernoulli"
     POISSON = "poisson"
 
+    # members compare by identity, and unpickle to the same member, so the
+    # identity hash keys them as Enum's hash of the name does, in a
+    # fraction of the time: FAMILIES[family] is on every checked call
+    __hash__ = object.__hash__
+
 
 class Direction(enum.Enum):
     """Side of the reference mean on which an inverse is taken."""
     ABOVE = "above"
     BELOW = "below"
+
+    __hash__ = object.__hash__  # as Family's
 
 
 @dataclass(frozen=True)

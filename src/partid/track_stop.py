@@ -34,16 +34,23 @@ each. The fallbacks above, and uniform weights on a boundary step or
 where the allocation fails (tracking then pulls the least-sampled arm),
 live in one helper, lb_solvers._step_from_parts, which builds a step
 from the geometry's side, statistic and weights; a geometry's shorter
-step gives the same values.
+step gives the same values, and hands that helper every boundary step
+and every step whose weights raise. A threshold step is the side test,
+one pass over the arms that takes Z and records what the weights need,
+and a normalisation; the half-space step with Gaussian arms is the
+closed forms on one pass over the means.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and
-the geometry takes those lists and returns its weights as a list. Each
-step does work only for the arm that moved: the clamped means list is
-built once, and after each pull only that arm's mean is recomputed and
-clamped; sqrt(t) - K/2 and min(counts) are taken once per pull, for the
-exploration-floor test, and the D-tracking of the next step, written
-out in the loop, reuses them for its starved-arm test. With K of 2 to a
+the geometry takes those lists and returns its weights as a list, which
+the loop only reads (a threshold step shares its one-hot weights across
+steps). Each step does work only for the arm that moved: the clamped
+means list is built once, from the first pull of each arm, and after
+each pull only that arm's mean is recomputed and clamped, each by the
+same comparisons against the arm's clamp bounds; sqrt(t) - K/2 and
+min(counts) are taken once per pull, for the exploration-floor test,
+and the D-tracking of the next step, written out in the loop, reuses
+them for its starved-arm test. With K of 2 to a
 few dozen, numpy's per-call cost exceeds the arithmetic it would do; a
 geometry that needs an array (a solver) converts the means once per
 step. A threshold step needs none, nor does a Gaussian half-space step:
@@ -70,7 +77,7 @@ from .lb_solvers import prepare, require_covered
 # unused here: perfbench/test_tracer.py checks a traced pass swaps this site
 from .lb_solvers import solve  # noqa: F401
 from .partitions import PartitionSpec, Side, classify
-from .spef import SpefModel, clamp_bounds, clamp_to_interior, samplers
+from .spef import SpefModel, clamp_bounds, samplers
 
 
 @dataclass(frozen=True)
@@ -149,13 +156,18 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
     # clamp_to_interior's interval per arm, unbounded on infinite sides
     bounds = [clamp_bounds(m) for m in models]
     draws = samplers(models, true_means, rng)
-    counts, sums = [1] * k, [0.0] * k
+    counts, sums, means = [1] * k, [0.0] * k, [0.0] * k
+    # built once from one pull per arm; after that each pull refreshes only
+    # the pulled arm's entry, by the same comparisons clamp_to_interior
+    # makes (a NaN mean passes through both)
     for i in range(k):
-        sums[i] += draws[i]()
-    # built once; after each pull only the pulled arm's entry is refreshed,
-    # by the comparisons clamp_to_interior makes
-    means = [clamp_to_interior(m, s / n)
-             for m, s, n in zip(models, sums, counts)]
+        v = sums[i] = sums[i] + draws[i]()
+        lo, hi = bounds[i]
+        if v < lo:
+            v = lo
+        elif v > hi:
+            v = hi
+        means[i] = v
     t, max_steps, half, sqrt = k, cfg.max_steps, k / 2.0, math.sqrt
     need, least = sqrt(t) - half, 1
     # beta_threshold's operations, on locals

@@ -7,6 +7,7 @@ edge cases.
 
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from partid import spef
 from partid.errors import DomainError, NumericalError
+from partid.partitions import Side
 from partid.rootfind import bisect_monotone, newton_root
 from partid.spef import (CLAMP_EPSILON, Direction, Family, bernoulli,
                          clamp_to_interior, gaussian, kl, kl_array, kl_dnu,
@@ -505,3 +507,23 @@ def test_samplers_check_every_mean_before_any_draw(models):
         spef.samplers(models, [0.5, 0.5], rng)
     spef.samplers(models, [0.5, 0.5, 0.5], rng)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("enum_cls,names", [
+    (Family, ["GAUSSIAN", "BERNOULLI", "POISSON"]),
+    (Direction, ["ABOVE", "BELOW"]),
+    (Side, ["A1", "A2", "BOUNDARY"]),
+])
+def test_enum_members_hash_by_identity(enum_cls, names):
+    # the identity hash keys a member as Enum's hash of its name did: the
+    # members, their order and equality are unchanged, and a pickled
+    # member comes back as the same object, found by a dict lookup
+    assert [m.name for m in enum_cls] == names
+    assert enum_cls.__hash__ is object.__hash__
+    table = {m: m.value for m in enum_cls}
+    for m in enum_cls:
+        back = pickle.loads(pickle.dumps(m))
+        assert back is m and back == m
+        assert table[back] == m.value
+    assert spef.FAMILIES[pickle.loads(pickle.dumps(Family.POISSON))] is \
+        spef.FAMILIES[Family.POISSON]

@@ -870,8 +870,9 @@ def _step_counts(rng, k):
 @pytest.mark.parametrize("k,kind", [
     (k, kind) for k in (1, 2, 3, 5)
     for kind in ("bernoulli_poisson", "gaussian", "mixed")] + [
-    # t* is np.add.reduce's sum from 8 arms on (_sum)
-    (8, "gaussian"), (9, "gaussian")])
+    # t* is the pass's left-to-right sum up to 7 arms, np.add.reduce's
+    # from 8 on (_sum)
+    (7, "gaussian"), (8, "gaussian"), (9, "gaussian")])
 def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
                                                                       kind):
     # a prepared threshold's step against _step_from_parts on classify,
@@ -908,6 +909,93 @@ def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
                     seen.add((got[0], got[2] is None))
     assert {(Side.A1, True), (Side.A1, False), (Side.A2, True),
             (Side.A2, False), (Side.BOUNDARY, False)} <= seen
+
+
+_TINY = gaussian(1e-300)
+_WIDE = gaussian(1e300)
+_MIXED = [bernoulli(), poisson(), G1]
+
+
+@pytest.mark.parametrize("models,u,means", [
+    # variance 1e-300: a divergence 1e5 or more from the level overflows
+    # to inf, so above it Z is inf (NaN at a zero count) and below it
+    # that arm's inverse is 0, and t* is 0 when every arm's is
+    ([_TINY] * 3, 0.0, [1e5, -0.5, 3e4]),
+    ([_TINY] * 3, 0.0, [-1e5, -2e5, -3e4]),
+    ([G1, _TINY, G1], 0.0, [-1.0, -1e5, -0.3]),
+    ([G1, _TINY, G1], 0.0, [-1.0, 1e5, 0.7]),
+    # a subnormal divergence, 1e-10 / 2e300, whose inverse overflows: t*
+    # is inf
+    ([G1, _WIDE], 0.0, [-1.0, -1e-5]),
+    ([_WIDE, G1, G1], 0.0, [-1e-5, -1.0, -2.0]),
+    # a mixed-family arm exactly at the level: skipped above it, and the
+    # boundary when it is the largest mean
+    (_MIXED, 0.5, [0.5, 0.9, 0.2]),
+    (_MIXED, 0.5, [0.3, 0.5, 1.2]),
+    (_MIXED, 0.5, [0.5, 0.3, 0.2]),
+    (_MIXED, 0.5, [0.3, 0.5, -0.2]),
+])
+def test_threshold_step_where_its_arithmetic_is_fragile(models, u, means):
+    # the prepared threshold's step, bit for bit, against _step_from_parts
+    # on its own parts, where divergences overflow, an inverse overflows
+    # or an arm sits at the level; and against the public solvers where
+    # they are defined: every divergence finite and no count 0, as in a
+    # run. An infinite divergence has solve_threshold reject the saddle
+    # value above the level, where the step tracks the top arm, and take
+    # 0 * inf in its product_spread residual below it
+    spec = Threshold(u)
+    public = _TINY not in models
+    rng = np.random.default_rng(1400 + len(models))
+    for counts in _step_counts(rng, len(models)) + [[3] * len(models)]:
+        for beta in _betas_and_tie(rng, prepare(models, spec).step, means,
+                                   counts):
+            got, want = _step_parity(lambda: prepare(models, spec), means,
+                                     counts, beta)
+            assert got == want, (models, u, means, counts, beta)
+            if not public or 0 in counts:
+                continue
+            want = _step_bits(lambda *args: _step_from_parts(
+                _PublicApiKernel(models, spec), *args), means, counts, beta)
+            assert got == want, (models, u, means, counts, beta)
+
+
+@pytest.mark.parametrize("models,means", [
+    (models, means) for models in ([G1] * 3, _MIXED) for means in (
+        [0.5, 0.2, 0.1], [0.2, 0.5, 0.1], [0.2, 0.1, 0.5],
+        [math.nan, 0.2, 0.5], [0.5, 0.2, math.nan], [0.2, math.nan, 0.1])] + [
+    # every divergence overflows to inf, so every inverse is 0 and t* is 0
+    ([_TINY] * 3, [-1e5, -2e5, -3e4]),
+    # a subnormal divergence, whose inverse and so t* overflow to inf
+    ([G1, _WIDE, G1], [0.2, 0.5 - 1e-5, 0.1]),
+])
+def test_threshold_inverse_gap_weights_raise_where_t_star_is_undefined(
+        models, means):
+    # a divergence that is 0 (a mean at the level) or NaN raises wherever
+    # it sits among the arms, whatever comes before or after it, and so
+    # does a t* of 0 or inf
+    geometry = prepare(models, Threshold(0.5))
+    geometry.statistic(means, [3, 4, 5], Side.A2)
+    with pytest.raises(DegenerateInstance):
+        geometry.inverse_gap_weights()
+    with pytest.raises(DegenerateInstance):
+        geometry.weights(means, Side.A2)
+
+
+@pytest.mark.parametrize("means,side", [
+    ([0.9, 0.2, 0.7], Side.A1), ([0.1, 0.2, 0.3], Side.A2)])
+def test_threshold_weights_are_a_fresh_list(means, side):
+    # the step shares its one-hot weights above the level across steps; a
+    # caller that changes the list weights returns changes none of them
+    geometry = prepare([G1] * 3, Threshold(0.5))
+    want = _step_bits(geometry.step, means, [3, 4, 5], 1e300)
+    geometry.statistic(means, [3, 4, 5], side)
+    w = geometry.weights(means, side)
+    w[:] = [7.0] * 3
+    assert _step_bits(geometry.step, means, [3, 4, 5], 1e300) == want
+    geometry.statistic(means, [3, 4, 5], side)
+    assert geometry.weights(means, side) is not w
+    assert [float(x).hex() for x in geometry.weights(means, side)] == \
+        want[2]
 
 
 @pytest.mark.parametrize("means,side,z", [
