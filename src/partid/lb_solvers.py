@@ -305,15 +305,15 @@ def _gaussian_terms(models, a):
             for i, (m, ai) in enumerate(zip(models, a)) if ai != 0.0]
 
 
-def _gaussian_unit_inner(mu, w, b, lin, terms, nu):
+def _gaussian_unit_inner(mu, w, b, lin, terms, nu=None):
     """_unit_halfspace_inner's closed form, for a row whose arms (terms, by
     _gaussian_terms) are all Gaussian with nonzero weight and lin < b: the
     slope inverses are linear, so lam = (b - lin) / S with
     S = sum_i a_i^2 v_i / w_i, nu_i = mu_i + v_i lam a_i / w_i, and the
     value is sum_i w_i (mu_i - nu_i)^2 / (2 v_i), summed left to right.
-    Returns the value and writes each nu_i the row touches into the list
-    nu, whose other entries must be finite (a copy of mu gives the
-    minimizer); NumericalError when a written one is not finite."""
+    Returns the value, and writes each nu_i the row touches into the list
+    nu when one is given (a copy of mu gives the minimizer);
+    NumericalError when an nu_i is not finite."""
     s = 0.0
     for i, _, _, a2v, _ in terms:
         s += a2v / w[i]
@@ -322,13 +322,15 @@ def _gaussian_unit_inner(mu, w, b, lin, terms, nu):
     for i, ai, v, _, two_v in terms:
         wi, mi = w[i], mu[i]
         x = mi + v * lam * ai / wi
-        nu[i] = x
+        if nu is not None:
+            nu[i] = x
         d = mi - x
         value += wi * (d * d / two_v)
     # each w_i > 0, so a coordinate that is not finite leaves the value
     # not finite
     if not math.isfinite(value):
-        _check_minimizer(nu)
+        _check_minimizer([mu[i] + v * lam * ai / w[i]
+                          for i, ai, v, _, _ in terms])
     return value
 
 
@@ -419,28 +421,10 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
 # prepared geometries
 
 
-def _step_from_parts(geometry, mu, counts, beta):
-    """A run step, (side, Z, w_hat), from the geometry's side, statistic
-    and weights at means mu with the given counts, with the run loop's
-    fallbacks: on a boundary step Z is 0 and w_hat uniform; Z is 0 where
-    the statistic raises DegenerateInstance or UnsupportedCase; w_hat is
-    None when Z >= beta (the run stops), else the weights, or uniform
-    where they raise any PartidError. Every class prepare returns gives its
-    step this way, or the same values by a shorter way."""
-    side = geometry.side(mu)
-    if side is _BOUNDARY:
-        return side, 0.0, [1.0 / len(mu)] * len(mu)
-    z = 0.0
-    try:
-        z = geometry.statistic(mu, counts, side)
-    except (DegenerateInstance, UnsupportedCase):
-        pass
-    if z >= beta:
-        return side, z, None
-    try:
-        return side, z, geometry.weights(mu, side)
-    except PartidError:
-        return side, z, [1.0 / len(mu)] * len(mu)
+def _uniform(k: int) -> list:
+    """The run loop's fallback weights on k arms: on a boundary step, and
+    where the allocation raises a PartidError."""
+    return [1.0 / k] * k
 
 
 # np.add.reduce sums fewer floats than this left to right, and from this
@@ -466,19 +450,10 @@ class PreparedThreshold:
     the divergence (mu_i - u)^2 / (2 v_i) is taken inline by _gaussian_kl's
     operations. Means, weights and counts are sequences of Python numbers.
 
-    statistic is the one pass over the arms, and the rest reads what it
-    records. Above the level it keeps the divergence of each arm above u
-    in gaps and the arm with the largest as top, whose w* is the one-hot
-    list built for it here. Below the level it keeps every divergence in
-    gaps, the arm with the least weighted one as lowest, the inverse of
-    each positive divergence in inv, their left-to-right sum as total,
-    and whether every divergence is positive. inverse_gap_weights then
-    only checks and normalises; weights (a fresh list), inner and solution
-    read the record at the means statistic last took. step is
-    side_of_margin, the pass and the normalisation; it sends a boundary
-    step, and weights that raise, to _step_from_parts for its fallbacks.
-    inner_inf and solve_threshold prepare one per call, a Monte Carlo
-    campaign one for all its runs.
+    step, inner and solution each make one pass over the arms (_pass) and
+    share one allocation rule (_weights): above the level every weight
+    goes to the arm with the largest divergence, below it the weights are
+    the inverse divergences over their sum t*. A step makes no numpy call.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: Threshold):
@@ -496,26 +471,22 @@ class PreparedThreshold:
                     for m in models]
         self.two_v = [2.0 * m.variance for m in models] \
             if all(m.family is Family.GAUSSIAN for m in models) else None
-        self.gaps = [0.0] * k
-        self.inv = [0.0] * k
         # w* above the level with arm i on top; the run loop only reads
         # the weights a step returns, so its steps share these lists
         self.one_hot = [[0.0] * i + [1.0] + [0.0] * (k - 1 - i)
                         for i in range(k)]
 
-    def side(self, mu) -> Side:
-        """classify(Threshold(u), mu): side_of_margin of max(mu) - u."""
-        return side_of_margin(max(mu) - self.u, _A1)
-
-    def statistic(self, mu, w, side: Side) -> float:
-        """Weighted inner infimum from checked means mu on side: the sum of
-        w_i kl_i(mu_i, u) over the arms above the level, whose arm with the
-        largest divergence (lowest index on ties, -1 when none is positive)
-        is kept as top; or below it the least w_i kl_i(mu_i, u), whose arm
-        (lowest index on ties) is kept as lowest, with the inverses of the
-        positive divergences, their sum and whether every one is
-        positive."""
-        u, gap, gaps, two_v = self.u, self.gap, self.gaps, self.two_v
+    def _pass(self, mu, w, side: Side):
+        """(z, arm, gaps, t*, positive) at means mu on side with weights w.
+        Above the level z is the sum of w_i kl_i(mu_i, u) over the arms
+        above it and arm the one with the largest divergence (lowest index
+        on ties, -1 when none is positive); gaps and t* are None. Below it
+        z is the least w_i kl_i(mu_i, u) and arm its arm (lowest index on
+        ties), gaps lists every divergence and positive tells whether each
+        is positive; then t*, the sum of their inverses, is the one
+        np.add.reduce gives (_sum), as solve_threshold summed on arrays:
+        the left-to-right sum below _PAIRWISE_FROM arms."""
+        u, gap, two_v = self.u, self.gap, self.two_v
         if side is _A1:
             z, top, best = 0.0, -1, 0.0
             for i, x in enumerate(mu):
@@ -525,14 +496,12 @@ class PreparedThreshold:
                     else:
                         d = x - u
                         g = d * d / two_v[i]
-                    gaps[i] = g
                     z += w[i] * g
                     if g > best:
                         top, best = i, g
-            self.top = top
-            return z
-        inv = self.inv
-        z, lowest, total, positive = math.inf, 0, 0.0, True
+            return z, top, None, None, True
+        gaps = [0.0] * self.k
+        z, lowest, tstar, positive = math.inf, 0, 0.0, True
         for i, x in enumerate(mu):
             if two_v is None:
                 g = gap[i](x, u)
@@ -545,89 +514,79 @@ class PreparedThreshold:
                 z, lowest = c, i
             # a NaN divergence fails this test too
             if g > 0.0:
-                r = inv[i] = 1.0 / g
-                total += r
+                tstar += 1.0 / g
             else:
                 positive = False
-        self.lowest, self.total, self.positive = lowest, total, positive
-        return z
+        if self.k >= _PAIRWISE_FROM and positive:
+            tstar = _sum([1.0 / g for g in gaps])
+        return z, lowest, gaps, tstar, positive
 
-    def inverse_gap_weights(self):
-        """Below the level, (divergences, w*, t*) from what statistic
-        recorded: w_i is proportional to 1 / kl_i(mu_i, u) and t* is the
-        sum of those inverses; DegenerateInstance when a mean sits at the
-        level, a divergence is NaN or t* is not finite and positive. t* is
-        the sum np.add.reduce gives (_sum), as solve_threshold summed on
-        arrays: the recorded left-to-right sum below _PAIRWISE_FROM arms."""
-        if not self.positive:
+    def _weights(self, side: Side, arm, gaps, tstar, positive):
+        """w* from what a pass on side returned after z: above the level
+        the one-hot list of its arm, below it the inverse divergences over
+        t*. DegenerateInstance when no divergence above the level is
+        positive, or below it when one is not (a mean at the level, or
+        NaN) or t* is not finite and positive."""
+        if side is _A1:
+            if arm < 0:
+                _check_saddle_value(0.0)
+            return self.one_hot[arm]
+        if not positive:
             raise DegenerateInstance(
                 "an arm mean coincides with the threshold level; the "
                 "characteristic time is unbounded")
-        inv = self.inv
-        tstar = self.total if self.k < _PAIRWISE_FROM else _sum(inv)
         # 0 when every divergence overflowed, inf when one is too small
         if not 0.0 < tstar < math.inf:
             raise DegenerateInstance(f"characteristic time {tstar} is not "
                                      f"finite and positive")
-        return self.gaps, [x / tstar for x in inv], tstar
-
-    def _top_weights(self) -> list:
-        """Above the level, w* at the means statistic last evaluated: the
-        shared one-hot list of the arm with the largest recorded
-        divergence; DegenerateInstance when every one underflowed to 0."""
-        if self.top < 0:
-            _check_saddle_value(0.0)
-        return self.one_hot[self.top]
-
-    def weights(self, mu, side: Side) -> list:
-        """w* of solve_threshold at the means statistic last evaluated:
-        above the level, all on the arm with the largest recorded
-        divergence (lowest index on ties), below it inverse_gap_weights."""
-        if side is _A2:
-            return self.inverse_gap_weights()[1]
-        return self._top_weights()[:]
+        return [1.0 / g / tstar for g in gaps]
 
     def step(self, mu, counts, beta):
-        """_step_from_parts in three calls: the side, the pass (statistic)
-        and the normalisation, with the weights above the level shared
-        across steps. A boundary step and weights that raise go to
-        _step_from_parts, for its fallbacks."""
+        """The side by classify's expression, then the pass and, unless
+        z >= beta, the weights, with the run loop's fallbacks."""
         side = side_of_margin(max(mu) - self.u, _A1)
         if side is _BOUNDARY:
-            return _step_from_parts(self, mu, counts, beta)
-        z = self.statistic(mu, counts, side)
+            return side, 0.0, _uniform(self.k)
+        z, arm, gaps, tstar, positive = self._pass(mu, counts, side)
         if z >= beta:
             return side, z, None
         try:
-            if side is _A2:
-                return side, z, self.inverse_gap_weights()[1]
-            return side, z, self._top_weights()
+            return side, z, self._weights(side, arm, gaps, tstar, positive)
         except PartidError:
-            return _step_from_parts(self, mu, counts, beta)
+            return side, z, _uniform(self.k)
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from checked
-        means mu on side (mu and w arrays): statistic, with every arm above
-        the level dragged to it, or below it the lowest arm raised to it."""
-        value = self.statistic(mu.tolist(), w.tolist(), side)
+        means mu on side (mu and w arrays): the pass's z, with every arm
+        above the level dragged to it, or below it the lowest arm raised
+        to it."""
+        z, lowest = self._pass(mu.tolist(), w.tolist(), side)[:2]
         nu = np.array(mu)
-        nu[mu > self.u if side is Side.A1 else self.lowest] = self.u
-        return value, nu
+        nu[mu > self.u if side is Side.A1 else lowest] = self.u
+        return z, nu
 
     def solution(self, mu) -> LowerBoundSolution:
-        """solve_threshold's saddle point at checked means mu (an array)."""
+        """solve_threshold's saddle point at checked means mu (an array);
+        NumericalError naming the first arm whose divergence to the level
+        overflows float64."""
         models, u = self.models, self.u
-        side = self.side(mu)
+        side = side_of_margin(max(mu) - u, _A1)
         if side is Side.BOUNDARY:
             raise DegenerateInstance(f"max(mu) sits on the threshold level {u}")
 
-        K = mu.size
-        # records each arm's divergence to the level in self.gaps
-        self.statistic(mu.tolist(), [1.0] * K, side)
-        gaps = self.gaps
+        K, mul = mu.size, mu.tolist()
+        # every divergence, from the pass below the level
+        below = self._pass(mul, [1.0] * K, _A2)
+        p = below if side is _A2 else self._pass(mul, [1.0] * K, side)
+        gaps = below[2]
+        for i, g in enumerate(gaps):
+            if math.isinf(g) and (side is _A2 or mul[i] > u):
+                raise NumericalError(f"divergence of arm {i} to the level "
+                                     f"{u} is not finite in float64")
+        w = self._weights(side, *p[1:])
         if side is Side.A1:
-            w = np.array(self._top_weights())
-            cstar = float(gaps[self.top])
+            w = np.array(w)
+            cstar = float(gaps[p[1]])
             nu = np.where(mu > u, u, mu)
             active = [i for i in range(K)
                       if mu[i] > u and gaps[i] >= cstar * (1 - 1e-12)]
@@ -638,9 +597,8 @@ class PreparedThreshold:
             }
             return _solution(w, nu, cstar, active, residuals)
 
-        gaps, w, tstar = self.inverse_gap_weights()
         gaps, w = np.array(gaps), np.array(w)
-        cstar = 1.0 / tstar
+        cstar = 1.0 / p[3]
         nu = np.array(mu)
         nu[0] = u
         residuals = {
@@ -648,14 +606,6 @@ class PreparedThreshold:
             "weight_sum": abs(w.sum() - 1.0),
         }
         return _solution(w, nu, cstar, range(K), residuals)
-
-
-def _check_recorded(geometry, mu):
-    """ValueError unless mu is the sequence geometry.side last took: its
-    statistic and weights read what side recorded for those means."""
-    if mu is not geometry.mu:
-        raise ValueError("statistic and weights take the means of the "
-                         "last side call")
 
 
 class PreparedHalfSpace:
@@ -671,17 +621,14 @@ class PreparedHalfSpace:
     call, a Monte Carlo campaign one for all its runs, and a union one per
     row (a row may have zero entries).
 
-    side(mu) takes means as a list and records it and their product with
-    the unit row; statistic and weights take that same list and read the
-    product back, so each margin is one row_dot. The opposite side's row
-    is the negated unit row, and row_dot of a negated row is the negated
-    product, bit for bit. With Gaussian arms and no zero count, a run's
-    step takes the side and the unit-row product in one pass over the
-    means, the statistic is _gaussian_unit_inner with the domain check a
-    finiteness test of that product, and the weights are checked on its
-    margin and c* > 0 and fixed, so such a step makes no numpy call. With
-    other families weights makes the means an array for saddle. Both give
-    the floats inner_inf and solve give at the same means.
+    A step takes the side and the unit-row product in one pass over the
+    means; the opposite side's row is the negated unit row, whose product
+    is the negated one, bit for bit. With Gaussian arms and no zero count
+    the statistic is _gaussian_unit_inner on the prepared terms and the
+    weights are fixed once the margin and c* > 0 checks pass, so such a
+    step makes no numpy call; other families solve the saddle on the means
+    as an array. Either way the step gives the floats inner_inf and solve
+    give at the same means.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: HalfSpace):
@@ -702,7 +649,6 @@ class PreparedHalfSpace:
                              for row, off in ((unit, b_unit),
                                               ([-x for x in unit], -b_unit)))
         self.domains = [mean_domain(m) for m in models]
-        self.mu = None
         self.gaussian_w = None
         if all(m.family is Family.GAUSSIAN for m in models):
             variances = [m.variance for m in models]
@@ -712,13 +658,10 @@ class PreparedHalfSpace:
             raw = [abs(x) * math.sqrt(v) for x, v in zip(unit, variances)]
             total = _sum(raw)
             self.gaussian_w = [x / total for x in raw]
-            # statistic's closed form, per side as targets: the row's
+            # the step's closed form, per side as targets: the row's
             # _gaussian_terms, offset and _linear_sup; the negated row's
             # terms negate a_i alone
             terms = _gaussian_terms(models, unit)
-            # where step has _gaussian_unit_inner write the minimizer; the
-            # entries of arms the row does not touch stay 0
-            self.nu = [0.0] * len(models)
             (_, b1, sup1), (_, b2, sup2) = self.targets
             self.gaussian_targets = (
                 (terms, b1, sup1),
@@ -741,55 +684,40 @@ class PreparedHalfSpace:
             raw += ai * x
         return dot, side_of_margin((raw - self.b) / self.norm, _A2)
 
-    def side(self, mu) -> Side:
-        """classify(HalfSpace(a, b), mu), by the same expression; records
-        the means and their unit-row product."""
-        self.dot, side = self._dot_and_side(mu)
-        self.mu = mu
-        return side
-
-    def statistic(self, mu, counts, side: Side) -> float:
-        """Count-weighted inner infimum from the means side last took, on
-        side; DomainError unless every mean is finite and inside its
-        domain."""
-        _check_recorded(self, mu)
-        _check_domains(self.models, self.domains, mu)
-        a, b, sup = self.target(side)
-        return _unit_halfspace_inner(
-            self.models, mu, counts, a, b, sup,
-            self.dot if side is _A1 else -self.dot)[0]
-
     def step(self, mu, counts, beta):
-        """_step_from_parts, where with Gaussian arms and no zero count the
-        side and the unit-row product are one pass over the arms
-        (_dot_and_side), the statistic is the closed form statistic reaches
-        through _unit_halfspace_inner, with the domain check a finiteness
-        test of that product, and the weights are weights' Gaussian branch.
-        A boundary step and weights that raise go to _step_from_parts, for
-        its fallbacks."""
-        if self.gaussian_w is None or 0 in counts:
-            return _step_from_parts(self, mu, counts, beta)
+        """The side and the unit-row product in one pass (_dot_and_side),
+        then the count-weighted inner infimum after the domain check and,
+        unless it reaches beta, the weights, with the run loop's
+        fallbacks. With Gaussian arms and no zero count the inner infimum
+        is _gaussian_unit_inner on the prepared terms and the domain check
+        a finiteness test of the product."""
         dot, side = self._dot_and_side(mu)
         if side is _BOUNDARY:
-            return _step_from_parts(self, mu, counts, beta)
-        # a mean that is not finite makes the unit-row product NaN or
-        # infinite, and the Gaussian domain is the whole line
-        if not math.isfinite(dot):
-            _check_domains(self.models, self.domains, mu)
-        terms, b, sup = self.gaussian_targets[side is _A2]
+            return side, 0.0, _uniform(len(mu))
         lin = dot if side is _A1 else -dot
-        z = 0.0
-        if lin < b:
-            if not sup > b:
-                raise InfeasibleAlternative(
-                    "half-space does not intersect the mean domain")
-            z = _gaussian_unit_inner(mu, counts, b, lin, terms, self.nu)
+        if self.gaussian_w is None or 0 in counts:
+            _check_domains(self.models, self.domains, mu)
+            a, b, sup = self.targets[side is _A2]
+            z = _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
+                                      lin)[0]
+        else:
+            # a mean that is not finite makes the unit-row product NaN or
+            # infinite, and the Gaussian domain is the whole line
+            if not math.isfinite(dot):
+                _check_domains(self.models, self.domains, mu)
+            terms, b, sup = self.gaussian_targets[side is _A2]
+            z = 0.0
+            if lin < b:
+                if not sup > b:
+                    raise InfeasibleAlternative(
+                        "half-space does not intersect the mean domain")
+                z = _gaussian_unit_inner(mu, counts, b, lin, terms)
         if z >= beta:
             return side, z, None
         try:
-            return side, z, self._gaussian_weights(dot)
+            return side, z, self._weights(mu, dot)
         except PartidError:
-            return _step_from_parts(self, mu, counts, beta)
+            return side, z, _uniform(len(mu))
 
     def inner(self, mu, w, side: Side, tol: float = 1e-12):
         """(value, minimizer) of the weighted inner infimum from means mu on
@@ -908,26 +836,19 @@ class PreparedHalfSpace:
         return side, cstar, np.array(nu), raw / raw.sum(), np.array(slopes), \
             saturated
 
-    def weights(self, mu, side: Side) -> list:
-        """w* of solve_halfspace at the checked means side last took, after
-        the same checks (c* > 0 included) but without nu* and the
-        certificate when every arm is Gaussian: those weights do not depend
-        on mu. The side comes from the unit-row margin, as in
-        solve_halfspace. Other families' weights can overflow, which raises
-        NumericalError."""
-        _check_recorded(self, mu)
-        if self.gaussian_w is not None:
-            return self._gaussian_weights(self.dot)
-        _, cstar, _, w, _, _ = self.saddle(np.array(mu, dtype=float))
-        _check_saddle_value(cstar)
-        if not np.all(np.isfinite(w)):
-            raise NumericalError(f"saddle weights {w} are not finite")
-        return w.tolist()
-
-    def _gaussian_weights(self, dot: float) -> list:
-        """weights with Gaussian arms, for means whose unit-row product is
-        dot: _orient's checks and saddle's c* = r^2 > 0, where b - <a, mu>
-        on the means' side is -margin or margin, bit for bit."""
+    def _weights(self, mu, dot: float) -> list:
+        """w* of solve_halfspace as a list at checked means mu (a list)
+        whose unit-row product is dot, after its checks, c* > 0 included.
+        With Gaussian arms the weights do not depend on the means, and the
+        checks are _orient's and saddle's c* = r^2 > 0 on the margin, where
+        b - <a, mu> on the means' side is -margin or margin, bit for bit.
+        Other families' weights can overflow, which raises NumericalError."""
+        if self.gaussian_w is None:
+            _, cstar, _, w, _, _ = self.saddle(np.array(mu, dtype=float))
+            _check_saddle_value(cstar)
+            if not np.all(np.isfinite(w)):
+                raise NumericalError(f"saddle weights {w} are not finite")
+            return w.tolist()
         margin = dot - self.b_unit
         if abs(margin) <= 1e-12:
             raise DegenerateInstance("mu lies on the separating hyperplane")
@@ -971,16 +892,14 @@ class PreparedHalfSpace:
 
 
 class _SolvedGeometry:
-    """Run steps for a geometry whose means must lie outside its set (A1):
-    side records the step's means as a list and as an array, statistic is
-    the class's inner at the counts and weights its solution's w*, both at
-    that array. A subclass gives inner(mu, w, side) and solution(mu)."""
+    """A geometry whose means must lie outside its set (A1). A subclass
+    gives inner(mu, w, side) and solution(mu); a run step evaluates both
+    at the step's means as an array."""
 
     def __init__(self, models: Sequence[SpefModel], spec: PartitionSpec):
         self.models = list(models)
         self.spec = spec
         self.domains = [mean_domain(m) for m in models]
-        self.mu = None
 
     def _check_side(self, mu, where: str):
         """DegenerateInstance when checked means mu lie on the boundary
@@ -990,27 +909,31 @@ class _SolvedGeometry:
             raise DegenerateInstance(f"mu lies on the {where}")
         require_covered(self.spec, side)
 
-    def side(self, mu) -> Side:
-        self.mu, self.x = mu, np.array(mu, dtype=float)
-        return classify(self.spec, self.x)
-
-    def statistic(self, mu, counts, side: Side) -> float:
-        """inner_inf's value at the counts; DomainError unless every mean
-        is finite and inside its domain, UnsupportedCase on side A2."""
-        _check_recorded(self, mu)
+    def step(self, mu, counts, beta):
+        """classify, then off the boundary the domain check, coverage and
+        inner at the counts, and unless that reaches beta the solution's
+        w*, with the run loop's fallbacks."""
+        x = np.array(mu, dtype=float)
+        side = classify(self.spec, x)
+        if side is _BOUNDARY:
+            return side, 0.0, _uniform(len(mu))
         _check_domains(self.models, self.domains, mu)
-        require_covered(self.spec, side)
-        return self.inner(self.x, np.array(counts, dtype=float), side)[0]
-
-    def weights(self, mu, side: Side) -> list:
-        """solve's w*; NumericalError where it is NaN (NonUniqueHyperplane)."""
-        _check_recorded(self, mu)
-        w = self.solution(self.x).w_star
-        if not np.all(np.isfinite(w)):
-            raise NumericalError(f"saddle weights {w} are not finite")
-        return w.tolist()
-
-    step = _step_from_parts
+        try:
+            require_covered(self.spec, side)
+            z = self.inner(x, np.array(counts, dtype=float), side)[0]
+        except (DegenerateInstance, UnsupportedCase):
+            z = 0.0
+        if z >= beta:
+            return side, z, None
+        try:
+            w = self.solution(x).w_star
+        except PartidError:
+            w = None
+        # w* is NaN where no supporting hyperplane fixes it
+        # (NonUniqueHyperplane), which falls back as a failed solution does
+        if w is None or not np.all(np.isfinite(w)):
+            return side, z, _uniform(len(mu))
+        return side, z, w.tolist()
 
 
 class PreparedConvex(_SolvedGeometry):
@@ -1474,24 +1397,23 @@ def prepare(models: Sequence[SpefModel], spec: PartitionSpec):
     """spec's geometry prepared once, and the only dispatch on its type:
     PreparedThreshold, PreparedHalfSpace, PreparedConvex or PreparedUnion.
 
-    inner(mu, w, side) gives inner_inf's (value, minimizer) and
-    solution(mu) solve's LowerBoundSolution, at checked means as an array.
-    A run asks for step(mu, counts, beta) at every step: (side, Z, w_hat),
-    with Z the count-weighted inner infimum and w_hat w* as a list, or
-    None when Z >= beta. Means and counts are lists of Python numbers.
-    A step is its class's side(mu), statistic(mu, counts, side) (the
-    count-weighted inner infimum; DegenerateInstance or UnsupportedCase
-    where undefined) and weights(mu, side) (w* as a list; a PartidError
-    where undefined), with the run loop's fallbacks (_step_from_parts);
-    the Gaussian half-space takes a shorter way to the same values.
-    Called directly, statistic and weights take the means side last took:
-    they read back what side, then statistic, record for them (all but
-    the threshold raise ValueError for other means).
-
-    What a step records, it reads back within that step only, so a
-    geometry carries nothing from one run into the next: a Monte Carlo
-    campaign prepares one for all its runs, and a process pool gets a
-    pickled copy with each chunk of runs."""
+    Each class answers three calls, computed from their arguments and
+    the constants its constructor prepared, so one geometry serves any
+    number of runs: a Monte Carlo campaign prepares one for all its runs,
+    and a process pool gets a pickled copy with each chunk of runs.
+      * inner(mu, w, side): inner_inf's (value, minimizer) at checked
+        means mu on side, mu and w arrays.
+      * solution(mu): solve's LowerBoundSolution at checked means mu, an
+        array.
+      * step(mu, counts, beta): one run step at means and counts given as
+        lists of Python numbers: (side, Z, w_hat), with Z the
+        count-weighted inner infimum and w_hat w* as a list, or None when
+        Z >= beta. The run loop's fallbacks are the step's: on a boundary
+        step Z is 0 and w_hat uniform (_uniform); Z is 0 where the
+        statistic raises DegenerateInstance or UnsupportedCase; and w_hat
+        is uniform where the allocation raises any PartidError. The loop
+        only reads the w_hat a step returns, which steps may share.
+    """
     if type(spec) not in _PREPARED:
         raise TypeError(f"not a partition spec: {spec!r}")
     return _PREPARED[type(spec)](models, spec)

@@ -28,17 +28,12 @@ geometry that lb_solvers.prepare builds (or the one its caller passes)
 and asks it one thing per step, geometry.step(means, counts, beta) at
 the step's clamped empirical means, which returns the side, Z and the
 weights to track, or None for the weights when Z clears beta and the run
-stops. A geometry carries nothing from one run into the next, so a
-campaign (experiments) prepares one for all its runs and passes it to
-each. The fallbacks above, and uniform weights on a boundary step or
+stops. The fallbacks above, and uniform weights on a boundary step or
 where the allocation fails (tracking then pulls the least-sampled arm),
-live in one helper, lb_solvers._step_from_parts, which builds a step
-from the geometry's side, statistic and weights; a geometry's shorter
-step gives the same values, and hands that helper every boundary step
-and every step whose weights raise. A threshold step is the side test,
-one pass over the arms that takes Z and records what the weights need,
-and a normalisation; the half-space step with Gaussian arms is the
-closed forms on one pass over the means.
+are the step's own, so the loop has no error handling. A geometry's
+step, inner and solution compute only from their arguments and what
+prepare fixed, so a campaign (experiments) prepares one geometry for all
+its runs and passes it to each.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and

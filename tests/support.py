@@ -9,7 +9,10 @@ tests).
 
 import numpy as np
 
-from partid.partitions import ball, distance_to_halfspace, row_dot
+from partid.errors import DegenerateInstance, PartidError, UnsupportedCase
+from partid.lb_solvers import inner_inf, solve
+from partid.partitions import (Side, ball, classify, distance_to_halfspace,
+                               row_dot)
 from partid.spef import Family, bernoulli, gaussian, poisson
 
 FAMILY_NAMES = ("gaussian", "bernoulli", "poisson")
@@ -90,3 +93,46 @@ def random_union_instance(rng, rows=None):
         b = float(a @ mu) + float(rng.uniform(0.3, 1.0))
         halfspaces.append((tuple(a), b))
     return models, mu, halfspaces
+
+
+class PublicApiKernel:
+    """Reference geometry for the run loop: its step is written from the
+    public classify, inner_inf and solve, which validate the means and
+    prepare a fresh geometry per call, and from the loop's fallback rules.
+    On a boundary step Z is 0 and the weights uniform; Z is 0 where the
+    statistic raises DegenerateInstance or UnsupportedCase; the weights are
+    uniform where the solution raises any PartidError or its w* is not
+    finite. side, value and weights are the three public calls, which a
+    subclass may replace (a row with zero entries has no HalfSpace)."""
+
+    def __init__(self, models, spec):
+        self.models, self.spec = models, spec
+
+    def side(self, means):
+        return classify(self.spec, means)
+
+    def value(self, means, counts):
+        return inner_inf(self.models, means, np.asarray(counts, dtype=float),
+                         self.spec).value
+
+    def weights(self, means):
+        return solve(self.models, means, self.spec).w_star
+
+    def step(self, means, counts, beta):
+        uniform = [1.0 / len(means)] * len(means)
+        side = self.side(means)
+        if side is Side.BOUNDARY:
+            return side, 0.0, uniform
+        try:
+            z = self.value(means, counts)
+        except (DegenerateInstance, UnsupportedCase):
+            z = 0.0
+        if z >= beta:
+            return side, z, None
+        try:
+            w_hat = self.weights(means)
+        except PartidError:
+            return side, z, uniform
+        if not np.all(np.isfinite(w_hat)):
+            return side, z, uniform
+        return side, z, w_hat.tolist()

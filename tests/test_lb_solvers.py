@@ -90,6 +90,20 @@ class TestSolveThreshold:
         with pytest.raises(DegenerateInstance):
             solve_threshold([G1, G1], [1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("mu,arm", [([1e5, 0.0], 0), ([-1e5, -1.0], 0),
+                                        ([0.5, 1e5], 1), ([-1.0, -1e5], 1)],
+                             ids=["above", "below", "above_arm1",
+                                  "below_arm1"])
+    def test_overflowed_divergence_raises_numerical_error(self, mu, arm):
+        # with variance 1e-300 a divergence 1e5 from the level overflows
+        # to inf: above the level the saddle value, below it the product
+        # residual 0 * inf would be taken on it
+        models = [gaussian(1e-300)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"arm {arm} "):
+                solve_threshold(models, mu, 0.0)
+
     def test_level_outside_arm_domain_rejected(self):
         with pytest.raises(DomainError, match="outside arm 1 domain"):
             solve_threshold([G1, bernoulli()], [3.0, 0.5], 2.0)
@@ -750,18 +764,21 @@ def test_inner_values_do_not_use_builtin_sum(monkeypatch, name, models, mu,
 @settings(max_examples=400, deadline=None)
 def test_threshold_t_star_below_eight_arms_is_numpys_sum(case):
     # t* is summed by a Python loop below 8 arms; it must be the float
-    # np.add.reduce gives, as solve_threshold summed on arrays
+    # np.add.reduce gives, as solve_threshold summed on arrays, in the
+    # step's weights and in the solution
     variances, below = case
     k = len(variances)
-    geometry = PreparedThreshold([gaussian(v) for v in variances],
-                                 Threshold(0.0))
+    models = [gaussian(v) for v in variances]
+    geometry = PreparedThreshold(models, Threshold(0.0))
     mu = [-x for x in below]
-    side = geometry.side(mu)
-    geometry.statistic(mu, [1] * k, side)
-    gaps, w, tstar = geometry.inverse_gap_weights()
-    inv = [1.0 / g for g in gaps]
-    assert tstar == float(np.add.reduce(inv))
+    side, _, w = geometry.step(mu, [1] * k, math.inf)
+    assert side is Side.A2
+    inv = [1.0 / kl(m, x, 0.0) for m, x in zip(models, mu)]
+    tstar = float(np.add.reduce(inv))
     assert w == [x / tstar for x in inv]
+    sol = solve_threshold(models, mu, 0.0)
+    assert sol.c_star == 1.0 / tstar
+    assert sol.w_star.tolist() == w
 
 
 class _NoNumpy:
@@ -818,14 +835,15 @@ def _gaussian_threshold_step(draw):
 @given(_gaussian_threshold_step())
 @settings(max_examples=400, deadline=None)
 def test_gaussian_threshold_statistic_is_the_checked_divergence(step):
-    # the prepared Gaussian statistic and weights against spef.kl, with ==
+    # the prepared Gaussian step's statistic and, above the level, its
+    # weights against spef.kl, with ==; a step at beta inf returns the
+    # weights unless Z is inf
     models, mu, u, counts = step
     geometry = PreparedThreshold(models, Threshold(u))
-    side = geometry.side(mu)
+    side, z, w = geometry.step(mu, counts, math.inf)
     if side is Side.BOUNDARY:
         return
-    products = [w * spef.kl(m, x, u) for m, x, w in zip(models, mu, counts)]
-    z = geometry.statistic(mu, counts, side)
+    products = [n * spef.kl(m, x, u) for m, x, n in zip(models, mu, counts)]
     if side is Side.A2:
         assert z == min(products)
         return
@@ -834,15 +852,16 @@ def test_gaussian_threshold_statistic_is_the_checked_divergence(step):
         if x > u:
             want += p
     assert z == want
+    if z == math.inf:
+        assert w is None
+        return
     gaps = [spef.kl(m, x, u) if x > u else -1.0 for m, x in zip(models, mu)]
     best = max(gaps)
-    if best == 0.0:
-        with pytest.raises(DegenerateInstance):
-            geometry.weights(mu, side)
-        return
-    w = geometry.weights(mu, side)
-    assert w == [1.0 if i == gaps.index(best) else 0.0
-                 for i in range(len(mu))]
+    # no positive divergence: the weights raise DegenerateInstance, and
+    # the step falls back to uniform weights
+    assert w == ([1.0 / len(mu)] * len(mu) if best == 0.0 else
+                 [1.0 if i == gaps.index(best) else 0.0
+                  for i in range(len(mu))])
 
 
 class TestHalfSpaceCertificate:

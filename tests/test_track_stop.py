@@ -1,13 +1,16 @@
 """Run loop: stopping rule, tracking rule, and the prepared geometries.
 
 The run loop takes each geometry from lb_solvers.prepare. Every prepared
-geometry must give, bit for bit, the trajectory of the same loop driven by
-this file's own reference, which calls the public classify, inner_inf and
-solve at every step; the parity suites here are what license the closed
-forms and prepared rows for the nested-simulation sweeps. The loop itself
-is checked against a plain loop written here, which recomputes every mean
-each step. Pinned trajectories guard the half-space runs and the threshold
-runs with many arms or with means that cross the level.
+geometry's step must give, bit for bit, the step of the reference in
+support.PublicApiKernel, which calls the public classify, inner_inf and
+solve and applies the loop's fallbacks; the parity suites here are what
+license the closed forms and prepared rows for the nested-simulation
+sweeps. The loop itself is checked against a plain loop written here,
+which recomputes every mean each step. A geometry keeps nothing between
+calls: its pickle does not change, and runs stepped in turn on one
+geometry are the runs on their own. Pinned trajectories guard a run of
+every prepared class, the half-space runs and the threshold runs with
+many arms or with means that cross the level.
 """
 
 import json
@@ -25,48 +28,22 @@ from partid.config import parse_config
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            PartidError, UnsupportedCase)
-from partid.lb_solvers import (PreparedHalfSpace, _Row, _step_from_parts,
-                               inner_inf, prepare, solve)
+from partid.lb_solvers import PreparedHalfSpace, _Row, prepare, solve
 from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, classify, ellipsoid)
 from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
                          sampler)
 from partid.track_stop import (StoppingConfig, _track_and_stop,
                                beta_threshold, run)
+from support import PublicApiKernel
 
 G1 = gaussian(1.0)
-
-
-class _PublicApiKernel:
-    """Reference geometry for the run loop: the public classify, inner_inf
-    and solve at every step, which validate the means and prepare a fresh
-    geometry per call, so nothing a run records carries between steps. Its
-    step is the shared _step_from_parts, which applies the loop's
-    fallbacks."""
-
-    step = _step_from_parts
-
-    def __init__(self, models, spec):
-        self.models, self.spec = models, spec
-
-    def side(self, means):
-        return classify(self.spec, means)
-
-    def statistic(self, means, counts, side):
-        return inner_inf(self.models, means, np.asarray(counts, dtype=float),
-                         self.spec).value
-
-    def weights(self, means, side):
-        w_hat = solve(self.models, means, self.spec).w_star
-        if not np.all(np.isfinite(w_hat)):
-            raise NumericalError("non-finite reference weights")
-        return w_hat
 
 
 def _run_public_api(models, mu, spec, cfg, rng):
     """The run loop driven by the public solvers, whatever the geometry."""
     return _track_and_stop(models, mu, classify(spec, mu),
-                           _PublicApiKernel(models, spec), cfg, rng)
+                           PublicApiKernel(models, spec), cfg, rng)
 
 
 class TestStoppingConfig:
@@ -478,6 +455,52 @@ def test_gaussian_halfspace_pinned_trajectory_k4(name, a, seed, want):
     assert not res.truncated
 
 
+# (name, models, truth, spec, {seed: (stop_time, declared, glr_at_stop,
+# final_counts)}) at delta 0.01: a pin for each prepared class whose run
+# had none, recorded before the step lost its recorded state. The parity
+# suites compare the step with solvers that share its code, so they
+# cannot see a drift both make; these tuples can, and a change here is a
+# trajectory change
+CLASS_PINNED = [
+    ("gaussian_ball", [G1, G1], [1.5, 0.0], ball((0.0, 0.0), 1.0),
+     {1: (114, Side.A1, 10.779073864219447, [104, 10]),
+      2: (89, Side.A1, 10.194479515890103, [80, 9])}),
+    ("poisson_ellipsoid", [poisson(), poisson()], [3.0, 1.0],
+     ellipsoid((1.0, 1.0), (1.0, 1.5)),
+     {1: (43, Side.A1, 10.598734466449605, [37, 6]),
+      2: (57, Side.A1, 10.17942576901201, [50, 7])}),
+    ("bernoulli_ball", [bernoulli(), bernoulli()], [0.85, 0.5],
+     ball((0.5, 0.5), 0.25),
+     {1: (230, Side.A1, 11.159375620135732, [215, 15]),
+      2: (353, Side.A1, 11.563958222599268, [335, 18])}),
+    ("gaussian_union2", [G1, G1], [0.0, 0.0],
+     UnionHalfSpaces((((1.0, 0.0), 0.6), ((0.0, 1.0), 0.8))),
+     {1: (73, Side.A1, 10.07006635131677, [46, 27]),
+      2: (96, Side.A1, 10.199620793926618, [71, 25])}),
+    ("mixed_threshold", [bernoulli(), poisson(), gaussian(0.7)],
+     [0.3, 1.2, 0.1], Threshold(0.6),
+     {1: (37, Side.A1, 9.758546805017788, [5, 27, 5]),
+      2: (39, Side.A1, 9.87656615645736, [5, 29, 5])}),
+]
+
+
+@pytest.mark.parametrize("name,models,mu,spec,seed,want", [
+    (name, models, mu, spec, seed, want)
+    for name, models, mu, spec, pins in CLASS_PINNED
+    for seed, want in pins.items()],
+    ids=[f"{p[0]}_seed{s}" for p in CLASS_PINNED for s in p[4]])
+def test_prepared_class_pinned_trajectory(name, models, mu, spec, seed, want):
+    # glr_at_stop to rel 1e-12, as the other solver pins: the Poisson and
+    # Bernoulli divergences take numpy's log1p and log, whose last bit
+    # depends on the host's CPU features
+    res = run(models, mu, spec, StoppingConfig(delta=0.01),
+              np.random.default_rng(seed))
+    assert (res.stop_time, res.declared) == want[:2]
+    assert res.glr_at_stop == pytest.approx(want[2], rel=1e-12, abs=0.0)
+    assert res.final_counts.tolist() == want[3]
+    assert not res.truncated
+
+
 def test_solver_kernel_pinned_trajectory_mixed_families():
     models = [bernoulli(), poisson(), bernoulli()]
     res = run(models, [0.3, 0.5, 0.4], HalfSpace((1.0, 1.0, 1.0), 2.5),
@@ -552,6 +575,11 @@ ISOLATION_CASES = [
     ("union2", [G1, gaussian(0.5)],
      UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 1.2))),
      ([0.0, 0.0], 1), ([0.3, -0.2], 2)),
+    ("mixed_ellipsoid", [poisson(), G1], ellipsoid((1.0, 0.0), (0.5, 1.0)),
+     ([2.5, 0.5], 1), ([0.2, 1.4], 2)),
+    ("mixed_union2", [bernoulli(), G1],
+     UnionHalfSpaces((((1.0, 0.0), 0.8), ((0.0, 1.0), 1.0))),
+     ([0.3, 0.0], 1), ([0.1, -0.5], 1)),
 ]
 
 
@@ -582,6 +610,102 @@ def test_a_geometry_carries_nothing_from_one_run_into_the_next(
         assert {a[1], b[1]} == {Side.A1, Side.A2}
 
 
+@pytest.mark.parametrize("name,models,spec,first,second", ISOLATION_CASES,
+                         ids=[c[0] for c in ISOLATION_CASES])
+def test_a_geometry_is_not_changed_by_its_calls(name, models, spec, first,
+                                                second):
+    # nothing is assigned on a prepared geometry after its constructor:
+    # its pickle is the same bytes before and after a run, an inner and a
+    # solution on it
+    geometry = prepare(models, spec)
+    before = pickle.dumps(geometry)
+    truth, seed = first
+    run(models, truth, spec, StoppingConfig(delta=0.05, max_steps=5000),
+        np.random.default_rng(seed), geometry)
+    assert pickle.dumps(geometry) == before
+    x = np.array(truth, dtype=float)
+    geometry.inner(x, np.arange(1.0, x.size + 1.0), classify(spec, x))
+    assert pickle.dumps(geometry) == before
+    geometry.solution(x)
+    assert pickle.dumps(geometry) == before
+
+
+class _Recorder:
+    """A run's geometry that logs each step's arguments and outcome."""
+
+    def __init__(self, geometry):
+        self.geometry, self.log = geometry, []
+
+    def step(self, means, counts, beta):
+        side, z, w_hat = self.geometry.step(means, counts, beta)
+        w_hat = None if w_hat is None else list(w_hat)
+        self.log.append(((list(means), list(counts), beta), (side, z, w_hat)))
+        return side, z, w_hat
+
+
+class _InTurn(_Recorder):
+    """Run A's geometry: after each of A's steps on the shared geometry,
+    the next of run B's logged step arguments is stepped on it too, and
+    its outcome logged in B's."""
+
+    def __init__(self, geometry, other_args):
+        super().__init__(geometry)
+        self.other = _Recorder(geometry)
+        self.pending = list(other_args)
+
+    def step(self, means, counts, beta):
+        out = super().step(means, counts, beta)
+        self.other_step()
+        return out
+
+    def other_step(self):
+        if self.pending:
+            self.other.step(*self.pending.pop(0))
+
+
+class _Replay:
+    """A run's geometry that returns a logged outcome for each step,
+    whose arguments must be the logged ones."""
+
+    def __init__(self, log):
+        self.log = list(log)
+
+    def step(self, means, counts, beta):
+        args, out = self.log.pop(0)
+        assert (list(means), list(counts), beta) == args
+        return out
+
+
+@pytest.mark.parametrize("name,models,spec,first,second", ISOLATION_CASES,
+                         ids=[c[0] for c in ISOLATION_CASES])
+def test_two_runs_stepped_in_turn_on_one_geometry(name, models, spec, first,
+                                                  second):
+    # runs A and B take their steps in turn on one geometry and give the
+    # results each gives on a geometry of its own. B's steps are made on
+    # the shared geometry between A's, with the arguments B's own run
+    # passed; B's result is then its run on the outcomes they gave there
+    cfg = StoppingConfig(delta=0.05, max_steps=5000)
+
+    def result(geometry, truth, seed):
+        res = run(models, truth, spec, cfg, np.random.default_rng(seed),
+                  geometry)
+        return (res.stop_time, res.declared, res.glr_at_stop.hex(),
+                res.final_counts.tolist(),
+                [x.hex() for x in res.final_means.tolist()], res.truncated)
+
+    alone_a = result(prepare(models, spec), *first)
+    b_alone = _Recorder(prepare(models, spec))
+    alone_b = result(b_alone, *second)
+    in_turn = _InTurn(prepare(models, spec), [a for a, _ in b_alone.log])
+    got_a = result(in_turn, *first)
+    while in_turn.pending:
+        in_turn.other_step()
+    got_b = result(_Replay(in_turn.other.log), *second)
+    assert (got_a, got_b) == (alone_a, alone_b)
+    # the steps did alternate
+    assert min(len(in_turn.log), len(b_alone.log)) > 3
+
+
 def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
     geometry = prepare(list(models), spec)
     assert isinstance(geometry, PreparedHalfSpace)
@@ -591,27 +715,11 @@ def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
 class TestPreparedHalfSpaceChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_raises(self, bad):
-        # as in the run loop: side first, then statistic on the same means
+        # on the closed-form path and, with a zero count, the general one
         geometry = _halfspace_geometry()
-        means = [bad, 0.0]
-        geometry.side(means)
-        with pytest.raises(DomainError, match="mu\\[0\\]"):
-            geometry.statistic(means, [3, 3], Side.A1)
-
-    # every class prepare returns that records the means side took (the
-    # threshold records none: its statistic takes the means it is given)
-    @pytest.mark.parametrize("spec,side", [
-        (HalfSpace((1.0, 1.0), 1.0), Side.A2),
-        (ball((0.0, 0.0), 1.0), Side.A1),
-        (UnionHalfSpaces((((1.0, 0.0), 3.0), ((0.0, 1.0), 1.0))), Side.A1),
-    ], ids=["halfspace", "convex", "union"])
-    def test_means_other_than_sides_raise(self, spec, side):
-        geometry = prepare([G1, G1], spec)
-        with pytest.raises(ValueError, match="last side call"):
-            geometry.statistic([2.0, 0.0], [3, 3], side)
-        geometry.side([2.0, 0.0])
-        with pytest.raises(ValueError, match="last side call"):
-            geometry.weights([2.0, 0.0], side)
+        for counts in [3, 3], [3, 0]:
+            with pytest.raises(DomainError, match="mu\\[0\\]"):
+                geometry.step([bad, 0.0], counts, math.inf)
 
     def test_unreachable_half_space_raises(self, tmp_path, capsys):
         models = [bernoulli(), bernoulli()]
@@ -632,24 +740,25 @@ class TestPreparedHalfSpaceChecks:
         assert "does not intersect" in capsys.readouterr().err
 
     @pytest.mark.parametrize("means", [[0.5, 0.5], [0.5, 0.5 + 1e-13]])
-    def test_boundary_band_gives_zero_and_uniform(self, means):
+    def test_boundary_band_gives_zero_and_uniform(self, monkeypatch, means):
         geometry = _halfspace_geometry()
-        means = np.array(means)
-        assert geometry.side(means) is Side.BOUNDARY
+
+        def unreached(*args):
+            raise AssertionError("statistic or weights on a boundary step")
+
+        # a boundary step evaluates neither the statistic nor the weights
+        for name in "_gaussian_unit_inner", "_unit_halfspace_inner":
+            monkeypatch.setattr(lb_solvers, name, unreached)
+        monkeypatch.setattr(geometry, "_weights", unreached)
+        for counts in [3, 3], [3, 0]:
+            assert geometry.step(means, counts, -1.0) == \
+                (Side.BOUNDARY, 0.0, [0.5, 0.5])
 
         class OnTheBand:
             # every step's means sit where the half-space puts them on the
-            # band; the step must evaluate neither statistic nor weights
-            step = _step_from_parts
-
-            def side(self, mu):
-                return geometry.side(means)
-
-            def statistic(self, *args):
-                raise AssertionError("statistic on a boundary step")
-
-            def weights(self, *args):
-                raise AssertionError("weights on a boundary step")
+            # band
+            def step(self, mu, counts, beta):
+                return geometry.step(means, counts, beta)
 
         res = _track_and_stop([G1, G1], np.zeros(2), Side.A1, OnTheBand(),
                               StoppingConfig(delta=0.1, max_steps=40),
@@ -660,54 +769,33 @@ class TestPreparedHalfSpaceChecks:
         assert res.final_counts.tolist() == [20, 20]
 
 
-def _outcome(f, *args):
-    """f(*args), or the type of the solver error it raised."""
-    try:
-        return f(*args)
-    except (DegenerateInstance, InfeasibleAlternative, DomainError,
-            NumericalError) as exc:
-        return type(exc)
+class _RowKernel(PublicApiKernel):
+    """PublicApiKernel for a row with zero entries, which HalfSpace
+    rejects: classify on the one-row union, and a freshly prepared row's
+    inner and solution, the array entry points inner_inf and solve call
+    (inner_inf on the union checks means that are not finite)."""
+
+    def __init__(self, models, a, b):
+        super().__init__(models, UnionHalfSpaces(((a, b),)))
+        self.row = _Row(a, b)
+
+    def value(self, means, counts):
+        x = np.array(means)
+        if not np.all(np.isfinite(x)):
+            return super().value(means, counts)
+        return PreparedHalfSpace(self.models, self.row).inner(
+            x, np.array(counts, dtype=float), self.side(means))[0]
+
+    def weights(self, means):
+        return PreparedHalfSpace(self.models, self.row).solution(
+            np.array(means)).w_star
 
 
-def _step_and_public(models, a, b, means, counts):
-    """(run step, public reference) outcomes of side, statistic and weights
-    at the means. The reference is classify, inner_inf and solve on
-    HalfSpace(a, b); a row with a zero entry, which HalfSpace rejects, is
-    classified as a one-row union and evaluated by a freshly prepared
-    row's inner and solution, the array entry points inner_inf and solve
-    call (inner_inf on the union checks means that are not finite).
-    Statistic and weights follow the step's side, as in the run loop, and
-    weights only at means statistic has checked."""
-    geometry = PreparedHalfSpace(models, _Row(a, b))
-    side = geometry.side(means)
-    got, want = [side], []
-    x = np.array(means)
+def _reference(models, a, b):
+    """The public reference step of the half-space row (a, b)."""
     if 0.0 in a:
-        union = UnionHalfSpaces(((a, b),))
-        want.append(classify(union, x))
-        fresh = PreparedHalfSpace(models, _Row(a, b))
-        w = np.array(counts, dtype=float)
-        if np.all(np.isfinite(x)):
-            want.append(_outcome(lambda: fresh.inner(x, w, side)[0]))
-        else:
-            want.append(_outcome(lambda: inner_inf(models, x, counts,
-                                                   union).value))
-        # the certificate's tangency ratio is 0/0 at an untouched arm
-        with np.errstate(invalid="ignore"):
-            want.append(_outcome(lambda: fresh.solution(x).w_star.tolist()))
-    else:
-        spec = HalfSpace(a, b)
-        want.append(classify(spec, x))
-        want.append(_outcome(lambda: inner_inf(models, x, counts,
-                                               spec).value))
-        want.append(_outcome(lambda: solve(models, x, spec).w_star.tolist()))
-    if side is Side.BOUNDARY:
-        return got, want[:1]
-    got.append(_outcome(geometry.statistic, means, counts, side))
-    if not np.all(np.isfinite(x)):
-        return got, want[:2]
-    got.append(_outcome(geometry.weights, means, side))
-    return got, want
+        return _RowKernel(models, a, b)
+    return PublicApiKernel(models, HalfSpace(a, b))
 
 
 def _gaussian_row(rng, k):
@@ -731,10 +819,10 @@ def _means_near(rng, a, b, margin):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_gaussian_halfspace_step_matches_the_public_solvers(k):
-    # the run step's closed form on floats against classify, inner_inf and
-    # solve, with ==: both sides, means at the edge of the boundary band
-    # (1e-3 relative of +-TOL_CLASS), counts with a zero entry (the
-    # general path) and means that are not finite
+    # the run step's closed form on floats against the step of classify,
+    # inner_inf and solve, with ==: both sides, means at the edge of the
+    # boundary band (1e-3 relative of +-TOL_CLASS), counts with a zero
+    # entry (the general path) and means that are not finite
     rng = np.random.default_rng(700 + k)
     seen = set()
     for _ in range(120):
@@ -750,17 +838,20 @@ def test_gaussian_halfspace_step_matches_the_public_solvers(k):
                 cases.append(counts[:])
                 cases[-1][int(rng.integers(k))] = 0
             for c in cases:
-                got, want = _step_and_public(models, a, b, means, c)
+                got = _step_bits(PreparedHalfSpace(models, _Row(a, b)).step,
+                                 means, c, math.inf)
+                want = _step_bits(_reference(models, a, b).step, means, c,
+                                  math.inf)
                 assert got == want, (models, a, b, means, c)
-                seen.add((got[0], 0 in c,
-                          len(got) > 1 and isinstance(got[1], float)
-                          and got[1] > 0.0))
+                seen.add((got[0], 0 in c, float.fromhex(got[1]) > 0.0))
         bad = means[:]
         bad[int(rng.integers(k))] = [math.nan, math.inf,
                                      -math.inf][int(rng.integers(3))]
-        with np.errstate(invalid="ignore"):
-            got, want = _step_and_public(models, a, b, bad, counts)
-        assert got == want and got[1] is DomainError, (a, b, bad)
+        got = _step_bits(PreparedHalfSpace(models, _Row(a, b)).step, bad,
+                         counts, math.inf)
+        assert got is DomainError, (a, b, bad)
+        assert _step_bits(_reference(models, a, b).step, bad, counts,
+                          math.inf) is DomainError
     assert {(Side.A1, False, True), (Side.A2, False, True)} <= seen
     assert Side.BOUNDARY in {s for s, _, _ in seen}
 
@@ -768,8 +859,9 @@ def test_gaussian_halfspace_step_matches_the_public_solvers(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_side_and_classify_agree_at_the_band_edges(k):
     # walk one arm's mean a float at a time across +-TOL_CLASS and compare
-    # the prepared side with classify at every float within a few ulps of
-    # the crossing, with `is`: the band is decided by one expression
+    # the step's side (_dot_and_side) with classify at every float within a
+    # few ulps of the crossing, with `is`: the band is decided by one
+    # expression
     rng = np.random.default_rng(900 + k)
     seen = set()
     for _ in range(30):
@@ -779,12 +871,12 @@ def test_side_and_classify_agree_at_the_band_edges(k):
         i = next(j for j, aj in enumerate(a) if aj != 0.0)
         for edge in (TOL_CLASS, -TOL_CLASS):
             means = _means_near(rng, a, b, edge)
-            start = geometry.side(means)
+            start = geometry._dot_and_side(means)[1]
             # leaving the band needs |margin| to grow, entering it to shrink
             grow = (start is Side.BOUNDARY) == (edge > 0)
             toward = math.inf if grow == (a[i] > 0) else -math.inf
             for _ in range(10 ** 4):
-                if geometry.side(means) is not start:
+                if geometry._dot_and_side(means)[1] is not start:
                     break
                 means[i] = math.nextafter(means[i], toward)
             else:
@@ -795,7 +887,7 @@ def test_side_and_classify_agree_at_the_band_edges(k):
                 for _ in range(abs(step)):
                     x = math.nextafter(x, math.copysign(math.inf, step))
                 means[i] = x
-                got = geometry.side(means)
+                got = geometry._dot_and_side(means)[1]
                 assert got is classify(spec, np.array(means)), (a, b, means)
                 seen.add(got)
     assert seen == {Side.A1, Side.A2, Side.BOUNDARY}
@@ -810,15 +902,6 @@ def _step_bits(step, means, counts, beta):
         return type(exc)
     return side, float(z).hex(), \
         None if w_hat is None else [float(x).hex() for x in w_hat]
-
-
-def _step_parity(make, means, counts, beta):
-    """(geometry.step, _step_from_parts) outcomes at the same inputs, each
-    on its own geometry from make(), so neither reads what the other
-    recorded."""
-    return (_step_bits(make().step, means, counts, beta),
-            _step_bits(lambda *args: _step_from_parts(make(), *args),
-                       means, counts, beta))
 
 
 def _betas_and_tie(rng, step, means, counts):
@@ -875,10 +958,10 @@ def _step_counts(rng, k):
     (7, "gaussian"), (8, "gaussian"), (9, "gaussian")])
 def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
                                                                       kind):
-    # a prepared threshold's step against _step_from_parts on classify,
-    # inner_inf and solve, bit for bit: means on both sides, the top mean
-    # within a few ulps of TOL_CLASS of the level and inside the band, and
-    # counts with a zero. inner_inf rejects means that are not finite,
+    # a prepared threshold's step against the step of classify, inner_inf
+    # and solve with the loop's fallbacks, bit for bit: means on both
+    # sides, the top mean within a few ulps of TOL_CLASS of the level and
+    # inside the band, and counts with a zero. inner_inf rejects means that are not finite,
     # which the prepared threshold takes unchecked, so every mean here is
     # finite (test_threshold_weights_at_a_nan_mean_are_degenerate takes
     # NaN means)
@@ -901,10 +984,8 @@ def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
                                            means, counts):
                     got = _step_bits(prepare(models, spec).step, means,
                                      counts, beta)
-                    want = _step_bits(
-                        lambda *args: _step_from_parts(
-                            _PublicApiKernel(models, spec), *args),
-                        means, counts, beta)
+                    want = _step_bits(PublicApiKernel(models, spec).step,
+                                      means, counts, beta)
                     assert got == want, (models, u, means, counts, beta)
                     seen.add((got[0], got[2] is None))
     assert {(Side.A1, True), (Side.A1, False), (Side.A2, True),
@@ -936,27 +1017,37 @@ _MIXED = [bernoulli(), poisson(), G1]
     (_MIXED, 0.5, [0.3, 0.5, -0.2]),
 ])
 def test_threshold_step_where_its_arithmetic_is_fragile(models, u, means):
-    # the prepared threshold's step, bit for bit, against _step_from_parts
-    # on its own parts, where divergences overflow, an inverse overflows
-    # or an arm sits at the level; and against the public solvers where
-    # they are defined: every divergence finite and no count 0, as in a
-    # run. An infinite divergence has solve_threshold reject the saddle
-    # value above the level, where the step tracks the top arm, and take
-    # 0 * inf in its product_spread residual below it
+    # the prepared threshold's step where divergences overflow, an inverse
+    # overflows or an arm sits at the level: at every beta it is its step
+    # at beta inf, with the weights cut where the step stops; and it is the
+    # public solvers' step where they are defined, every divergence finite
+    # and no count 0, as in a run. Where a divergence overflows, above the
+    # level the step tracks the top arm and below it the inverse
+    # divergences, while solve_threshold raises NumericalError naming the
+    # first such arm
     spec = Threshold(u)
     public = _TINY not in models
     rng = np.random.default_rng(1400 + len(models))
     for counts in _step_counts(rng, len(models)) + [[3] * len(models)]:
+        full = _step_bits(prepare(models, spec).step, means, counts,
+                          math.inf)
         for beta in _betas_and_tie(rng, prepare(models, spec).step, means,
                                    counts):
-            got, want = _step_parity(lambda: prepare(models, spec), means,
-                                     counts, beta)
-            assert got == want, (models, u, means, counts, beta)
+            got = _step_bits(prepare(models, spec).step, means, counts, beta)
+            # a boundary step never stops
+            stops = full[0] is not Side.BOUNDARY and \
+                float.fromhex(full[1]) >= beta
+            assert got == full[:2] + (None if stops else full[2],), \
+                (models, u, means, counts, beta)
             if not public or 0 in counts:
                 continue
-            want = _step_bits(lambda *args: _step_from_parts(
-                _PublicApiKernel(models, spec), *args), means, counts, beta)
+            want = _step_bits(PublicApiKernel(models, spec).step, means,
+                              counts, beta)
             assert got == want, (models, u, means, counts, beta)
+    if not public:
+        with pytest.raises(NumericalError,
+                           match=f"arm {models.index(_TINY)} "):
+            solve(models, means, spec)
 
 
 @pytest.mark.parametrize("models,means", [
@@ -970,32 +1061,29 @@ def test_threshold_step_where_its_arithmetic_is_fragile(models, u, means):
 ])
 def test_threshold_inverse_gap_weights_raise_where_t_star_is_undefined(
         models, means):
-    # a divergence that is 0 (a mean at the level) or NaN raises wherever
-    # it sits among the arms, whatever comes before or after it, and so
-    # does a t* of 0 or inf
+    # below the level, the weights of a pass where a divergence is 0 (a
+    # mean at the level) or NaN raise wherever it sits among the arms,
+    # whatever comes before or after it, and so does a t* of 0 or inf
     geometry = prepare(models, Threshold(0.5))
-    geometry.statistic(means, [3, 4, 5], Side.A2)
+    p = geometry._pass(means, [3, 4, 5], Side.A2)
     with pytest.raises(DegenerateInstance):
-        geometry.inverse_gap_weights()
-    with pytest.raises(DegenerateInstance):
-        geometry.weights(means, Side.A2)
+        geometry._weights(Side.A2, *p[1:])
 
 
 @pytest.mark.parametrize("means,side", [
     ([0.9, 0.2, 0.7], Side.A1), ([0.1, 0.2, 0.3], Side.A2)])
 def test_threshold_weights_are_a_fresh_list(means, side):
-    # the step shares its one-hot weights above the level across steps; a
-    # caller that changes the list weights returns changes none of them
+    # the step shares its one-hot weights above the level across steps; the
+    # weights solution returns are fresh, so a caller that changes them
+    # changes no later step or solution
     geometry = prepare([G1] * 3, Threshold(0.5))
     want = _step_bits(geometry.step, means, [3, 4, 5], 1e300)
-    geometry.statistic(means, [3, 4, 5], side)
-    w = geometry.weights(means, side)
-    w[:] = [7.0] * 3
+    assert want[0] is side
+    w = geometry.solution(np.array(means)).w_star
+    w[:] = 7.0
     assert _step_bits(geometry.step, means, [3, 4, 5], 1e300) == want
-    geometry.statistic(means, [3, 4, 5], side)
-    assert geometry.weights(means, side) is not w
-    assert [float(x).hex() for x in geometry.weights(means, side)] == \
-        want[2]
+    assert [x.hex() for x in geometry.solution(
+        np.array(means)).w_star.tolist()] == want[2]
 
 
 @pytest.mark.parametrize("means,side,z", [
@@ -1006,32 +1094,35 @@ def test_threshold_weights_are_a_fresh_list(means, side):
 ])
 def test_threshold_weights_at_a_nan_mean_are_degenerate(means, side, z):
     # a NaN divergence before a zero one makes min() NaN, which a <= 0.0
-    # test let through to 1 / 0.0 (ZeroDivisionError); below the level
-    # inverse_gap_weights raises DegenerateInstance at any NaN divergence,
-    # and the step falls back to uniform weights
+    # test let through to 1 / 0.0 (ZeroDivisionError); below the level the
+    # weights raise DegenerateInstance at any NaN divergence, and the step
+    # falls back to uniform weights
     geometry = prepare([G1, G1], Threshold(0.5))
-    geometry.statistic(means, [3, 4], Side.A2)
     with pytest.raises(DegenerateInstance):
-        geometry.inverse_gap_weights()
+        geometry._weights(Side.A2, *geometry._pass(means, [3, 4],
+                                                   Side.A2)[1:])
     assert prepare([G1, G1], Threshold(0.5)).step(means, [3, 4], 10.0) == \
         (side, z, [0.5, 0.5])
 
 
 def test_threshold_step_where_every_divergence_underflows():
     # the one arm above the level has (mu - u)^2 / (2 v) = 4e-24 / 2e300,
-    # which underflows to 0: no arm is kept as top, the weights raise
-    # DegenerateInstance, and the step falls back to uniform weights
+    # which underflows to 0: no arm is on top, the weights raise
+    # DegenerateInstance, and the step falls back to uniform weights, as
+    # the public solvers' step does
     models, spec = [gaussian(1e300), G1], Threshold(0.0)
-    got, want = _step_parity(lambda: prepare(models, spec), [2e-12, -1.0],
-                             [3, 4], 1.0)
+    got = _step_bits(prepare(models, spec).step, [2e-12, -1.0], [3, 4], 1.0)
+    want = _step_bits(PublicApiKernel(models, spec).step, [2e-12, -1.0],
+                      [3, 4], 1.0)
     assert got == want == (Side.A1, (0.0).hex(), [(0.5).hex()] * 2)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli_poisson", "mixed"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_halfspace_step_is_the_parts_with_the_loop_fallbacks(kind, k):
-    # PreparedHalfSpace.step against _step_from_parts on the same inputs,
-    # bit for bit: rows with and without zero entries, unit-row margins
+    # PreparedHalfSpace.step against the public solvers' step with the
+    # loop's fallbacks (_reference), bit for bit: rows with and without
+    # zero entries, unit-row margins
     # on both sides, within a few ulps of 1e-12 (where classify and the
     # weights' hyperplane test part) and inside the band, counts with a
     # zero, and a mean that is not finite
@@ -1059,9 +1150,10 @@ def test_halfspace_step_is_the_parts_with_the_loop_fallbacks(kind, k):
                 for beta in _betas_and_tie(
                         rng, PreparedHalfSpace(models, spec).step, means,
                         counts):
-                    got, want = _step_parity(
-                        lambda: PreparedHalfSpace(models, spec), means,
-                        counts, beta)
+                    got = _step_bits(PreparedHalfSpace(models, spec).step,
+                                     means, counts, beta)
+                    want = _step_bits(_reference(models, a, spec.b).step,
+                                      means, counts, beta)
                     assert got == want, (models, a, means, counts, beta)
                     seen.add(got if isinstance(got, type)
                              else (got[0], got[2] is None))
@@ -1086,9 +1178,8 @@ class _NoNumpy:
 ], ids=["k2", "k3", "k4_zero_entry"])
 def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
                                                      b, truth):
-    # after prepare, step, side, statistic and weights (zero counts
-    # included) and a whole run give the same floats with numpy taken away
-    # from lb_solvers and partitions
+    # after prepare, steps (zero counts included) and a whole run give the
+    # same floats with numpy taken away from lb_solvers and partitions
     rng = np.random.default_rng(17)
     geometry = PreparedHalfSpace(models, _Row(a, b))
     steps = []
@@ -1100,12 +1191,8 @@ def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
     def step_outcomes():
         out = []
         for means, counts in steps:
-            out.append(_step_bits(geometry.step, means, counts, 5.0))
-            side = geometry.side(means)
-            out.append(side)
-            if side is not Side.BOUNDARY:
-                out.append(_outcome(geometry.statistic, means, counts, side))
-                out.append(_outcome(geometry.weights, means, side))
+            for beta in 5.0, math.inf:
+                out.append(_step_bits(geometry.step, means, counts, beta))
         return out
 
     truth = np.array(truth)
@@ -1123,7 +1210,8 @@ def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
     monkeypatch.setattr(partitions, "np", _NoNumpy())
     got = step_outcomes(), one_run()
     assert got == want
-    assert {Side.A1, Side.A2} <= {x for x in want[0] if isinstance(x, Side)}
+    assert {Side.A1, Side.A2} <= {x[0] for x in want[0]
+                                  if isinstance(x, tuple)}
     # some steps have a zero count, whose statistic is the general path
     assert any(0 in counts for _, counts in steps)
 
@@ -1182,9 +1270,8 @@ def test_halfspace_steps_skip_the_public_solvers(monkeypatch):
 def _reference_run(models, true_means, spec, cfg, rng):
     """(result fields, sides) of the run loop written out plainly, apart
     from the one in track_stop: every step recomputes every mean and clamps
-    it with clamp_to_interior, takes the step of a geometry from prepare
-    from its side, statistic and weights (_step_from_parts, whatever
-    shorter step the class has), calls beta_threshold, and pulls by
+    it with clamp_to_interior, takes the step of a geometry from prepare,
+    calls beta_threshold, and pulls by
     _next_arm, the D-tracking rule taken from t and the counts. Its draws
     are per-arm samplers on rng. sides lists the side of every step."""
     true_means = np.asarray(true_means, dtype=float)
@@ -1199,8 +1286,7 @@ def _reference_run(models, true_means, spec, cfg, rng):
     while True:
         means = [clamp_to_interior(m, s / n)
                  for m, s, n in zip(models, sums, counts)]
-        side, z, w_hat = _step_from_parts(geometry, means, counts,
-                                          beta_threshold(t, cfg))
+        side, z, w_hat = geometry.step(means, counts, beta_threshold(t, cfg))
         sides.append(side)
         if w_hat is None:
             declared = side
@@ -1298,8 +1384,8 @@ def test_gaussian_threshold_pinned_trajectory_crossing_the_level():
 def test_gaussian_threshold_run_truncated_near_the_level(seed):
     # K = 5 unit-variance arms with the top mean 0.003 above the level, as
     # risk-demo paths that reach max_steps: 20,000 steps of block draws and
-    # the threshold step against the plain loop on per-arm samplers and
-    # _step_from_parts, bit for bit
+    # the run loop against the plain loop on per-arm samplers, bit for
+    # bit
     models, mu = [G1] * 5, [0.2, 0.9, 1.003, 0.5, 0.0]
     cfg = StoppingConfig(delta=0.05, max_steps=20_000)
     got = run(models, mu, Threshold(1.0), cfg, np.random.default_rng(seed))
