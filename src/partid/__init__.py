@@ -17,7 +17,8 @@ from .lb_solvers import (InnerSolution, LowerBoundSolution, inner_inf, solve,
                          solve_convex, solve_halfspace, solve_threshold,
                          solve_two_arm_gaussian, solve_union_halfspaces)
 from .reference_oracle import GridSpec, brute_force_inner, brute_force_lb
-from .track_stop import RunResult, StoppingConfig, beta_threshold, run
+from .track_stop import (RunResult, StoppingConfig, beta_threshold, run,
+                         run_deltas)
 from .config import ExperimentConfig, RiskDemoConfig, parse_config
 from .experiments import (ExperimentReport, RiskReport, risk_demo,
                           run_experiment, run_single, write_rows_csv,
@@ -38,7 +39,7 @@ __all__ = [
     "solve_threshold", "solve_halfspace", "solve_convex",
     "solve_union_halfspaces", "solve_two_arm_gaussian",
     "GridSpec", "brute_force_lb", "brute_force_inner",
-    "StoppingConfig", "RunResult", "beta_threshold", "run",
+    "StoppingConfig", "RunResult", "beta_threshold", "run", "run_deltas",
     "ExperimentConfig", "RiskDemoConfig", "parse_config",
     "ExperimentReport", "RiskReport", "run_experiment", "run_single",
     "risk_demo", "write_rows_csv", "write_summary_json",

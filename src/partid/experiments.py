@@ -1,10 +1,14 @@
 """Monte Carlo experiment engine and the nested-simulation risk demo.
 
-Reproducibility contract: every run owns an independent generator derived
-from (master seed, delta index, replication index) through SeedSequence, so
-results are identical bytes whether replications execute inline or across a
-process pool, and identical again on a rerun with the same config. Nothing
-time- or host-dependent enters the outputs.
+Reproducibility contract: every replication owns an independent
+generator derived from (master seed, replication index) through
+SeedSequence, keyed as SeedSequence((master, 0, replication)), so results
+are identical bytes whether replications execute inline or across a
+process pool, and identical again on a rerun with the same config. One
+sample path per replication serves every delta of the campaign
+(track_stop.run_deltas): the row at each delta equals a run at that delta
+alone on the replication's generator, which is what run_single gives.
+Nothing time- or host-dependent enters the outputs.
 
 CSV rows follow the fixed column order
 delta, replication, seed, stop_time, declared, correct, glr_at_stop, n1..nK
@@ -16,10 +20,12 @@ and provenance (seed, config digest, package version).
 
 Every run of a campaign has the same arms and partition, so a campaign
 prepares its geometry (lb_solvers.prepare) once, builds one
-StoppingConfig per delta, and passes both to each track_stop.run, which
-still checks the run's truth. A prepared geometry carries nothing from
-one run into the next. On a process pool it travels in the task
-arguments, and pickle keeps one copy of it per chunk of tasks. The risk
+StoppingConfig per delta, and passes both to each replication's
+track_stop.run_deltas, which still checks the path's truth; the
+summary's t_star is the same geometry's solution at the true means. A
+prepared geometry carries nothing from one run into the next. On a
+process pool it travels in the task arguments, and pickle keeps one copy
+of it per chunk of tasks. The risk
 demo's tasks carry only numbers and build their arms, threshold and
 geometry per path: that setup is a few microseconds of a path's
 milliseconds, and shipping those objects to the pool measured slower.
@@ -38,10 +44,10 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, RiskDemoConfig
-from .lb_solvers import prepare, solve
+from .lb_solvers import _validate_instance, prepare
 from .partitions import Side, Threshold
 from .spef import gaussian
-from .track_stop import StoppingConfig, run
+from .track_stop import StoppingConfig, run, run_deltas
 
 
 @dataclass(frozen=True)
@@ -88,27 +94,31 @@ class RiskReport:
     provenance: dict
 
 
-def derive_seed_sequence(master: int, delta_idx: int,
+def derive_seed_sequence(master: int,
                          rep_idx: int) -> np.random.SeedSequence:
-    """Per-run entropy; the triple keys the stream, so any execution order
-    reproduces the same draws."""
-    return np.random.SeedSequence((master, delta_idx, rep_idx))
+    """Per-replication entropy; the pair keys the stream, so any execution
+    order reproduces the same draws. The key (master, 0, rep_idx) is the
+    one each replication's first-delta run had when every delta drew a
+    path of its own, so single-delta campaigns keep their bytes."""
+    return np.random.SeedSequence((master, 0, rep_idx))
 
 
 def _fingerprint(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _mc_task(args) -> RunRow:
-    (models, true_means, spec, geometry, stop, master, delta_idx,
-     rep_idx) = args
-    ss = derive_seed_sequence(master, delta_idx, rep_idx)
-    res = run(models, true_means, spec, stop, np.random.default_rng(ss),
-              geometry)
-    return RunRow(
+def _mc_task(args) -> list[RunRow]:
+    """One replication's rows, one per stopping config in stops order,
+    from one sample path."""
+    models, true_means, spec, geometry, stops, master, rep_idx = args
+    ss = derive_seed_sequence(master, rep_idx)
+    seed = _fingerprint(ss)
+    results = run_deltas(models, true_means, spec, stops,
+                         np.random.default_rng(ss), geometry)
+    return [RunRow(
         delta=stop.delta,
         replication=rep_idx,
-        seed=_fingerprint(ss),
+        seed=seed,
         stop_time=res.stop_time,
         declared=res.declared.value,
         correct=bool(res.correct),
@@ -116,7 +126,7 @@ def _mc_task(args) -> RunRow:
         counts=tuple(int(c) for c in res.final_counts),
         truncated=res.truncated,
         violations=res.forced_exploration_violations,
-    )
+    ) for stop, res in zip(stops, results)]
 
 
 def _map_tasks(task, args, parallelism: int):
@@ -142,24 +152,26 @@ def _campaign(cfg: ExperimentConfig) -> tuple:
 
 def run_single(cfg: ExperimentConfig, delta: float,
                replication: int = 0) -> RunRow:
-    """One run, seeded exactly like replication `replication` of an mc
-    campaign at delta index 0."""
-    stop = _stopping(cfg, delta)
-    return _mc_task((*_campaign(cfg), stop, cfg.seed, 0, replication))
+    """One run at delta on replication `replication`'s generator: the mc
+    campaign's row at that delta and replication, for any of its
+    deltas."""
+    stops = (_stopping(cfg, delta),)
+    return _mc_task((*_campaign(cfg), stops, cfg.seed, replication))[0]
 
 
 def run_experiment(cfg: ExperimentConfig,
                    parallelism: Optional[int] = None) -> ExperimentReport:
-    """Full campaign: replications x deltas runs, ordered aggregation."""
+    """Full campaign: one path per replication, a row per (delta,
+    replication), delta-major, and ordered aggregation."""
     par = cfg.parallelism if parallelism is None else parallelism
-    stops = [_stopping(cfg, delta) for delta in cfg.deltas]
+    stops = tuple(_stopping(cfg, delta) for delta in cfg.deltas)
     shared = _campaign(cfg)
-    args = [(*shared, stop, cfg.seed, di, ri)
-            for di, stop in enumerate(stops)
-            for ri in range(cfg.replications)]
-    rows = _map_tasks(_mc_task, args, par)
+    args = [(*shared, stops, cfg.seed, ri) for ri in range(cfg.replications)]
+    paths = _map_tasks(_mc_task, args, par)
+    rows = [path[di] for di in range(len(stops)) for path in paths]
 
-    sol = solve(list(cfg.arms), np.array(cfg.true_means), cfg.partition)
+    models, true_means, _, geometry = shared
+    sol = geometry.solution(_validate_instance(models, true_means))
     summaries = []
     for di, delta in enumerate(cfg.deltas):
         block = rows[di * cfg.replications:(di + 1) * cfg.replications]

@@ -23,7 +23,7 @@ allocation cost at N/t. When the empirical means sit on the partition
 boundary, or on a component the inner solvers do not cover, Z is taken as
 zero: the run keeps sampling rather than stopping on an undefined test.
 
-One loop serves every partition. run checks the truth, takes the
+One loop serves every partition. run_deltas checks the truth, takes the
 geometry that lb_solvers.prepare builds (or the one its caller passes)
 and asks it one thing per step, geometry.step(means, counts, beta) at
 the step's clamped empirical means, which returns the side, Z and the
@@ -34,6 +34,16 @@ are the step's own, so the loop has no error handling. A geometry's
 step, inner and solution compute only from their arguments and what
 prepare fixed, so a campaign (experiments) prepares one geometry for all
 its runs and passes it to each.
+
+delta enters only the threshold: a step's side, Z and weights do not
+depend on beta, and Z clearing beta at a smaller delta means it clears
+it at every larger one. So on one generator the run at a larger delta is
+a prefix of the run at a smaller one, and run_deltas walks one path for
+a set of deltas: it steps under the largest delta not yet crossed, and
+at that delta's crossing records its result and steps again, at the same
+t, under the next delta's beta. Each result equals run at its delta
+alone on a generator in the same state, and run is run_deltas with one
+delta.
 
 The loop runs on Python scalars: the step count is an int, the counts a
 list of ints, the reward sums and the clamped means lists of floats, and
@@ -111,25 +121,46 @@ def beta_threshold(t: int, cfg: StoppingConfig) -> float:
 def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
         cfg: StoppingConfig, rng: np.random.Generator,
         geometry=None) -> RunResult:
-    """Execute one run against the given ground truth.
+    """Execute one run against the given ground truth: run_deltas with the
+    one stopping config cfg.
 
     Draws from true_means (never shown to the decision logic), stops when
     the statistic clears beta_threshold or max_steps is hit; the latter is
-    reported as truncated, never silently dropped. geometry is
-    lb_solvers.prepare(models, spec), prepared here when not given; a
-    campaign prepares it once and passes it to every run. A truth on a
-    side that lb_solvers.covers rejects raises UnsupportedCase, and
-    max_steps below the number of arms (the first pulls alone would
+    reported as truncated, never silently dropped.
+    """
+    return run_deltas(models, true_means, spec, (cfg,), rng, geometry)[0]
+
+
+def run_deltas(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
+               stops: Sequence[StoppingConfig], rng: np.random.Generator,
+               geometry=None) -> list[RunResult]:
+    """One sample path against the given ground truth, with a result for
+    each stopping config in stops, in their order.
+
+    The configs must differ only in delta (ValueError otherwise), and
+    each result equals run at its config alone on a generator in the same
+    state: the run at a larger delta is a prefix of the path. geometry is lb_solvers.prepare(models, spec), prepared here when not
+    given; a campaign prepares it once and passes it to every path. A
+    truth on a side that lb_solvers.covers rejects raises UnsupportedCase,
+    and max_steps below the number of arms (the first pulls alone would
     exceed it) raises ValueError, both before the first draw. With every
     arm Gaussian the rewards are drawn from rng in blocks (spef.samplers),
-    so the run leaves rng past the last draw it used.
+    so the path leaves rng past the last draw it used.
     """
+    stops = tuple(stops)
+    if not stops:
+        raise ValueError("no stopping config given")
+    first = stops[0]
+    if any(s.c_const != first.c_const or s.max_steps != first.max_steps
+           for s in stops):
+        raise ValueError("stopping configs of one path must differ only "
+                         "in delta")
     true_means = np.atleast_1d(np.asarray(true_means, dtype=float))
     k = len(models)
     if true_means.size != k:
         raise ValueError(f"{k} models for {true_means.size} true means")
-    if cfg.max_steps < k:
-        raise ValueError(f"max_steps {cfg.max_steps} is below the {k} "
+    if first.max_steps < k:
+        raise ValueError(f"max_steps {first.max_steps} is below the {k} "
                          f"initial pulls, one per arm")
     true_side = classify(spec, true_means)
     if true_side is Side.BOUNDARY:
@@ -137,16 +168,21 @@ def run(models: Sequence[SpefModel], true_means, spec: PartitionSpec,
     require_covered(spec, true_side)
     if geometry is None:
         geometry = prepare(models, spec)
-    return _track_and_stop(models, true_means, true_side, geometry, cfg, rng)
+    return _track_and_stop(models, true_means, true_side, geometry, stops,
+                           rng)
 
 
 def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
-                    true_side: Side, geometry, cfg: StoppingConfig,
-                    rng: np.random.Generator) -> RunResult:
+                    true_side: Side, geometry,
+                    stops: Sequence[StoppingConfig],
+                    rng: np.random.Generator) -> list[RunResult]:
     """The run loop every geometry (see lb_solvers.prepare) shares: each
     step is one geometry.step(means, counts, beta), which gives the side,
     the statistic Z and the weights to track, or None for the weights when
-    Z clears beta and the run stops."""
+    Z clears beta. It steps under the largest delta of stops not yet
+    crossed, and at a crossing records that delta's result and steps again
+    at the same t under the next one, until the smallest delta's crossing
+    or max_steps, where every delta not yet crossed is truncated."""
     k = len(models)
     # clamp_to_interior's interval per arm, unbounded on infinite sides
     bounds = [clamp_bounds(m) for m in models]
@@ -163,23 +199,35 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         elif v > hi:
             v = hi
         means[i] = v
-    t, max_steps, half, sqrt = k, cfg.max_steps, k / 2.0, math.sqrt
+    t, max_steps, half, sqrt = k, stops[0].max_steps, k / 2.0, math.sqrt
     need, least = sqrt(t) - half, 1
+    # the largest delta (lowest beta) first; equal deltas keep their order
+    order = sorted(range(len(stops)), key=lambda j: stops[j].delta,
+                   reverse=True)
+    results: list = [None] * len(stops)
+    crossed = 0
     # beta_threshold's operations, on locals
-    log, c_const, delta = math.log, cfg.c_const, cfg.delta
+    log, c_const, delta = math.log, stops[0].c_const, stops[order[0]].delta
     step = geometry.step
     violations = 0
-    truncated = False
 
     while True:
         side, z, w_hat = step(means, counts, log(c_const * t / delta))
         if w_hat is None:
-            declared = side
-            break
+            results[order[crossed]] = _result(t, side, true_side, z,
+                                              violations, False, counts,
+                                              means)
+            crossed += 1
+            if crossed == len(order):
+                break
+            delta = stops[order[crossed]].delta
+            continue
         if t >= max_steps:
-            truncated = True
             # an exact tie is measure-zero; it is declared A1
             declared = Side.A1 if side is Side.BOUNDARY else side
+            for j in order[crossed:]:
+                results[j] = _result(t, declared, true_side, z, violations,
+                                     True, counts, means)
             break
         # D-tracking: a starved arm, one whose count is below
         # need = sqrt(t) - K/2, goes first (lowest index first; least is
@@ -211,6 +259,12 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         if least < need - 1.0 - 1e-9:
             violations += 1
 
+    return results
+
+
+def _result(t: int, declared: Side, true_side: Side, z, violations: int,
+            truncated: bool, counts: list, means: list) -> RunResult:
+    """The result at step t, with copies of the counts and means."""
     return RunResult(
         stop_time=t,
         declared=declared,

@@ -9,7 +9,7 @@ import pytest
 
 from partid import (ExperimentConfig, RiskDemoConfig, StoppingConfig,
                     Threshold, UnionHalfSpaces, ball, experiments, gaussian,
-                    risk_demo, run, run_experiment, run_single,
+                    risk_demo, run, run_experiment, run_single, solve,
                     write_rows_csv, write_summary_json)
 from partid.experiments import (derive_seed_sequence, write_risk_csv,
                                 write_risk_json)
@@ -57,11 +57,14 @@ class TestRunExperiment:
             assert [r.replication for r in block] == list(range(5))
 
     def test_seed_column_comes_from_the_declared_derivation(self):
+        # every delta's row of a replication carries the replication's seed,
+        # keyed as the first delta's run was when each delta had its own
         report = run_experiment(small_campaign())
         for di in range(2):
             for ri in range(5):
                 row = report.rows[di * 5 + ri]
-                ss = derive_seed_sequence(7, di, ri)
+                ss = derive_seed_sequence(7, ri)
+                assert ss.entropy == np.random.SeedSequence((7, 0, ri)).entropy
                 assert row.seed == int(ss.generate_state(1, np.uint64)[0])
 
     def test_parallel_rows_equal_serial_rows(self):
@@ -82,18 +85,19 @@ class TestRunExperiment:
             assert serial.summaries == parallel.summaries
 
     def test_a_campaign_prepares_once(self, monkeypatch):
-        # every run of a campaign enters through run() and shares one
-        # prepared geometry, and gives the row a run() of its own would give
-        calls = _count_calls(monkeypatch, "prepare", "run")
+        # every replication of a campaign enters through run_deltas() and
+        # shares one prepared geometry, and each row is the row a run() of
+        # its own at that delta would give on the replication's generator
+        calls = _count_calls(monkeypatch, "prepare", "run", "run_deltas")
         cfg = small_campaign(true_means=(1.5, 1.0),
                              partition=ball((0.0, 0.0), 1.0), replications=3)
         report = run_experiment(cfg, parallelism=1)
-        assert calls == ["prepare"] + ["run"] * 6
+        assert calls == ["prepare"] + ["run_deltas"] * 3
         for row in report.rows:
             res = run(list(cfg.arms), cfg.true_means, cfg.partition,
                       StoppingConfig(delta=row.delta, max_steps=20_000),
                       np.random.default_rng(derive_seed_sequence(
-                          7, cfg.deltas.index(row.delta), row.replication)))
+                          7, row.replication)))
             assert (row.stop_time, row.declared, row.glr_at_stop,
                     row.counts) == (res.stop_time, res.declared.value,
                                     res.glr_at_stop,
@@ -103,6 +107,44 @@ class TestRunExperiment:
         cfg = small_campaign(deltas=(0.2,))
         report = run_experiment(cfg)
         assert run_single(cfg, 0.2, replication=3) == report.rows[3]
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"deltas": (0.01, 0.3, 0.1, 0.3), "replications": 4},
+        {"true_means": (1.5, 1.0), "partition": ball((0.0, 0.0), 1.0),
+         "deltas": (0.2, 0.02, 1e-3), "replications": 3},
+    ], ids=["two_deltas", "unsorted_with_duplicate", "ball"])
+    def test_run_single_matches_campaign_row_at_every_delta(self, overrides):
+        cfg = small_campaign(**overrides)
+        report = run_experiment(cfg)
+        r = cfg.replications
+        for j, delta in enumerate(cfg.deltas):
+            for ri in range(r):
+                assert run_single(cfg, delta, ri) == report.rows[j * r + ri]
+
+    def test_first_delta_rows_equal_the_single_delta_campaign(self):
+        # the rows at deltas[0] keep the bytes they had when every delta
+        # drew a path of its own
+        for overrides in ({}, {"true_means": (1.5, 1.0),
+                               "partition": ball((0.0, 0.0), 1.0),
+                               "deltas": (0.05, 0.2, 1e-3),
+                               "replications": 3}):
+            cfg = small_campaign(**overrides)
+            multi = run_experiment(cfg)
+            single = run_experiment(small_campaign(
+                **{**overrides, "deltas": cfg.deltas[:1]}))
+            assert multi.rows[:cfg.replications] == single.rows
+            assert multi.summaries[0] == single.summaries[0]
+
+    def test_summary_t_star_is_solves(self):
+        for cfg in (small_campaign(),
+                    small_campaign(true_means=(1.5, 1.0),
+                                   partition=ball((0.0, 0.0), 1.0),
+                                   replications=2)):
+            sol = solve(list(cfg.arms), np.array(cfg.true_means),
+                        cfg.partition)
+            for s in run_experiment(cfg).summaries:
+                assert s["t_star"] == sol.t_star
 
     def test_summary_block(self):
         cfg = small_campaign()

@@ -34,7 +34,7 @@ from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
 from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
                          sampler)
 from partid.track_stop import (StoppingConfig, _track_and_stop,
-                               beta_threshold, run)
+                               beta_threshold, run, run_deltas)
 from support import PublicApiKernel
 
 G1 = gaussian(1.0)
@@ -43,7 +43,7 @@ G1 = gaussian(1.0)
 def _run_public_api(models, mu, spec, cfg, rng):
     """The run loop driven by the public solvers, whatever the geometry."""
     return _track_and_stop(models, mu, classify(spec, mu),
-                           PublicApiKernel(models, spec), cfg, rng)
+                           PublicApiKernel(models, spec), (cfg,), rng)[0]
 
 
 class TestStoppingConfig:
@@ -100,8 +100,8 @@ def _loop_pulls(k, script, steps):
     `steps` pulls on k arms driven by _Scripted(script)."""
     geometry = _Scripted(script)
     res = _track_and_stop([G1] * k, np.zeros(k), Side.A1, geometry,
-                          StoppingConfig(delta=0.1, max_steps=steps),
-                          np.random.default_rng(0))
+                          (StoppingConfig(delta=0.1, max_steps=steps),),
+                          np.random.default_rng(0))[0]
     assert res.truncated and res.stop_time == steps
     seen = geometry.seen
     return [(t, counts, w_hat,
@@ -447,7 +447,7 @@ def test_gaussian_halfspace_pinned_trajectory_k4(name, a, seed, want):
     if 0.0 in a:
         geometry = PreparedHalfSpace(K4_GAUSSIAN, _Row(a, 0.2))
         res = _track_and_stop(K4_GAUSSIAN, np.array(K4_TRUTH), Side.A2,
-                              geometry, cfg, rng)
+                              geometry, (cfg,), rng)[0]
     else:
         res = run(K4_GAUSSIAN, K4_TRUTH, HalfSpace(a, 0.2), cfg, rng)
     assert (res.stop_time, res.declared, res.glr_at_stop,
@@ -706,6 +706,88 @@ def test_two_runs_stepped_in_turn_on_one_geometry(name, models, spec, first,
     assert min(len(in_turn.log), len(b_alone.log)) > 3
 
 
+# (name, models, truth, spec) for run_deltas against run at each delta
+RUN_DELTAS_CASES = [
+    ("gaussian_threshold", [G1, gaussian(0.5), gaussian(2.0)],
+     [1.3, 0.2, 0.7], Threshold(1.0)),
+    ("mixed_threshold", [G1, bernoulli(), poisson()], [0.2, 0.4, 0.3],
+     Threshold(0.6)),
+    ("gaussian_halfspace", [G1, gaussian(0.5)], [0.6, 0.6],
+     HalfSpace((1.0, 1.0), 0.5)),
+    ("mixed_halfspace", [bernoulli(), poisson(), G1], [0.6, 1.5, 0.5],
+     HalfSpace((1.0, 1.0, 1.0), 2.2)),
+    ("ball", [G1, G1], [1.5, 0.0], ball((0.0, 0.0), 1.0)),
+    ("poisson_ellipsoid", [poisson(), poisson()], [3.0, 1.0],
+     ellipsoid((1.0, 1.0), (1.0, 1.5))),
+    ("union2", [G1, gaussian(0.5)], [0.0, 0.0],
+     UnionHalfSpaces((((1.0, 0.0), 0.6), ((0.0, 1.0), 0.8)))),
+]
+# unsorted, with a duplicate
+RUN_DELTAS = (0.01, 0.2, 0.05, 0.2)
+
+
+def _record(res):
+    return (res.stop_time, res.declared, res.correct, res.glr_at_stop.hex(),
+            res.forced_exploration_violations, res.truncated,
+            res.final_counts.tolist(),
+            [x.hex() for x in res.final_means.tolist()])
+
+
+@pytest.mark.parametrize("name,models,truth,spec", RUN_DELTAS_CASES,
+                         ids=[c[0] for c in RUN_DELTAS_CASES])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_run_deltas_gives_each_delta_its_run_alone(name, models, truth, spec,
+                                                   seed):
+    stops = [StoppingConfig(delta=d) for d in RUN_DELTAS]
+    got = run_deltas(models, truth, spec, stops, np.random.default_rng(seed))
+    assert len(got) == len(stops)
+    for stop, res in zip(stops, got):
+        alone = run(models, truth, spec, stop, np.random.default_rng(seed))
+        assert _record(res) == _record(alone), stop.delta
+    # one path: a larger delta stops no later than a smaller one
+    times = sorted((stop.delta, res.stop_time) for stop, res in
+                   zip(stops, got))
+    assert all(a[1] >= b[1] for a, b in zip(times, times[1:]))
+    assert not any(res.truncated for res in got)
+
+
+def test_run_deltas_truncates_only_the_deltas_not_yet_crossed():
+    # max_steps between the stop times at 0.2 and 1e-4: the larger deltas
+    # cross, and the smallest truncates there with the step's side and Z,
+    # as its run alone does
+    models, truth, spec = [G1, G1], [0.0, 0.0], HalfSpace((1.0, 1.0), 1.0)
+    free = run(models, truth, spec, StoppingConfig(delta=0.2),
+               np.random.default_rng(4))
+    deep = run(models, truth, spec, StoppingConfig(delta=1e-4),
+               np.random.default_rng(4))
+    assert deep.stop_time > free.stop_time + 1
+    for max_steps in free.stop_time, deep.stop_time - 1:
+        stops = [StoppingConfig(delta=d, max_steps=max_steps)
+                 for d in (1e-4, 0.2, 1e-4)]
+        got = run_deltas(models, truth, spec, stops,
+                         np.random.default_rng(4))
+        for stop, res in zip(stops, got):
+            alone = run(models, truth, spec, stop, np.random.default_rng(4))
+            assert _record(res) == _record(alone)
+        assert [res.truncated for res in got] == [True, False, True]
+        assert got[0].stop_time == max_steps
+        assert got[1].stop_time == free.stop_time
+
+
+@pytest.mark.parametrize("other", [
+    StoppingConfig(delta=0.01, c_const=2.0),
+    StoppingConfig(delta=0.01, max_steps=500),
+], ids=["c_const", "max_steps"])
+def test_run_deltas_rejects_stops_that_differ_beyond_delta(other):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="differ only in delta"):
+        run_deltas([G1, G1], [2.0, 0.0], Threshold(1.0),
+                   [StoppingConfig(delta=0.1), other], rng)
+    # before the first draw
+    assert rng.bit_generator.state == \
+        np.random.default_rng(0).bit_generator.state
+
+
 def _halfspace_geometry(models=(G1, G1), spec=HalfSpace((1.0, 1.0), 1.0)):
     geometry = prepare(list(models), spec)
     assert isinstance(geometry, PreparedHalfSpace)
@@ -761,8 +843,8 @@ class TestPreparedHalfSpaceChecks:
                 return geometry.step(means, counts, beta)
 
         res = _track_and_stop([G1, G1], np.zeros(2), Side.A1, OnTheBand(),
-                              StoppingConfig(delta=0.1, max_steps=40),
-                              np.random.default_rng(0))
+                              (StoppingConfig(delta=0.1, max_steps=40),),
+                              np.random.default_rng(0))[0]
         assert (res.truncated, res.declared, res.glr_at_stop) == \
             (True, Side.A1, 0.0)
         # uniform weights: tracking alternates between the two arms
@@ -1200,8 +1282,8 @@ def test_gaussian_halfspace_step_makes_no_numpy_call(monkeypatch, models, a,
 
     def one_run():
         res = _track_and_stop(models, truth, true_side, geometry,
-                              StoppingConfig(delta=0.01),
-                              np.random.default_rng(3))
+                              (StoppingConfig(delta=0.01),),
+                              np.random.default_rng(3))[0]
         return (res.stop_time, res.declared, res.glr_at_stop,
                 res.final_counts.tolist())
 
