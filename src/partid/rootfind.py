@@ -3,8 +3,9 @@
 All solvers in this package reduce to one-dimensional monotone root finding,
 so the careful implementations live here: bisection on a bracket, a walk
 that finds the bracket first, and Newton's method safeguarded by a bracket
-where the slope is known. Functions may return +-inf; an infinite value is
-treated purely through its sign.
+where the slope is known; walk_to_root is the one bracket walk, which the
+solvers' multiplier searches share. Functions may return +-inf; an
+infinite value is treated purely through its sign.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import math
 from .errors import NumericalError
 
 MAX_ITER = 200
+
+
+class NoBracket(NumericalError):
+    """walk_to_root found no crossing, unlike any error of the f walked."""
 
 
 def bisect_monotone(f, lo, hi, target, *, increasing=True, value_tol=1e-12,
@@ -57,9 +62,9 @@ def walk_to_root(f, start, boundary, target, *, rising=True, value_tol=1e-12,
     infinite); ``rising`` states whether f increases along that walk. The
     bracket expansion halves the remaining gap for a finite boundary and
     doubles a unit step for an infinite one, then bisection finishes the job.
-    Raises NumericalError when no crossing appears within max_iter
-    expansions, which under the boundary-divergence assumptions means the
-    target is not representable in double precision.
+    Raises NoBracket, a NumericalError, when no crossing appears within
+    max_iter expansions, which under the boundary-divergence assumptions
+    means the target is not representable in double precision.
     """
     def reached(v):
         return (v >= target) if rising else (v <= target)
@@ -81,7 +86,7 @@ def walk_to_root(f, start, boundary, target, *, rising=True, value_tol=1e-12,
                                    increasing=(rising == walking_up),
                                    value_tol=value_tol, max_iter=max_iter)
         prev = cand
-    raise NumericalError(
+    raise NoBracket(
         f"no bracket for target {target} between {start} and {boundary} "
         f"after {max_iter} expansions")
 

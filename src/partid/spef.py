@@ -17,10 +17,11 @@ x = (nu - mu)/mu, mu log(mu/nu) = -mu log1p(x), and the divergence is
 mu (x - log1p(x)), plus (1-mu) (y - log1p(y)) with y = (mu - nu)/(1 - mu)
 for Bernoulli; each term is nonnegative and close to mu x^2 / 2 near mu.
 Where 1 + x (or 1 + y) is below 1/2 the log of the ratio itself is taken.
-Scalar and array forms call numpy's logarithms alike, so they agree bit
-for bit. Their inverses in the divergence have no closed form and are
-found by Newton steps on the convex kl(mu, .) inside the bracket between
-mu and the domain edge.
+Each formula is written once, on Python floats with the math module's
+logarithms, so a divergence does not depend on numpy's CPU dispatch;
+kl_array maps the same scalar kl over an array. Their inverses in the
+divergence have no closed form and are found by Newton steps on the
+convex kl(mu, .) inside the bracket between mu and the domain edge.
 
 The public functions check their arguments, then look the formulas up in
 FAMILIES, which holds one FamilyOps record per supported family.
@@ -75,7 +76,6 @@ class FamilyOps:
     returns a zero-argument sampler."""
     domain: tuple[float, float]
     kl: Callable[..., float]
-    kl_array: Callable[..., np.ndarray]
     kl_dnu: Callable[..., float]
     kl_dnu_inverse: Callable[..., float]
     kl_inverse: Callable[..., float]
@@ -113,13 +113,10 @@ def _gaussian_draw(m, mean, standard_normal):
 
 def _log1p_of(x, num, den):
     """log(num / den) for 1 + x = num / den: log1p(x) unless 1 + x < 1/2,
-    where x has lost the digits of the ratio."""
-    return float(np.log1p(x)) if x >= -0.5 else float(np.log(num / den))
-
-
-def _log1p_of_array(x, num, den):
-    return np.where(x >= -0.5, np.log1p(np.maximum(x, -0.5)),
-                    np.log(num / den))
+    where x has lost the digits of the ratio (-inf if it underflows)."""
+    if x >= -0.5:
+        return math.log1p(x)
+    return math.log(num / den) if num / den else -math.inf
 
 
 def _bernoulli_kl(m, mu, nu):
@@ -129,22 +126,9 @@ def _bernoulli_kl(m, mu, nu):
                + (1.0 - mu) * (y - _log1p_of(y, 1.0 - nu, 1.0 - mu)))
 
 
-def _bernoulli_kl_array(m, mu, nu):
-    x = (nu - mu) / mu
-    y = (mu - nu) / (1.0 - mu)
-    return np.maximum(0.0, mu * (x - _log1p_of_array(x, nu, mu))
-                      + (1.0 - mu) * (y - _log1p_of_array(y, 1.0 - nu,
-                                                           1.0 - mu)))
-
-
 def _poisson_kl(m, mu, nu):
     x = (nu - mu) / mu
     return max(0.0, mu * (x - _log1p_of(x, nu, mu)))
-
-
-def _poisson_kl_array(m, mu, nu):
-    x = (nu - mu) / mu
-    return np.maximum(0.0, mu * (x - _log1p_of_array(x, nu, mu)))
 
 
 def _kl_root(m, mu, target, start, edge):
@@ -248,7 +232,6 @@ FAMILIES: dict[Family, FamilyOps] = {
     Family.GAUSSIAN: FamilyOps(
         domain=(-math.inf, math.inf),
         kl=_gaussian_kl,
-        kl_array=lambda m, mu, nu: (mu - nu) ** 2 / (2.0 * m.variance),
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
         kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
         kl_inverse=_gaussian_kl_inverse,
@@ -259,7 +242,6 @@ FAMILIES: dict[Family, FamilyOps] = {
     Family.BERNOULLI: FamilyOps(
         domain=(0.0, 1.0),
         kl=_bernoulli_kl,
-        kl_array=_bernoulli_kl_array,
         kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
         kl_dnu_inverse=_bernoulli_kl_dnu_inverse,
         kl_inverse=_bernoulli_kl_inverse,
@@ -270,7 +252,6 @@ FAMILIES: dict[Family, FamilyOps] = {
     Family.POISSON: FamilyOps(
         domain=(0.0, math.inf),
         kl=_poisson_kl,
-        kl_array=_poisson_kl_array,
         kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
         kl_dnu_inverse=lambda m, mu, slope: mu / (1.0 - slope),
         kl_inverse=_poisson_kl_inverse,
@@ -333,13 +314,16 @@ def kl(model: SpefModel, mu: float, nu: float, *, arm=None) -> float:
 
 
 def kl_array(model: SpefModel, mu: float, nu: np.ndarray) -> np.ndarray:
-    """Vectorized kl over an array of alternative means.
+    """kl over an array of alternative means, in nu's shape: the family's
+    scalar kl on each entry as a Python float.
 
     Entries must already lie in the open mean domain; this is the grid
     oracle's bulk path and skips per-element checking.
     """
-    return FAMILIES[model.family].kl_array(
-        model, float(mu), np.asarray(nu, dtype=float))
+    nu = np.asarray(nu, dtype=float)
+    f, mu = FAMILIES[model.family].kl, float(mu)
+    return np.fromiter((f(model, mu, x) for x in nu.ravel().tolist()),
+                       float, nu.size).reshape(nu.shape)
 
 
 def kl_dnu(model: SpefModel, mu: float, nu: float, *, arm=None) -> float:
@@ -367,8 +351,10 @@ def kl_inverse(model: SpefModel, mu: float, target: float,
     root up to the rounding of kl itself. Every target is attainable over
     the reals (boundary divergence), but in float64 the extreme tail near a
     finite edge saturates: a target above the divergence at the last float
-    before the edge raises NumericalError.
+    before the edge raises NumericalError. A direction must be a Direction.
     """
+    if not isinstance(direction, Direction):
+        raise TypeError(f"direction must be a Direction, got {direction!r}")
     mu = _check_mean(model, mu, "mu", arm)
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"divergence target must be finite and >= 0, got {target}")

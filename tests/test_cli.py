@@ -187,6 +187,30 @@ class TestErrorPaths:
         assert code == 2
         assert "experiment config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mc", "risk-demo"])
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_parallelism_below_one_is_a_config_error(
+            self, experiment_config, risk_config, tmp_path, capsys, command,
+            workers):
+        config = risk_config if command == "risk-demo" else experiment_config
+        code = main([command, config, "--out", str(tmp_path),
+                     "--parallelism", workers])
+        assert code == 2
+        assert "--parallelism" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["lb", "run"])
+    def test_parallelism_is_not_a_flag_of_serial_commands(
+            self, experiment_config, tmp_path, capsys, command):
+        argv = [command, experiment_config, "--out", str(tmp_path),
+                "--parallelism", "2"]
+        if command == "run":
+            argv += ["--delta", "0.2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
+
     def test_numerical_failure_maps_to_exit_3(self, experiment_config,
                                               tmp_path, capsys,
                                               monkeypatch):

@@ -6,6 +6,7 @@ edge cases.
 """
 
 import dataclasses
+import hashlib
 import math
 import pickle
 from fractions import Fraction
@@ -136,11 +137,28 @@ def test_kl_inverse_unattainable_target_raises():
         kl_inverse(bernoulli(), 0.9, 50.0, Direction.ABOVE)
 
 
+@pytest.mark.parametrize("inverse", [kl_inverse, kl_inverse_capped])
+@pytest.mark.parametrize("model,mu,target", [(gaussian(), 0.0, 1.0),
+                                             (bernoulli(), 0.3, 0.1),
+                                             (poisson(), 2.0, 0.0)])
+@pytest.mark.parametrize("direction", ["above", "ABOVE"])
+def test_kl_inverse_rejects_a_direction_that_is_not_one(inverse, model, mu,
+                                                        target, direction):
+    # a string or a typo is not a Direction: no side may be guessed for it
+    with pytest.raises(TypeError, match="Direction"):
+        inverse(model, mu, target, direction)
+
+
 def test_kl_inverse_capped_saturates_finite_edges():
     nu = kl_inverse_capped(bernoulli(), 0.9, 50.0, Direction.ABOVE)
     assert nu == np.nextafter(1.0, 0.0)
     nu = kl_inverse_capped(poisson(), 1.0, 800.0, Direction.BELOW)
     assert nu == np.nextafter(0.0, 1.0)
+    # nu / mu underflows to 0 at the last float: its log is -inf, so kl is
+    # +inf there and the cap holds, where math.log(0.0) would raise
+    assert kl(poisson(), 3.0, 5e-324) == math.inf
+    assert kl_inverse_capped(poisson(), 3.0, 3000.0, Direction.BELOW) == \
+        np.nextafter(0.0, 1.0)
     # attainable targets pass straight through
     assert kl_inverse_capped(bernoulli(), 0.5, 1.0, Direction.ABOVE) == \
         kl_inverse(bernoulli(), 0.5, 1.0, Direction.ABOVE)
@@ -307,9 +325,42 @@ def test_derivative_matches_finite_difference(name, model, rng):
 def test_kl_array_matches_scalar(name, model, rng):
     mu = draw_mean(model, rng)
     nus = np.array([draw_mean(model, rng) for _ in range(64)])
-    bulk = kl_array(model, mu, nus)
     each = np.array([kl(model, mu, float(nu)) for nu in nus])
-    np.testing.assert_allclose(bulk, each, rtol=0.0, atol=0.0)
+    for shape in [(64,), (8, 8)]:
+        bulk = kl_array(model, mu, nus.reshape(shape))
+        assert bulk.shape == shape
+        np.testing.assert_allclose(bulk.ravel(), each, rtol=0.0, atol=0.0)
+
+
+def _edge_and_random_means(rng, lo, hi, edges):
+    # uniform draws are pure arithmetic on the generator's bits, so the
+    # inputs do not depend on the host; edges are exact Python floats
+    return list(edges) + rng.uniform(lo, hi, 55).tolist()
+
+
+@pytest.mark.parametrize("name,edges,lo,hi,pinned", [
+    ("bernoulli", [1e-12, 1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6,
+                   1.0 - 1e-9, 1.0 - 1e-12], 0.0, 1.0, "f3f0b79cca8dff92"),
+    ("poisson", [1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12],
+     0.0, 30.0, "5409475ad240e7bd"),
+])
+def test_scalar_divergences_pinned_bit_for_bit(name, edges, lo, hi, pinned):
+    # kl over every pair of 63 means (edges of the domain and uniform
+    # draws): its floats are the math module's logarithms, the same on
+    # every host and under any numpy CPU dispatch
+    model = MODELS[name]
+    means = _edge_and_random_means(np.random.default_rng(77), lo, hi, edges)
+    out, ratio_branch = [], 0
+    for mu in means:
+        for nu in means:
+            out.append(kl(model, mu, nu))
+            # 1 + x < 1/2 for x = (nu - mu)/mu, or for Bernoulli's
+            # y = (mu - nu)/(1 - mu): the log of the ratio is taken
+            ratio_branch += nu < 0.5 * mu or (
+                name == "bernoulli" and 1.0 - nu < 0.5 * (1.0 - mu))
+    assert 0.2 * len(out) < ratio_branch < 0.8 * len(out)
+    digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
+    assert digest == pinned
 
 
 @pytest.mark.parametrize("bad_nu", [0.0, 1.0, -0.2, 1.4, math.inf, math.nan])
