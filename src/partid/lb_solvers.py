@@ -19,11 +19,12 @@ gives the sharpest solver its structure allows:
     for both sides, their reach into the domain and the Gaussian saddle
     weights.
   * ConvexSublevel (PreparedConvex): the value is the smallest level t at
-    which the coordinate box {max_i kl_i <= t} touches {f <= c}; bisection
-    on t. For a ball or ellipsoid the box step is the center clipped into
-    the box, and the weighted inner infimum is a bisection on one
-    multiplier with each coordinate solved per family (kl_prox); custom
-    oracles minimize by projected gradient on a box instead.
+    which the coordinate box {max_i kl_i <= t} touches {f <= c}; one
+    Newton root in r = sqrt(t), after doubling t brackets it. For a ball
+    or ellipsoid the box step is the center clipped into the box, and the
+    weighted inner infimum is a bisection on one multiplier with each
+    coordinate solved per family (kl_prox); custom oracles minimize by
+    projected gradient on a box instead.
   * UnionHalfSpaces (PreparedUnion, one PreparedHalfSpace per row):
     concave max-min over the simplex. The row whose exact saddle is
     cheapest is tried first: when no other row undercuts it at its
@@ -75,8 +76,8 @@ from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
 
 # The solvers' numerical policy. The cutting planes stop at a duality gap of
 # TOL_KKT; TOL_BISECT is the tolerance of the solvers' scalar roots, on the
-# value or relative to the level for the convex-set bracket and the half-space
-# Newton step; SIMPLEX_FLOOR keeps union ascent iterates strictly inside the
+# value or, for the convex-set and half-space Newton steps, relative to the
+# root; SIMPLEX_FLOOR keeps union ascent iterates strictly inside the
 # simplex; ACTIVE_SET_TOL is relative to c* when detecting binding arms. A
 # union of more than two arms takes ASCENT_STEPS supergradient steps, then at
 # most MAX_CUTS cutting-plane rounds.
@@ -372,10 +373,13 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
     return x, resid
 
 
-def _box_minimizer(models, mu, w, sub: ConvexSublevel):
+def _box_minimizer(models, mu, w, sub: ConvexSublevel, floor, ceil):
     """nu(lam) for a custom oracle: projected gradient on an adaptively
-    grown coordinate box, regrown whenever the optimum presses an edge,
-    which also keeps iterates inside bounded mean domains."""
+    grown coordinate box, regrown whenever the optimum presses a face,
+    which also keeps iterates inside bounded mean domains. floor and ceil
+    are each arm's last floats inside its domain: a face there cannot
+    grow, so an optimum pressing only such faces is the least value over
+    the domain in float64, as a ball's kl_prox is there."""
     f, gradf = sub.value, sub.grad
     K = len(models)
     state = {"x": np.array(mu), "level": 8.0}
@@ -401,9 +405,9 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
 
             x, _ = _min_f_over_box(psi, psi_grad, lo, hi,
                                    np.clip(state["x"], lo, hi), gtol=1e-12)
-            margin = np.minimum(x - lo, hi - x)
-            span = np.maximum(hi - lo, 1e-12)
-            if np.all(margin > 1e-9 * span):
+            near = 1e-9 * np.maximum(hi - lo, 1e-12)
+            if not np.any((x - lo <= near) & (lo > floor)
+                          | (hi - x <= near) & (hi < ceil)):
                 state["x"] = x
                 return x
             state["level"] = lv * 2.0
@@ -936,12 +940,17 @@ class PreparedConvex(_SolvedGeometry):
     """A convex sublevel set {f <= level} with the means outside it: the
     set and, when ball() or ellipsoid() built it as
     {sum_i ((x_i - c_i) / s_i)^2 <= level}, its center, the curvatures
-    2 / s_i^2 and each arm's kl_prox (center is None for a custom oracle).
-    inner_inf and solve_convex prepare one per call, a Monte Carlo
-    campaign one for all its runs."""
+    2 / s_i^2 and each arm's kl_prox (center is None for a custom oracle);
+    and each arm's last floats inside its domain, floor and ceil, where a
+    face of a divergence box saturates. inner_inf and solve_convex prepare
+    one per call, a Monte Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel):
         super().__init__(models, spec)
+        self.floor = np.array([math.nextafter(lo, math.inf)
+                               for lo, _ in self.domains])
+        self.ceil = np.array([math.nextafter(hi, -math.inf)
+                              for _, hi in self.domains])
         self.center = None
         if spec.shape is not None:
             kind, center, extra = spec.shape
@@ -979,7 +988,8 @@ class PreparedConvex(_SolvedGeometry):
         K = len(models)
 
         if self.center is None:
-            nu_of = _box_minimizer(models, mu, w, self.spec)
+            nu_of = _box_minimizer(models, mu, w, self.spec, self.floor,
+                                   self.ceil)
         else:
             center, curvature, prox = self.center, self.curvature, self.prox
 
@@ -1003,15 +1013,25 @@ class PreparedConvex(_SolvedGeometry):
         return _weighted_kl(models, mu, w, nu, range(K)), nu
 
     def solution(self, mu) -> LowerBoundSolution:
-        """solve_convex's saddle point at checked means mu (an array)."""
+        """solve_convex's saddle point at checked means mu (an array): one
+        Newton root in r = sqrt(t) of c - f(x(r^2)), x(t) the least f over
+        the box at level t, bracketed by doubling t."""
         models = self.models
         f, gradf, c = self.spec.value, self.spec.grad, self.spec.level
         self._check_side(mu, "sublevel boundary")
 
-        K, center = mu.size, self.center
-        state = {"x": np.array(mu)}
+        K, center, floor, ceil = mu.size, self.center, self.floor, self.ceil
+        # no box yet: the first projected gradient starts from mu
+        state = {"x": np.array(mu), "lo": np.full(K, math.nan),
+                 "hi": np.full(K, math.nan)}
 
-        def box_min(t):
+        def level_gap(r):
+            # c - f(x) at the least f over the box at level t = r^2, and its
+            # slope in r: a coordinate on a face moves with it at
+            # 2 r / kl_dnu_i unless the face is saturated at the last float
+            # before its domain edge, and by the envelope theorem no other
+            # coordinate counts
+            t = r * r
             lo = np.array([kl_inverse_capped(models[i], mu[i], t,
                                              Direction.BELOW)
                            for i in range(K)])
@@ -1021,35 +1041,48 @@ class PreparedConvex(_SolvedGeometry):
             if center is not None:
                 x, resid = np.clip(center, lo, hi), 0.0
             else:
+                # a coordinate on a face of the last box starts on the
+                # same face of this one
+                x0, was_lo, was_hi = state["x"], state["lo"], state["hi"]
+                x0 = np.where(x0 == was_lo, lo, np.where(x0 == was_hi, hi, x0))
                 x, resid = _min_f_over_box(f, gradf, lo, hi,
-                                           np.clip(state["x"], lo, hi))
-                state["x"] = x
-            return float(f(x)), x, resid
+                                           np.clip(x0, lo, hi))
+            state.update(x=x, resid=resid, r=r, lo=lo, hi=hi)
+            g = np.asarray(gradf(x), dtype=float)
+            slope = 0.0
+            for i in range(K):
+                if x[i] == lo[i] > floor[i] or x[i] == hi[i] < ceil[i]:
+                    d = kl_dnu(models[i], mu[i], x[i])
+                    if d != 0.0:  # 0 where a tiny level rounds onto mu
+                        slope -= g[i] * 2.0 * r / d
+            return c - float(f(x)), slope
 
-        t_hi = 1.0
-        t_lo = 0.0
+        # the gap rises with the level from c - f(mu) < 0 at t = 0; doubling
+        # t brackets its root
+        r_neg, gap_neg, t = 0.0, c - float(f(mu)), 1.0
         for _ in range(300):
-            val, x, _ = box_min(t_hi)
-            if val <= c:
+            r = math.sqrt(t)
+            gap, slope = level_gap(r)
+            if gap >= 0.0:
                 break
-            t_lo = t_hi
-            t_hi *= 2.0
+            r_neg, gap_neg = r, gap
+            t *= 2.0
         else:
             raise InfeasibleAlternative(
                 "sublevel set unreachable from mu inside the mean domain")
 
-        x_feas, resid = x, math.inf
-        for _ in range(300):
-            if t_hi - t_lo <= TOL_BISECT * max(1.0, t_hi):
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            val, x, resid = box_min(mid)
-            if val <= c:
-                t_hi, x_feas = mid, x
-            else:
-                t_lo = mid
+        step = 0.0
+        if gap > 0.0:
+            # the first Newton step from the feasible end; without a slope
+            # newton_root starts at the bracket's midpoint
+            start = r - gap / slope if slope else math.nan
+            root = newton_root(level_gap, start, r_neg, r, f_neg=gap_neg,
+                               f_pos=gap, rtol=0.5 * TOL_BISECT)
+            step = abs(root * root - state["r"] ** 2)
+            if root != state["r"]:
+                level_gap(root)
 
-        nu = x_feas
+        nu, resid = state["x"], state["resid"]
         levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(K)])
         cstar = float(np.max(levels))
         active = [i for i in range(K)
@@ -1071,8 +1104,8 @@ class PreparedConvex(_SolvedGeometry):
         residuals = {
             "boundary_gap": abs(float(f(nu)) - c),
             "active_spread": float(cstar - np.min(levels[active])),
-            "box_stationarity": float(resid if math.isfinite(resid) else 0.0),
-            "level_bracket": float(t_hi - t_lo),
+            "box_stationarity": float(resid),
+            "level_bracket": step,
         }
         return _solution(w, nu, cstar, active, residuals, flags)
 
@@ -1492,15 +1525,24 @@ def solve_convex(models: Sequence[SpefModel], mu,
 
     c* is the smallest t for which the coordinate box
     {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set; the touching point is
-    the critical alternative. For a ball or ellipsoid, f is a separable
-    quadratic whose minimum over a box is the center clipped into it, so
-    each box step is exact and box_stationarity is 0; custom oracles run
-    projected gradient on the box. Arms whose divergence at the touching
-    point ties the maximum form the active set; weights on it follow the
-    smooth supporting-hyperplane rule w_i proportional to (df/dnu_i) over
-    the divergence slope, and are zero elsewhere. A sign-inconsistent
-    hyperplane (non-smooth contact) is flagged NonUniqueHyperplane with
-    w_star NaN.
+    the critical alternative. Doubling t from 1 brackets it
+    (InfeasibleAlternative when no box within 300 doublings meets the
+    set), then it is one Newton root in r = sqrt(t): c - f(x(r^2)) rises
+    with r, x being the least f over the box, and its slope is
+    -sum_i df/dnu_i 2 r / kl_dnu_i(mu_i, x_i) over the coordinates on a
+    face of the box, exact by the envelope theorem (a face saturated at
+    the last float before a domain edge moves no more and has no term).
+    For a ball or ellipsoid, f is a separable quadratic whose minimum over
+    a box is the center clipped into it, so each box step is exact and
+    box_stationarity is 0; custom oracles run projected gradient on the
+    box, which puts the coordinates it presses exactly on the faces, and
+    box_stationarity is its residual at the root. level_bracket is the
+    last Newton step in t and boundary_gap is |f(nu*) - c|. Arms whose
+    divergence at the touching point ties the maximum form the active
+    set; weights on it follow the smooth supporting-hyperplane rule w_i
+    proportional to (df/dnu_i) over the divergence slope, and are zero
+    elsewhere. A sign-inconsistent hyperplane (non-smooth contact) is
+    flagged NonUniqueHyperplane with w_star NaN.
     """
     return solve(models, mu, sublevel)
 

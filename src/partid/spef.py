@@ -113,10 +113,14 @@ def _gaussian_draw(m, mean, standard_normal):
 
 def _log1p_of(x, num, den):
     """log(num / den) for 1 + x = num / den: log1p(x) unless 1 + x < 1/2,
-    where x has lost the digits of the ratio (-inf if it underflows)."""
+    where x has lost the digits of the ratio; log(num) - log(den) where
+    the ratio underflows to 0 (-inf at num = 0)."""
     if x >= -0.5:
         return math.log1p(x)
-    return math.log(num / den) if num / den else -math.inf
+    ratio = num / den
+    if ratio:
+        return math.log(ratio)
+    return math.log(num) - math.log(den) if num > 0.0 else -math.inf
 
 
 def _bernoulli_kl(m, mu, nu):

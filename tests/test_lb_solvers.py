@@ -532,6 +532,95 @@ class TestQuadraticSetInner:
         assert sol.kkt_residuals["box_stationarity"] == 0.0
 
 
+def _custom_copy(spec):
+    """A ball or ellipsoid as a custom oracle: the same value, gradient and
+    level without the shape, so solve and inner_inf take projected gradient
+    on a box instead of the clip and kl_prox."""
+    center = np.array(spec.shape[1])
+    return ConvexSublevel(spec.value, spec.grad, spec.level,
+                          probe_points=[center + 0.1, center - 0.2])
+
+
+# (name, models, mu outside the set, ball or ellipsoid)
+NEWTON_LEVEL_CASES = [
+    ("gaussian_ball", [G1, gaussian(0.5)], [1.5, 0.3],
+     ball((0.0, 0.0), 1.0)),
+    ("gaussian_ellipsoid", [gaussian(0.7), G1], [-1.0, 1.2],
+     ellipsoid((0.5, 0.0), (1.0, 0.6))),
+    ("poisson_ball", [poisson(), poisson()], [0.5, 3.5],
+     ball((2.0, 1.5), 0.8)),
+    ("poisson_ellipsoid", [poisson(), poisson()], [3.0, 1.0],
+     ellipsoid((1.0, 1.0), (1.0, 1.5))),
+    ("bernoulli_ball", [bernoulli(), bernoulli()], [0.85, 0.5],
+     ball((0.5, 0.5), 0.25)),
+    ("bernoulli_ellipsoid", [bernoulli(), bernoulli()], [0.1, 0.3],
+     ellipsoid((0.6, 0.5), (0.2, 0.35))),
+    ("mixed_ellipsoid", [poisson(), G1], [2.5, 0.5],
+     ellipsoid((1.0, 0.0), (0.5, 1.0))),
+    ("mixed_ball_k3", [bernoulli(), poisson(), gaussian(0.5)],
+     [0.2, 3.0, 1.0], ball((0.5, 1.5, 0.5), 0.6)),
+    ("mixed_ellipsoid_k3", [bernoulli(), poisson(), gaussian(0.5)],
+     [0.2, 3.0, 1.0], ellipsoid((0.6, 1.0, 0.0), (0.3, 1.0, 0.8))),
+]
+
+
+class TestConvexNewtonLevel:
+    """The level t* at which the divergence box first meets the set is one
+    Newton root in r = sqrt(t), after the doubling that brackets it, for
+    balls, ellipsoids and custom oracles alike."""
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["shape", "custom"])
+    @pytest.mark.parametrize("name,models,mu,spec", NEWTON_LEVEL_CASES,
+                             ids=[c[0] for c in NEWTON_LEVEL_CASES])
+    def test_matches_grid_oracle_on_the_boundary(self, name, models, mu, spec,
+                                                 custom):
+        sol = solve(models, mu, _custom_copy(spec) if custom else spec)
+        c_grid, _ = brute_force_lb(models, mu, spec)
+        assert abs(c_grid - sol.c_star) <= 2e-3
+        assert sol.kkt_residuals["boundary_gap"] <= \
+            1e-12 * max(1.0, spec.level)
+        assert sol.kkt_residuals["level_bracket"] <= 1e-9 * sol.c_star
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["shape", "custom"])
+    @pytest.mark.parametrize("name,models,mu,spec", NEWTON_LEVEL_CASES,
+                             ids=[c[0] for c in NEWTON_LEVEL_CASES])
+    def test_few_box_evaluations(self, monkeypatch, name, models, mu, spec,
+                                 custom):
+        # each box evaluation inverts the divergence twice per arm; the
+        # level bisection took about 35 of them
+        calls = []
+        capped = lb_solvers.kl_inverse_capped
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return capped(*args, **kwargs)
+
+        monkeypatch.setattr(lb_solvers, "kl_inverse_capped", counted)
+        solve(models, mu, _custom_copy(spec) if custom else spec)
+        assert len(calls) <= 15 * 2 * len(models)
+
+    def test_custom_oracle_solves_as_its_shape(self):
+        # projected gradient on each box ends on the faces the clip picks,
+        # so the two levels agree to rounding
+        models, mu, spec = NEWTON_LEVEL_CASES[7][1:]
+        want = solve(models, mu, spec)
+        got = solve(models, mu, _custom_copy(spec))
+        assert got.c_star == pytest.approx(want.c_star, rel=1e-12)
+        np.testing.assert_allclose(got.w_star, want.w_star, rtol=1e-9)
+        np.testing.assert_allclose(got.nu_star, want.nu_star, rtol=1e-12)
+
+    @pytest.mark.parametrize("w", [(1.0, 1.0), (0.3, 0.7)])
+    def test_unreachable_custom_oracle_is_infeasible(self, w):
+        # as for the ball itself: the box stops growing at the last floats
+        # before 0 and 1, and the multiplier walk finds no crossing
+        spec = _custom_copy(ball((5.0, 5.0), 0.5))
+        models = [bernoulli(), bernoulli()]
+        with pytest.raises(InfeasibleAlternative, match="unreachable"):
+            inner_inf(models, [0.5, 0.5], w, spec)
+        with pytest.raises(InfeasibleAlternative, match="unreachable"):
+            solve(models, [0.5, 0.5], spec)
+
+
 class TestSolveUnionHalfspaces:
     ROWS = (((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0))
 

@@ -154,9 +154,8 @@ def test_kl_inverse_capped_saturates_finite_edges():
     assert nu == np.nextafter(1.0, 0.0)
     nu = kl_inverse_capped(poisson(), 1.0, 800.0, Direction.BELOW)
     assert nu == np.nextafter(0.0, 1.0)
-    # nu / mu underflows to 0 at the last float: its log is -inf, so kl is
-    # +inf there and the cap holds, where math.log(0.0) would raise
-    assert kl(poisson(), 3.0, 5e-324) == math.inf
+    # past the divergence at the last float before 0, which stays finite
+    # where nu / mu underflows, the cap holds
     assert kl_inverse_capped(poisson(), 3.0, 3000.0, Direction.BELOW) == \
         np.nextafter(0.0, 1.0)
     # attainable targets pass straight through
@@ -165,6 +164,16 @@ def test_kl_inverse_capped_saturates_finite_edges():
     # no cap exists toward an infinite edge, so nothing is swallowed there
     assert math.isfinite(kl_inverse_capped(poisson(), 1.0, 800.0,
                                            Direction.ABOVE))
+
+
+def test_poisson_divergence_where_the_ratio_underflows():
+    # nu / mu underflows to 0 at the smallest float: the log of the ratio
+    # is log(nu) - log(mu), so the divergence, about 3 (log(3 / 5e-324) - 1),
+    # is finite, and a target past it is out of reach in float64
+    assert kl(poisson(), 3.0, 5e-324) == pytest.approx(2233.616, rel=1e-6)
+    with pytest.raises(NumericalError, match="beyond every float before "
+                                             "the poisson domain edge"):
+        kl_inverse(poisson(), 3.0, 3000.0, Direction.BELOW)
 
 
 def test_kl_inverse_extreme_but_attainable_target():
