@@ -1,6 +1,18 @@
 """Partition identification in single-parameter exponential family bandits:
 allocation lower bounds, a matching track-and-stop procedure, and a
-reproducible Monte Carlo harness."""
+reproducible Monte Carlo harness.
+
+``import partid`` loads the modules the solvers and the run loop use:
+errors, spef, partitions, lb_solvers, track_stop and experiments. Two
+modules load on first access to one of their names instead: the config
+parser, partid.config (parse_config, ExperimentConfig, RiskDemoConfig),
+and the brute-force reference oracle, partid.reference_oracle (GridSpec,
+brute_force_lb, brute_force_inner). The process pool (concurrent.futures
+and multiprocessing) loads with the first campaign or risk demo run on
+more than one worker.
+"""
+
+import importlib
 
 from ._version import __version__
 from .errors import (ConfigError, DegenerateInstance, DomainError,
@@ -16,10 +28,8 @@ from .partitions import (ConvexSublevel, HalfSpace, Side, Threshold,
 from .lb_solvers import (InnerSolution, LowerBoundSolution, inner_inf, solve,
                          solve_convex, solve_halfspace, solve_threshold,
                          solve_two_arm_gaussian, solve_union_halfspaces)
-from .reference_oracle import GridSpec, brute_force_inner, brute_force_lb
 from .track_stop import (RunResult, StoppingConfig, beta_threshold, run,
                          run_deltas)
-from .config import ExperimentConfig, RiskDemoConfig, parse_config
 from .experiments import (ExperimentReport, RiskReport, risk_demo,
                           run_experiment, run_single, write_rows_csv,
                           write_summary_json)
@@ -44,3 +54,28 @@ __all__ = [
     "ExperimentReport", "RiskReport", "run_experiment", "run_single",
     "risk_demo", "write_rows_csv", "write_summary_json",
 ]
+
+# name -> the submodule that defines it, imported on first access; the two
+# submodules resolve to themselves, as they did when the package loaded them
+_LAZY = {
+    "GridSpec": "reference_oracle", "brute_force_lb": "reference_oracle",
+    "brute_force_inner": "reference_oracle",
+    "reference_oracle": "reference_oracle",
+    "ExperimentConfig": "config", "RiskDemoConfig": "config",
+    "parse_config": "config", "config": "config",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -29,6 +29,11 @@ of it per chunk of tasks. The risk
 demo's tasks carry only numbers and build their arms, threshold and
 geometry per path: that setup is a few microseconds of a path's
 milliseconds, and shipping those objects to the pool measured slower.
+
+The pool (concurrent.futures, and multiprocessing with it) is imported by
+the first campaign or risk demo run on more than one worker, so a process
+that runs inline never loads it. The config classes appear here only in
+annotations, so this module does not import the config parser either.
 """
 
 from __future__ import annotations
@@ -36,18 +41,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig, RiskDemoConfig
 from .lb_solvers import _validate_instance, prepare
 from .partitions import Side, Threshold
 from .spef import gaussian
 from .track_stop import StoppingConfig, run, run_deltas
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig, RiskDemoConfig
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,7 @@ def _mc_task(args) -> list[RunRow]:
 def _map_tasks(task, args, parallelism: int):
     if parallelism <= 1 or len(args) <= 1:
         return [task(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(args) // (parallelism * 4))
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(task, args, chunksize=chunk))

@@ -331,10 +331,15 @@ def _gaussian_unit_inner(mu, w, b, lin, terms, nu=None):
     return value
 
 
-def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
+def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000,
+                    below=-math.inf):
     """Minimize smooth convex f over a coordinate box by projected gradient
     with backtracking. Returns (x, projected-gradient residual). Serves
-    custom sublevel oracles only; ball and ellipsoid sets have exact steps."""
+    custom sublevel oracles only; ball and ellipsoid sets have exact steps.
+    Stops at gtol, or at the first step whose decrease the acceptance slack
+    cannot tell from none. With a finite below it also stops at the first
+    iterate where f < below, which proves that the least f is below it and
+    nothing more."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     fx = float(f(x))
     eta = 1.0
@@ -342,12 +347,15 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
     best = math.inf
     stall = 0
     for _ in range(max_iter):
+        if fx < below:
+            break
         g = np.asarray(grad(x), dtype=float)
         resid = float(np.max(np.abs(x - np.clip(x - g, lo, hi))))
         if resid <= gtol * max(1.0, float(np.max(np.abs(x)))):
             break
         # the acceptance slack below floors what f-comparisons can resolve
-        # at about sqrt(eps); past that the iterate orbits without progress
+        # at about sqrt(eps); a step that f cannot tell from no step ends the
+        # descent there, and an iterate orbiting above it ends on this count
         if resid < 0.9 * best:
             best, stall = resid, 0
         else:
@@ -361,11 +369,12 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000):
             if not np.any(dx):
                 break
             fn = float(f(xn))
+            slack = 1e-15 * (1.0 + abs(fx))
             if fn <= fx + float(np.dot(g, dx)) + float(np.dot(dx, dx)) / (2 * eta) \
-                    + 1e-15 * (1.0 + abs(fx)):
+                    + slack:
+                moved = fx - fn > slack
                 x, fx = xn, fn
                 eta = min(eta * 1.5, 1e8)
-                moved = True
                 break
             eta *= 0.5
         if not moved:
@@ -1025,12 +1034,14 @@ class PreparedConvex(_SolvedGeometry):
         state = {"x": np.array(mu), "lo": np.full(K, math.nan),
                  "hi": np.full(K, math.nan)}
 
-        def level_gap(r):
+        def level_gap(r, probe=False):
             # c - f(x) at the least f over the box at level t = r^2, and its
             # slope in r: a coordinate on a face moves with it at
             # 2 r / kl_dnu_i unless the face is saturated at the last float
             # before its domain edge, and by the envelope theorem no other
-            # coordinate counts
+            # coordinate counts. A probe of a custom oracle's box stops at
+            # the first point with f < c: its gap has the right sign, but
+            # neither its value nor its slope is the least f's
             t = r * r
             lo = np.array([kl_inverse_capped(models[i], mu[i], t,
                                              Direction.BELOW)
@@ -1046,8 +1057,10 @@ class PreparedConvex(_SolvedGeometry):
                 x0, was_lo, was_hi = state["x"], state["lo"], state["hi"]
                 x0 = np.where(x0 == was_lo, lo, np.where(x0 == was_hi, hi, x0))
                 x, resid = _min_f_over_box(f, gradf, lo, hi,
-                                           np.clip(x0, lo, hi))
-            state.update(x=x, resid=resid, r=r, lo=lo, hi=hi)
+                                           np.clip(x0, lo, hi),
+                                           below=c if probe else -math.inf)
+            state.update(x=x, resid=resid, r=r, lo=lo, hi=hi,
+                         probe=probe and center is None)
             g = np.asarray(gradf(x), dtype=float)
             slope = 0.0
             for i in range(K):
@@ -1058,11 +1071,11 @@ class PreparedConvex(_SolvedGeometry):
             return c - float(f(x)), slope
 
         # the gap rises with the level from c - f(mu) < 0 at t = 0; doubling
-        # t brackets its root
+        # t brackets its root, and needs only the gap's sign
         r_neg, gap_neg, t = 0.0, c - float(f(mu)), 1.0
         for _ in range(300):
             r = math.sqrt(t)
-            gap, slope = level_gap(r)
+            gap, slope = level_gap(r, probe=True)
             if gap >= 0.0:
                 break
             r_neg, gap_neg = r, gap
@@ -1073,13 +1086,15 @@ class PreparedConvex(_SolvedGeometry):
 
         step = 0.0
         if gap > 0.0:
-            # the first Newton step from the feasible end; without a slope
-            # newton_root starts at the bracket's midpoint
-            start = r - gap / slope if slope else math.nan
+            # the first Newton step from the feasible end; without a slope,
+            # or from a custom oracle's stopped probe, newton_root starts at
+            # the bracket's midpoint
+            start = r - gap / slope if slope and not state["probe"] \
+                else math.nan
             root = newton_root(level_gap, start, r_neg, r, f_neg=gap_neg,
                                f_pos=gap, rtol=0.5 * TOL_BISECT)
             step = abs(root * root - state["r"] ** 2)
-            if root != state["r"]:
+            if root != state["r"] or state["probe"]:
                 level_gap(root)
 
         nu, resid = state["x"], state["resid"]

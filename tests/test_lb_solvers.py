@@ -4,6 +4,7 @@ The pinned anchor instances and the big randomized batteries live in the
 acceptance suite; these tests pin the solver semantics one case at a time.
 """
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -619,6 +620,69 @@ class TestConvexNewtonLevel:
             inner_inf(models, [0.5, 0.5], w, spec)
         with pytest.raises(InfeasibleAlternative, match="unreachable"):
             solve(models, [0.5, 0.5], spec)
+
+
+def _counted_custom_copy(spec):
+    """_custom_copy whose gradient counts its calls after construction."""
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return spec.grad(x)
+    custom = _custom_copy(dataclasses.replace(spec, grad=grad))
+    calls.clear()
+    return custom, calls
+
+
+class TestCustomOracleDescent:
+    """Projected gradient on a custom oracle's boxes: the level doubling's
+    probes stop at their first point below the level, and each descent
+    stops once f can no longer tell its steps from none."""
+
+    @pytest.mark.parametrize("name,models,mu,spec", NEWTON_LEVEL_CASES,
+                             ids=[c[0] for c in NEWTON_LEVEL_CASES])
+    def test_solve_takes_few_gradients(self, name, models, mu, spec):
+        # the full descent on the first doubling box, which holds the
+        # oracle's own minimum for the ellipsoids, took 135-406 gradients
+        # (376 for mixed_ellipsoid_k3); every case now takes at most 24
+        custom, calls = _counted_custom_copy(spec)
+        got = solve(models, mu, custom)
+        assert len(calls) <= 37
+        assert got.c_star == pytest.approx(solve(models, mu, spec).c_star,
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("name,models,mu,spec", NEWTON_LEVEL_CASES,
+                             ids=[c[0] for c in NEWTON_LEVEL_CASES])
+    def test_inner_inf_takes_few_gradients(self, name, models, mu, spec):
+        # each descent used to orbit at the rounding floor until its stall
+        # count ended it: 5,600-12,200 gradients per inner_inf here, now
+        # 189-733
+        custom, calls = _counted_custom_copy(spec)
+        w = np.full(len(models), 1.0 / len(models))
+        got = inner_inf(models, mu, w, custom)
+        assert len(calls) <= 2000
+        assert got.value == pytest.approx(inner_inf(models, mu, w, spec).value,
+                                          rel=1e-6)
+
+    def test_probe_stops_below_the_level_and_descent_at_the_floor(self):
+        # f = 1 + 5 (x_0 - 0.3)^2 + (x_1 - 0.4)^2 on [0, 1]^2; from f = 3.7,
+        # values about 1 resolve x to about 1e-8
+        scale, center = np.array([5.0, 1.0]), np.array([0.3, 0.4])
+        calls = []
+
+        def f(x):
+            return 1.0 + float(np.dot(scale, (x - center) ** 2))
+
+        def grad(x):
+            calls.append(1)
+            return 2.0 * scale * (x - center)
+        lo, hi, x0 = np.zeros(2), np.ones(2), np.array([1.0, 0.9])
+        x, _ = lb_solvers._min_f_over_box(f, grad, lo, hi, x0, below=1.5)
+        assert f(x) < 1.5 and f(x) > 1.0 + 1e-9
+        probe_calls = len(calls)
+        x, resid = lb_solvers._min_f_over_box(f, grad, lo, hi, x0)
+        assert probe_calls < len(calls) - probe_calls <= 100
+        assert np.max(np.abs(x - center)) <= 1e-7 and resid <= 1e-6
 
 
 class TestSolveUnionHalfspaces:

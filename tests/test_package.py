@@ -1,9 +1,33 @@
-"""The package's public names: everything partid.__all__ lists is there,
-once."""
+"""The package's public names and import footprint: everything
+partid.__all__ lists is there, once, and importing partid loads neither
+the process pool nor the modules that resolve on first access."""
 
 import collections
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import partid
+
+SRC = str(Path(partid.__file__).resolve().parents[1])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# loaded on first use only: the pool with a parallel campaign or risk demo,
+# the config parser and the reference oracle on first access
+POOL = ("concurrent.futures", "multiprocessing")
+LAZY = ("partid.config", "partid.reference_oracle")
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout's partid;
+    returns its stdout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
@@ -11,3 +35,64 @@ def test_every_exported_name_resolves_and_is_listed_once():
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in partid.__all__ if not hasattr(partid, name)] \
         == []
+
+
+def test_import_leaves_the_pool_and_the_lazy_modules_unloaded():
+    out = run_fresh(f"""
+        import sys
+        import partid
+        print(sorted(m for m in {POOL + LAZY!r} if m in sys.modules))
+        import partid.cli
+        print(sorted(m for m in {POOL + LAZY!r} if m in sys.modules))
+        """)
+    # the command line parses configs, so it loads the parser itself
+    assert out.splitlines() == ["[]", "['partid.config']"]
+
+
+def test_lazy_names_are_their_modules_names():
+    lazy = {"parse_config": "config", "ExperimentConfig": "config",
+            "RiskDemoConfig": "config", "GridSpec": "reference_oracle",
+            "brute_force_lb": "reference_oracle",
+            "brute_force_inner": "reference_oracle"}
+    out = run_fresh(f"""
+        import importlib
+        import partid
+        got = {{n: getattr(partid, n) for n in {lazy!r}}}
+        print([n for n, m in {lazy!r}.items()
+               if got[n] is not getattr(importlib.import_module(
+                   "partid." + m), n)])
+        """)
+    assert out.splitlines() == ["[]"]
+    # the submodules stay attributes of the package, as when it loaded them
+    out = run_fresh("""
+        import partid
+        print(partid.config.__name__, partid.reference_oracle.__name__)
+        """)
+    assert out.splitlines() == ["partid.config partid.reference_oracle"]
+
+
+def test_star_import_binds_every_exported_name():
+    out = run_fresh("""
+        import partid
+        names = {}
+        exec("from partid import *", names)
+        print([n for n in partid.__all__ if n not in names])
+        """)
+    assert out.splitlines() == ["[]"]
+
+
+def test_first_pool_use_gives_the_inline_rows():
+    out = run_fresh(f"""
+        import sys
+        from dataclasses import replace
+        import partid
+        cfg = replace(partid.parse_config({str(CONFIGS / "threshold_gaussian.json")!r}),
+                      replications=6)
+        print("concurrent.futures" in sys.modules)
+        pooled = partid.run_experiment(cfg, parallelism=2)
+        print("concurrent.futures" in sys.modules)
+        inline = partid.run_experiment(cfg, parallelism=1)
+        print(pooled.rows == inline.rows, len(pooled.rows),
+              pooled.summaries == inline.summaries)
+        """)
+    assert out.splitlines() == ["False", "True", "True 12 True"]
