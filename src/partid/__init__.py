@@ -6,10 +6,10 @@ reproducible Monte Carlo harness.
 errors, spef, partitions, lb_solvers, track_stop and experiments. Two
 modules load on first access to one of their names instead: the config
 parser, partid.config (parse_config, ExperimentConfig, RiskDemoConfig),
-and the brute-force reference oracle, partid.reference_oracle (GridSpec,
-brute_force_lb, brute_force_inner). The process pool (concurrent.futures
-and multiprocessing) loads with the first campaign or risk demo run on
-more than one worker.
+and the reference oracle, partid.reference_oracle (GridSpec,
+brute_force_lb, brute_force_inner, solve_two_arm_gaussian). The process
+pool (concurrent.futures and multiprocessing) loads with the first
+campaign or risk demo run on more than one worker.
 """
 
 import importlib
@@ -27,7 +27,7 @@ from .partitions import (ConvexSublevel, HalfSpace, Side, Threshold,
                          distance_to_halfspace, ellipsoid, from_dict, to_dict)
 from .lb_solvers import (InnerSolution, LowerBoundSolution, inner_inf, solve,
                          solve_convex, solve_halfspace, solve_threshold,
-                         solve_two_arm_gaussian, solve_union_halfspaces)
+                         solve_union_halfspaces)
 from .track_stop import (RunResult, StoppingConfig, beta_threshold, run,
                          run_deltas)
 from .experiments import (ExperimentReport, RiskReport, risk_demo,
@@ -60,6 +60,7 @@ __all__ = [
 _LAZY = {
     "GridSpec": "reference_oracle", "brute_force_lb": "reference_oracle",
     "brute_force_inner": "reference_oracle",
+    "solve_two_arm_gaussian": "reference_oracle",
     "reference_oracle": "reference_oracle",
     "ExperimentConfig": "config", "RiskDemoConfig": "config",
     "parse_config": "config", "config": "config",

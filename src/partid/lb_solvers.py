@@ -29,13 +29,11 @@ gives the sharpest solver its structure allows:
     concave max-min over the simplex. The row whose exact saddle is
     cheapest is tried first: when no other row undercuts it at its
     weights, that saddle is the union's (each half-space relaxes the
-    union, so this is a true optimality certificate). Otherwise golden
-    section and kink bisection on the segment for two arms, or
-    supergradient ascent and cutting planes with an LP upper bound for
-    more, pin the optimum, and the duality gap is reported.
-  * Two-arm Gaussian with two constraints: closed-form casework on whether
-    one constraint can be ignored or the optimal level set is tangent to
-    both lines.
+    union, so this is a true optimality certificate). Otherwise, for any
+    arm count and family, Newton steps on the saddle's KKT system over the
+    active rows, with each alternative a closed-form slope inverse, start
+    there or from barrier steps; the rows' mixture of alternatives
+    certifies the answer by its duality gap.
 
 Hyperplane rows are normalized internally to unit Euclidean norm, which
 changes nothing about the sets or the saddle point but keeps every reported
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -66,27 +63,22 @@ from .errors import (DegenerateInstance, DomainError, InfeasibleAlternative,
 from .partitions import (_A1, _A2, _BOUNDARY, ConvexSublevel, HalfSpace,
                          PartitionSpec, Side, Threshold, UnionHalfSpaces,
                          classify, row_dot, side_of_margin)
-from .rootfind import NoBracket, newton_root, walk_to_root
+from .rootfind import MAX_ITER, NoBracket, newton_root, walk_to_root
 # unused here: perfbench/test_tracer.py counts this module's binding site
 from .rootfind import bisect_monotone  # noqa: F401
-from .spef import (FAMILIES, Direction, Family, SpefModel, gaussian, kl,
+from .spef import (FAMILIES, Direction, Family, SpefModel, kl,
                    kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
                    mean_domain)
 
 
-# The solvers' numerical policy. The cutting planes stop at a duality gap of
-# TOL_KKT; TOL_BISECT is the tolerance of the solvers' scalar roots, on the
-# value or, for the convex-set and half-space Newton steps, relative to the
-# root; SIMPLEX_FLOOR keeps union ascent iterates strictly inside the
-# simplex; ACTIVE_SET_TOL is relative to c* when detecting binding arms. A
-# union of more than two arms takes ASCENT_STEPS supergradient steps, then at
-# most MAX_CUTS cutting-plane rounds.
+# The solvers' numerical policy. A union's KKT solve must close its duality
+# gap to TOL_KKT; TOL_BISECT is the tolerance of the solvers' scalar roots,
+# on the value or, for the convex-set and half-space Newton steps, relative
+# to the root; ACTIVE_SET_TOL is relative to c* when detecting binding arms.
+# Every Newton solve stops after rootfind.MAX_ITER evaluations.
 TOL_KKT = 1e-8
 TOL_BISECT = 1e-10
-SIMPLEX_FLOOR = 1e-9
 ACTIVE_SET_TOL = 1e-6
-ASCENT_STEPS = 250
-MAX_CUTS = 500
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,9 @@ class LowerBoundSolution:
     the characteristic time. active_set lists the arms essential to the
     optimum. kkt_residuals carries solver-specific diagnostics; flags marks
     qualitative events ("case1", "case_boundary", "NonUniqueHyperplane",
-    "MaxIters", "mu_in_a2", "edge_saturated"). When NonUniqueHyperplane is
-    flagged w_star is NaN: nu_star and c_star remain valid but no supporting
-    hyperplane determines the weights.
+    "single_constraint", "mu_in_a2", "edge_saturated"). When
+    NonUniqueHyperplane is flagged w_star is NaN: nu_star and c_star remain
+    valid but no supporting hyperplane determines the weights.
     """
     w_star: np.ndarray
     nu_star: np.ndarray
@@ -1132,8 +1124,9 @@ _Row = collections.namedtuple("_Row", "a b")
 class PreparedUnion(_SolvedGeometry):
     """A union of half-spaces with the means in the polytope outside it:
     one PreparedHalfSpace per row, built from the raw row, so each row is
-    normalized once. inner_inf and solve_union_halfspaces prepare one per
-    call, a Monte Carlo campaign one for all its runs."""
+    normalized once, with each row's A1 target and its (arm, unit entry)
+    pairs on the arms it touches. inner_inf and solve_union_halfspaces
+    prepare one per call, a Monte Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces):
         if len(spec.halfspaces[0][0]) != len(models):
@@ -1142,6 +1135,9 @@ class PreparedUnion(_SolvedGeometry):
         super().__init__(models, spec)
         self.rows = [PreparedHalfSpace(models, _Row(a, b))
                      for a, b in spec.halfspaces]
+        self.targets = [row.target(Side.A1) for row in self.rows]
+        self.touches = [[(i, ai) for i, ai in enumerate(row.unit) if ai]
+                        for row in self.rows]
 
     def _row_inners(self, mu, w, tol: float):
         """(values as an array, minimizers) of every row's inner infimum
@@ -1158,272 +1154,276 @@ class PreparedUnion(_SolvedGeometry):
 
     def solution(self, mu) -> LowerBoundSolution:
         """solve_union_halfspaces's saddle point at checked means mu (an
-        array): the single-row certificate, else the searches."""
+        array): the single-row certificate, else _settle from where it
+        failed, else _barrier."""
         self._check_side(mu, "polytope boundary")
-        for j, row in enumerate(self.rows):
-            _, b, sup = row.target(Side.A1)
+        for j, (_, b, sup) in enumerate(self.targets):
             if not sup > b:
                 raise InfeasibleAlternative(
                     f"half-space {j} does not intersect the mean domain")
-        return self._single_row(mu) or self._search(mu)
+        sol, w, rows = self._single_row(mu)
+        evals = [0]
+        if sol is None and rows:
+            sol = self._settle(mu, w, rows, [1.0] * len(self.rows), evals)[0]
+        return sol or self._barrier(mu, w, evals)
+
+    def _undercut(self, mu, w, rows, cstar):
+        """The row outside rows whose inner infimum at weights w undercuts
+        cstar the most, by more than the certificate's slack, or None."""
+        worst, low = None, cstar * (1.0 - 1e-9) - 1e-12
+        for k, row in enumerate(self.rows):
+            if k not in rows:
+                v = row.inner(mu, np.asarray(w), Side.A1, tol=TOL_BISECT)[0]
+                if v < low:
+                    worst, low = k, v
+        return worst
 
     def _single_row(self, mu):
-        """The exact saddle of the row whose saddle is cheapest among the
-        rows with every entry nonzero, when no other row undercuts it at its
-        weights; None otherwise. c* is at most every row's c_k, so a row
-        that passes attains c*, even where another row's saddle raised."""
+        """(solution, None, None) when the row whose exact saddle is
+        cheapest holds: no other row undercuts it at its weights. c* is at
+        most every row's c_k, so a row that passes attains c*, even where
+        another row's saddle raised. Otherwise (None, w, rows): its weights
+        with it and the row that undercuts it the most (uniform weights
+        and no rows when every row's saddle raised)."""
         best = None
-        for row in self.rows:
-            if 0.0 in row.a:
-                continue
+        for j, row in enumerate(self.rows):
             try:
                 saddle = row.saddle(mu)
             except PartidError:
                 continue
-            if best is None or saddle[1] < best[1][1]:
-                best = (row, saddle)
+            if best is None or saddle[1] < best[2][1]:
+                best = (j, row, saddle)
         if best is None:
-            return None
-        row, saddle = best
+            return None, np.full(mu.size, 1.0 / mu.size), []
+        j, row, saddle = best
         sol = row.solution(mu, saddle)
-        for other in self.rows:
-            if other is row:
-                continue
-            v, _ = other.inner(mu, sol.w_star, Side.A1, tol=TOL_BISECT)
-            if v < sol.c_star * (1.0 - 1e-9) - 1e-12:
-                return None  # another constraint undercuts: not optimal
+        k = self._undercut(mu, sol.w_star, [j], sol.c_star)
+        if k is not None:
+            return None, sol.w_star, [j, k]
         residuals = dict(sol.kkt_residuals, duality_gap=0.0, active_rows=1.0)
         return replace(sol, kkt_residuals=residuals,
-                       flags=sol.flags + ("single_constraint",))
+                       flags=sol.flags + ("single_constraint",)), None, None
 
-    def _search(self, mu) -> LowerBoundSolution:
-        """Golden section and kink bisection for two arms, supergradient
-        ascent and cutting planes otherwise; the duality gap is the LP's,
-        or for two arms _segment_gap's at the returned weights."""
-        models, K = self.models, mu.size
-        g_and_nu = functools.partial(self._row_inners, mu, tol=TOL_BISECT)
-
-        def g_of(w):
-            return float(np.min(g_and_nu(w)[0]))
-
-        # phase 1: projected supergradient ascent; with two arms the golden
-        # section below searches the whole segment, so it starts from uniform
-        w = np.full(K, 1.0 / K)
-        best_w, best_g = w.copy(), g_of(w)
-        n_ascent = ASCENT_STEPS if K > 2 else 0
-        for k in range(1, n_ascent + 1):
-            vals, nus = g_and_nu(w)
-            gmin = float(np.min(vals))
-            if gmin > best_g:
-                best_g, best_w = gmin, w.copy()
-            ties = [j for j in range(len(vals))
-                    if vals[j] <= gmin + 1e-12 * max(1.0, gmin)]
-            grad = np.zeros(K)
-            for j in ties:
-                grad += np.array([kl(models[i], mu[i], nus[j][i])
-                                  for i in range(K)])
-            grad /= len(ties)
-            w = _project_simplex_floor(w + 1.0 / math.sqrt(k) * grad)
-
-        # phase 2: certified refinement
-        flags = []
-        if K == 2:
-            best_w, best_g = _refine_two_arm(mu, self.rows, best_w, best_g,
-                                             g_of)
-        else:
-            best_w, best_g, gap, exhausted = _kelley_refine(
-                models, mu, self.rows, best_w, best_g, g_and_nu)
-            if exhausted:
-                flags.append("MaxIters")
-
-        w = np.maximum(best_w, SIMPLEX_FLOOR)
-        w = w / w.sum()
-        vals, nus = g_and_nu(w)
-        cstar = float(np.min(vals))
-        if K == 2:
-            gap = _segment_gap(models, mu, w, vals, nus)
-        active_rows = [j for j in range(len(vals))
-                       if vals[j] <= cstar + 1e-9 * max(1.0, cstar)]
-        nu = nus[min(active_rows)]
-        active = [i for i in range(K) if w[i] > SIMPLEX_FLOOR * 10]
-        residuals = {
-            "duality_gap": gap,
-            "weight_sum": abs(float(w.sum()) - 1.0),
-            "active_rows": float(len(active_rows)),
-        }
-        return _solution(w, nu, cstar, active, residuals, flags)
-
-
-# ---------------------------------------------------------------------------
-# union of half-spaces
-
-
-def _project_simplex(v, total=1.0):
-    """Euclidean projection onto {x >= 0, sum x = total} (sort based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > (css - total))[0][-1]
-    theta = (css[rho] - total) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _project_simplex_floor(v):
-    """Projection onto the simplex with every entry at least SIMPLEX_FLOOR."""
-    total = 1.0 - len(v) * SIMPLEX_FLOOR
-    return _project_simplex(np.asarray(v, dtype=float) - SIMPLEX_FLOOR,
-                            total) + SIMPLEX_FLOOR
-
-
-def _refine_two_arm(mu, rows, w0, g0, g_of):
-    """Golden-section maximization of the concave one-dimensional
-    restriction, then kink bisection between the two lowest constraints
-    (rows are the union's PreparedHalfSpace rows)."""
-    lo, hi = SIMPLEX_FLOOR, 1.0 - SIMPLEX_FLOOR
-
-    def phi(w1):
-        return g_of(np.array([w1, 1.0 - w1]))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = phi(c1), phi(c2)
-    for _ in range(200):
-        if b - a <= 1e-12:
-            break
-        if f1 >= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = phi(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = phi(c2)
-    w1 = 0.5 * (a + b)
-    cand_w = np.array([w1, 1.0 - w1])
-    cand_g = phi(w1)
-    if cand_g < g0:
-        cand_w, cand_g = w0, g0
-
-    if len(rows) >= 2:
-        def row_value(row, w):
-            return row.inner(mu, w, Side.A1, tol=TOL_BISECT)[0]
-
-        at_cand = [row_value(row, cand_w) for row in rows]
-        j1, j2 = (int(j) for j in np.argsort(at_cand)[:2])
-
-        def diff(w1):
-            w = np.array([w1, 1.0 - w1])
-            return row_value(rows[j1], w) - row_value(rows[j2], w)
-
-        # bracket a sign change of g_j1 - g_j2 around the iterate
-        w1c = float(cand_w[0])
-        eps = 1e-9
-        bracket = None
-        for _ in range(40):
-            lo_p, hi_p = max(lo, w1c - eps), min(hi, w1c + eps)
-            dlo, dhi = diff(lo_p), diff(hi_p)
-            if dlo == 0.0 or dhi == 0.0 or (dlo < 0) != (dhi < 0):
-                bracket = (lo_p, hi_p, dlo)
-                break
-            if eps > 0.5:
-                break
-            eps *= 4.0
-        if bracket is not None:
-            blo, bhi, dlo = bracket
-            for _ in range(200):
-                if bhi - blo <= 1e-14:
+    def _settle(self, mu, w, J, theta, evals):
+        """(saddle point, None) by damped Newton steps on the KKT system
+        (_kkt) over the rows J and the arms S they touch, from w spread
+        over S, lam_j from row j's minimizer there, theta (by row) over its
+        sum on J and c the least row value, until a step is below 1e-12 of
+        each variable's scale. (None, None) when they stall (singular
+        Jacobian, step halved to 1e-6, 20 evaluations); (None, rows to try
+        next) when a theta_j < -1e-9 (its row leaves) or another row
+        undercuts the root (it joins). c* = min_j sum_i w_i kl_ij over J
+        and max_i sum_j theta_j kl_ij bound the saddle value at any w and
+        mixture, so duality_gap, their difference, certifies the answer;
+        NumericalError when it exceeds TOL_KKT."""
+        S = sorted({i for j in J for i, _ in self.touches[j]})
+        w = np.array(_spread(w.tolist(), S))
+        lam, g = [], []
+        for j in J:
+            try:
+                v, nu = self.rows[j].inner(mu, w, Side.A1, tol=1e-12)
+            except NumericalError:  # nu^j past the last float: no start
+                return None, None
+            i, ai = max(self.touches[j], key=lambda t: abs(t[1]))
+            lam.append(w[i] * kl_dnu(self.models[i], mu[i], nu[i]) / ai)
+            g.append(v)
+        nS, nJ, mul, stop = len(S), len(J), mu.tolist(), evals[0] + 20
+        total = math.fsum(theta[j] for j in J)
+        x = np.array([w[i] for i in S] + lam + [theta[j] / total for j in J]
+                     + [min(g)])
+        _count(evals)
+        here, done, scale = self._kkt(mul, J, S, x), False, np.ones(x.size)
+        while not done:
+            if here is None:
+                return None, None
+            w, alts, f, jac = here
+            try:
+                dx = np.linalg.solve(jac, -f)
+            except np.linalg.LinAlgError:
+                return None, None
+            scale[nS:nS + nJ], scale[-1] = x[nS:nS + nJ], x[-1]
+            done, t = float(np.max(np.abs(dx) / scale)) <= 1e-12, 1.0
+            while True:
+                _count(evals)
+                there = self._kkt(mul, J, S, x + t * dx)
+                if there is not None and (done or np.linalg.norm(there[2])
+                                          <= (1.0 - 1e-4 * t)
+                                          * np.linalg.norm(f)):
                     break
-                mid = 0.5 * (blo + bhi)
-                dm = diff(mid)
-                if dm == 0.0:
-                    blo = bhi = mid
-                    break
-                if (dm < 0) == (dlo < 0):
-                    blo, dlo = mid, dm
-                else:
-                    bhi = mid
-            w1k = 0.5 * (blo + bhi)
-            gk = phi(w1k)
-            if gk >= cand_g - 1e-12 * max(1.0, abs(cand_g)):
-                cand_w = np.array([w1k, 1.0 - w1k])
-                cand_g = gk
-    return cand_w, cand_g
+                t *= 0.5
+                if t < 1e-6 or evals[0] > stop:
+                    return None, None
+            x, here = x + t * dx, there
+        w, alts = here[:2]
+        theta = x[nS + nJ:-1]
+        if float(np.min(theta)) < -1e-9:
+            return None, [j for p, j in enumerate(J)
+                          if p != int(np.argmin(theta))]
+        gs = [math.fsum(w[i] * kls[i] for i in S) for _, kls in alts]
+        top = min(range(nJ), key=gs.__getitem__)
+        k = self._undercut(mu, w, J, gs[top])
+        if k is not None:
+            return None, J + [k]
+        theta = np.maximum(theta, 0.0) / np.maximum(theta, 0.0).sum()
+        # weak duality makes the difference nonnegative; below 0 it is
+        # rounding
+        gap = max(0.0, max(float(theta @ [kls[i] for _, kls in alts])
+                           for i in S) - gs[top])
+        if not gap <= TOL_KKT:
+            raise NumericalError(f"union duality gap {gap} above {TOL_KKT}")
+        residuals = {"duality_gap": gap, "active_rows": float(nJ),
+                     "weight_sum": abs(math.fsum(w) - 1.0)}
+        return _solution(w, alts[top][0], gs[top], S, residuals), None
+
+    def _kkt(self, mul, J, S, x):
+        """(w, per row of J its alternative and divergences, residual,
+        Jacobian) of the KKT system at x = (w_S, lam_J, theta_J, c):
+
+            <a_j, nu^j> = b_j  and  sum_i w_i kl_ij = c   for j in J,
+            sum_j theta_j kl_ij = c                       for i in S,
+            sum_i w_i = 1,
+
+        with kl_ij = kl_i(mu_i, nu^j_i), nu^j_i = kl_dnu_inverse(mu_i, s)
+        for s = lam_j a_ji / w_i (mu_i where a_ji = 0), moving by
+        d a_ji / w_i in lam_j and -d s / w_i in w_i, d = 1 / kl_dnu2, and
+        kl_ij by s times that. None off the domain (w, lam or a slope)."""
+        nS, nJ = len(S), len(J)
+        if not float(np.min(x[:nS + nJ])) > 0.0:
+            return None
+        w = [0.0] * len(mul)
+        for i, wi in zip(S, x[:nS].tolist()):
+            w[i] = wi
+        lam, theta = x[nS:nS + nJ].tolist(), x[nS + nJ:-1].tolist()
+        col, n = {i: q for q, i in enumerate(S)}, nS + 2 * nJ + 1
+        f, jac, alts = np.zeros(n), np.zeros((n, n)), []
+        for p, j in enumerate(J):
+            nu, kls = list(mul), [0.0] * len(mul)
+            for i, ai in self.touches[j]:
+                m, q, wi = self.models[i], col[i], w[i]
+                op, s = FAMILIES[m.family], lam[p] * ai / wi
+                if not s < op.dnu_sup:
+                    return None
+                nu[i] = op.kl_dnu_inverse(m, mul[i], s)
+                if not self.domains[i][0] < nu[i] < self.domains[i][1]:
+                    return None
+                kls[i] = op.kl(m, mul[i], nu[i])
+                d = 1.0 / op.kl_dnu2(m, mul[i], nu[i])
+                jac[p, q] = -ai * d * s / wi
+                jac[p, nS + p] += ai * ai * d / wi
+                jac[nJ + p, q] = kls[i] - d * s * s
+                jac[nJ + p, nS + p] += s * d * ai
+                jac[2 * nJ + q, q] -= theta[p] * d * s * s / wi
+                jac[2 * nJ + q, nS + p] = theta[p] * s * d * ai / wi
+                jac[2 * nJ + q, nS + nJ + p] = kls[i]
+            f[p] = row_dot(self.targets[j][0], nu) - self.targets[j][1]
+            f[nJ + p] = math.fsum(w[i] * kls[i] for i in S) - x[-1]
+            alts.append((nu, kls))
+        for q, i in enumerate(S):
+            f[2 * nJ + q] = math.fsum(th * kls[i] for th, (_, kls)
+                                      in zip(theta, alts)) - x[-1]
+        f[-1] = math.fsum(w) - 1.0
+        jac[nJ:-1, -1] = -1.0
+        jac[-1, :nS] = 1.0
+        return w, alts, f, jac
+
+    def _barrier(self, mu, w, evals) -> LowerBoundSolution:
+        """The saddle point by barrier steps from weights w on max c over
+        the simplex of the arms S the rows touch subject to g_j(w) >= c:
+        Newton steps maximize the concave B = c + tau (sum_j log(g_j - c)
+        + sum_i log w_i), halved until they keep w > 0 and g_j > c and
+        raise B, and tau falls tenfold once the decrement is below tau / 4.
+        Where (rows + arms) tau is 1e-2 of c, then 1e-4 and so on, _settle
+        starts from the rows with g_j - c below sqrt(tau c), theta_j =
+        tau / (g_j - c), and tries the rows it names next, once per row."""
+        models, m = self.models, len(self.rows)
+        S = sorted({i for t in self.touches for i, _ in t})
+        nS, w = len(S), np.array(_spread(w.tolist(), S))
+        # halfway to uniform: a start well inside the simplex
+        w[S] = 0.5 * (w[S] + 1.0 / nS)
+        g, nus = self._row_inners(mu, w, 1e-12)
+        c = 0.5 * float(np.min(g))
+        tau, goal = c / (m + nS), 1e-2
+        while True:
+            r = g - c
+            grad, hess = np.zeros(nS + 1), np.zeros((nS + 1, nS + 1))
+            for nu, t, rj in zip(nus, self.touches, r):
+                q = np.array([kl(models[i], mu[i], nu[i]) for i in S] + [-1.0])
+                grad += q / rj
+                hess -= np.outer(q, q) / (rj * rj)
+                # g_j's Hessian in w: u u^T / D - diag(s^2 d / w), with s
+                # and d as in _kkt, u = s d a / w and D = sum a^2 d / w
+                u, diag, big_d = np.zeros(nS), np.zeros(nS), 0.0
+                for i, ai in t:
+                    op, k = FAMILIES[models[i].family], S.index(i)
+                    s = op.kl_dnu(models[i], mu[i], nu[i])
+                    d = 1.0 / op.kl_dnu2(models[i], mu[i], nu[i])
+                    u[k], diag[k] = s * d * ai / w[i], s * s * d / w[i]
+                    big_d += ai * ai * d / w[i]
+                hess[:nS, :nS] += (np.outer(u, u) / big_d - np.diag(diag)) / rj
+            ws = w[S]
+            grad *= tau
+            grad[:nS] += tau / ws
+            grad[-1] += 1.0
+            hess *= tau
+            hess[range(nS), range(nS)] -= tau / (ws * ws)
+            # the step keeps sum w = 1: one multiplier row and column; B
+            # is strictly concave (the log w_i terms), so this is regular
+            kkt = np.zeros((nS + 2, nS + 2))
+            kkt[:-1, :-1] = hess
+            kkt[:nS, -1] = kkt[-1, :nS] = 1.0
+            dz = np.linalg.solve(kkt, np.append(-grad, 0.0))[:-1]
+            dec = float(grad @ dz)
+            if dec <= 0.25 * tau:
+                if (m + nS) * tau <= goal * c:
+                    J = [j for j in range(m) if r[j] <= math.sqrt(tau * c)]
+                    for _ in range(m):
+                        sol, J = self._settle(mu, w, J, tau / r, evals)
+                        if J is None:
+                            break
+                    if sol is not None:
+                        return sol
+                    goal *= 1e-2
+                tau *= 0.1
+                continue
+            t, base = 1.0, c + tau * float(np.sum(np.log(r))
+                                           + np.sum(np.log(ws)))
+            while True:
+                _count(evals)
+                wn = w.copy()
+                wn[S] = ws + t * dz[:nS]
+                cn = c + t * dz[-1]
+                gn = None
+                if np.all(wn[S] > 0.0):
+                    try:
+                        gn, nusn = self._row_inners(mu, wn, 1e-12)
+                    except NumericalError:  # alternatives past the last float
+                        pass
+                if gn is not None:
+                    rn = gn - cn
+                    if np.all(rn > 0.0) and cn + tau * float(
+                            np.sum(np.log(rn)) + np.sum(np.log(wn[S]))) \
+                            >= base + 0.25 * t * dec:
+                        break
+                t *= 0.5
+            w, c, g, nus = wn, cn, gn, nusn
 
 
-def _kelley_refine(models, mu, rows, w0, g0, g_and_nu):
-    """Cutting-plane refinement: concavity makes every linearization an
-    overestimate, so the LP value is a true upper bound and the best
-    evaluated point a lower bound; stop when the gap closes."""
-    from scipy.optimize import linprog
-
-    K = len(mu)
-    m = len(rows)
-    cuts = []  # rows of the LP: -grad . w + t <= g - grad . w_pt, per (j, point)
-
-    def add_cuts(w_pt):
-        vals, nus = g_and_nu(w_pt)
-        for j in range(m):
-            grad = np.array([kl(models[i], mu[i], nus[j][i]) for i in range(K)])
-            cuts.append((np.concatenate([-grad, [1.0]]),
-                         vals[j] - float(np.dot(grad, w_pt))))
-        return float(np.min(vals))
-
-    best_w, best_g = np.asarray(w0, dtype=float), g0
-    seeds = [best_w, np.full(K, 1.0 / K)]
-    for i in range(K):
-        v = np.full(K, SIMPLEX_FLOOR)
-        v[i] = 1.0 - (K - 1) * SIMPLEX_FLOOR
-        seeds.append(v)
-    for s in seeds:
-        g = add_cuts(s)
-        if g > best_g:
-            best_g, best_w = g, s.copy()
-
-    gap = math.inf
-    exhausted = True
-    cost = np.concatenate([np.zeros(K), [-1.0]])
-    a_eq = np.concatenate([np.ones(K), [0.0]]).reshape(1, -1)
-    bounds = [(0.0, 1.0)] * K + [(None, None)]
-    for _ in range(MAX_CUTS):
-        a_ub = np.array([c[0] for c in cuts])
-        b_ub = np.array([c[1] for c in cuts])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                      bounds=bounds, method="highs")
-        if not res.success:
-            raise NumericalError(f"cutting-plane LP failed: {res.message}")
-        t_ub = float(res.x[-1])
-        w_new = np.maximum(res.x[:K], SIMPLEX_FLOOR)
-        w_new = w_new / w_new.sum()
-        g = add_cuts(w_new)
-        if g > best_g:
-            best_g, best_w = g, w_new
-        gap = t_ub - best_g
-        if gap <= TOL_KKT:
-            exhausted = False
-            break
-    return best_w, best_g, gap, exhausted
+def _count(evals):
+    """Count one evaluation in evals[0]; NumericalError past MAX_ITER."""
+    evals[0] += 1
+    if evals[0] > MAX_ITER:
+        raise NumericalError(
+            f"union saddle not solved within {MAX_ITER} evaluations")
 
 
-def _segment_gap(models, mu, w, vals, nus) -> float:
-    """Duality gap of two-arm weights w from the rows' Danskin
-    supergradients. Row j's inner value at w + t (1, -1) is at most
-    vals[j] + s_j t, with s_j = kl_1(mu_1, nu_j1) - kl_2(mu_2, nu_j2) at its
-    minimizer nus[j], so the largest least line over the segment
-    -w_1 <= t <= 1 - w_1 bounds c* from above; it sits at an end of the
-    segment or where two lines cross. The gap is that bound less the least
-    vals[j]."""
-    vals = vals.tolist()
-    lines = [(v, kl(models[0], mu[0], nu[0]) - kl(models[1], mu[1], nu[1]))
-             for v, nu in zip(vals, nus)]
-    ts = [-w[0], 1.0 - w[0]]
-    for (vj, sj), (vk, sk) in itertools.combinations(lines, 2):
-        if sj != sk and ts[0] < (vk - vj) / (sj - sk) < ts[1]:
-            ts.append((vk - vj) / (sj - sk))
-    upper = max(min(v + s * t for v, s in lines) for t in ts)
-    return float(upper - min(vals))
+def _spread(w, arms) -> list:
+    """w (a list) on arms only, an arm without weight given 1 / len(arms),
+    over the sum."""
+    out = [0.0] * len(w)
+    for i in arms:
+        out[i] = w[i] if w[i] > 0.0 else 1.0 / len(arms)
+    total = math.fsum(out)
+    return [x / total for x in out]
 
 
 # ---------------------------------------------------------------------------
@@ -1568,117 +1568,18 @@ def solve_union_halfspaces(models: Sequence[SpefModel], mu,
     and mu lies strictly inside the complementary polytope.
 
     Each half-space relaxes the union, so c* is at most every row's own
-    saddle value c_j. First, among the rows with every entry nonzero, the
-    one with the least exact half-space c_j is taken: if no other row's
-    inner infimum at its weights undercuts c_j, that half-space solution is
+    saddle value c_j. When no other row's inner infimum undercuts the
+    cheapest row's exact half-space saddle at its weights, that solution is
     optimal and is returned flagged single_constraint with duality_gap 0.
-    Otherwise the outer objective g(w) = min_j g_j(w), concave as a minimum
-    of inner infima, is searched. With two arms it is a function of w_1 on
-    a segment: golden section from uniform weights finds its maximum, a
-    two-constraint kink there is pinned by bisection on g_1 - g_2, and
-    duality_gap comes from the rows' supergradients at the returned weights
-    (_segment_gap). With more arms, projected supergradient ascent with
-    step 1/sqrt(k) and the per-constraint transport costs as the Danskin
-    supergradient localizes the optimum (ties among active constraints
-    average their supergradients), then cutting planes with an LP upper
-    bound shrink the duality gap below TOL_KKT; MaxIters is flagged when the
-    budget ends first.
+    Otherwise damped Newton steps solve the saddle's KKT system over the
+    active rows J, <a_j, nu^j> = b_j and sum_i w_i kl_ij = c for j in J,
+    sum_j theta_j kl_ij = c over the arms they touch and sum w = 1, with
+    nu^j_i = kl_dnu_inverse(mu_i, lam_j a_ji / w_i), from that row and
+    the row that undercuts it the most, or from barrier steps on max c
+    subject to every row's inner infimum >= c. duality_gap =
+    max_i sum_j theta_j kl_ij - c* certifies the answer (NumericalError
+    above TOL_KKT, or without an answer in rootfind.MAX_ITER evaluations).
     """
     return solve(models, mu, UnionHalfSpaces(
         tuple((tuple(np.asarray(a, dtype=float)), float(b))
               for a, b in halfspaces)))
-
-
-def solve_two_arm_gaussian(mu, hs1, hs2,
-                           variance: float) -> LowerBoundSolution:
-    """Closed-form saddle point for two Gaussian arms of common variance and
-    an alternative that is the union of two half-spaces with all-nonzero
-    normals.
-
-    In the canonical frame (means shifted to zero, coordinates scaled so the
-    divergence is nu^2) the weighted level set is an ellipse. If one
-    constraint is far enough that the level ellipse meets only the other,
-    the problem collapses to that single half-space; in between, the optimal
-    ellipse is tangent to both lines and the tangency ratios give the
-    weights directly. A ratio exactly at a regime border is flagged
-    "case_boundary" and resolved with the tangency formulas, which agree
-    with the one-constraint ones there.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (2,):
-        raise ValueError(f"two arms required, got mean shape {mu.shape}")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise ValueError(f"variance must be positive, got {variance}")
-    (a1, b1), (a2, b2) = (np.asarray(hs1[0], dtype=float), float(hs1[1])), \
-                         (np.asarray(hs2[0], dtype=float), float(hs2[1]))
-    for a in (a1, a2):
-        if a.shape != (2,) or np.any(a == 0.0) or not np.all(np.isfinite(a)):
-            raise DegenerateInstance(
-                "both constraint normals need two finite nonzero entries")
-    if a1[0] * a2[1] - a1[1] * a2[0] == 0.0:
-        raise DegenerateInstance("parallel constraint normals")
-
-    scale = math.sqrt(2.0 * variance)  # nu = mu + scale * x makes kl = x^2
-    ac1, ac2 = a1 * scale, a2 * scale
-    bc1 = b1 - float(np.dot(a1, mu))
-    bc2 = b2 - float(np.dot(a2, mu))
-    if bc1 <= 0 or bc2 <= 0:
-        raise DegenerateInstance(
-            "mu must lie strictly inside the polytope component")
-
-    models = [gaussian(variance), gaussian(variance)]
-
-    r = (bc2 / bc1) ** 2
-    rhs1 = (ac2[0] ** 2 / abs(ac1[0]) + ac2[1] ** 2 / abs(ac1[1])) \
-        / (abs(ac1[0]) + abs(ac1[1]))
-    lhs2 = (abs(ac2[0]) + abs(ac2[1])) \
-        / (ac1[0] ** 2 / abs(ac2[0]) + ac1[1] ** 2 / abs(ac2[1]))
-    near1 = abs(r - rhs1) <= 1e-12 * max(1.0, r, rhs1)
-    near2 = abs(r - lhs2) <= 1e-12 * max(1.0, r, lhs2)
-    flags = []
-    if near1 or near2:
-        flags.append("case_boundary")
-
-    def one_constraint(ac, bc, label):
-        denom = abs(ac[0]) + abs(ac[1])
-        cstar = (bc / denom) ** 2
-        w = np.array([abs(ac[0]), abs(ac[1])]) / denom
-        x = np.array([math.copysign(bc / denom, ac[0]),
-                      math.copysign(bc / denom, ac[1])])
-        return w, x, cstar, label
-
-    if r >= rhs1 and not (near1 or near2):
-        w, x, cstar, label = one_constraint(ac1, bc1, "case1")
-    elif r <= lhs2 and not (near1 or near2):
-        w, x, cstar, label = one_constraint(ac2, bc2, "case2")
-    else:
-        d_num = (ac1[1] * ac2[0]) ** 2 - (ac1[0] * ac2[1]) ** 2
-        d1 = (bc2 * ac1[1]) ** 2 - (bc1 * ac2[1]) ** 2
-        d2 = (bc1 * ac2[0]) ** 2 - (bc2 * ac1[0]) ** 2
-        if d1 == 0.0 or d2 == 0.0:
-            raise NumericalError("tangency ratios degenerate at this geometry")
-        w1_over_c = d_num / d1
-        w2_over_c = d_num / d2
-        total = w1_over_c + w2_over_c
-        if w1_over_c <= 0 or w2_over_c <= 0 or total <= 0:
-            raise NumericalError("tangency weights left the simplex")
-        cstar = 1.0 / total
-        w = np.array([w1_over_c, w2_over_c]) * cstar
-        x = np.array([cstar * ac1[0] / (w[0] * bc1),
-                      cstar * ac1[1] / (w[1] * bc1)])
-        label = "case3"
-    flags.append(label)
-
-    nu = mu + scale * x
-    levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(2)])
-    line1 = abs(float(np.dot(ac1, x)) - bc1)
-    residuals = {
-        "ellipse_gap": abs(float(np.dot(w, x * x)) - cstar),
-        "active_line": line1 if label != "case2"
-        else abs(float(np.dot(ac2, x)) - bc2),
-        "weight_sum": abs(float(w.sum()) - 1.0),
-        "level_consistency": abs(float(np.dot(w, levels)) - cstar),
-    }
-    active = [0, 1]
-    return _solution(w, nu, cstar, active, residuals, flags)
-

@@ -12,6 +12,9 @@ Covers one to three arms and the partition families with a parametrizable
 boundary: threshold sections, hyperplanes, unions of hyperplanes, and the
 sphere/ellipse shapes built by ball() and ellipsoid(). Anything else raises
 UnsupportedCase.
+
+solve_two_arm_gaussian is the closed-form check of two Gaussian arms
+against a union of two half-spaces.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInstance, InfeasibleAlternative, UnsupportedCase
+from .errors import (DegenerateInstance, InfeasibleAlternative,
+                     NumericalError, UnsupportedCase)
+from .lb_solvers import LowerBoundSolution, _solution
 from .partitions import (ConvexSublevel, HalfSpace, PartitionSpec, Side,
                          Threshold, UnionHalfSpaces, classify)
-from .spef import (Direction, SpefModel, kl_array, kl_inverse_capped,
-                   mean_domain)
+from .spef import (Direction, SpefModel, gaussian, kl, kl_array,
+                   kl_inverse_capped, mean_domain)
 
 _CHUNK = 2048
 
@@ -292,3 +297,97 @@ def brute_force_lb(models: Sequence[SpefModel], mu, spec: PartitionSpec,
     w = W[best]
     c = _min_for_weights(models, mu, w, gens, grid, extra)
     return float(c), w
+
+
+def solve_two_arm_gaussian(mu, hs1, hs2,
+                           variance: float) -> LowerBoundSolution:
+    """Closed-form saddle point for two Gaussian arms of common variance and
+    an alternative that is the union of two half-spaces with all-nonzero
+    normals.
+
+    In the canonical frame (means shifted to zero, coordinates scaled so the
+    divergence is nu^2) the weighted level set is an ellipse. If one
+    constraint is far enough that the level ellipse meets only the other,
+    the problem collapses to that single half-space; in between, the optimal
+    ellipse is tangent to both lines and the tangency ratios give the
+    weights directly. A ratio exactly at a regime border is flagged
+    "case_boundary" and resolved with the tangency formulas, which agree
+    with the one-constraint ones there.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (2,):
+        raise ValueError(f"two arms required, got mean shape {mu.shape}")
+    if not (variance > 0 and math.isfinite(variance)):
+        raise ValueError(f"variance must be positive, got {variance}")
+    (a1, b1), (a2, b2) = (np.asarray(hs1[0], dtype=float), float(hs1[1])), \
+                         (np.asarray(hs2[0], dtype=float), float(hs2[1]))
+    for a in (a1, a2):
+        if a.shape != (2,) or np.any(a == 0.0) or not np.all(np.isfinite(a)):
+            raise DegenerateInstance(
+                "both constraint normals need two finite nonzero entries")
+    if a1[0] * a2[1] - a1[1] * a2[0] == 0.0:
+        raise DegenerateInstance("parallel constraint normals")
+
+    scale = math.sqrt(2.0 * variance)  # nu = mu + scale * x makes kl = x^2
+    ac1, ac2 = a1 * scale, a2 * scale
+    bc1 = b1 - float(np.dot(a1, mu))
+    bc2 = b2 - float(np.dot(a2, mu))
+    if bc1 <= 0 or bc2 <= 0:
+        raise DegenerateInstance(
+            "mu must lie strictly inside the polytope component")
+
+    models = [gaussian(variance), gaussian(variance)]
+
+    r = (bc2 / bc1) ** 2
+    rhs1 = (ac2[0] ** 2 / abs(ac1[0]) + ac2[1] ** 2 / abs(ac1[1])) \
+        / (abs(ac1[0]) + abs(ac1[1]))
+    lhs2 = (abs(ac2[0]) + abs(ac2[1])) \
+        / (ac1[0] ** 2 / abs(ac2[0]) + ac1[1] ** 2 / abs(ac2[1]))
+    near1 = abs(r - rhs1) <= 1e-12 * max(1.0, r, rhs1)
+    near2 = abs(r - lhs2) <= 1e-12 * max(1.0, r, lhs2)
+    flags = []
+    if near1 or near2:
+        flags.append("case_boundary")
+
+    def one_constraint(ac, bc, label):
+        denom = abs(ac[0]) + abs(ac[1])
+        cstar = (bc / denom) ** 2
+        w = np.array([abs(ac[0]), abs(ac[1])]) / denom
+        x = np.array([math.copysign(bc / denom, ac[0]),
+                      math.copysign(bc / denom, ac[1])])
+        return w, x, cstar, label
+
+    if r >= rhs1 and not (near1 or near2):
+        w, x, cstar, label = one_constraint(ac1, bc1, "case1")
+    elif r <= lhs2 and not (near1 or near2):
+        w, x, cstar, label = one_constraint(ac2, bc2, "case2")
+    else:
+        d_num = (ac1[1] * ac2[0]) ** 2 - (ac1[0] * ac2[1]) ** 2
+        d1 = (bc2 * ac1[1]) ** 2 - (bc1 * ac2[1]) ** 2
+        d2 = (bc1 * ac2[0]) ** 2 - (bc2 * ac1[0]) ** 2
+        if d1 == 0.0 or d2 == 0.0:
+            raise NumericalError("tangency ratios degenerate at this geometry")
+        w1_over_c = d_num / d1
+        w2_over_c = d_num / d2
+        total = w1_over_c + w2_over_c
+        if w1_over_c <= 0 or w2_over_c <= 0 or total <= 0:
+            raise NumericalError("tangency weights left the simplex")
+        cstar = 1.0 / total
+        w = np.array([w1_over_c, w2_over_c]) * cstar
+        x = np.array([cstar * ac1[0] / (w[0] * bc1),
+                      cstar * ac1[1] / (w[1] * bc1)])
+        label = "case3"
+    flags.append(label)
+
+    nu = mu + scale * x
+    levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(2)])
+    line1 = abs(float(np.dot(ac1, x)) - bc1)
+    residuals = {
+        "ellipse_gap": abs(float(np.dot(w, x * x)) - cstar),
+        "active_line": line1 if label != "case2"
+        else abs(float(np.dot(ac2, x)) - bc2),
+        "weight_sum": abs(float(w.sum()) - 1.0),
+        "level_consistency": abs(float(np.dot(w, levels)) - cstar),
+    }
+    active = [0, 1]
+    return _solution(w, nu, cstar, active, residuals, flags)

@@ -67,7 +67,8 @@ class Direction(enum.Enum):
 class FamilyOps:
     """One family's formulas, each taking the SpefModel first and trusting
     its means to lie in the open domain. kl_dnu(mu, .) sweeps (-inf, dnu_sup)
-    and kl_dnu_inverse inverts it in closed form, kl_inverse(mu, target,
+    and kl_dnu_inverse inverts it in closed form, kl_dnu2(mu, nu) > 0 is
+    its derivative in nu, kl_inverse(mu, target,
     direction) is the nu on that side of mu with kl(mu, nu) = target for
     target > 0 (NumericalError when no float before the domain edge reaches
     it), kl_prox(mu, w, alpha, c) is the nu in the open domain solving
@@ -77,6 +78,7 @@ class FamilyOps:
     domain: tuple[float, float]
     kl: Callable[..., float]
     kl_dnu: Callable[..., float]
+    kl_dnu2: Callable[..., float]
     kl_dnu_inverse: Callable[..., float]
     kl_inverse: Callable[..., float]
     kl_prox: Callable[..., float]
@@ -237,6 +239,7 @@ FAMILIES: dict[Family, FamilyOps] = {
         domain=(-math.inf, math.inf),
         kl=_gaussian_kl,
         kl_dnu=lambda m, mu, nu: (nu - mu) / m.variance,
+        kl_dnu2=lambda m, mu, nu: 1.0 / m.variance,
         kl_dnu_inverse=lambda m, mu, slope: mu + m.variance * slope,
         kl_inverse=_gaussian_kl_inverse,
         kl_prox=_gaussian_kl_prox,
@@ -247,6 +250,9 @@ FAMILIES: dict[Family, FamilyOps] = {
         domain=(0.0, 1.0),
         kl=_bernoulli_kl,
         kl_dnu=lambda m, mu, nu: (nu - mu) / (nu * (1.0 - nu)),
+        # (nu^2 - 2 mu nu + mu) / (nu (1 - nu))^2, without cancellation
+        kl_dnu2=lambda m, mu, nu: ((nu - mu) * (nu - mu) + mu * (1.0 - mu))
+        / (nu * (1.0 - nu)) / (nu * (1.0 - nu)),
         kl_dnu_inverse=_bernoulli_kl_dnu_inverse,
         kl_inverse=_bernoulli_kl_inverse,
         kl_prox=_bernoulli_kl_prox,
@@ -257,6 +263,7 @@ FAMILIES: dict[Family, FamilyOps] = {
         domain=(0.0, math.inf),
         kl=_poisson_kl,
         kl_dnu=lambda m, mu, nu: (nu - mu) / nu,
+        kl_dnu2=lambda m, mu, nu: mu / nu / nu,
         kl_dnu_inverse=lambda m, mu, slope: mu / (1.0 - slope),
         kl_inverse=_poisson_kl_inverse,
         kl_prox=_poisson_kl_prox,

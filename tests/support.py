@@ -11,9 +11,9 @@ import numpy as np
 
 from partid.errors import DegenerateInstance, PartidError, UnsupportedCase
 from partid.lb_solvers import inner_inf, solve
-from partid.partitions import (Side, ball, classify, distance_to_halfspace,
-                               row_dot)
-from partid.spef import Family, bernoulli, gaussian, poisson
+from partid.partitions import (Side, UnionHalfSpaces, ball, classify,
+                               distance_to_halfspace, row_dot)
+from partid.spef import Family, bernoulli, gaussian, kl, poisson
 
 FAMILY_NAMES = ("gaussian", "bernoulli", "poisson")
 
@@ -93,6 +93,90 @@ def random_union_instance(rng, rows=None):
         b = float(a @ mu) + float(rng.uniform(0.3, 1.0))
         halfspaces.append((tuple(a), b))
     return models, mu, halfspaces
+
+
+def random_mixed_union_instance(rng, k, rows, families=FAMILY_NAMES,
+                                zero_share=0.25):
+    """(models, mu, rows) with mu strictly inside the polytope of `rows`
+    random rows over k arms of the given families; each entry of a row is
+    zero with probability zero_share (a row is never all zero), and each
+    row's half-space meets the mean domain."""
+    models = [random_model(rng, families) for _ in range(k)]
+    mu = [random_mean_for(m, rng) for m in models]
+    out = []
+    while len(out) < rows:
+        a = rng.uniform(0.25, 1.5, k) * rng.choice((-1.0, 1.0), k)
+        a[rng.random(k) < zero_share] = 0.0
+        if not a.any():
+            continue
+        # a point of the mean domain strictly beyond the row's level
+        beyond = [random_mean_for(m, rng) for m in models]
+        lin, far = row_dot(a.tolist(), mu), row_dot(a.tolist(), beyond)
+        if far - lin > 0.1:
+            out.append((tuple(a.tolist()),
+                        lin + float(rng.uniform(0.3, 0.9)) * (far - lin)))
+    return models, np.array(mu), out
+
+
+def best_arm_rows(k):
+    """The rows nu_j - nu_1 >= 0, j = 2..k: their union is "arm 1 is not the
+    best", with the truth in the polytope when arm 1 is."""
+    rows = []
+    for j in range(1, k):
+        a = [0.0] * k
+        a[0], a[j] = -1.0, 1.0
+        rows.append((tuple(a), 0.0))
+    return rows
+
+
+def slsqp_union_lb(models, mu, rows, starts=4, seed=0):
+    """Reference (c*, w*) of a union of half-spaces with mu in the
+    polytope, independent of the union solver: scipy's SLSQP maximizes c
+    over (w, c) subject to g_j(w) >= c and sum w = 1, where g_j is the
+    public one-row inner_inf and its gradient in w the Danskin one,
+    kl_i(mu_i, nu_i) at the row's minimizer; the best of a start at uniform
+    weights and starts - 1 halfway between them and random ones. Weights
+    stay at least 1e-12, where every row's minimizer exists."""
+    from scipy.optimize import minimize
+
+    k = len(models)
+    specs = [UnionHalfSpaces((row,)) for row in rows]
+    seen = {}
+
+    def row(j, x):
+        # SLSQP asks for each constraint's value and gradient at a point
+        # in separate calls: one inner_inf serves both
+        key = (j, x[:k].tobytes())
+        if key not in seen:
+            sol = inner_inf(models, mu, x[:k], specs[j])
+            seen[key] = (sol.value, np.array(
+                [kl(models[i], mu[i], sol.minimizer[i]) for i in range(k)]
+                + [-1.0]))
+        value, grad = seen[key]
+        return value - x[k], grad
+
+    cons = [{"type": "ineq", "fun": lambda x, j=j: row(j, x)[0],
+             "jac": lambda x, j=j: row(j, x)[1]} for j in range(len(rows))]
+    cons.append({"type": "eq", "fun": lambda x: float(np.sum(x[:k])) - 1.0,
+                 "jac": lambda x: np.array([1.0] * k + [0.0])})
+    rng = np.random.default_rng(seed)
+    best = None
+    for n in range(starts):
+        w = np.full(k, 1.0 / k)
+        if n:
+            w = 0.5 * (w + rng.dirichlet(np.ones(k)))
+        c0 = min(inner_inf(models, mu, w, spec).value for spec in specs)
+        res = minimize(lambda x: -x[k], np.append(w, c0),
+                       jac=lambda x: np.array([0.0] * k + [-1.0]),
+                       method="SLSQP", constraints=cons,
+                       bounds=[(1e-12, 1.0)] * k + [(0.0, None)],
+                       options={"ftol": 1e-15, "maxiter": 100})
+        w = np.clip(res.x[:k], 1e-12, None)
+        w /= w.sum()
+        c = min(inner_inf(models, mu, w, spec).value for spec in specs)
+        if best is None or c > best[0]:
+            best = (c, w)
+    return best
 
 
 class PublicApiKernel:

@@ -22,14 +22,15 @@ from partid import lb_solvers
 from partid.lb_solvers import (PreparedHalfSpace, PreparedThreshold, _Row,
                                inner_inf, solve,
                                solve_convex, solve_halfspace,
-                               solve_threshold, solve_two_arm_gaussian,
-                               solve_union_halfspaces)
+                               solve_threshold, solve_union_halfspaces)
 from partid.partitions import (ConvexSublevel, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, ellipsoid)
-from partid.reference_oracle import brute_force_lb
+from partid.reference_oracle import brute_force_lb, solve_two_arm_gaussian
 from partid.spef import (bernoulli, gaussian, kl, kl_array, kl_dnu,
                          mean_domain, poisson)
-from support import random_ball_instance, random_halfspace_instance
+from support import (best_arm_rows, random_ball_instance,
+                     random_halfspace_instance, random_mixed_union_instance,
+                     slsqp_union_lb)
 
 G1 = gaussian(1.0)
 
@@ -716,12 +717,12 @@ class TestSolveUnionHalfspaces:
     def test_certificate_comes_before_the_search(self, monkeypatch, models,
                                                  rows, row):
         # one all-nonzero row dominates: its exact saddle is certified
-        # without golden section (two arms) or the ascent (three)
+        # without the KKT solve
         def search(*args, **kwargs):
             raise AssertionError("the search ran before the certificate")
 
-        monkeypatch.setattr(lb_solvers, "_refine_two_arm", search)
-        monkeypatch.setattr(lb_solvers, "_project_simplex_floor", search)
+        monkeypatch.setattr(lb_solvers.PreparedUnion, "_settle", search)
+        monkeypatch.setattr(lb_solvers.PreparedUnion, "_barrier", search)
         mu = [0.0] * len(models)
         sol = solve_union_halfspaces(models, mu, rows)
         ref = solve_halfspace(models, mu, *rows[row])
@@ -733,6 +734,16 @@ class TestSolveUnionHalfspaces:
         assert sol.kkt_residuals == dict(ref.kkt_residuals, duality_gap=0.0,
                                          active_rows=1.0)
 
+    def test_row_with_zero_entry_is_certified(self):
+        # the row's exact saddle leaves the arm it does not touch at weight
+        # 0, and no other row is there to undercut it: the search used to
+        # run, ending at (1 - 1e-9, 1e-9) and c* 0.24999999975
+        sol = solve([gaussian(0.5), gaussian(2.0)], [0.0, 0.3],
+                    UnionHalfSpaces((((2.0, 0.0), 1.0),)))
+        np.testing.assert_array_equal(sol.w_star, [1.0, 0.0])
+        assert sol.c_star == 0.25
+        assert "single_constraint" in sol.flags
+
     def test_mu_inside_union_unsupported(self):
         with pytest.raises(UnsupportedCase):
             solve_union_halfspaces([G1, G1], [2.0, 0.0], self.ROWS)
@@ -742,6 +753,62 @@ class TestSolveUnionHalfspaces:
         with pytest.raises(InfeasibleAlternative):
             solve_union_halfspaces([bernoulli(), bernoulli()], [0.3, 0.3],
                                    rows)
+
+
+# (models, mu) with arm 1 best, solved against the union of the rows
+# nu_j - nu_1 >= 0: T*(mu) of best-arm identification. The K = 4 Gaussian
+# and Bernoulli and K = 3 Poisson cases are the instances where the
+# supergradient ascent and cutting planes stopped at their iteration cap
+# (MaxIters), 6e-7 to 1.4e-6 short of c*
+BEST_ARM_CASES = [
+    ([gaussian(1.0)] * 2, [1.0, 0.4]),
+    ([gaussian(0.5), gaussian(1.0), gaussian(2.0)], [0.6, 0.1, -0.3]),
+    ([gaussian(1.0)] * 4, [1.0, 0.8, 0.7, 0.5]),
+    ([gaussian(1.0)] * 5, [0.9, 0.6, 0.5, 0.5, 0.1]),
+    ([gaussian(0.7)] * 6, [1.2, 1.0, 0.9, 0.6, 0.4, 0.0]),
+    ([bernoulli()] * 2, [0.6, 0.3]),
+    ([bernoulli()] * 3, [0.8, 0.7, 0.4]),
+    ([bernoulli()] * 4, [0.7, 0.6, 0.55, 0.4]),
+    ([bernoulli()] * 5, [0.5, 0.45, 0.4, 0.3, 0.2]),
+    ([bernoulli()] * 6, [0.9, 0.8, 0.75, 0.6, 0.5, 0.3]),
+    ([poisson()] * 2, [3.0, 1.5]),
+    ([poisson()] * 3, [2.0, 1.5, 1.2]),
+    ([poisson()] * 4, [4.0, 3.0, 2.5, 1.0]),
+    ([poisson()] * 5, [1.5, 1.2, 1.0, 0.8, 0.5]),
+    ([poisson()] * 6, [5.0, 4.2, 4.0, 3.0, 2.0, 1.0]),
+]
+
+
+def _mixed_union_case(s):
+    """Random union s: K = 2-6 arms of every family and 2-5 rows, some
+    of them with zero entries."""
+    return random_mixed_union_instance(np.random.default_rng(1000 + s),
+                                       2 + s % 5, 2 + s % 4)
+
+
+class TestUnionCrossCheck:
+    """The union solver against slsqp_union_lb, which maximizes c over
+    (w, c) subject to each row's public inner_inf >= c with scipy's SLSQP
+    and shares no code with it: c* to 1e-9 relative, w* to 1e-6, no
+    iteration cap and a certified duality gap."""
+
+    @staticmethod
+    def check(models, mu, rows):
+        sol = solve_union_halfspaces(models, mu, rows)
+        c, w = slsqp_union_lb(models, mu, rows, starts=2)
+        assert "MaxIters" not in sol.flags
+        assert sol.c_star == pytest.approx(c, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(sol.w_star, w, rtol=0.0, atol=1e-6)
+        assert 0.0 <= sol.kkt_residuals["duality_gap"] <= lb_solvers.TOL_KKT
+
+    @pytest.mark.parametrize("s", range(10))
+    def test_random_unions(self, s):
+        self.check(*_mixed_union_case(s))
+
+    @pytest.mark.parametrize("models,mu", BEST_ARM_CASES, ids=[
+        f"{m[0].family.value}{len(m)}" for m, _ in BEST_ARM_CASES])
+    def test_best_arm(self, models, mu):
+        self.check(models, np.array(mu), best_arm_rows(len(models)))
 
 
 class TestTwoArmGaussianClosedForm:

@@ -53,7 +53,8 @@ def test_lazy_names_are_their_modules_names():
     lazy = {"parse_config": "config", "ExperimentConfig": "config",
             "RiskDemoConfig": "config", "GridSpec": "reference_oracle",
             "brute_force_lb": "reference_oracle",
-            "brute_force_inner": "reference_oracle"}
+            "brute_force_inner": "reference_oracle",
+            "solve_two_arm_gaussian": "reference_oracle"}
     out = run_fresh(f"""
         import importlib
         import partid
@@ -96,3 +97,18 @@ def test_first_pool_use_gives_the_inline_rows():
               pooled.summaries == inline.summaries)
         """)
     assert out.splitlines() == ["False", "True", "True 12 True"]
+
+
+def test_a_union_search_leaves_scipy_unloaded():
+    # the three-Poisson best-arm union is not settled by one row, so its
+    # saddle comes from the KKT solve, which needs numpy alone; the
+    # cutting planes it replaces imported scipy.optimize here
+    out = run_fresh("""
+        import sys
+        import partid
+        rows = (((-1.0, 1.0, 0.0), 0.0), ((-1.0, 0.0, 1.0), 0.0))
+        sol = partid.solve([partid.poisson()] * 3, [2.0, 1.5, 1.2],
+                           partid.UnionHalfSpaces(rows))
+        print("single_constraint" in sol.flags, "scipy" in sys.modules)
+        """)
+    assert out.splitlines() == ["False False"]

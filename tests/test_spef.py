@@ -331,6 +331,25 @@ def test_derivative_matches_finite_difference(name, model, rng):
 
 
 @pytest.mark.parametrize("name,model", FAMILY_CASES)
+def test_second_derivative_matches_finite_difference(name, model, rng):
+    # kl_dnu2 is the derivative of kl_dnu in nu, positive everywhere: the
+    # union KKT solve's Jacobian moves each alternative by 1 / kl_dnu2
+    # per unit of slope
+    ops = spef.FAMILIES[model.family]
+    for _ in range(200):
+        mu = draw_mean(model, rng)
+        nu = draw_mean(model, rng)
+        h = 1e-6 * max(abs(nu), 1.0)
+        lo, hi = mean_domain(model)
+        if not (lo < nu - h and nu + h < hi):
+            continue
+        fd = (kl_dnu(model, mu, nu + h) - kl_dnu(model, mu, nu - h)) / (2 * h)
+        an = ops.kl_dnu2(model, mu, nu)
+        assert an > 0.0
+        assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("name,model", FAMILY_CASES)
 def test_kl_array_matches_scalar(name, model, rng):
     mu = draw_mean(model, rng)
     nus = np.array([draw_mean(model, rng) for _ in range(64)])
