@@ -15,9 +15,9 @@ gives the sharpest solver its structure allows:
     saddle and the weighted inner infimum are closed forms; otherwise the
     saddle is one Newton root in the common divergence level, each arm's
     coordinate its divergence inverse at that level, and the inner
-    infimum one bisection on a multiplier. The class holds the unit rows
-    for both sides, their reach into the domain and the Gaussian saddle
-    weights.
+    infimum one Newton root in a multiplier (_row_root, which a union's
+    rows share). The class holds the unit rows for both sides, their
+    reach into the domain and the Gaussian saddle weights.
   * ConvexSublevel (PreparedConvex): the value is the smallest level t at
     which the coordinate box {max_i kl_i <= t} touches {f <= c}; one
     Newton root in r = sqrt(t), after doubling t brackets it. For a ball
@@ -67,17 +67,15 @@ from .rootfind import MAX_ITER, NoBracket, newton_root, walk_to_root
 # unused here: perfbench/test_tracer.py counts this module's binding site
 from .rootfind import bisect_monotone  # noqa: F401
 from .spef import (FAMILIES, Direction, Family, SpefModel, kl,
-                   kl_dnu, kl_dnu_inverse, kl_dnu_range, kl_inverse_capped,
-                   mean_domain)
+                   kl_dnu, kl_inverse_capped, mean_domain)
 
 
 # The solvers' numerical policy. A union's KKT solve must close its duality
-# gap to TOL_KKT; TOL_BISECT is the tolerance of the solvers' scalar roots,
-# on the value or, for the convex-set and half-space Newton steps, relative
-# to the root; ACTIVE_SET_TOL is relative to c* when detecting binding arms.
-# Every Newton solve stops after rootfind.MAX_ITER evaluations.
+# gap to TOL_KKT; the half-space and convex-set saddle levels' Newton roots
+# stop at a relative step TOL_NEWTON_STEP; ACTIVE_SET_TOL is relative to c*
+# when detecting binding arms. Every Newton solve stops after MAX_ITER.
 TOL_KKT = 1e-8
-TOL_BISECT = 1e-10
+TOL_NEWTON_STEP = 5e-11
 ACTIVE_SET_TOL = 1e-6
 
 
@@ -89,8 +87,8 @@ class LowerBoundSolution:
     inner infimum at w_star; c_star is the saddle value and t_star = 1/c_star
     the characteristic time. active_set lists the arms essential to the
     optimum. kkt_residuals carries solver-specific diagnostics; flags marks
-    qualitative events ("case1", "case_boundary", "NonUniqueHyperplane",
-    "single_constraint", "mu_in_a2", "edge_saturated"). When
+    qualitative events ("NonUniqueHyperplane", "single_constraint",
+    "mu_in_a2", "edge_saturated", or reference_oracle's case labels). When
     NonUniqueHyperplane is flagged w_star is NaN: nu_star and c_star remain
     valid but no supporting hyperplane determines the weights.
     """
@@ -181,41 +179,75 @@ def _linear_sup(models, a) -> float:
     return s
 
 
-def _slope_inverse_capped(model: SpefModel, mu_i: float, slope: float) -> float:
-    """kl_dnu inverse extended by its boundary limits past saturation."""
-    if slope == 0.0:
-        return mu_i
-    lo_s, hi_s = kl_dnu_range(model, mu_i)
-    if slope >= hi_s:
-        return math.inf
-    if slope <= lo_s:
-        return -math.inf
-    return kl_dnu_inverse(model, mu_i, slope)
+def _row_map(row, mu, w, lam):
+    """(s_i, nu_i, d_i) on each arm (i, a_i, model) of row at multiplier
+    lam and weights w: s_i = lam a_i / w_i, nu_i = kl_dnu_inverse(mu_i, s_i)
+    and d_i = d nu_i / d s_i = 1 / kl_dnu2(mu_i, nu_i), by the unchecked
+    family formulas. None past the edge, as is every larger lam: an s_i at
+    dnu_sup, a nu_i rounded onto a domain edge or a d_i that overflows."""
+    out = []
+    for i, ai, m in row:
+        op, s = FAMILIES[m.family], lam * ai / w[i]
+        nu = op.kl_dnu_inverse(m, mu[i], s) if s < op.dnu_sup else math.nan
+        lo, hi = op.domain
+        k2 = op.kl_dnu2(m, mu[i], nu) if lo < nu < hi else 0.0
+        if not k2 > 0.0 or 1.0 / k2 == math.inf:
+            return None
+        out.append((s, nu, 1.0 / k2))
+    return out
 
 
-def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
-                          tol=1e-12, max_iter=300):
+def _row_root(row, b, mu, w):
+    """(lam, its _row_map, kl_i(mu_i, nu_i) by arm, their w-weighted sum
+    left to right) of the inner infimum over {<a, nu> >= b} for a unit row
+    a with arms row, (i, a_i, model) each, from means mu with <a, mu> < b
+    at weights w positive on them: one Newton root in lam, at the slope
+    sum_i a_i^2 d_i / w_i to 2 ulp from the Gaussian lam
+    (b - <a, mu>) / sum_i a_i^2 V_i(mu_i) / w_i (1 if the sum underflows).
+    A lam past the edge is the bracket's positive end; a root next to one
+    raises NumericalError."""
+    lin = scale = 0.0
+    for i, ai, m in row:
+        lin += ai * mu[i]
+        scale += ai * ai * FAMILIES[m.family].variance(m, mu[i]) / w[i]
+    seen = {}  # the _row_map at each lam tried
+
+    def constraint_at(lam):
+        alt = seen[lam] = _row_map(row, mu, w, lam)
+        if alt is None:
+            return math.inf, math.nan
+        value = slope = 0.0
+        for (i, ai, _), (_, nu, d) in zip(row, alt):
+            value += ai * nu
+            slope += ai * ai * d / w[i]
+        return value - b, slope
+
+    lam = newton_root(constraint_at, (b - lin) / scale if scale else 1.0,
+                      0.0, math.inf, f_neg=lin - b)
+    alt = seen[lam] if lam in seen else _row_map(row, mu, w, lam)
+    if alt is None or seen.get(math.nextafter(lam, math.inf), ()) is None:
+        raise NumericalError(
+            "inner minimizer needs an alternative past the last float")
+    kls, value = [0.0] * len(mu), 0.0
+    for (i, _, m), (_, nu, _) in zip(row, alt):
+        kls[i] = FAMILIES[m.family].kl(m, mu[i], nu)
+        value += w[i] * kls[i]
+    return lam, alt, kls, value
+
+
+def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None):
     """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
-    a, with a, mu and w sequences of Python numbers; sup is
-    _linear_sup(models, a) and lin is row_dot(a, mu) when the caller has
-    them. The minimizer is a list. Products and norms are row_dot's.
-
-    Stationarity makes every coordinate nu_i the slope inverse of
-    lam * a_i / w_i for a common multiplier lam >= 0, and <a, nu(lam)>
-    increases in lam, so the constraint level is one monotone scalar root,
-    which walk_to_root brackets by doubling lam from 1 and then bisects.
-    Arms with zero weight are free: they absorb as much of the constraint as
-    their domain edge allows at no cost, shrinking the effective level for
-    the rest, whose row is normalized again (by row_dot, as
-    PreparedHalfSpace normalizes a row); the infimum is then not
-    attained and the minimizer is None. When the free arms carry every
-    nonzero entry of the row, their reach is sup > b, so they meet the
-    constraint alone and the value is 0.
-    When every arm the constraint touches is Gaussian the slope inverses are
-    linear and _gaussian_unit_inner gives the value with no root to find;
-    a run step with Gaussian arms and no zero count goes there directly
-    (PreparedHalfSpace.step).
-    """
+    a, with a, mu and w sequences of Python numbers, and its minimizer, a
+    list; sup is _linear_sup(models, a) and lin row_dot(a, mu) when the
+    caller has them. Stationarity puts the minimizer on the slope inverses
+    of one multiplier (_row_root), linear when every arm the row touches
+    is Gaussian: then _gaussian_unit_inner gives the value in closed form,
+    as a run step with Gaussian arms and no zero count does directly.
+    Arms with zero weight are free: they absorb as much of the constraint
+    as their domain edge allows at no cost, and the rest, their row
+    normalized again by row_dot, meet what remains; the infimum is then
+    not attained and the minimizer is None (the value is 0 when the free
+    arms carry the whole row, whose reach is sup > b)."""
     K = len(models)
     if lin is None:
         lin = row_dot(a, mu)
@@ -229,47 +261,28 @@ def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None, *,
 
     free = [i for i in range(K) if w[i] == 0.0 and a[i] != 0.0]
     if free:
-        cap = 0.0
-        for i in free:
-            term = a[i] * _edge_toward(models[i], a[i])
-            if math.isinf(term):
-                return 0.0, None
-            cap += term
+        cap = _linear_sup([models[i] for i in free], [a[i] for i in free])
+        if math.isinf(cap):
+            return 0.0, None
         keep = [i for i in range(K) if i not in free]
         rest = [a[i] for i in keep]
         norm = math.sqrt(row_dot(rest, rest))
         if norm == 0.0:
             return 0.0, None
         rest, mu_rest = [x / norm for x in rest], [mu[i] for i in keep]
-        val, _ = _unit_halfspace_inner(
+        return _unit_halfspace_inner(
             [models[i] for i in keep], mu_rest, [w[i] for i in keep], rest,
-            (b - cap) / norm, lin=row_dot(rest, mu_rest), tol=tol,
-            max_iter=max_iter)
-        return val, None
+            (b - cap) / norm, lin=row_dot(rest, mu_rest))[0], None
 
-    busy = [i for i in range(K) if a[i] != 0.0]
-    if all(models[i].family is Family.GAUSSIAN for i in busy):
-        nu = list(mu)
+    nu = list(mu)
+    row = [(i, ai, m) for i, (m, ai) in enumerate(zip(models, a)) if ai]
+    if all(m.family is Family.GAUSSIAN for _, _, m in row):
         return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a),
                                     nu), nu
-
-    def constraint_at(lam):
-        s = 0.0
-        for i in busy:
-            nu_i = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
-            term = a[i] * nu_i
-            if math.isinf(term):
-                return math.inf
-            s += term
-        return s
-
-    lam = walk_to_root(constraint_at, 0.0, math.inf, b, rising=True,
-                       value_tol=tol * max(1.0, abs(b)), max_iter=max_iter)
-    nu = list(mu)
-    for i in busy:
-        nu[i] = _slope_inverse_capped(models[i], mu[i], lam * a[i] / w[i])
-    _check_minimizer(nu)
-    return _weighted_kl(models, mu, w, nu, busy), nu
+    _, alt, _, value = _row_root(row, b, mu, w)
+    for (i, _, _), (_, x, _) in zip(row, alt):
+        nu[i] = x
+    return value, nu
 
 
 def _weighted_kl(models, mu, w, nu, arms) -> float:
@@ -720,13 +733,12 @@ class PreparedHalfSpace:
         except PartidError:
             return side, z, _uniform(len(mu))
 
-    def inner(self, mu, w, side: Side, tol: float = 1e-12):
+    def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from means mu on
-        side to the closure of the other side (mu and w arrays), with the
-        multiplier bisected to tol when arms are not all Gaussian."""
+        side to the closure of the other side (mu and w arrays)."""
         a, b, sup = self.target(side)
         value, nu = _unit_halfspace_inner(self.models, mu.tolist(),
-                                          w.tolist(), a, b, sup, tol=tol)
+                                          w.tolist(), a, b, sup)
         return value, None if nu is None else np.array(nu)
 
     def _orient(self, dot: float):
@@ -793,7 +805,7 @@ class PreparedHalfSpace:
         # taken at the mean, starts the Newton steps in r
         gap = b - lin
         r = newton_root(constraint_at, gap / reach_sum, 0.0, math.inf,
-                        f_neg=-gap, rtol=0.5 * TOL_BISECT)
+                        f_neg=-gap, rtol=TOL_NEWTON_STEP)
         # the last float before each arm's edge, where a capped inverse
         # saturates
         last = [math.nextafter(_edge_toward(models[i], al[i]), mul[i])
@@ -1084,7 +1096,7 @@ class PreparedConvex(_SolvedGeometry):
             start = r - gap / slope if slope and not state["probe"] \
                 else math.nan
             root = newton_root(level_gap, start, r_neg, r, f_neg=gap_neg,
-                               f_pos=gap, rtol=0.5 * TOL_BISECT)
+                               f_pos=gap, rtol=TOL_NEWTON_STEP)
             step = abs(root * root - state["r"] ** 2)
             if root != state["r"] or state["probe"]:
                 level_gap(root)
@@ -1124,9 +1136,9 @@ _Row = collections.namedtuple("_Row", "a b")
 class PreparedUnion(_SolvedGeometry):
     """A union of half-spaces with the means in the polytope outside it:
     one PreparedHalfSpace per row, built from the raw row, so each row is
-    normalized once, with each row's A1 target and its (arm, unit entry)
-    pairs on the arms it touches. inner_inf and solve_union_halfspaces
-    prepare one per call, a Monte Carlo campaign one for all its runs."""
+    normalized once, and each row's A1 target and _row_root's arms and
+    offset. inner_inf and solve_union_halfspaces prepare one per call, a
+    Monte Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces):
         if len(spec.halfspaces[0][0]) != len(models):
@@ -1136,21 +1148,15 @@ class PreparedUnion(_SolvedGeometry):
         self.rows = [PreparedHalfSpace(models, _Row(a, b))
                      for a, b in spec.halfspaces]
         self.targets = [row.target(Side.A1) for row in self.rows]
-        self.touches = [[(i, ai) for i, ai in enumerate(row.unit) if ai]
-                        for row in self.rows]
-
-    def _row_inners(self, mu, w, tol: float):
-        """(values as an array, minimizers) of every row's inner infimum
-        from means mu in the polytope, each multiplier bisected to tol."""
-        pairs = [row.inner(mu, w, Side.A1, tol=tol) for row in self.rows]
-        return np.array([v for v, _ in pairs]), [nu for _, nu in pairs]
+        self.touches = [([(i, ai, m) for i, (m, ai)
+                          in enumerate(zip(models, a)) if ai], b)
+                        for a, b, _ in self.targets]
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the least row inner infimum (the first row
-        on ties), each multiplier bisected to 1e-12."""
-        vals, nus = self._row_inners(mu, w, 1e-12)
-        j = int(np.argmin(vals))
-        return float(vals[j]), nus[j]
+        on ties)."""
+        pairs = [row.inner(mu, w, Side.A1) for row in self.rows]
+        return min(pairs, key=lambda pair: pair[0])
 
     def solution(self, mu) -> LowerBoundSolution:
         """solve_union_halfspaces's saddle point at checked means mu (an
@@ -1173,7 +1179,7 @@ class PreparedUnion(_SolvedGeometry):
         worst, low = None, cstar * (1.0 - 1e-9) - 1e-12
         for k, row in enumerate(self.rows):
             if k not in rows:
-                v = row.inner(mu, np.asarray(w), Side.A1, tol=TOL_BISECT)[0]
+                v = row.inner(mu, np.asarray(w), Side.A1)[0]
                 if v < low:
                     worst, low = k, v
         return worst
@@ -1207,8 +1213,8 @@ class PreparedUnion(_SolvedGeometry):
     def _settle(self, mu, w, J, theta, evals):
         """(saddle point, None) by damped Newton steps on the KKT system
         (_kkt) over the rows J and the arms S they touch, from w spread
-        over S, lam_j from row j's minimizer there, theta (by row) over its
-        sum on J and c the least row value, until a step is below 1e-12 of
+        over S, each lam_j row j's root there, theta (by row) over its sum
+        on J and c the least row value, until a step is below 1e-12 of
         each variable's scale. (None, None) when they stall (singular
         Jacobian, step halved to 1e-6, 20 evaluations); (None, rows to try
         next) when a theta_j < -1e-9 (its row leaves) or another row
@@ -1216,21 +1222,17 @@ class PreparedUnion(_SolvedGeometry):
         and max_i sum_j theta_j kl_ij bound the saddle value at any w and
         mixture, so duality_gap, their difference, certifies the answer;
         NumericalError when it exceeds TOL_KKT."""
-        S = sorted({i for j in J for i, _ in self.touches[j]})
-        w = np.array(_spread(w.tolist(), S))
-        lam, g = [], []
-        for j in J:
-            try:
-                v, nu = self.rows[j].inner(mu, w, Side.A1, tol=1e-12)
-            except NumericalError:  # nu^j past the last float: no start
-                return None, None
-            i, ai = max(self.touches[j], key=lambda t: abs(t[1]))
-            lam.append(w[i] * kl_dnu(self.models[i], mu[i], nu[i]) / ai)
-            g.append(v)
-        nS, nJ, mul, stop = len(S), len(J), mu.tolist(), evals[0] + 20
+        S = sorted({i for j in J for i, _, _ in self.touches[j][0]})
+        w, mul = _spread(w.tolist(), S), mu.tolist()
+        try:
+            roots = [_row_root(*self.touches[j], mul, w) for j in J]
+        except NumericalError:  # nu^j past the last float: no start
+            return None, None
+        nS, nJ, stop = len(S), len(J), evals[0] + 20
         total = math.fsum(theta[j] for j in J)
-        x = np.array([w[i] for i in S] + lam + [theta[j] / total for j in J]
-                     + [min(g)])
+        x = np.array([w[i] for i in S] + [lam for lam, _, _, _ in roots]
+                     + [theta[j] / total for j in J]
+                     + [min(g for _, _, _, g in roots)])
         _count(evals)
         here, done, scale = self._kkt(mul, J, S, x), False, np.ones(x.size)
         while not done:
@@ -1283,10 +1285,10 @@ class PreparedUnion(_SolvedGeometry):
             sum_j theta_j kl_ij = c                       for i in S,
             sum_i w_i = 1,
 
-        with kl_ij = kl_i(mu_i, nu^j_i), nu^j_i = kl_dnu_inverse(mu_i, s)
-        for s = lam_j a_ji / w_i (mu_i where a_ji = 0), moving by
-        d a_ji / w_i in lam_j and -d s / w_i in w_i, d = 1 / kl_dnu2, and
-        kl_ij by s times that. None off the domain (w, lam or a slope)."""
+        with kl_ij = kl_i(mu_i, nu^j_i) and (s, nu^j_i, d) row j's _row_map
+        at lam_j (nu^j_i = mu_i where a_ji = 0): nu^j_i moves by
+        d a_ji / w_i in lam_j and -d s / w_i in w_i, and kl_ij by s times
+        that. None off the domain (w, lam or a _row_map past the edge)."""
         nS, nJ = len(S), len(J)
         if not float(np.min(x[:nS + nJ])) > 0.0:
             return None
@@ -1297,17 +1299,13 @@ class PreparedUnion(_SolvedGeometry):
         col, n = {i: q for q, i in enumerate(S)}, nS + 2 * nJ + 1
         f, jac, alts = np.zeros(n), np.zeros((n, n)), []
         for p, j in enumerate(J):
+            alt = _row_map(self.touches[j][0], mul, w, lam[p])
+            if alt is None:
+                return None
             nu, kls = list(mul), [0.0] * len(mul)
-            for i, ai in self.touches[j]:
-                m, q, wi = self.models[i], col[i], w[i]
-                op, s = FAMILIES[m.family], lam[p] * ai / wi
-                if not s < op.dnu_sup:
-                    return None
-                nu[i] = op.kl_dnu_inverse(m, mul[i], s)
-                if not self.domains[i][0] < nu[i] < self.domains[i][1]:
-                    return None
-                kls[i] = op.kl(m, mul[i], nu[i])
-                d = 1.0 / op.kl_dnu2(m, mul[i], nu[i])
+            for (i, ai, m), (s, nu_i, d) in zip(self.touches[j][0], alt):
+                q, wi = col[i], w[i]
+                nu[i], kls[i] = nu_i, FAMILIES[m.family].kl(m, mul[i], nu_i)
                 jac[p, q] = -ai * d * s / wi
                 jac[p, nS + p] += ai * ai * d / wi
                 jac[nJ + p, q] = kls[i] - d * s * s
@@ -1332,31 +1330,31 @@ class PreparedUnion(_SolvedGeometry):
         Newton steps maximize the concave B = c + tau (sum_j log(g_j - c)
         + sum_i log w_i), halved until they keep w > 0 and g_j > c and
         raise B, and tau falls tenfold once the decrement is below tau / 4.
-        Where (rows + arms) tau is 1e-2 of c, then 1e-4 and so on, _settle
-        starts from the rows with g_j - c below sqrt(tau c), theta_j =
+        Each g_j and its derivatives come from row j's _row_root. Where
+        (rows + arms) tau is 1e-2 of c, then 1e-4 and so on, _settle starts
+        from the rows with g_j - c below sqrt(tau c), theta_j =
         tau / (g_j - c), and tries the rows it names next, once per row."""
-        models, m = self.models, len(self.rows)
-        S = sorted({i for t in self.touches for i, _ in t})
+        m, mul = len(self.rows), mu.tolist()
+        S = sorted({i for arms, _ in self.touches for i, _, _ in arms})
         nS, w = len(S), np.array(_spread(w.tolist(), S))
         # halfway to uniform: a start well inside the simplex
         w[S] = 0.5 * (w[S] + 1.0 / nS)
-        g, nus = self._row_inners(mu, w, 1e-12)
+        roots = [_row_root(*row, mul, w.tolist()) for row in self.touches]
+        g = np.array([g for _, _, _, g in roots])
         c = 0.5 * float(np.min(g))
         tau, goal = c / (m + nS), 1e-2
         while True:
             r = g - c
             grad, hess = np.zeros(nS + 1), np.zeros((nS + 1, nS + 1))
-            for nu, t, rj in zip(nus, self.touches, r):
-                q = np.array([kl(models[i], mu[i], nu[i]) for i in S] + [-1.0])
+            for (_, alt, kls, _), (t, _), rj in zip(roots, self.touches, r):
+                q = np.array([kls[i] for i in S] + [-1.0])
                 grad += q / rj
                 hess -= np.outer(q, q) / (rj * rj)
-                # g_j's Hessian in w: u u^T / D - diag(s^2 d / w), with s
-                # and d as in _kkt, u = s d a / w and D = sum a^2 d / w
+                # g_j's Hessian in w: u u^T / D - diag(s^2 d / w), with
+                # (s, nu, d) the root's _row_map, u = s d a / w, D its slope
                 u, diag, big_d = np.zeros(nS), np.zeros(nS), 0.0
-                for i, ai in t:
-                    op, k = FAMILIES[models[i].family], S.index(i)
-                    s = op.kl_dnu(models[i], mu[i], nu[i])
-                    d = 1.0 / op.kl_dnu2(models[i], mu[i], nu[i])
+                for (i, ai, _), (s, _, d) in zip(t, alt):
+                    k = S.index(i)
                     u[k], diag[k] = s * d * ai / w[i], s * s * d / w[i]
                     big_d += ai * ai * d / w[i]
                 hess[:nS, :nS] += (np.outer(u, u) / big_d - np.diag(diag)) / rj
@@ -1395,7 +1393,9 @@ class PreparedUnion(_SolvedGeometry):
                 gn = None
                 if np.all(wn[S] > 0.0):
                     try:
-                        gn, nusn = self._row_inners(mu, wn, 1e-12)
+                        rootsn = [_row_root(*row, mul, wn.tolist())
+                                  for row in self.touches]
+                        gn = np.array([g for _, _, _, g in rootsn])
                     except NumericalError:  # alternatives past the last float
                         pass
                 if gn is not None:
@@ -1405,7 +1405,7 @@ class PreparedUnion(_SolvedGeometry):
                             >= base + 0.25 * t * dec:
                         break
                 t *= 0.5
-            w, c, g, nus = wn, cn, gn, nusn
+            w, c, g, roots = wn, cn, gn, rootsn
 
 
 def _count(evals):

@@ -1,11 +1,10 @@
 """Scalar root finding used throughout the solvers.
 
-All solvers in this package reduce to one-dimensional monotone root finding,
-so the careful implementations live here: bisection on a bracket, a walk
-that finds the bracket first, and Newton's method safeguarded by a bracket
-where the slope is known; walk_to_root is the one bracket walk, which the
-solvers' multiplier searches share. Functions may return +-inf; an
-infinite value is treated purely through its sign.
+All solvers in this package reduce to one-dimensional monotone root finding:
+Newton's method safeguarded by a bracket where the slope is known, and
+bisection after a walk that finds the bracket, which only the ball and
+ellipsoid multiplier uses. Functions may return +-inf; an infinite value
+is treated purely through its sign.
 """
 
 from __future__ import annotations

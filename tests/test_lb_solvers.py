@@ -8,13 +8,14 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partid import partitions, spef
+from partid import parse_config, partitions, spef
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            UnsupportedCase)
@@ -33,6 +34,7 @@ from support import (best_arm_rows, random_ball_instance,
                      slsqp_union_lb)
 
 G1 = gaussian(1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSolveThreshold:
@@ -256,6 +258,94 @@ def test_bernoulli_optimum_below_the_smallest_float():
     assert sol.kkt_residuals["equal_divergence"] == pytest.approx(
         2.0 - kl(bernoulli(), 1e-6, sol.nu_star[0]), rel=1e-9)
     assert sol.kkt_residuals["tangency_spread"] == 0.0
+
+
+def _spied_row_map(monkeypatch):
+    """Record, for each _row_map evaluation, whether it was past the edge
+    (None)."""
+    trials = []
+    row_map = lb_solvers._row_map
+
+    def spy(row, mu, w, lam):
+        alt = row_map(row, mu, w, lam)
+        trials.append(alt is None)
+        return alt
+
+    monkeypatch.setattr(lb_solvers, "_row_map", spy)
+    return trials
+
+
+class TestHalfSpaceInnerRoot:
+    """With non-Gaussian arms the inner infimum is one Newton root in the
+    multiplier lam over the row's slope inverses (_row_root): exact near a
+    domain edge, and a few evaluations of the row map per statistic."""
+
+    # exact values to 50 digits: the alternatives sit 5e-10 above 0 and
+    # 5e-14 below 1, where an absolute tolerance of 1e-12 on the
+    # constraint would move the values by 2.5e-5 and 2.4e-3 relative
+    @pytest.mark.parametrize("models,mu,w,spec,exact", [
+        ([poisson(), poisson()], [1.0, 1.0], [1.0, 1.0],
+         HalfSpace((-1.0, -1.0), -1e-9), 40.832826036012713),
+        ([bernoulli(), bernoulli()], [0.5, 0.5], [1.0, 1.0],
+         HalfSpace((1.0, 1.0), 1.9999999999999), 29.241258625792895),
+    ], ids=["poisson_near_0", "bernoulli_near_1"])
+    def test_near_an_edge_the_value_is_exact(self, models, mu, w, spec,
+                                             exact):
+        got = inner_inf(models, mu, w, spec)
+        assert got.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_a_trial_past_the_edge_is_the_brackets_positive_end(
+            self, monkeypatch):
+        # the Gaussian start lam puts each Poisson slope at 2, past
+        # dnu_sup = 1; the root nu = (3, 3) is found all the same
+        trials = _spied_row_map(monkeypatch)
+        got = inner_inf([poisson(), poisson()], [1.0, 1.0], [1.0, 1.0],
+                        HalfSpace((1.0, 1.0), 6.0))
+        assert any(trials)
+        assert got.value == pytest.approx(2.0 * (2.0 - math.log(3.0)),
+                                          rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(got.minimizer, [3.0, 3.0], rtol=1e-12)
+
+    def test_an_arm_may_sit_among_the_last_floats(self):
+        # the near-free Bernoulli arm's exact alternative is 5e-17 below 1,
+        # past the last float below 1; it sits among the last floats and
+        # the Gaussian arm meets the constraint. The exact value is
+        # 0.50000000000000185741 to 20 digits
+        got = inner_inf([bernoulli(), G1], [0.5, 0.0], [1e-16, 1.0],
+                        HalfSpace((1.0, 1.0), 2.0))
+        assert 0.0 < 1.0 - got.minimizer[0] <= 2.0 * math.ulp(1.0)
+        assert got.value == pytest.approx(0.50000000000000185741, rel=1e-12,
+                                          abs=0.0)
+
+    def test_a_root_past_the_last_float_raises_numerical_error(
+            self, monkeypatch):
+        # the optimal nu_0 is about 1 - 1e-18: Newton trials that round it
+        # onto 1 are bracket ends, and the root, next to them, raises
+        # NumericalError (a PartidError), never ZeroDivisionError from
+        # kl_dnu2 at nu = 1
+        trials = _spied_row_map(monkeypatch)
+        with pytest.raises(NumericalError, match="past the last float"):
+            inner_inf([bernoulli(), bernoulli()], [0.5, 0.5], [1e-12, 1.0],
+                      HalfSpace((1.0, 1.0), 1.999999))
+        assert any(trials)
+
+    def test_few_row_map_evaluations(self, monkeypatch):
+        # mixed families, K = 2-6, weights Dirichlet times 10^U(-2, 4)
+        trials = _spied_row_map(monkeypatch)
+        rng = np.random.default_rng(27)
+        counts = []
+        while len(counts) < 500:
+            models, mu, a, b = random_halfspace_instance(
+                rng, k=int(rng.integers(2, 7)))
+            if all(m.family is spef.Family.GAUSSIAN for m in models):
+                continue
+            w = rng.dirichlet(np.ones(len(models))) \
+                * 10.0 ** rng.uniform(-2.0, 4.0)
+            trials.clear()
+            inner_inf(models, mu, w, HalfSpace(tuple(a), b))
+            counts.append(len(trials))
+        assert max(counts) <= 30
+        assert float(np.median(counts)) <= 8
 
 
 def _gaussian_halfspace(rng, k):
@@ -809,6 +899,13 @@ class TestUnionCrossCheck:
         f"{m[0].family.value}{len(m)}" for m, _ in BEST_ARM_CASES])
     def test_best_arm(self, models, mu):
         self.check(models, np.array(mu), best_arm_rows(len(models)))
+
+    def test_best_arm_bernoulli_config(self):
+        # the CI campaign whose union rows run the half-space Newton root
+        cfg = parse_config(str(CONFIGS / "best_arm_bernoulli.json"))
+        rows = list(cfg.partition.halfspaces)
+        assert rows == best_arm_rows(3)
+        self.check(cfg.arms, np.array(cfg.true_means), rows)
 
 
 class TestTwoArmGaussianClosedForm:
