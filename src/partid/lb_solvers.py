@@ -10,21 +10,19 @@ has one prepared class, which holds what does not depend on the means and
 gives the sharpest solver its structure allows:
 
   * Threshold (PreparedThreshold): fully closed form on both sides.
-  * HalfSpace (PreparedHalfSpace): the minimizer equalizes divergences
-    across arms and sits on the hyperplane. With Gaussian arms both the
-    saddle and the weighted inner infimum are closed forms; otherwise the
-    saddle is one Newton root in the common divergence level, each arm's
-    coordinate its divergence inverse at that level, and the inner
-    infimum one Newton root in a multiplier (_row_root, which a union's
-    rows share). The class holds the unit rows for both sides, their
-    reach into the domain and the Gaussian saddle weights.
-  * ConvexSublevel (PreparedConvex): the value is the smallest level t at
-    which the coordinate box {max_i kl_i <= t} touches {f <= c}; one
-    Newton root in r = sqrt(t), after doubling t brackets it. For a ball
-    or ellipsoid the box step is the center clipped into the box, and the
-    weighted inner infimum is a bisection on one multiplier with each
-    coordinate solved per family (kl_prox); custom oracles minimize by
-    projected gradient on a box instead.
+  * HalfSpace (PreparedHalfSpace) and ConvexSublevel (PreparedConvex):
+    the saddle value is the least level t at which the coordinate box
+    {max_i kl_i <= t} touches the other side, found for both by one
+    level root (_level_root): doubling t brackets it, then one Newton
+    root in r = sqrt(t). Its box step is the box's corner toward a
+    half-space, the center of a ball or ellipsoid clipped into the box,
+    or projected gradient on the box for a custom oracle. With Gaussian
+    arms a half-space's saddle and weighted inner infimum are closed
+    forms; otherwise its inner infimum is one Newton root in a multiplier
+    (_row_root, which a union's rows share). A ball's or ellipsoid's
+    inner infimum is a walk on one multiplier with each coordinate solved
+    per family (kl_prox); a custom oracle's is projected gradient on a
+    box.
   * UnionHalfSpaces (PreparedUnion, one PreparedHalfSpace per row):
     concave max-min over the simplex. The row whose exact saddle is
     cheapest is tried first: when no other row undercuts it at its
@@ -87,10 +85,8 @@ class LowerBoundSolution:
     inner infimum at w_star; c_star is the saddle value and t_star = 1/c_star
     the characteristic time. active_set lists the arms essential to the
     optimum. kkt_residuals carries solver-specific diagnostics; flags marks
-    qualitative events ("NonUniqueHyperplane", "single_constraint",
-    "mu_in_a2", "edge_saturated", or reference_oracle's case labels). When
-    NonUniqueHyperplane is flagged w_star is NaN: nu_star and c_star remain
-    valid but no supporting hyperplane determines the weights.
+    qualitative events ("single_constraint", "mu_in_a2", "edge_saturated",
+    or reference_oracle's case labels).
     """
     w_star: np.ndarray
     nu_star: np.ndarray
@@ -160,19 +156,14 @@ def _solution(w, nu, cstar, active, residuals, flags=()):
 # weighted inner problems
 
 
-def _edge_toward(model: SpefModel, sign: float) -> float:
-    lo, hi = mean_domain(model)
-    return hi if sign > 0 else lo
-
-
 def _linear_sup(models, a) -> float:
     """sup of <a, nu> over the open product domain (+inf allowed)."""
     s = 0.0
     for m, ai in zip(models, a):
         if ai == 0.0:
             continue
-        edge = _edge_toward(m, ai)
-        term = ai * edge
+        lo, hi = mean_domain(m)
+        term = ai * (hi if ai > 0 else lo)
         if math.isinf(term):
             return math.inf
         s += term
@@ -203,7 +194,8 @@ def _row_root(row, b, mu, w):
     a with arms row, (i, a_i, model) each, from means mu with <a, mu> < b
     at weights w positive on them: one Newton root in lam, at the slope
     sum_i a_i^2 d_i / w_i to 2 ulp from the Gaussian lam
-    (b - <a, mu>) / sum_i a_i^2 V_i(mu_i) / w_i (1 if the sum underflows).
+    (b - <a, mu>) / sum_i a_i^2 V_i(mu_i) / w_i (1 where the sum
+    underflows or the quotient overflows).
     A lam past the edge is the bracket's positive end; a root next to one
     raises NumericalError."""
     lin = scale = 0.0
@@ -222,8 +214,9 @@ def _row_root(row, b, mu, w):
             slope += ai * ai * d / w[i]
         return value - b, slope
 
-    lam = newton_root(constraint_at, (b - lin) / scale if scale else 1.0,
-                      0.0, math.inf, f_neg=lin - b)
+    lam = (b - lin) / scale if scale else math.inf
+    lam = newton_root(constraint_at, lam if lam < math.inf else 1.0, 0.0,
+                      math.inf, f_neg=lin - b)
     alt = seen[lam] if lam in seen else _row_map(row, mu, w, lam)
     if alt is None or seen.get(math.nextafter(lam, math.inf), ()) is None:
         raise NumericalError(
@@ -387,26 +380,124 @@ def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000,
     return x, resid
 
 
-def _box_minimizer(models, mu, w, sub: ConvexSublevel, floor, ceil):
+def _last_floats(models):
+    """(floor, ceil): each arm's last floats inside its mean domain."""
+    return tuple(zip(*[(math.nextafter(lo, hi), math.nextafter(hi, lo))
+                       for lo, hi in map(mean_domain, models)]))
+
+
+def _level_root(models, mu, f, grad, c, box, t, exact=True):
+    """(t*, x, w*, whether a face arm is saturated, the box residual, the
+    last Newton step in t): the least level t* at which the divergence box
+    {nu : max_i kl_i(mu_i, nu_i) <= t} meets a convex set {f <= c} that mu
+    lies outside, the point x where it does and the weights.
+
+    box(t, probe) gives x, the least f over the box at level t, the arms
+    on its faces and its stationarity residual; with exact False it is a
+    descent, whose probe stops at its first point with f < c. A face
+    saturates at the last float inside an arm's domain. c - f(x) rises
+    with r = sqrt(t): doubling t from the first trial t (1 unless that is
+    a positive float) brackets its root, and one Newton root in r finds it
+    at the envelope slope -sum_i df/dnu_i 2 r / kl_dnu_i over the arms on
+    unsaturated faces. One ulp of x_i moves arm i's divergence by about
+    |kl_dnu_i| ulp: the coarsest such arm is inverted at the root's level,
+    t* is its divergence there and the box is taken again at t*, so each
+    face arm meets t* to within its own resolution. w_i is proportional to
+    df/dnu_i / kl_dnu_i on the face arms (0 where a saturated arm's slope
+    overflows), 0 elsewhere. InfeasibleAlternative when no box within 300
+    doublings meets the set, NumericalError where the weights are not a
+    supporting hyperplane's.
+    """
+    last, t = {}, t if 0.0 < t < math.inf else 1.0
+    floor, ceil = _last_floats(models)
+
+    def gap_at(r, probe=False):
+        x, faces, _ = last["box"] = box(r * r, probe)
+        last["r"], last["probe"] = r, probe and not exact
+        g, slope = grad(x), 0.0
+        for i in faces:
+            if floor[i] < x[i] < ceil[i]:
+                d = kl_dnu(models[i], mu[i], x[i])
+                if d != 0.0:  # 0 where a tiny level rounds onto mu
+                    slope -= g[i] * 2.0 * r / d
+        return c - float(f(x)), slope
+
+    r_neg, gap_neg = 0.0, c - float(f(mu))
+    for _ in range(300):
+        r = math.sqrt(t)
+        gap, slope = gap_at(r, probe=True)
+        if gap >= 0.0:
+            break
+        r_neg, gap_neg, t = r, gap, 2.0 * t
+    else:
+        raise InfeasibleAlternative(
+            "the set is unreachable from mu inside the mean domain")
+    step = 0.0
+    if gap > 0.0:
+        # the first Newton step from the feasible end; without a slope, or
+        # from a stopped probe, newton_root starts at the bracket's midpoint
+        start = r - gap / slope if slope and not last["probe"] else math.nan
+        r = newton_root(gap_at, start, r_neg, r, f_neg=gap_neg, f_pos=gap,
+                        rtol=TOL_NEWTON_STEP)
+        step = abs(r * r - last["r"] ** 2)
+    if last["probe"]:
+        gap_at(r)
+
+    x, faces, _ = last["box"]
+    if not faces:
+        raise NumericalError("the divergence box meets the set on no face")
+    j = max((i for i in faces if floor[i] < x[i] < ceil[i]), default=faces[0],
+            key=lambda i: abs(kl_dnu(models[i], mu[i], x[i])) * math.ulp(x[i]))
+    x_j = kl_inverse_capped(models[j], mu[j], r * r, Direction.ABOVE
+                            if x[j] > mu[j] else Direction.BELOW)
+    cstar = kl(models[j], mu[j], x_j) if floor[j] < x_j < ceil[j] else r * r
+    x, faces, resid = box(cstar, False)
+    if j in faces:
+        x[j] = x_j
+
+    g, raw, saturated = grad(x), np.zeros(len(models)), False
+    for i in faces:
+        s, free = kl_dnu(models[i], mu[i], x[i]), floor[i] < x[i] < ceil[i]
+        saturated |= not free
+        # df/dnu_i and kl_dnu_i have opposite signs on a face (0.0 - keeps
+        # a zero unsigned); a slope 0 means the level t* does not move x_i
+        # off mu_i in float64
+        raw[i] = 0.0 - g[i] / s if s else math.nan
+        if not raw[i] >= 0.0 or free and math.isinf(s):
+            raise NumericalError(f"no supporting hyperplane at level {cstar}:"
+                                 f" divergence slope {s} at arm {i}")
+    total = raw.sum()
+    if not 0.0 < total < math.inf:
+        raise NumericalError(f"saddle weights {raw} do not sum to a finite "
+                             f"nonzero value")
+    return cstar, np.array(x, dtype=float), raw / total, saturated, resid, \
+        step
+
+
+def _divergence_box(models, mu, levels):
+    """(lo, hi), the arrays of each arm's capped divergence inverses below
+    and above mu_i at levels[i]: the box {kl_i(mu_i, nu_i) <= levels[i]}."""
+    return tuple(np.array([kl_inverse_capped(m, x, t, d)
+                           for m, x, t in zip(models, mu, levels)])
+                 for d in (Direction.BELOW, Direction.ABOVE))
+
+
+def _box_minimizer(models, mu, w, sub: ConvexSublevel):
     """nu(lam) for a custom oracle: projected gradient on an adaptively
     grown coordinate box, regrown whenever the optimum presses a face,
-    which also keeps iterates inside bounded mean domains. floor and ceil
-    are each arm's last floats inside its domain: a face there cannot
-    grow, so an optimum pressing only such faces is the least value over
-    the domain in float64, as a ball's kl_prox is there."""
+    which also keeps iterates inside bounded mean domains. A face at an
+    arm's last float inside its domain cannot grow, so an optimum pressing
+    only such faces is the least value over the domain in float64, as a
+    ball's kl_prox is there."""
     f, gradf = sub.value, sub.grad
     K = len(models)
+    floor, ceil = map(np.array, _last_floats(models))
     state = {"x": np.array(mu), "level": 8.0}
 
     def nu_of(lam):
         while True:
             lv = state["level"]
-            lo = np.array([kl_inverse_capped(models[i], mu[i], lv / w[i],
-                                             Direction.BELOW)
-                           for i in range(K)])
-            hi = np.array([kl_inverse_capped(models[i], mu[i], lv / w[i],
-                                             Direction.ABOVE)
-                           for i in range(K)])
+            lo, hi = _divergence_box(models, mu, lv / w)
 
             def psi(x):
                 return _weighted_kl(models, mu, w, x, range(K)) \
@@ -756,111 +847,52 @@ class PreparedHalfSpace:
         return side, a, b, dot if side is Side.A1 else -dot
 
     def saddle(self, mu):
-        """(side of mu, c*, nu*, w*, divergence slopes at nu* or None,
-        whether an arm sits at the last float before its domain edge) at
-        checked means mu, as solve_halfspace reports them: the closed form
-        with Gaussian arms, otherwise one root in the common divergence
-        level. An arm the row does not touch keeps its mean, at weight 0.
-        Raises DegenerateInstance within 1e-12 of the hyperplane and
-        InfeasibleAlternative when the opposite half-space misses the
-        domain."""
+        """(side of mu, c*, nu*, w*, whether an arm sits at the last float
+        before its domain edge) at checked means mu, as solve_halfspace
+        reports them: the closed form with Gaussian arms, otherwise the
+        level root (_level_root). An arm the row does not touch keeps its
+        mean, at weight 0. Raises DegenerateInstance within 1e-12 of the
+        hyperplane and InfeasibleAlternative when the opposite half-space
+        misses the domain."""
         mul = mu.tolist()
         side, a, b, lin = self._orient(row_dot(self.unit, mul))
         if self.gaussian_w is not None:
             # sqrt(c*) = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i)
             r = (b - lin) / self.reach_sum
             nu = mu + np.sign(a) * self.reach * r
-            return side, r * r, nu, np.array(self.gaussian_w), None, False
+            return side, r * r, nu, np.array(self.gaussian_w), False
 
-        models, K, al = self.models, mu.size, a
-        busy = [i for i in range(K) if al[i] != 0.0]
-        ops = [FAMILIES[m.family] for m in models]
-        toward = [Direction.ABOVE if ai > 0 else Direction.BELOW for ai in al]
-        # |a_i| d nu_i / dr at r = 0, with r = sqrt(c): the Gaussian reach
-        reach = [abs(al[i]) * math.sqrt(2.0 * ops[i].variance(models[i],
-                                                              mul[i]))
-                 for i in range(K)]
-        reach_sum = 0.0
+        # the corner of each box toward the row, each arm the row touches
+        # inverted once, from the Gaussian sqrt(c*) (b - <a, mu>) /
+        # sum_i |a_i| sqrt(2 v_i), each variance taken at the mean
+        models, busy = self.models, [i for i, ai in enumerate(a) if ai]
+        toward = [Direction.ABOVE if ai > 0 else Direction.BELOW for ai in a]
+        reach, minus_a = 0.0, [-ai for ai in a]
         for i in busy:
-            reach_sum += reach[i]
-        tried = {}
+            reach += abs(a[i]) * math.sqrt(
+                2.0 * FAMILIES[models[i].family].variance(models[i], mul[i]))
 
-        def constraint_at(r):
-            # <a, nu> - b with each nu_i the capped inverse at level r^2,
-            # and its slope in r: a_i 2 r / kl_dnu_i summed, or the reach of
-            # an arm whose nu_i rounds onto mu_i
-            nu = list(mul)
+        def corner(t, probe):
+            x = list(mul)
             for i in busy:
-                nu[i] = kl_inverse_capped(models[i], mul[i], r * r, toward[i])
-            value = slope = 0.0
-            for i in busy:
-                value += al[i] * nu[i]
-                d = ops[i].kl_dnu(models[i], mul[i], nu[i])
-                slope += 2.0 * r * al[i] / d if d != 0.0 else reach[i]
-            tried["nu"] = nu
-            return value - b, slope
+                x[i] = kl_inverse_capped(models[i], mul[i], t, toward[i])
+            return x, busy, 0.0
 
-        # the constraint rises with the level from -gap at c = 0; the
-        # Gaussian sqrt(c*) = gap / sum_i |a_i| sqrt(2 v_i), each variance
-        # taken at the mean, starts the Newton steps in r
-        gap = b - lin
-        r = newton_root(constraint_at, gap / reach_sum, 0.0, math.inf,
-                        f_neg=-gap, rtol=TOL_NEWTON_STEP)
-        # the last float before each arm's edge, where a capped inverse
-        # saturates
-        last = [math.nextafter(_edge_toward(models[i], al[i]), mul[i])
-                for i in range(K)]
-        # one ulp of nu_i moves arm i's divergence by about |kl_dnu_i| ulp:
-        # the coarsest arm unsaturated at the last level tried is inverted
-        # at r^2, the level is taken exactly at its nu and the others are
-        # inverted at that, so each arm meets it to within its own
-        # resolution
-        nu = tried["nu"]
-        j = max((i for i in busy if nu[i] != last[i]), default=busy[0],
-                key=lambda i: abs(ops[i].kl_dnu(models[i], mul[i], nu[i]))
-                * math.ulp(nu[i]))
-        nu_j = kl_inverse_capped(models[j], mul[j], r * r, toward[j])
-        cstar = r * r if nu_j == last[j] \
-            else ops[j].kl(models[j], mul[j], nu_j)
-        nu = list(mul)
-        for i in busy:
-            nu[i] = nu_j if i == j else \
-                kl_inverse_capped(models[i], mul[i], cstar, toward[i])
-        saturated = any(nu[i] == last[i] for i in busy)
-
-        # an arm saturated at the smallest positive float may have a slope
-        # that overflows, and then has weight 0; an untouched arm's slope
-        # at its own mean is 0, and so is its weight
-        slopes = [kl_dnu(models[i], mul[i], nu[i]) for i in range(K)]
-        raw = [0.0] * K
-        for i in busy:
-            s = slopes[i]
-            if s == 0.0:
-                raise NumericalError(
-                    f"divergence slope 0 at arm {i}: the level {cstar} does "
-                    f"not move nu off mu={mu[i]} in float64")
-            if not math.isfinite(s) and nu[i] != last[i]:
-                raise NumericalError(f"divergence slope {s} at arm {i}")
-            raw[i] = al[i] / s
-            if raw[i] <= 0 and nu[i] != last[i]:
-                raise NumericalError(
-                    "weight signs violate the displacement pattern")
-        raw = np.array(raw)
-        return side, cstar, np.array(nu), raw / raw.sum(), np.array(slopes), \
-            saturated
+        r = (b - lin) / reach
+        cstar, nu, w, saturated, _, _ = _level_root(
+            models, mul, lambda x: -row_dot(a, x), lambda x: minus_a, -b,
+            corner, r * r)
+        return side, cstar, nu, w, saturated
 
     def _weights(self, mu, dot: float) -> list:
         """w* of solve_halfspace as a list at checked means mu (a list)
         whose unit-row product is dot, after its checks, c* > 0 included.
         With Gaussian arms the weights do not depend on the means, and the
         checks are _orient's and saddle's c* = r^2 > 0 on the margin, where
-        b - <a, mu> on the means' side is -margin or margin, bit for bit.
-        Other families' weights can overflow, which raises NumericalError."""
+        b - <a, mu> on the means' side is -margin or margin, bit for bit."""
         if self.gaussian_w is None:
-            _, cstar, _, w, _, _ = self.saddle(np.array(mu, dtype=float))
+            _, cstar, _, w, _ = self.saddle(np.array(mu, dtype=float))
             _check_saddle_value(cstar)
-            if not np.all(np.isfinite(w)):
-                raise NumericalError(f"saddle weights {w} are not finite")
             return w.tolist()
         margin = dot - self.b_unit
         if abs(margin) <= 1e-12:
@@ -878,13 +910,12 @@ class PreparedHalfSpace:
         with its certificate; saddle is what self.saddle(mu) returned, when
         the caller has it."""
         models = self.models
-        side, cstar, nu, w, slopes, saturated = \
+        side, cstar, nu, w, saturated = \
             self.saddle(mu) if saddle is None else saddle
         al, b, _ = self.target(side)
         a = np.array(al)
-        if slopes is None:
-            slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
-                               for i in range(mu.size)])
+        slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
+                           for i in range(mu.size)])
 
         levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(mu.size)])
         # an arm the row does not touch keeps its mean, at divergence 0
@@ -939,31 +970,21 @@ class _SolvedGeometry:
         if z >= beta:
             return side, z, None
         try:
-            w = self.solution(x).w_star
+            return side, z, self.solution(x).w_star.tolist()
         except PartidError:
-            w = None
-        # w* is NaN where no supporting hyperplane fixes it
-        # (NonUniqueHyperplane), which falls back as a failed solution does
-        if w is None or not np.all(np.isfinite(w)):
             return side, z, _uniform(len(mu))
-        return side, z, w.tolist()
 
 
 class PreparedConvex(_SolvedGeometry):
     """A convex sublevel set {f <= level} with the means outside it: the
     set and, when ball() or ellipsoid() built it as
     {sum_i ((x_i - c_i) / s_i)^2 <= level}, its center, the curvatures
-    2 / s_i^2 and each arm's kl_prox (center is None for a custom oracle);
-    and each arm's last floats inside its domain, floor and ceil, where a
-    face of a divergence box saturates. inner_inf and solve_convex prepare
-    one per call, a Monte Carlo campaign one for all its runs."""
+    2 / s_i^2 and each arm's kl_prox (center is None for a custom
+    oracle). inner_inf and solve_convex prepare one per call, a Monte
+    Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: ConvexSublevel):
         super().__init__(models, spec)
-        self.floor = np.array([math.nextafter(lo, math.inf)
-                               for lo, _ in self.domains])
-        self.ceil = np.array([math.nextafter(hi, -math.inf)
-                              for _, hi in self.domains])
         self.center = None
         if spec.shape is not None:
             kind, center, extra = spec.shape
@@ -1001,8 +1022,7 @@ class PreparedConvex(_SolvedGeometry):
         K = len(models)
 
         if self.center is None:
-            nu_of = _box_minimizer(models, mu, w, self.spec, self.floor,
-                                   self.ceil)
+            nu_of = _box_minimizer(models, mu, w, self.spec)
         else:
             center, curvature, prox = self.center, self.curvature, self.prox
 
@@ -1026,33 +1046,21 @@ class PreparedConvex(_SolvedGeometry):
         return _weighted_kl(models, mu, w, nu, range(K)), nu
 
     def solution(self, mu) -> LowerBoundSolution:
-        """solve_convex's saddle point at checked means mu (an array): one
-        Newton root in r = sqrt(t) of c - f(x(r^2)), x(t) the least f over
-        the box at level t, bracketed by doubling t."""
+        """solve_convex's saddle point at checked means mu (an array): the
+        level root (_level_root) from t = 1, each box step the center
+        clipped into the box for a ball or ellipsoid, projected gradient
+        on the box for a custom oracle."""
         models = self.models
         f, gradf, c = self.spec.value, self.spec.grad, self.spec.level
         self._check_side(mu, "sublevel boundary")
 
-        K, center, floor, ceil = mu.size, self.center, self.floor, self.ceil
+        K, center = mu.size, self.center
         # no box yet: the first projected gradient starts from mu
         state = {"x": np.array(mu), "lo": np.full(K, math.nan),
                  "hi": np.full(K, math.nan)}
 
-        def level_gap(r, probe=False):
-            # c - f(x) at the least f over the box at level t = r^2, and its
-            # slope in r: a coordinate on a face moves with it at
-            # 2 r / kl_dnu_i unless the face is saturated at the last float
-            # before its domain edge, and by the envelope theorem no other
-            # coordinate counts. A probe of a custom oracle's box stops at
-            # the first point with f < c: its gap has the right sign, but
-            # neither its value nor its slope is the least f's
-            t = r * r
-            lo = np.array([kl_inverse_capped(models[i], mu[i], t,
-                                             Direction.BELOW)
-                           for i in range(K)])
-            hi = np.array([kl_inverse_capped(models[i], mu[i], t,
-                                             Direction.ABOVE)
-                           for i in range(K)])
+        def box(t, probe):
+            lo, hi = _divergence_box(models, mu, [t] * K)
             if center is not None:
                 x, resid = np.clip(center, lo, hi), 0.0
             else:
@@ -1063,70 +1071,22 @@ class PreparedConvex(_SolvedGeometry):
                 x, resid = _min_f_over_box(f, gradf, lo, hi,
                                            np.clip(x0, lo, hi),
                                            below=c if probe else -math.inf)
-            state.update(x=x, resid=resid, r=r, lo=lo, hi=hi,
-                         probe=probe and center is None)
-            g = np.asarray(gradf(x), dtype=float)
-            slope = 0.0
-            for i in range(K):
-                if x[i] == lo[i] > floor[i] or x[i] == hi[i] < ceil[i]:
-                    d = kl_dnu(models[i], mu[i], x[i])
-                    if d != 0.0:  # 0 where a tiny level rounds onto mu
-                        slope -= g[i] * 2.0 * r / d
-            return c - float(f(x)), slope
+                state.update(x=x, lo=lo, hi=hi)
+            faces = [i for i in range(K) if x[i] == lo[i] or x[i] == hi[i]]
+            return x, faces, resid
 
-        # the gap rises with the level from c - f(mu) < 0 at t = 0; doubling
-        # t brackets its root, and needs only the gap's sign
-        r_neg, gap_neg, t = 0.0, c - float(f(mu)), 1.0
-        for _ in range(300):
-            r = math.sqrt(t)
-            gap, slope = level_gap(r, probe=True)
-            if gap >= 0.0:
-                break
-            r_neg, gap_neg = r, gap
-            t *= 2.0
-        else:
-            raise InfeasibleAlternative(
-                "sublevel set unreachable from mu inside the mean domain")
-
-        step = 0.0
-        if gap > 0.0:
-            # the first Newton step from the feasible end; without a slope,
-            # or from a custom oracle's stopped probe, newton_root starts at
-            # the bracket's midpoint
-            start = r - gap / slope if slope and not state["probe"] \
-                else math.nan
-            root = newton_root(level_gap, start, r_neg, r, f_neg=gap_neg,
-                               f_pos=gap, rtol=TOL_NEWTON_STEP)
-            step = abs(root * root - state["r"] ** 2)
-            if root != state["r"] or state["probe"]:
-                level_gap(root)
-
-        nu, resid = state["x"], state["resid"]
+        cstar, nu, w, _, resid, step = _level_root(
+            models, mu, f, gradf, c, box, 1.0, exact=center is not None)
         levels = np.array([kl(models[i], mu[i], nu[i]) for i in range(K)])
-        cstar = float(np.max(levels))
         active = [i for i in range(K)
                   if levels[i] >= cstar * (1.0 - ACTIVE_SET_TOL)]
-
-        grads = np.asarray(gradf(nu), dtype=float)
-        raw = np.zeros(K)
-        for i in active:
-            raw[i] = grads[i] / kl_dnu(models[i], mu[i], nu[i])
-        total = raw.sum()
-        flags = []
-        if total == 0.0 or np.any(raw[active] * np.sign(total) < 0):
-            flags.append("NonUniqueHyperplane")
-            w = np.full(K, math.nan)
-        else:
-            w = np.maximum(raw / total, 0.0)
-            w = w / w.sum()
-
         residuals = {
             "boundary_gap": abs(float(f(nu)) - c),
             "active_spread": float(cstar - np.min(levels[active])),
             "box_stationarity": float(resid),
             "level_bracket": step,
         }
-        return _solution(w, nu, cstar, active, residuals, flags)
+        return _solution(w, nu, cstar, active, residuals)
 
 
 # a union's row: HalfSpace's fields, where the normal may have zero entries
@@ -1519,15 +1479,13 @@ def solve_halfspace(models: Sequence[SpefModel], mu, a,
     slope at the minimizer. With Gaussian arms the level is r^2 for
     r = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i), each nu_i is
     mu_i + sign(a_i) sqrt(2 v_i) r and w_i is proportional to |a_i| sqrt(v_i).
-    Otherwise the constraint <a, nu(c)> - b, with each nu_i(c) the capped
-    divergence inverse at the common level c, rises with c, and Newton steps
-    in sqrt(c) from the Gaussian guess find its root. The level is then
-    taken exactly at the arm whose divergence is coarsest in float64 and
-    the others are inverted at it. An arm whose alternative lies past the
-    last float before its domain edge sits at that float, with weight a_i
-    over its slope there (0 where that slope overflows), and the solution
-    is flagged "edge_saturated"; equal_divergence reports the arm's gap to
-    c*, and tangency_spread leaves out an overflowed slope.
+    Otherwise it is the level root solve_convex takes, for the set
+    {<a, nu> >= b}, whose least point over a divergence box is the box's
+    corner toward the row, and from that Gaussian r. An arm whose
+    alternative lies past the last float before its domain edge sits at
+    that float, and the solution is flagged "edge_saturated";
+    equal_divergence reports the arm's gap to c*, and tangency_spread
+    leaves out a slope that overflows there.
     """
     return solve(models, mu, HalfSpace(tuple(np.asarray(a, dtype=float)),
                                        float(b)))
@@ -1539,25 +1497,18 @@ def solve_convex(models: Sequence[SpefModel], mu,
     set {f <= level} and mu lies outside it.
 
     c* is the smallest t for which the coordinate box
-    {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set; the touching point is
-    the critical alternative. Doubling t from 1 brackets it
-    (InfeasibleAlternative when no box within 300 doublings meets the
-    set), then it is one Newton root in r = sqrt(t): c - f(x(r^2)) rises
-    with r, x being the least f over the box, and its slope is
-    -sum_i df/dnu_i 2 r / kl_dnu_i(mu_i, x_i) over the coordinates on a
-    face of the box, exact by the envelope theorem (a face saturated at
-    the last float before a domain edge moves no more and has no term).
-    For a ball or ellipsoid, f is a separable quadratic whose minimum over
-    a box is the center clipped into it, so each box step is exact and
-    box_stationarity is 0; custom oracles run projected gradient on the
-    box, which puts the coordinates it presses exactly on the faces, and
+    {nu : max_i kl_i(mu_i, nu_i) <= t} meets the set, the touching point
+    is the critical alternative, and w_i is proportional to df/dnu_i over
+    the divergence slope on the box's faces: one level root, shared with
+    solve_halfspace, from t = 1 (InfeasibleAlternative when no box within
+    300 doublings meets the set). For a ball or ellipsoid the least f
+    over a box is the center clipped into it, so box_stationarity is 0;
+    custom oracles run projected gradient on the box, and
     box_stationarity is its residual at the root. level_bracket is the
-    last Newton step in t and boundary_gap is |f(nu*) - c|. Arms whose
-    divergence at the touching point ties the maximum form the active
-    set; weights on it follow the smooth supporting-hyperplane rule w_i
-    proportional to (df/dnu_i) over the divergence slope, and are zero
-    elsewhere. A sign-inconsistent hyperplane (non-smooth contact) is
-    flagged NonUniqueHyperplane with w_star NaN.
+    last Newton step in t and boundary_gap is |f(nu*) - c|. The active
+    set holds the arms whose divergence at nu* is within ACTIVE_SET_TOL of
+    c*. NumericalError where the weights' signs contradict a supporting
+    hyperplane.
     """
     return solve(models, mu, sublevel)
 

@@ -71,13 +71,14 @@ class HalfSpace:
 
 
 def _fd_gradient_check(value, grad, points, *, step=1e-6, rel_tol=1e-4):
+    # relative beyond |p_i| = 1, so the step stays many ulps wide there
     for p in points:
         p = np.asarray(p, dtype=float)
         g = np.asarray(grad(p), dtype=float)
         for i in range(p.size):
             e = np.zeros_like(p)
-            e[i] = step
-            fd = (value(p + e) - value(p - e)) / (2.0 * step)
+            e[i] = step * max(1.0, abs(p[i]))
+            fd = (value(p + e) - value(p - e)) / (2.0 * e[i])
             scale = max(1.0, abs(g[i]), abs(fd))
             if abs(fd - g[i]) > rel_tol * scale:
                 raise ValueError(

@@ -125,16 +125,23 @@ def _log1p_of(x, num, den):
     return math.log(num) - math.log(den) if num > 0.0 else -math.inf
 
 
+def _ratio_term(mu, x, nu):
+    """mu (x - log(nu / mu)) for x = (nu - mu) / mu; where x overflows, as
+    at a subnormal mu, nu - mu - mu (log(nu) - log(mu))."""
+    if x == math.inf:
+        return (nu - mu) - mu * (math.log(nu) - math.log(mu))
+    return mu * (x - _log1p_of(x, nu, mu))
+
+
 def _bernoulli_kl(m, mu, nu):
     x = (nu - mu) / mu
     y = (mu - nu) / (1.0 - mu)
-    return max(0.0, mu * (x - _log1p_of(x, nu, mu))
+    return max(0.0, _ratio_term(mu, x, nu)
                + (1.0 - mu) * (y - _log1p_of(y, 1.0 - nu, 1.0 - mu)))
 
 
 def _poisson_kl(m, mu, nu):
-    x = (nu - mu) / mu
-    return max(0.0, mu * (x - _log1p_of(x, nu, mu)))
+    return max(0.0, _ratio_term(mu, (nu - mu) / mu, nu))
 
 
 def _kl_root(m, mu, target, start, edge):

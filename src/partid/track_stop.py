@@ -7,7 +7,9 @@ whether the empirical means are far enough (in weighted divergence) from
 the opposite component to commit to a side.
 
 The tracking rule pulls any arm whose count has fallen below
-sqrt(t) - K/2 (lowest index first), else the arm maximizing w_hat_i - N_i/t.
+sqrt(t) - K/2 (lowest index first), else the arm maximizing w_hat_i - N_i/t,
+where a later arm takes the pull only when its lag exceeds the leader's by
+more than TIE_BAND.
 This keeps min_i N_i(t) >= (sqrt(t) - K/2)^+ - 1 at all times; the runner
 asserts that inequality after every pull and reports violations instead of
 hiding them.
@@ -83,6 +85,10 @@ from .lb_solvers import prepare, require_covered
 from .lb_solvers import solve  # noqa: F401
 from .partitions import PartitionSpec, Side, classify
 from .spef import SpefModel, clamp_bounds, samplers
+
+# D-tracking moves the pull off the leader only for a lag larger by more
+# than this, so a solver's rounding in w_hat does not reroute a run
+TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -206,8 +212,9 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
                    reverse=True)
     results: list = [None] * len(stops)
     crossed = 0
-    # beta_threshold's operations, on locals
+    # beta_threshold's operations and the tie band, on locals
     log, c_const, delta = math.log, stops[0].c_const, stops[order[0]].delta
+    band = TIE_BAND
     step = geometry.step
     violations = 0
 
@@ -232,17 +239,19 @@ def _track_and_stop(models: Sequence[SpefModel], true_means: np.ndarray,
         # D-tracking: a starved arm, one whose count is below
         # need = sqrt(t) - K/2, goes first (lowest index first; least is
         # min(counts), so one is found); else the arm whose fraction
-        # counts[i] / t lags w_hat[i] most (lowest index on ties)
+        # counts[i] / t lags w_hat[i] most, the lowest index keeping the
+        # pull against lags within TIE_BAND of its own
         if least < need:
             for arm in range(k):
                 if counts[arm] < need:
                     break
         else:
-            arm, lag = 0, w_hat[0] - counts[0] / t
+            # top is the leader's lag plus the band
+            arm, top = 0, w_hat[0] - counts[0] / t + band
             for i in range(1, k):
                 v = w_hat[i] - counts[i] / t
-                if v > lag:
-                    arm, lag = i, v
+                if v > top:
+                    arm, top = i, v + band
         s = sums[arm] = sums[arm] + draws[arm]()
         n = counts[arm] = counts[arm] + 1
         v = s / n

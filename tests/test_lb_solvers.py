@@ -713,6 +713,60 @@ class TestConvexNewtonLevel:
             solve(models, [0.5, 0.5], spec)
 
 
+class TestOneLevelRoot:
+    """Half-spaces, balls, ellipsoids and custom oracles find their saddle
+    level by one function, lb_solvers._level_root, each with its own box
+    step."""
+
+    @pytest.mark.parametrize("spec", [
+        HalfSpace((1.0, -0.5), 0.9), ball((0.5, 0.5), 0.25),
+        ellipsoid((0.6, 0.5), (0.2, 0.35)),
+        _custom_copy(ball((0.5, 0.5), 0.25))],
+        ids=["halfspace", "ball", "ellipsoid", "custom"])
+    def test_every_shape_takes_the_one_root(self, monkeypatch, spec):
+        calls = []
+        root = lb_solvers._level_root
+
+        def spied(*args, **kwargs):
+            calls.append(args)
+            return root(*args, **kwargs)
+
+        monkeypatch.setattr(lb_solvers, "_level_root", spied)
+        solve([bernoulli(), poisson()], [0.2, 0.1], spec)
+        assert len(calls) == 1
+
+    def test_gaussian_half_space_keeps_its_closed_form(self, monkeypatch):
+        monkeypatch.setattr(lb_solvers, "_level_root", None)
+        sol = solve([G1, gaussian(0.5)], [0.0, 0.0],
+                    HalfSpace((1.0, 1.0), 1.0))
+        assert sol.c_star > 0.0
+
+    def test_off_face_weights_are_unsigned_zeros(self):
+        # the arm whose mean is the ball's center is on no face of the box:
+        # its weight is 0.0, which a CLI report writes as 0.0, not -0.0
+        sol = solve([bernoulli(), bernoulli()], [0.85, 0.5],
+                    ball((0.5, 0.5), 0.25))
+        assert sol.w_star.tolist() == [1.0, 0.0]
+        assert not np.any(np.signbit(sol.w_star))
+
+    def test_half_space_as_a_custom_oracle_solves_as_the_row(self):
+        # {<a, nu> >= b} as a linear custom oracle takes projected gradient
+        # on each box from t = 1, where the row takes the box's corner from
+        # the Gaussian level: the two meet to rounding
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            models, mu, a, b = random_halfspace_instance(rng)
+            if float(a @ mu) >= b:
+                a, b = -a, -b
+            row = solve(models, mu, HalfSpace(tuple(a), b))
+            linear = ConvexSublevel(
+                lambda x, a=a: -float(np.dot(a, x)), lambda x, a=a: -a, -b,
+                probe_points=[np.zeros(len(a))])
+            got = solve(models, mu, linear)
+            assert got.c_star == pytest.approx(row.c_star, rel=1e-12)
+            np.testing.assert_allclose(got.w_star, row.w_star, atol=1e-12)
+
+
 def _counted_custom_copy(spec):
     """_custom_copy whose gradient counts its calls after construction."""
     calls = []
@@ -993,6 +1047,25 @@ class TestInnerInf:
         v = inner_inf([G1, G1], [0.0, 0.0], [0.0, 0.0], Threshold(1.0))
         assert v.value == 0.0 and v.minimizer is None
 
+    def test_subnormal_mean_half_space_value(self):
+        # the divergence from mu = 5e-324 to nu = 0.5 is log 2, although
+        # x = (nu - mu) / mu overflows, and the Gaussian multiplier that
+        # would start the row's root overflows too
+        models, mu = [bernoulli()] * 2, [5e-324, 0.5]
+        v = inner_inf(models, mu, [1.0, 1.0], HalfSpace((1.0, 1e-300), 0.5))
+        at_minimizer = kl(models[0], mu[0], v.minimizer[0]) \
+            + kl(models[1], mu[1], v.minimizer[1])
+        assert v.value == at_minimizer
+        assert v.value == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_subnormal_mean_half_space_saddle(self):
+        # the Gaussian first trial of the level, sqrt(c) about 1e161, has
+        # a square past float64: the level root starts at 1 instead
+        models, mu = [bernoulli()] * 2, np.array([5e-324, 0.5])
+        sol = solve(models, mu, HalfSpace((1.0, 1e-300), 0.5))
+        assert sol.c_star == pytest.approx(math.log(2.0), rel=1e-12)
+        assert sol.w_star[0] == pytest.approx(1.0, rel=1e-12)
+
     def test_free_arm_escapes_to_edge(self):
         # unweighted gaussian arm absorbs the constraint at no cost
         v = inner_inf([G1, G1], [0.0, 0.0], [1.0, 0.0],
@@ -1234,7 +1307,9 @@ class TestHalfSpaceCertificate:
         # (K = 2-5, mixed families), recorded before the residuals skipped
         # zero entries: on rows without one they must not move. The
         # divergences take the math module's logarithms, so the digest is
-        # the same under any numpy CPU dispatch (CI runs both)
+        # the same under any numpy CPU dispatch (CI runs both). Recorded
+        # again when the half-space level became the shared level root
+        # (_level_root), which moved the residuals in their last bits
         rng = np.random.default_rng(31)
         out = []
         for _ in range(60):
@@ -1242,4 +1317,60 @@ class TestHalfSpaceCertificate:
             r = solve(models, mu, HalfSpace(tuple(a), b)).kkt_residuals
             out.extend(r[k] for k in sorted(r))
         digest = hashlib.sha256(np.array(out).tobytes()).hexdigest()[:16]
-        assert digest == "3b7fa29dac251154"
+        assert digest == "936fc8b80a2e5ba0"
+
+
+def _primal_dual_gap(models, mu, spec):
+    """(max_i kl_i(mu_i, nu*_i) - inner_inf at w*) / c* of solve's saddle
+    point, or None where a w*_i is 0 (inner_inf of a convex set raises
+    at zero weights). nu* lies in the alternative, so the first term
+    bounds c* from above, and the inner infimum at any weights bounds it
+    from below: the gap certifies both c* and w*."""
+    mu = np.asarray(mu, dtype=float)
+    sol = solve(models, mu, spec)
+    if not np.all(sol.w_star > 0.0):
+        return None
+    primal = max(kl(m, x, y) for m, x, y in zip(models, mu, sol.nu_star))
+    return (primal - inner_inf(models, mu, sol.w_star, spec).value) \
+        / sol.c_star
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(60):
+        models, mu, a, b = random_halfspace_instance(rng)
+        cases.append((models, mu, HalfSpace(tuple(a), b)))
+    rng = np.random.default_rng(12)
+    cases.extend(random_ball_instance(rng) for _ in range(30))
+    # not the custom copies: their inner infimum is a projected-gradient
+    # descent, whose value sits up to 6e-8 relative above the least
+    cases.extend(case[1:] for case in NEWTON_LEVEL_CASES)
+    return cases
+
+
+class TestPrimalDualCertificate:
+    def test_gap_closes_on_half_spaces_balls_and_ellipsoids(self):
+        gaps = [_primal_dual_gap(*case) for case in _certificate_cases()]
+        checked = [g for g in gaps if g is not None]
+        assert max(abs(g) for g in checked) <= 1e-9
+        # the skipped saddles: balls and ellipsoids touched on one face,
+        # whose other arms have weight 0 (20 of the 30 random balls and 5 of
+        # NEWTON_LEVEL_CASES)
+        assert len(gaps) - len(checked) == 25
+
+    @pytest.mark.parametrize("name,c_star", [
+        ("ball_bernoulli", 0.029764827946006506),
+        ("ball_gaussian", 0.17320271529231543),
+        ("best_arm_bernoulli", 0.018382967115598923),
+        ("ellipsoid_poisson", 0.2163953243244932),
+        ("halfspace_mixed", 0.011200950058741173),
+        ("halfspace_symmetric", 0.12499999999999997),
+        ("threshold_gaussian", 1.0),
+        ("threshold_mixed", 0.029205029689914994),
+        ("union_gaussian", 0.37113402061855666),
+    ])
+    def test_shipped_configs_saddle_value_pinned(self, name, c_star):
+        cfg = parse_config(str(CONFIGS / f"{name}.json"))
+        got = solve(list(cfg.arms), cfg.true_means, cfg.partition).c_star
+        assert got == pytest.approx(c_star, rel=1e-12, abs=0.0)

@@ -112,6 +112,29 @@ class TestConvexSublevel:
             ConvexSublevel(f, bad_g, 1.0, probe_points=[np.ones(2)])
 
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "ball", "center": [1e8, 0.0], "radius": 1.0},
+        {"type": "ellipsoid", "center": [1e8, -3e9], "semi_axes": [2.0, 0.5]},
+    ], ids=["ball", "ellipsoid"])
+    def test_shapes_far_from_the_origin_pass_their_gradient_check(self,
+                                                                  spec):
+        # an absolute finite-difference step of 1e-6 is 66 ulps at 1e8,
+        # where the rounding of f put the difference quotient outside
+        # rel_tol: the library rejected its own ball
+        built = from_dict(spec)
+        center = np.array(spec["center"])
+        assert classify(built, center) is Side.A2
+        assert to_dict(built) == spec
+
+    def test_gradient_check_far_from_the_origin_catches_wrong_oracle(self):
+        f = lambda x: float(np.sum(np.asarray(x) ** 2))
+        bad_g = lambda x: 3.0 * np.asarray(x, dtype=float)
+        with pytest.raises(ValueError, match="finite differences"):
+            ConvexSublevel(f, bad_g, 1.0,
+                           probe_points=[np.array([1e8, -3e9])])
+        ConvexSublevel(f, lambda x: 2.0 * np.asarray(x, dtype=float), 1.0,
+                       probe_points=[np.array([1e8, -3e9])])
+
 class TestUnionHalfSpaces:
     SPEC = UnionHalfSpaces((((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0)))
 

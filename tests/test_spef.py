@@ -176,6 +176,20 @@ def test_poisson_divergence_where_the_ratio_underflows():
         kl_inverse(poisson(), 3.0, 3000.0, Direction.BELOW)
 
 
+@pytest.mark.parametrize("model,mu,nu,want", [
+    (bernoulli(), 1e-310, 0.5, math.log(2.0)),
+    (bernoulli(), 5e-324, 0.5, math.log(2.0)),
+    (poisson(), 1e-310, 0.5, 0.5),
+    # nu / mu overflows at a normal mu as well
+    (poisson(), 1e-300, 1e10, 1e10),
+])
+def test_divergence_where_the_ratio_overflows(model, mu, nu, want):
+    # x = (nu - mu) / mu overflows to inf at a subnormal mu, where
+    # mu (x - log1p(x)) would be NaN and max(0, NaN) is 0; mu x is
+    # nu - mu, and mu log(nu / mu) is below 1e-290 here
+    assert kl(model, mu, nu) == pytest.approx(want, rel=1e-12)
+
+
 def test_kl_inverse_extreme_but_attainable_target():
     # near the edge the divergence slope makes value_tol unreachable; the
     # returned point is still interior and its divergence is close on the

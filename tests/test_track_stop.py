@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partid import lb_solvers, partitions
+from partid import lb_solvers, partitions, track_stop
 from partid.cli import main
 from partid.config import parse_config
+from partid.experiments import derive_seed_sequence
 from partid.errors import (DegenerateInstance, DomainError,
                            InfeasibleAlternative, NumericalError,
                            PartidError, UnsupportedCase)
@@ -33,7 +34,7 @@ from partid.partitions import (TOL_CLASS, HalfSpace, Side, Threshold,
                                UnionHalfSpaces, ball, classify, ellipsoid)
 from partid.spef import (bernoulli, clamp_to_interior, gaussian, poisson,
                          sampler)
-from partid.track_stop import (StoppingConfig, _track_and_stop,
+from partid.track_stop import (TIE_BAND, StoppingConfig, _track_and_stop,
                                beta_threshold, run, run_deltas)
 from support import PublicApiKernel
 
@@ -69,16 +70,22 @@ class TestStoppingConfig:
 def _next_arm(t, counts, w_hat):
     """The D-tracking rule written out from t and the counts: a starved
     arm, one whose count is below sqrt(t) - K/2, goes first (lowest index
-    first); else the arm whose fraction counts[i] / t lags w_hat[i] most
-    (lowest index on ties). _reference_run pulls by it, so the run loop's
-    own D-tracking is checked against it there and in
+    first); else the arm whose fraction counts[i] / t lags w_hat[i] most,
+    where an arm takes the pull from the lower-indexed leader only by a
+    lag larger than the leader's by more than TIE_BAND (so the lowest
+    index wins ties and near-ties). _reference_run pulls by it, so the run
+    loop's own D-tracking is checked against it there and in
     test_loop_pulls_by_the_d_tracking_rule."""
     need = math.sqrt(t) - len(counts) / 2.0
     for i, c in enumerate(counts):
         if c < need:
             return i
     lags = [w - c / t for w, c in zip(w_hat, counts)]
-    return lags.index(max(lags))
+    arm = 0
+    for i in range(1, len(lags)):
+        if lags[i] > lags[arm] + TIE_BAND:
+            arm = i
+    return arm
 
 
 class _Scripted:
@@ -129,6 +136,11 @@ class TestDTracking:
         (100, [30, 20, 30, 20], [0.25, 0.25, 0.25, 0.25], 1),
         # the run loop's uniform weights
         (64, [16, 16, 16, 16], [0.25] * 4, 0),
+        # a lag within TIE_BAND of the leader's leaves it the pull
+        (100, [30, 20], [0.3, 0.2 + 5e-10], 0),
+        (100, [30, 20], [0.3, 0.2 + 2e-9], 1),
+        # each lag is compared with the leader's so far
+        (100, [30, 20, 20], [0.3, 0.2 + 6e-10, 0.2 + 1.2e-9], 2),
     ])
     def test_lists_and_arrays_pick_the_same_arm(self, t, counts, w_hat,
                                                 want):
@@ -471,7 +483,7 @@ CLASS_PINNED = [
       2: (57, Side.A1, 10.17942576901201, [50, 7])}),
     ("bernoulli_ball", [bernoulli(), bernoulli()], [0.85, 0.5],
      ball((0.5, 0.5), 0.25),
-     {1: (230, Side.A1, 11.159375620135732, [215, 15]),
+     {1: (220, Side.A1, 11.113197530892807, [206, 14]),
       2: (353, Side.A1, 11.563958222599268, [335, 18])}),
     ("gaussian_union2", [G1, G1], [0.0, 0.0],
      UnionHalfSpaces((((1.0, 0.0), 0.6), ((0.0, 1.0), 0.8))),
@@ -499,6 +511,73 @@ def test_prepared_class_pinned_trajectory(name, models, mu, spec, seed, want):
     assert res.glr_at_stop == pytest.approx(want[2], rel=1e-12, abs=0.0)
     assert res.final_counts.tolist() == want[3]
     assert not res.truncated
+
+
+class _Nudged:
+    """A prepared geometry whose step returns each weight w_hat[i] as
+    nudge(i, w_hat[i])."""
+
+    def __init__(self, geometry, nudge):
+        self.geometry, self.nudge = geometry, nudge
+
+    def step(self, mu, counts, beta):
+        side, z, w_hat = self.geometry.step(mu, counts, beta)
+        if w_hat is not None:
+            w_hat = [self.nudge(i, w) for i, w in enumerate(w_hat)]
+        return side, z, w_hat
+
+
+# raising arm i's weight by 2i ulps, or by i 1e-12 relative, breaks every
+# exact tie of lags toward the higher index, as a solver's rounding could
+NUDGES = {"ulps": lambda i, w: w + 2 * i * math.ulp(w),
+          "relative": lambda i, w: w * (1.0 + i * 1e-12)}
+
+
+def _nudged_campaign(name, replications, nudge):
+    """(stop time, side, Z, counts) of each delta's run on the first
+    replications of configs/<name>.json's campaign, on its prepared
+    geometry, nudged by nudge unless it is None."""
+    cfg = parse_config(str(Path(__file__).parents[1] / "configs"
+                           / f"{name}.json"))
+    models, geometry = list(cfg.arms), prepare(list(cfg.arms), cfg.partition)
+    if nudge is not None:
+        geometry = _Nudged(geometry, nudge)
+    stops = tuple(StoppingConfig(delta=d, c_const=cfg.c_const,
+                                 max_steps=cfg.max_steps) for d in cfg.deltas)
+    return [(r.stop_time, r.declared, r.glr_at_stop, r.final_counts.tolist())
+            for ri in range(replications)
+            for r in run_deltas(models, cfg.true_means, cfg.partition, stops,
+                                np.random.default_rng(
+                                    derive_seed_sequence(cfg.seed, ri)),
+                                geometry)]
+
+
+# (CI campaign config, replications run): without the tie band each
+# nudge reroutes at least one of these runs in all but halfspace_mixed
+# and threshold_gaussian; the Bernoulli configs, whose runs are the
+# longest, run one replication
+NUDGED_CAMPAIGNS = [("ball_gaussian", 2), ("ball_bernoulli", 1),
+                    ("ellipsoid_poisson", 4), ("union_gaussian", 3),
+                    ("best_arm_bernoulli", 1), ("halfspace_symmetric", 4),
+                    ("halfspace_mixed", 2), ("threshold_gaussian", 20),
+                    ("threshold_mixed", 4)]
+
+
+@pytest.mark.parametrize("name,replications", NUDGED_CAMPAIGNS,
+                         ids=[c[0] for c in NUDGED_CAMPAIGNS])
+def test_weights_nudged_in_their_last_bits_reroute_no_run(name,
+                                                          replications):
+    want = _nudged_campaign(name, replications, None)
+    for kind, nudge in NUDGES.items():
+        assert _nudged_campaign(name, replications, nudge) == want, kind
+
+
+def test_without_the_tie_band_a_nudge_reroutes(monkeypatch):
+    # the check above has teeth: with a band of 0 the ulp nudge reroutes
+    # the first replication of the symmetric half-space campaign
+    monkeypatch.setattr(track_stop, "TIE_BAND", 0.0)
+    want = _nudged_campaign("halfspace_symmetric", 1, None)
+    assert _nudged_campaign("halfspace_symmetric", 1, NUDGES["ulps"]) != want
 
 
 def test_solver_kernel_pinned_trajectory_mixed_families():
