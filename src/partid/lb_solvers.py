@@ -19,10 +19,14 @@ gives the sharpest solver its structure allows:
     or projected gradient on the box for a custom oracle. With Gaussian
     arms a half-space's saddle and weighted inner infimum are closed
     forms; otherwise its inner infimum is one Newton root in a multiplier
-    (_row_root, which a union's rows share). A ball's or ellipsoid's
-    inner infimum is a walk on one multiplier with each coordinate solved
-    per family (kl_prox); a custom oracle's is projected gradient on a
-    box.
+    (_row_root, which a union's rows share). Each side of a half-space
+    is one record (_Target) of the closed half-space opposite it, which
+    the run step, the inner infimum, the saddle and every union row
+    read, and one test decides the side: classify's margin
+    (<a, mu> - b) / ||a||, for a run step and solve alike. A ball's or
+    ellipsoid's inner infimum is a walk on one multiplier with each
+    coordinate solved per family (kl_prox); a custom oracle's is
+    projected gradient on a box.
   * UnionHalfSpaces (PreparedUnion, one PreparedHalfSpace per row):
     concave max-min over the simplex. The row whose exact saddle is
     cheapest is tried first: when no other row undercuts it at its
@@ -42,8 +46,9 @@ evaluate the prepared geometry's inner and solution, and a track-and-stop
 run asks it for one step at a time.
 
 Every solver uses one numerical policy, the module constants below.
-Weighted divergence sums are taken left to right (_weighted_kl), as
-hyperplane products are (partitions.row_dot).
+Every sum is taken left to right: weighted divergences (_weighted_kl),
+hyperplane products (partitions.row_dot), a threshold's t* and the
+Gaussian half-space weights' normalizer.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -156,12 +162,11 @@ def _solution(w, nu, cstar, active, residuals, flags=()):
 # weighted inner problems
 
 
-def _linear_sup(models, a) -> float:
-    """sup of <a, nu> over the open product domain (+inf allowed)."""
+def _linear_sup(arms) -> float:
+    """sup of <a, nu> over the open product domain (+inf allowed), for the
+    arms (i, a_i, model) a row touches."""
     s = 0.0
-    for m, ai in zip(models, a):
-        if ai == 0.0:
-            continue
+    for _, ai, m in arms:
         lo, hi = mean_domain(m)
         term = ai * (hi if ai > 0 else lo)
         if math.isinf(term):
@@ -170,34 +175,53 @@ def _linear_sup(models, a) -> float:
     return s
 
 
+# The closed half-space {<a, nu> >= b} for a unit row a, a list: its
+# _linear_sup, the arms it touches as (i, a_i, model) and, when every one
+# of them is Gaussian, their terms (i, a_i, v_i, a_i^2 v_i, 2 v_i) for
+# _gaussian_unit_inner (None otherwise)
+_Target = collections.namedtuple("_Target", "a b sup arms gaussian")
+
+
+def _target(models, a, b) -> _Target:
+    """The _Target of {<a, nu> >= b} for the unit row a over models."""
+    arms = [(i, ai, m) for i, (m, ai) in enumerate(zip(models, a)) if ai]
+    gaussian = None
+    if all(m.family is Family.GAUSSIAN for _, _, m in arms):
+        gaussian = [(i, ai, m.variance, ai * ai * m.variance,
+                     2.0 * m.variance) for i, ai, m in arms]
+    return _Target(a, b, _linear_sup(arms), arms, gaussian)
+
+
 def _row_map(row, mu, w, lam):
     """(s_i, nu_i, d_i) on each arm (i, a_i, model) of row at multiplier
     lam and weights w: s_i = lam a_i / w_i, nu_i = kl_dnu_inverse(mu_i, s_i)
     and d_i = d nu_i / d s_i = 1 / kl_dnu2(mu_i, nu_i), by the unchecked
     family formulas. None past the edge, as is every larger lam: an s_i at
-    dnu_sup, a nu_i rounded onto a domain edge or a d_i that overflows."""
+    dnu_sup or a nu_i rounded onto a domain edge. A d_i may overflow to
+    inf, as a Poisson nu_i^2 / mu_i does far above mu_i."""
     out = []
     for i, ai, m in row:
         op, s = FAMILIES[m.family], lam * ai / w[i]
         nu = op.kl_dnu_inverse(m, mu[i], s) if s < op.dnu_sup else math.nan
         lo, hi = op.domain
         k2 = op.kl_dnu2(m, mu[i], nu) if lo < nu < hi else 0.0
-        if not k2 > 0.0 or 1.0 / k2 == math.inf:
+        if not k2 > 0.0:
             return None
         out.append((s, nu, 1.0 / k2))
     return out
 
 
-def _row_root(row, b, mu, w):
+def _row_root(target, mu, w):
     """(lam, its _row_map, kl_i(mu_i, nu_i) by arm, their w-weighted sum
-    left to right) of the inner infimum over {<a, nu> >= b} for a unit row
-    a with arms row, (i, a_i, model) each, from means mu with <a, mu> < b
-    at weights w positive on them: one Newton root in lam, at the slope
+    left to right) of the inner infimum over target's {<a, nu> >= b} from
+    means mu with <a, mu> < b at weights w positive on the arms it
+    touches: one Newton root in lam, at the slope
     sum_i a_i^2 d_i / w_i to 2 ulp from the Gaussian lam
     (b - <a, mu>) / sum_i a_i^2 V_i(mu_i) / w_i (1 where the sum
-    underflows or the quotient overflows).
-    A lam past the edge is the bracket's positive end; a root next to one
-    raises NumericalError."""
+    underflows or the quotient overflows). Where the slope overflows the
+    step is the bracket's midpoint. A lam past the edge is the bracket's
+    positive end; a root next to one raises NumericalError."""
+    row, b = target.arms, target.b
     lin = scale = 0.0
     for i, ai, m in row:
         lin += ai * mu[i]
@@ -212,7 +236,7 @@ def _row_root(row, b, mu, w):
         for (i, ai, _), (_, nu, d) in zip(row, alt):
             value += ai * nu
             slope += ai * ai * d / w[i]
-        return value - b, slope
+        return value - b, slope if slope < math.inf else 0.0
 
     lam = (b - lin) / scale if scale else math.inf
     lam = newton_root(constraint_at, lam if lam < math.inf else 1.0, 0.0,
@@ -228,52 +252,46 @@ def _row_root(row, b, mu, w):
     return lam, alt, kls, value
 
 
-def _unit_halfspace_inner(models, mu, w, a, b, sup=None, lin=None):
-    """inf of sum_i w_i kl_i(mu_i, nu_i) over {<a, nu> >= b} for a unit row
-    a, with a, mu and w sequences of Python numbers, and its minimizer, a
-    list; sup is _linear_sup(models, a) and lin row_dot(a, mu) when the
-    caller has them. Stationarity puts the minimizer on the slope inverses
-    of one multiplier (_row_root), linear when every arm the row touches
-    is Gaussian: then _gaussian_unit_inner gives the value in closed form,
-    as a run step with Gaussian arms and no zero count does directly.
-    Arms with zero weight are free: they absorb as much of the constraint
-    as their domain edge allows at no cost, and the rest, their row
-    normalized again by row_dot, meet what remains; the infimum is then
-    not attained and the minimizer is None (the value is 0 when the free
-    arms carry the whole row, whose reach is sup > b)."""
-    K = len(models)
+def _unit_halfspace_inner(models, mu, w, target, lin=None):
+    """inf of sum_i w_i kl_i(mu_i, nu_i) over target's {<a, nu> >= b},
+    with mu and w sequences of Python numbers, and its minimizer, a list;
+    lin is row_dot(a, mu) when the caller has it. Stationarity puts the
+    minimizer on the slope inverses of one multiplier (_row_root), linear
+    when every arm the row touches is Gaussian: then _gaussian_unit_inner
+    gives the value in closed form on target's terms, as a run step with
+    Gaussian arms and no zero count does directly. Touched arms with zero
+    weight are free: they absorb as much of the constraint as their
+    domain edge allows at no cost, and the rest, the row without them
+    normalized again by row_dot into a target of its own, meet what
+    remains; the infimum is then not attained and the minimizer is None
+    (the value is 0 when the free arms carry the whole row, whose reach
+    is sup > b)."""
+    b = target.b
     if lin is None:
-        lin = row_dot(a, mu)
+        lin = row_dot(target.a, mu)
     if lin >= b:
         return 0.0, list(mu)
-    if sup is None:
-        sup = _linear_sup(models, a)
-    if not sup > b:
+    if not target.sup > b:
         raise InfeasibleAlternative(
             "half-space does not intersect the mean domain")
 
-    free = [i for i in range(K) if w[i] == 0.0 and a[i] != 0.0]
+    free = [arm for arm in target.arms if w[arm[0]] == 0.0]
     if free:
-        cap = _linear_sup([models[i] for i in free], [a[i] for i in free])
+        cap = _linear_sup(free)
         if math.isinf(cap):
             return 0.0, None
-        keep = [i for i in range(K) if i not in free]
-        rest = [a[i] for i in keep]
+        rest = [0.0 if w[i] == 0.0 else ai for i, ai in enumerate(target.a)]
         norm = math.sqrt(row_dot(rest, rest))
         if norm == 0.0:
             return 0.0, None
-        rest, mu_rest = [x / norm for x in rest], [mu[i] for i in keep]
-        return _unit_halfspace_inner(
-            [models[i] for i in keep], mu_rest, [w[i] for i in keep], rest,
-            (b - cap) / norm, lin=row_dot(rest, mu_rest))[0], None
+        return _unit_halfspace_inner(models, mu, w, _target(
+            models, [x / norm for x in rest], (b - cap) / norm))[0], None
 
     nu = list(mu)
-    row = [(i, ai, m) for i, (m, ai) in enumerate(zip(models, a)) if ai]
-    if all(m.family is Family.GAUSSIAN for _, _, m in row):
-        return _gaussian_unit_inner(mu, w, b, lin, _gaussian_terms(models, a),
-                                    nu), nu
-    _, alt, _, value = _row_root(row, b, mu, w)
-    for (i, _, _), (_, x, _) in zip(row, alt):
+    if target.gaussian is not None:
+        return _gaussian_unit_inner(mu, w, b, lin, target.gaussian, nu), nu
+    _, alt, _, value = _row_root(target, mu, w)
+    for (i, _, _), (_, x, _) in zip(target.arms, alt):
         nu[i] = x
     return value, nu
 
@@ -293,16 +311,9 @@ def _check_minimizer(nu):
         raise NumericalError("inner minimizer escaped to the domain boundary")
 
 
-def _gaussian_terms(models, a):
-    """(i, a_i, v_i, a_i^2 v_i, 2 v_i) for each arm i the row a (a list)
-    touches, every one of them Gaussian."""
-    return [(i, ai, m.variance, ai * ai * m.variance, 2.0 * m.variance)
-            for i, (m, ai) in enumerate(zip(models, a)) if ai != 0.0]
-
-
 def _gaussian_unit_inner(mu, w, b, lin, terms, nu=None):
-    """_unit_halfspace_inner's closed form, for a row whose arms (terms, by
-    _gaussian_terms) are all Gaussian with nonzero weight and lin < b: the
+    """_unit_halfspace_inner's closed form, for a row whose arms (terms, a
+    _Target's) are all Gaussian with nonzero weight and lin < b: the
     slope inverses are linear, so lam = (b - lin) / S with
     S = sum_i a_i^2 v_i / w_i, nu_i = mu_i + v_i lam a_i / w_i, and the
     value is sum_i w_i (mu_i - nu_i)^2 / (2 v_i), summed left to right.
@@ -397,7 +408,9 @@ def _level_root(models, mu, f, grad, c, box, t, exact=True):
     descent, whose probe stops at its first point with f < c. A face
     saturates at the last float inside an arm's domain. c - f(x) rises
     with r = sqrt(t): doubling t from the first trial t (1 unless that is
-    a positive float) brackets its root, and one Newton root in r finds it
+    a positive float) brackets its root, or, when the first trial meets
+    the set with every face saturated and so gives no slope, halving it
+    does, and one Newton root in r finds it
     at the envelope slope -sum_i df/dnu_i 2 r / kl_dnu_i over the arms on
     unsaturated faces. One ulp of x_i moves arm i's divergence by about
     |kl_dnu_i| ulp: the coarsest such arm is inverted at the root's level,
@@ -432,6 +445,17 @@ def _level_root(models, mu, f, grad, c, box, t, exact=True):
     else:
         raise InfeasibleAlternative(
             "the set is unreachable from mu inside the mean domain")
+    # a feasible first trial whose faces are all saturated has no slope:
+    # halving t brackets the root from below, as bisecting in r from 0
+    # would take one evaluation per halving of r
+    while gap > 0.0 and not slope and last["box"][1] and r_neg == 0.0 < t:
+        t *= 0.5
+        r_low = math.sqrt(t)
+        gap_low, slope_low = gap_at(r_low, probe=True)
+        if gap_low < 0.0:
+            r_neg, gap_neg = r_low, gap_low
+        else:
+            r, gap, slope = r_low, gap_low, slope_low
     step = 0.0
     if gap > 0.0:
         # the first Newton step from the feasible end; without a slope, or
@@ -488,16 +512,19 @@ def _box_minimizer(models, mu, w, sub: ConvexSublevel):
     which also keeps iterates inside bounded mean domains. A face at an
     arm's last float inside its domain cannot grow, so an optimum pressing
     only such faces is the least value over the domain in float64, as a
-    ball's kl_prox is there."""
+    ball's kl_prox is there. An arm's box level is the level over its
+    weight, capped at the largest float where a tiny weight overflows
+    it."""
     f, gradf = sub.value, sub.grad
     K = len(models)
     floor, ceil = map(np.array, _last_floats(models))
-    state = {"x": np.array(mu), "level": 8.0}
+    state, wl = {"x": np.array(mu), "level": 8.0}, w.tolist()
 
     def nu_of(lam):
         while True:
             lv = state["level"]
-            lo, hi = _divergence_box(models, mu, lv / w)
+            lo, hi = _divergence_box(models, mu, [
+                min(lv / x, sys.float_info.max) for x in wl])
 
             def psi(x):
                 return _weighted_kl(models, mu, w, x, range(K)) \
@@ -530,23 +557,6 @@ def _uniform(k: int) -> list:
     """The run loop's fallback weights on k arms: on a boundary step, and
     where the allocation raises a PartidError."""
     return [1.0 / k] * k
-
-
-# np.add.reduce sums fewer floats than this left to right, and from this
-# many on in pairwise blocks, which round otherwise
-_PAIRWISE_FROM = 8
-
-
-def _sum(xs) -> float:
-    """The sum np.add.reduce gives of a list of floats: below
-    _PAIRWISE_FROM terms the left-to-right loop, taken without numpy, and
-    from there on np.add.reduce's pairwise blocks."""
-    if len(xs) < _PAIRWISE_FROM:
-        s = 0.0
-        for x in xs:
-            s += x
-        return s
-    return float(np.add.reduce(xs))
 
 
 class PreparedThreshold:
@@ -587,10 +597,8 @@ class PreparedThreshold:
         above it and arm the one with the largest divergence (lowest index
         on ties, -1 when none is positive); gaps and t* are None. Below it
         z is the least w_i kl_i(mu_i, u) and arm its arm (lowest index on
-        ties), gaps lists every divergence and positive tells whether each
-        is positive; then t*, the sum of their inverses, is the one
-        np.add.reduce gives (_sum), as solve_threshold summed on arrays:
-        the left-to-right sum below _PAIRWISE_FROM arms."""
+        ties), gaps lists every divergence, positive tells whether each
+        is positive and t* is the sum of their inverses, left to right."""
         u, gap, two_v = self.u, self.gap, self.two_v
         if side is _A1:
             z, top, best = 0.0, -1, 0.0
@@ -622,8 +630,6 @@ class PreparedThreshold:
                 tstar += 1.0 / g
             else:
                 positive = False
-        if self.k >= _PAIRWISE_FROM and positive:
-            tstar = _sum([1.0 / g for g in gaps])
         return z, lowest, gaps, tstar, positive
 
     def _weights(self, side: Side, arm, gaps, tstar, positive):
@@ -715,25 +721,28 @@ class PreparedThreshold:
 
 class PreparedHalfSpace:
     """What a half-space instance keeps fixed while the means move, computed
-    once: the raw row and its norm for classify's side test; for each side,
-    the unit row and offset of the closed half-space {<a, nu> >= b} opposite
-    it, with its _linear_sup; the arms' domains; and, when every arm is
-    Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with the scale
-    sum_i |a_i| sqrt(2 v_i), and for each side the row's variances and
-    a_i^2 v_i on the arms it touches (_gaussian_terms). Rows are lists of
-    Python floats, and every product and norm is row_dot's, so they round
+    once: the raw row and its norm for the side test (_dot_and_side); for
+    each side one record (_Target) of the closed half-space
+    {<a, nu> >= b} opposite it, with the unit row and offset, their
+    _linear_sup, the arms the row touches and, when all of those are
+    Gaussian, their closed-form terms; the arms' domains; and, when every
+    arm is Gaussian, the saddle weights |a_i| sqrt(v_i) normalized, with
+    the scale sum_i |a_i| sqrt(2 v_i). Rows are lists of Python floats,
+    and every product, norm and sum is taken left to right, so they round
     the same on every host. inner_inf and solve_halfspace prepare one per
     call, a Monte Carlo campaign one for all its runs, and a union one per
     row (a row may have zero entries).
 
-    A step takes the side and the unit-row product in one pass over the
-    means; the opposite side's row is the negated unit row, whose product
-    is the negated one, bit for bit. With Gaussian arms and no zero count
-    the statistic is _gaussian_unit_inner on the prepared terms and the
-    weights are fixed once the margin and c* > 0 checks pass, so such a
-    step makes no numpy call; other families solve the saddle on the means
-    as an array. Either way the step gives the floats inner_inf and solve
-    give at the same means.
+    One test decides the side, classify's expression in _dot_and_side:
+    a run step and the saddle (_orient) reject the same boundary band, bit
+    for bit. A step takes the side and the unit-row product in one pass
+    over the means; the opposite side's row is the negated unit row, whose
+    product is the negated one, bit for bit. With Gaussian arms and no
+    zero count the statistic is _gaussian_unit_inner on the record's terms
+    and the weights are fixed once c* > 0, so such a step makes no numpy
+    call; other families solve the saddle on the means as an array. Either
+    way the step gives the floats inner_inf and solve give at the same
+    means.
     """
 
     def __init__(self, models: Sequence[SpefModel], spec: HalfSpace):
@@ -746,13 +755,11 @@ class PreparedHalfSpace:
         self.norm = math.sqrt(row_dot(self.a, self.a))
         if self.norm == 0.0:
             raise ValueError("half-space normal is the zero vector")
-        unit = [x / self.norm for x in self.a]
+        self.unit = unit = [x / self.norm for x in self.a]
         b_unit = self.b / self.norm
-        self.unit, self.b_unit = unit, b_unit
         # indexed by whether the means lie on A2 (a Side would be hashed)
-        self.targets = tuple((row, off, _linear_sup(models, row))
-                             for row, off in ((unit, b_unit),
-                                              ([-x for x in unit], -b_unit)))
+        self.targets = (_target(models, unit, b_unit),
+                        _target(models, [-x for x in unit], -b_unit))
         self.domains = [mean_domain(m) for m in models]
         self.gaussian_w = None
         if all(m.family is Family.GAUSSIAN for m in models):
@@ -761,21 +768,13 @@ class PreparedHalfSpace:
             self.reach_sum = row_dot([abs(x) for x in unit], self.reach)
             # not a / slopes: their rounding would break exact weight ties
             raw = [abs(x) * math.sqrt(v) for x, v in zip(unit, variances)]
-            total = _sum(raw)
+            total = 0.0
+            for x in raw:
+                total += x
             self.gaussian_w = [x / total for x in raw]
-            # the step's closed form, per side as targets: the row's
-            # _gaussian_terms, offset and _linear_sup; the negated row's
-            # terms negate a_i alone
-            terms = _gaussian_terms(models, unit)
-            (_, b1, sup1), (_, b2, sup2) = self.targets
-            self.gaussian_targets = (
-                (terms, b1, sup1),
-                ([(i, -ai, v, a2v, tv) for i, ai, v, a2v, tv in terms],
-                 b2, sup2))
 
-    def target(self, side: Side):
-        """(unit row, offset, _linear_sup of the row) of the closed
-        half-space {<a, nu> >= b} opposite means on side."""
+    def target(self, side: Side) -> _Target:
+        """The _Target of the closed half-space opposite means on side."""
         return self.targets[side is Side.A2]
 
     def _dot_and_side(self, mu):
@@ -794,68 +793,63 @@ class PreparedHalfSpace:
         then the count-weighted inner infimum after the domain check and,
         unless it reaches beta, the weights, with the run loop's
         fallbacks. With Gaussian arms and no zero count the inner infimum
-        is _gaussian_unit_inner on the prepared terms and the domain check
+        is _gaussian_unit_inner on the target's terms and the domain check
         a finiteness test of the product."""
         dot, side = self._dot_and_side(mu)
         if side is _BOUNDARY:
             return side, 0.0, _uniform(len(mu))
         lin = dot if side is _A1 else -dot
+        target = self.targets[side is _A2]
         if self.gaussian_w is None or 0 in counts:
             _check_domains(self.models, self.domains, mu)
-            a, b, sup = self.targets[side is _A2]
-            z = _unit_halfspace_inner(self.models, mu, counts, a, b, sup,
-                                      lin)[0]
+            z = _unit_halfspace_inner(self.models, mu, counts, target, lin)[0]
         else:
             # a mean that is not finite makes the unit-row product NaN or
             # infinite, and the Gaussian domain is the whole line
             if not math.isfinite(dot):
                 _check_domains(self.models, self.domains, mu)
-            terms, b, sup = self.gaussian_targets[side is _A2]
+            b = target.b
             z = 0.0
             if lin < b:
-                if not sup > b:
-                    raise InfeasibleAlternative(
-                        "half-space does not intersect the mean domain")
-                z = _gaussian_unit_inner(mu, counts, b, lin, terms)
+                z = _gaussian_unit_inner(mu, counts, b, lin, target.gaussian)
         if z >= beta:
             return side, z, None
         try:
-            return side, z, self._weights(mu, dot)
+            return side, z, self._weights(mu, target, lin)
         except PartidError:
             return side, z, _uniform(len(mu))
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the weighted inner infimum from means mu on
         side to the closure of the other side (mu and w arrays)."""
-        a, b, sup = self.target(side)
         value, nu = _unit_halfspace_inner(self.models, mu.tolist(),
-                                          w.tolist(), a, b, sup)
+                                          w.tolist(), self.target(side))
         return value, None if nu is None else np.array(nu)
 
-    def _orient(self, dot: float):
-        """(side, unit row, offset, <row, mu>) for means whose unit-row
-        product is dot: the side by the unit-row margin, which must clear
-        1e-12, and that side's target, which must meet the domain."""
-        margin = dot - self.b_unit
-        if abs(margin) <= 1e-12:
+    def _orient(self, mul):
+        """(side, target, <row, mu>) for means mul, a list: the side by
+        _dot_and_side, which must be off the boundary band, and that
+        side's target, which must meet the domain."""
+        dot, side = self._dot_and_side(mul)
+        if side is _BOUNDARY:
             raise DegenerateInstance("mu lies on the separating hyperplane")
-        side = Side.A2 if margin > 0 else Side.A1
-        a, b, sup = self.target(side)
-        if not sup > b:
+        target = self.targets[side is _A2]
+        if not target.sup > target.b:
             raise InfeasibleAlternative(
                 "the open half-space does not intersect the mean domain")
-        return side, a, b, dot if side is Side.A1 else -dot
+        return side, target, dot if side is _A1 else -dot
 
     def saddle(self, mu):
         """(side of mu, c*, nu*, w*, whether an arm sits at the last float
         before its domain edge) at checked means mu, as solve_halfspace
         reports them: the closed form with Gaussian arms, otherwise the
         level root (_level_root). An arm the row does not touch keeps its
-        mean, at weight 0. Raises DegenerateInstance within 1e-12 of the
-        hyperplane and InfeasibleAlternative when the opposite half-space
-        misses the domain."""
+        mean, at weight 0. Raises DegenerateInstance on the boundary band
+        and InfeasibleAlternative when the opposite half-space misses the
+        domain."""
         mul = mu.tolist()
-        side, a, b, lin = self._orient(row_dot(self.unit, mul))
+        side, target, lin = self._orient(mul)
+        a, b = target.a, target.b
         if self.gaussian_w is not None:
             # sqrt(c*) = (b - <a, mu>) / sum_i |a_i| sqrt(2 v_i)
             r = (b - lin) / self.reach_sum
@@ -865,43 +859,37 @@ class PreparedHalfSpace:
         # the corner of each box toward the row, each arm the row touches
         # inverted once, from the Gaussian sqrt(c*) (b - <a, mu>) /
         # sum_i |a_i| sqrt(2 v_i), each variance taken at the mean
-        models, busy = self.models, [i for i, ai in enumerate(a) if ai]
-        toward = [Direction.ABOVE if ai > 0 else Direction.BELOW for ai in a]
-        reach, minus_a = 0.0, [-ai for ai in a]
-        for i in busy:
-            reach += abs(a[i]) * math.sqrt(
-                2.0 * FAMILIES[models[i].family].variance(models[i], mul[i]))
+        arms, reach, minus_a = target.arms, 0.0, [-ai for ai in a]
+        busy = [i for i, _, _ in arms]
+        toward = [Direction.ABOVE if ai > 0 else Direction.BELOW
+                  for _, ai, _ in arms]
+        for i, ai, m in arms:
+            reach += abs(ai) * math.sqrt(
+                2.0 * FAMILIES[m.family].variance(m, mul[i]))
 
         def corner(t, probe):
             x = list(mul)
-            for i in busy:
-                x[i] = kl_inverse_capped(models[i], mul[i], t, toward[i])
+            for (i, _, m), d in zip(arms, toward):
+                x[i] = kl_inverse_capped(m, mul[i], t, d)
             return x, busy, 0.0
 
         r = (b - lin) / reach
         cstar, nu, w, saturated, _, _ = _level_root(
-            models, mul, lambda x: -row_dot(a, x), lambda x: minus_a, -b,
-            corner, r * r)
+            self.models, mul, lambda x: -row_dot(a, x), lambda x: minus_a,
+            -b, corner, r * r)
         return side, cstar, nu, w, saturated
 
-    def _weights(self, mu, dot: float) -> list:
-        """w* of solve_halfspace as a list at checked means mu (a list)
-        whose unit-row product is dot, after its checks, c* > 0 included.
-        With Gaussian arms the weights do not depend on the means, and the
-        checks are _orient's and saddle's c* = r^2 > 0 on the margin, where
-        b - <a, mu> on the means' side is -margin or margin, bit for bit."""
+    def _weights(self, mu, target, lin: float) -> list:
+        """w* of solve_halfspace as a list at checked means mu (a list) off
+        the boundary band, whose side has this target and unit-row product
+        lin, after its checks, c* > 0 included. With Gaussian arms the
+        weights do not depend on the means, and the check is saddle's
+        c* = r^2 > 0 on the same r, bit for bit."""
         if self.gaussian_w is None:
             _, cstar, _, w, _ = self.saddle(np.array(mu, dtype=float))
             _check_saddle_value(cstar)
             return w.tolist()
-        margin = dot - self.b_unit
-        if abs(margin) <= 1e-12:
-            raise DegenerateInstance("mu lies on the separating hyperplane")
-        _, b, sup = self.gaussian_targets[margin > 0]
-        if not sup > b:
-            raise InfeasibleAlternative(
-                "the open half-space does not intersect the mean domain")
-        r = margin / self.reach_sum
+        r = (target.b - lin) / self.reach_sum
         _check_saddle_value(r * r)
         return self.gaussian_w
 
@@ -912,8 +900,8 @@ class PreparedHalfSpace:
         models = self.models
         side, cstar, nu, w, saturated = \
             self.saddle(mu) if saddle is None else saddle
-        al, b, _ = self.target(side)
-        a = np.array(al)
+        target = self.target(side)
+        a = np.array(target.a)
         slopes = np.array([kl_dnu(models[i], mu[i], nu[i])
                            for i in range(mu.size)])
 
@@ -925,7 +913,7 @@ class PreparedHalfSpace:
         residuals = {
             "equal_divergence": float(np.max(np.abs(levels[touched]
                                                     - cstar))),
-            "hyperplane": abs(row_dot(al, nu.tolist()) - b),
+            "hyperplane": abs(row_dot(target.a, nu.tolist()) - target.b),
             "sign_violations": float(np.sum(np.sign(nu - mu) != np.sign(a))),
             "tangency_spread": float(np.max(ratios) - np.min(ratios)),
             "saddle_gap": abs(row_dot(w.tolist(), levels.tolist()) - cstar),
@@ -1096,9 +1084,10 @@ _Row = collections.namedtuple("_Row", "a b")
 class PreparedUnion(_SolvedGeometry):
     """A union of half-spaces with the means in the polytope outside it:
     one PreparedHalfSpace per row, built from the raw row, so each row is
-    normalized once, and each row's A1 target and _row_root's arms and
-    offset. inner_inf and solve_union_halfspaces prepare one per call, a
-    Monte Carlo campaign one for all its runs."""
+    normalized once, and each row's A1 target (_Target), which the
+    single-row certificate, the KKT steps and the barrier read.
+    inner_inf and solve_union_halfspaces prepare one per call, a Monte
+    Carlo campaign one for all its runs."""
 
     def __init__(self, models: Sequence[SpefModel], spec: UnionHalfSpaces):
         if len(spec.halfspaces[0][0]) != len(models):
@@ -1108,9 +1097,6 @@ class PreparedUnion(_SolvedGeometry):
         self.rows = [PreparedHalfSpace(models, _Row(a, b))
                      for a, b in spec.halfspaces]
         self.targets = [row.target(Side.A1) for row in self.rows]
-        self.touches = [([(i, ai, m) for i, (m, ai)
-                          in enumerate(zip(models, a)) if ai], b)
-                        for a, b, _ in self.targets]
 
     def inner(self, mu, w, side: Side):
         """(value, minimizer) of the least row inner infimum (the first row
@@ -1123,8 +1109,8 @@ class PreparedUnion(_SolvedGeometry):
         array): the single-row certificate, else _settle from where it
         failed, else _barrier."""
         self._check_side(mu, "polytope boundary")
-        for j, (_, b, sup) in enumerate(self.targets):
-            if not sup > b:
+        for j, target in enumerate(self.targets):
+            if not target.sup > target.b:
                 raise InfeasibleAlternative(
                     f"half-space {j} does not intersect the mean domain")
         sol, w, rows = self._single_row(mu)
@@ -1182,10 +1168,10 @@ class PreparedUnion(_SolvedGeometry):
         and max_i sum_j theta_j kl_ij bound the saddle value at any w and
         mixture, so duality_gap, their difference, certifies the answer;
         NumericalError when it exceeds TOL_KKT."""
-        S = sorted({i for j in J for i, _, _ in self.touches[j][0]})
+        S = sorted({i for j in J for i, _, _ in self.targets[j].arms})
         w, mul = _spread(w.tolist(), S), mu.tolist()
         try:
-            roots = [_row_root(*self.touches[j], mul, w) for j in J]
+            roots = [_row_root(self.targets[j], mul, w) for j in J]
         except NumericalError:  # nu^j past the last float: no start
             return None, None
         nS, nJ, stop = len(S), len(J), evals[0] + 20
@@ -1248,7 +1234,8 @@ class PreparedUnion(_SolvedGeometry):
         with kl_ij = kl_i(mu_i, nu^j_i) and (s, nu^j_i, d) row j's _row_map
         at lam_j (nu^j_i = mu_i where a_ji = 0): nu^j_i moves by
         d a_ji / w_i in lam_j and -d s / w_i in w_i, and kl_ij by s times
-        that. None off the domain (w, lam or a _row_map past the edge)."""
+        that. None off the domain (w, lam or a _row_map past the edge) and
+        where a d overflows."""
         nS, nJ = len(S), len(J)
         if not float(np.min(x[:nS + nJ])) > 0.0:
             return None
@@ -1259,11 +1246,14 @@ class PreparedUnion(_SolvedGeometry):
         col, n = {i: q for q, i in enumerate(S)}, nS + 2 * nJ + 1
         f, jac, alts = np.zeros(n), np.zeros((n, n)), []
         for p, j in enumerate(J):
-            alt = _row_map(self.touches[j][0], mul, w, lam[p])
+            target = self.targets[j]
+            alt = _row_map(target.arms, mul, w, lam[p])
             if alt is None:
                 return None
             nu, kls = list(mul), [0.0] * len(mul)
-            for (i, ai, m), (s, nu_i, d) in zip(self.touches[j][0], alt):
+            for (i, ai, m), (s, nu_i, d) in zip(target.arms, alt):
+                if d == math.inf:
+                    return None
                 q, wi = col[i], w[i]
                 nu[i], kls[i] = nu_i, FAMILIES[m.family].kl(m, mul[i], nu_i)
                 jac[p, q] = -ai * d * s / wi
@@ -1273,7 +1263,7 @@ class PreparedUnion(_SolvedGeometry):
                 jac[2 * nJ + q, q] -= theta[p] * d * s * s / wi
                 jac[2 * nJ + q, nS + p] = theta[p] * s * d * ai / wi
                 jac[2 * nJ + q, nS + nJ + p] = kls[i]
-            f[p] = row_dot(self.targets[j][0], nu) - self.targets[j][1]
+            f[p] = row_dot(target.a, nu) - target.b
             f[nJ + p] = math.fsum(w[i] * kls[i] for i in S) - x[-1]
             alts.append((nu, kls))
         for q, i in enumerate(S):
@@ -1295,25 +1285,34 @@ class PreparedUnion(_SolvedGeometry):
         from the rows with g_j - c below sqrt(tau c), theta_j =
         tau / (g_j - c), and tries the rows it names next, once per row."""
         m, mul = len(self.rows), mu.tolist()
-        S = sorted({i for arms, _ in self.touches for i, _, _ in arms})
+        S = sorted({i for target in self.targets for i, _, _ in target.arms})
         nS, w = len(S), np.array(_spread(w.tolist(), S))
+
+        def roots_at(w):
+            # NumericalError where a d overflows: the Hessian needs them all
+            roots = [_row_root(target, mul, w.tolist())
+                     for target in self.targets]
+            if any(d == math.inf for _, alt, _, _ in roots for _, _, d in alt):
+                raise NumericalError("union barrier slope overflows")
+            return roots
+
         # halfway to uniform: a start well inside the simplex
         w[S] = 0.5 * (w[S] + 1.0 / nS)
-        roots = [_row_root(*row, mul, w.tolist()) for row in self.touches]
+        roots = roots_at(w)
         g = np.array([g for _, _, _, g in roots])
         c = 0.5 * float(np.min(g))
         tau, goal = c / (m + nS), 1e-2
         while True:
             r = g - c
             grad, hess = np.zeros(nS + 1), np.zeros((nS + 1, nS + 1))
-            for (_, alt, kls, _), (t, _), rj in zip(roots, self.touches, r):
+            for (_, alt, kls, _), target, rj in zip(roots, self.targets, r):
                 q = np.array([kls[i] for i in S] + [-1.0])
                 grad += q / rj
                 hess -= np.outer(q, q) / (rj * rj)
                 # g_j's Hessian in w: u u^T / D - diag(s^2 d / w), with
                 # (s, nu, d) the root's _row_map, u = s d a / w, D its slope
                 u, diag, big_d = np.zeros(nS), np.zeros(nS), 0.0
-                for (i, ai, _), (s, _, d) in zip(t, alt):
+                for (i, ai, _), (s, _, d) in zip(target.arms, alt):
                     k = S.index(i)
                     u[k], diag[k] = s * d * ai / w[i], s * s * d / w[i]
                     big_d += ai * ai * d / w[i]
@@ -1352,11 +1351,11 @@ class PreparedUnion(_SolvedGeometry):
                 cn = c + t * dz[-1]
                 gn = None
                 if np.all(wn[S] > 0.0):
+                    # an alternative past the last float, or a d overflows
                     try:
-                        rootsn = [_row_root(*row, mul, wn.tolist())
-                                  for row in self.touches]
+                        rootsn = roots_at(wn)
                         gn = np.array([g for _, _, _, g in rootsn])
-                    except NumericalError:  # alternatives past the last float
+                    except NumericalError:
                         pass
                 if gn is not None:
                     rn = gn - cn

@@ -54,8 +54,11 @@ class Threshold:
 @dataclass(frozen=True)
 class HalfSpace:
     """Partition by the sign of <a, nu> - b. Every entry of a must be
-    nonzero: a zero coefficient makes the equal-divergence construction in
-    the solvers meaningless for that arm."""
+    nonzero: an arm with a zero coefficient cannot move the means across
+    the hyperplane, so its saddle weight is 0 and a run would sample it
+    only to explore; the same partition over the other arms is the
+    problem to pose. (The solvers take zero entries: a union's rows may
+    have them, and each is solved as a half-space.)"""
     a: tuple[float, ...]
     b: float
 

@@ -71,15 +71,20 @@ class TestSolveThreshold:
 
     @pytest.mark.parametrize("k", [2, 5, 7, 8, 9, 12, 17, 40, 130, 300])
     def test_below_side_sums_t_star_in_numpy_order(self, k):
-        # the weights are computed on Python floats; t* and w* must still
-        # be numpy's sum of the inverse divergences, bit for bit
+        # the weights are computed on Python floats; t* and w* must be the
+        # left-to-right sum of the inverse divergences, bit for bit, which
+        # below 8 terms is numpy's sum (from 8 on it sums pairwise)
         rng = np.random.default_rng(k)
         models = [gaussian(v) for v in rng.uniform(0.2, 3.0, k)]
         mu = rng.uniform(-2.0, 0.9, k)
         sol = solve_threshold(models, mu, 1.0)
         gaps = np.array([kl(m, x, 1.0) for m, x in zip(models, mu)])
         inv = 1.0 / gaps
-        tstar = np.add.reduce(inv)
+        tstar = 0.0
+        for x in inv.tolist():
+            tstar += x
+        if k < 8:
+            assert tstar == np.add.reduce(inv)
         assert sol.c_star == 1.0 / tstar
         np.testing.assert_array_equal(sol.w_star, inv / tstar)
 
@@ -260,6 +265,17 @@ def test_bernoulli_optimum_below_the_smallest_float():
     assert sol.kkt_residuals["tangency_spread"] == 0.0
 
 
+def test_a_saturated_first_trial_brackets_the_level_by_halving():
+    # arm 0's variance at mu_0 = 1e-200 puts the Gaussian first trial at
+    # t = 1.25e199, where both arms sit at their last floats below 1: no
+    # face gives a slope, and bisecting r = sqrt(t) up from 0 would take
+    # more than the 200 evaluations a Newton root allows. c* is
+    # kl(1e-200, 0.5), which is log 2 in float64
+    sol = solve([bernoulli()] * 2, [1e-200, 0.5],
+                HalfSpace((1.0, 1e-300), 0.5))
+    assert sol.c_star == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
+
+
 def _spied_row_map(monkeypatch):
     """Record, for each _row_map evaluation, whether it was past the edge
     (None)."""
@@ -328,6 +344,15 @@ class TestHalfSpaceInnerRoot:
             inner_inf([bernoulli(), bernoulli()], [0.5, 0.5], [1e-12, 1.0],
                       HalfSpace((1.0, 1.0), 1.999999))
         assert any(trials)
+
+    def test_a_slope_that_overflows_is_not_the_edge(self):
+        # at the root nu_0 is about 1e305 from mu_0 = 1e300, so the Poisson
+        # slope d_0 = nu_0^2 / mu_0 overflows: those steps bisect. The
+        # reference is mpmath's at 400 digits
+        got = inner_inf([poisson(), poisson()], [1e300, 1.0], [1.0, 1.0],
+                        HalfSpace((1.0, 1.0), 1e305))
+        assert got.value == pytest.approx(9.99874870745350e304, rel=1e-10,
+                                          abs=0.0)
 
     def test_few_row_map_evaluations(self, monkeypatch):
         # mixed families, K = 2-6, weights Dirichlet times 10^U(-2, 4)
@@ -700,6 +725,18 @@ class TestConvexNewtonLevel:
         assert got.c_star == pytest.approx(want.c_star, rel=1e-12)
         np.testing.assert_allclose(got.w_star, want.w_star, rtol=1e-9)
         np.testing.assert_allclose(got.nu_star, want.nu_star, rtol=1e-12)
+
+    def test_custom_oracle_at_a_subnormal_weight(self):
+        # 8 / 1e-310 overflows: arm 0's box level is the largest float, and
+        # the value is the ball's to the multiplier walk's tolerance of
+        # 1e-12 on the level, which moves nu_1 by about 1e-12
+        models, mu, w = [G1, G1], [2.0, 0.5], [1e-310, 1.0]
+        spec = ball((0.0, 0.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inner_inf(models, mu, w, _custom_copy(spec))
+        assert got.value == pytest.approx(inner_inf(models, mu, w,
+                                                     spec).value, abs=1e-20)
 
     @pytest.mark.parametrize("w", [(1.0, 1.0), (0.3, 0.7)])
     def test_unreachable_custom_oracle_is_infeasible(self, w):
@@ -1189,9 +1226,10 @@ class _NoNumpy:
 def test_gaussian_halfspace_prepare_is_todays_numpy_floats(monkeypatch, k):
     # reach, reach_sum and gaussian_w are taken on Python floats; they must
     # be the floats of the numpy expressions they replace, bit for bit,
-    # over variances from 1e-6 to 1e6 and rows with zero entries. Below 8
-    # arms the weights' normalizer is the left-to-right loop, which equals
-    # np.add.reduce's sum there, and prepare makes no numpy call at all
+    # over variances from 1e-6 to 1e6 and rows with zero entries. The
+    # weights' normalizer is the left-to-right loop, which equals
+    # np.add.reduce's sum below 8 arms, and prepare makes no numpy call at
+    # all
     rng = np.random.default_rng(4100 + k)
     for _ in range(300):
         variances = 10.0 ** rng.uniform(-6, 6, k)
@@ -1208,12 +1246,15 @@ def test_gaussian_halfspace_prepare_is_todays_numpy_floats(monkeypatch, k):
         assert geometry.reach_sum == \
             partitions.row_dot([abs(x) for x in geometry.unit],
                                reach.tolist())
-        assert geometry.gaussian_w == (raw / raw.sum()).tolist()
-    if k < 8:
-        monkeypatch.setattr(lb_solvers, "np", _NoNumpy())
-        monkeypatch.setattr(partitions, "np", _NoNumpy())
-        assert PreparedHalfSpace(models, spec).gaussian_w == \
-            geometry.gaussian_w
+        total = 0.0
+        for x in raw.tolist():
+            total += x
+        if k < 8:
+            assert total == raw.sum()
+        assert geometry.gaussian_w == (raw / total).tolist()
+    monkeypatch.setattr(lb_solvers, "np", _NoNumpy())
+    monkeypatch.setattr(partitions, "np", _NoNumpy())
+    assert PreparedHalfSpace(models, spec).gaussian_w == geometry.gaussian_w
 
 
 @st.composite

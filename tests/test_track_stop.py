@@ -1114,8 +1114,8 @@ def _step_counts(rng, k):
 @pytest.mark.parametrize("k,kind", [
     (k, kind) for k in (1, 2, 3, 5)
     for kind in ("bernoulli_poisson", "gaussian", "mixed")] + [
-    # t* is the pass's left-to-right sum up to 7 arms, np.add.reduce's
-    # from 8 on (_sum)
+    # t* is the pass's left-to-right sum, which np.add.reduce's pairwise
+    # sum rounds otherwise from 8 arms on
     (7, "gaussian"), (8, "gaussian"), (9, "gaussian")])
 def test_threshold_step_is_the_public_solvers_with_the_loop_fallbacks(k,
                                                                       kind):
