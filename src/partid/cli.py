@@ -17,7 +17,6 @@ PARTID_SEED environment variable overrides the config seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,7 +27,7 @@ from .errors import (ConfigError, DegenerateInstance, DomainError,
                      InfeasibleAlternative, NumericalError, UnsupportedCase)
 from .experiments import (risk_demo, run_experiment, run_single,
                           write_risk_csv, write_risk_json, write_rows_csv,
-                          write_summary_json, _json_safe)
+                          write_summary_json, _json_text, _write_json)
 from .lb_solvers import solve
 
 EXIT_OK = 0
@@ -117,11 +116,9 @@ def cmd_lb(cfg: ExperimentConfig, args) -> int:
     sol = solve(list(cfg.arms), np.array(cfg.true_means), cfg.partition)
     payload = _solution_payload(sol)
     out = os.path.join(args.out, "lb.json")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = _write_json(payload, out)
     if args.format == "json":
-        print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
+        print(text)
     else:
         print(f"c_star     {sol.c_star:.12g}")
         print(f"t_star     {sol.t_star:.12g}")
@@ -148,7 +145,7 @@ def cmd_run(cfg: ExperimentConfig, args) -> int:
         "truncated": row.truncated,
     }
     if args.format == "json":
-        print(json.dumps(_json_safe(payload), indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         status = "truncated" if row.truncated else (
             "correct" if row.correct else "WRONG")
@@ -164,11 +161,9 @@ def cmd_mc(cfg: ExperimentConfig, args) -> int:
     csv_path = os.path.join(args.out, "results.csv")
     json_path = os.path.join(args.out, "summary.json")
     write_rows_csv(report.rows, csv_path)
-    write_summary_json(report, json_path)
+    text = write_summary_json(report, json_path)
     if args.format == "json":
-        print(json.dumps(_json_safe({"summaries": report.summaries,
-                                     "provenance": report.provenance}),
-                         indent=2, sort_keys=True))
+        print(text)
     else:
         print(f"{'delta':>10s} {'error':>8s} {'mean_T':>10s} {'std_T':>10s} "
               f"{'T/log(1/d)':>11s} {'t_star':>9s} {'trunc':>6s}")
@@ -186,12 +181,10 @@ def cmd_risk(cfg: RiskDemoConfig, args) -> int:
     csv_path = os.path.join(args.out, "risk_paths.csv")
     json_path = os.path.join(args.out, "risk_summary.json")
     write_risk_csv(report.rows, csv_path)
-    write_risk_json(report, json_path)
+    text = write_risk_json(report, json_path)
     s = report.summary
     if args.format == "json":
-        print(json.dumps(_json_safe({"summary": s,
-                                     "provenance": report.provenance}),
-                         indent=2, sort_keys=True))
+        print(text)
     else:
         print(f"gamma_hat   {s['gamma_hat']:.6f}")
         print(f"gamma_exact {s['gamma_exact']:.6f} (same paths)")

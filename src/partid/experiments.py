@@ -245,12 +245,23 @@ def _json_safe(obj):
     return obj
 
 
-def write_summary_json(report: ExperimentReport, path: str):
-    payload = _json_safe({"summaries": report.summaries,
-                          "provenance": report.provenance})
+def _json_text(payload) -> str:
+    """payload as every JSON artifact spells it: non-finite floats as
+    null, keys sorted, two-space indent."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+
+
+def _write_json(payload, path: str) -> str:
+    """Write _json_text(payload) and a newline to path; return the text."""
+    text = _json_text(payload)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+    return text
+
+
+def write_summary_json(report: ExperimentReport, path: str) -> str:
+    return _write_json({"summaries": report.summaries,
+                        "provenance": report.provenance}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +344,6 @@ def write_risk_csv(rows: Sequence[RiskPathRow], path: str):
                              r.stop_time, "true" if r.truncated else "false"])
 
 
-def write_risk_json(report: RiskReport, path: str):
-    payload = _json_safe({"summary": report.summary,
-                          "provenance": report.provenance})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_risk_json(report: RiskReport, path: str) -> str:
+    return _write_json({"summary": report.summary,
+                        "provenance": report.provenance}, path)

@@ -25,8 +25,9 @@ gives the sharpest solver its structure allows:
     read, and one test decides the side: classify's margin
     (<a, mu> - b) / ||a||, for a run step and solve alike. A ball's or
     ellipsoid's inner infimum is a walk on one multiplier with each
-    coordinate solved per family (kl_prox); a custom oracle's is
-    projected gradient on a box.
+    coordinate solved per family (kl_prox); a custom oracle's walks the
+    same multiplier with projected gradient on the mean domain's box,
+    each arm's last floats inside its domain, where kl_prox solves too.
   * UnionHalfSpaces (PreparedUnion, one PreparedHalfSpace per row):
     concave max-min over the simplex. The row whose exact saddle is
     cheapest is tried first: when no other row undercuts it at its
@@ -48,7 +49,9 @@ run asks it for one step at a time.
 Every solver uses one numerical policy, the module constants below.
 Every sum is taken left to right: weighted divergences (_weighted_kl),
 hyperplane products (partitions.row_dot), a threshold's t* and the
-Gaussian half-space weights' normalizer.
+Gaussian half-space weights' normalizer. The union's KKT sums alone take
+math.fsum: the rows' weighted divergences, the mixture's and the weights'
+sums, and the start weights spread over the active arms (_spread).
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -340,27 +342,27 @@ def _gaussian_unit_inner(mu, w, b, lin, terms, nu=None):
     return value
 
 
-def _min_f_over_box(f, grad, lo, hi, x0, *, gtol=1e-12, max_iter=20000,
-                    below=-math.inf):
+def _min_f_over_box(f, grad, lo, hi, x0, *, below=-math.inf):
     """Minimize smooth convex f over a coordinate box by projected gradient
     with backtracking. Returns (x, projected-gradient residual). Serves
     custom sublevel oracles only; ball and ellipsoid sets have exact steps.
-    Stops at gtol, or at the first step whose decrease the acceptance slack
-    cannot tell from none. With a finite below it also stops at the first
-    iterate where f < below, which proves that the least f is below it and
-    nothing more."""
+    Stops at a residual of 1e-12 relative to max(1, |x|), at the first step
+    whose decrease the acceptance slack cannot tell from none, or after
+    20,000 steps. With a finite below it also stops at the first iterate
+    where f < below, which proves that the least f is below it and nothing
+    more."""
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     fx = float(f(x))
     eta = 1.0
     resid = math.inf
     best = math.inf
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(20000):
         if fx < below:
             break
         g = np.asarray(grad(x), dtype=float)
         resid = float(np.max(np.abs(x - np.clip(x - g, lo, hi))))
-        if resid <= gtol * max(1.0, float(np.max(np.abs(x)))):
+        if resid <= 1e-12 * max(1.0, float(np.max(np.abs(x)))):
             break
         # the acceptance slack below floors what f-comparisons can resolve
         # at about sqrt(eps); a step that f cannot tell from no step ends the
@@ -409,8 +411,9 @@ def _level_root(models, mu, f, grad, c, box, t, exact=True):
     saturates at the last float inside an arm's domain. c - f(x) rises
     with r = sqrt(t): doubling t from the first trial t (1 unless that is
     a positive float) brackets its root, or, when the first trial meets
-    the set with every face saturated and so gives no slope, halving it
-    does, and one Newton root in r finds it
+    the set with every face saturated and so gives no slope, shrinking it
+    by a squaring factor and then halving the bracket in log t does, and
+    one Newton root in r finds it
     at the envelope slope -sum_i df/dnu_i 2 r / kl_dnu_i over the arms on
     unsaturated faces. One ulp of x_i moves arm i's divergence by about
     |kl_dnu_i| ulp: the coarsest such arm is inverted at the root's level,
@@ -445,17 +448,23 @@ def _level_root(models, mu, f, grad, c, box, t, exact=True):
     else:
         raise InfeasibleAlternative(
             "the set is unreachable from mu inside the mean domain")
-    # a feasible first trial whose faces are all saturated has no slope:
-    # halving t brackets the root from below, as bisecting in r from 0
-    # would take one evaluation per halving of r
-    while gap > 0.0 and not slope and last["box"][1] and r_neg == 0.0 < t:
-        t *= 0.5
-        r_low = math.sqrt(t)
+    # a feasible first trial whose faces are all saturated has no slope: t
+    # shrinks by a factor that squares at each feasible trial (1/2, 1/8,
+    # 1/128, ...), then the bracket halves in log t, until a feasible trial
+    # has a slope or t is within a factor 4 of an infeasible one
+    shrink = 0.5
+    while gap > 0.0 and not slope and last["box"][1] \
+            and t > 4.0 * r_neg * r_neg:
+        t_low = t * shrink if r_neg == 0.0 else r_neg * r
+        if not 0.0 < t_low < t:
+            break
+        r_low = math.sqrt(t_low)
         gap_low, slope_low = gap_at(r_low, probe=True)
         if gap_low < 0.0:
             r_neg, gap_neg = r_low, gap_low
         else:
-            r, gap, slope = r_low, gap_low, slope_low
+            r, gap, slope, t = r_low, gap_low, slope_low, t_low
+            shrink *= shrink
     step = 0.0
     if gap > 0.0:
         # the first Newton step from the feasible end; without a slope, or
@@ -504,49 +513,6 @@ def _divergence_box(models, mu, levels):
     return tuple(np.array([kl_inverse_capped(m, x, t, d)
                            for m, x, t in zip(models, mu, levels)])
                  for d in (Direction.BELOW, Direction.ABOVE))
-
-
-def _box_minimizer(models, mu, w, sub: ConvexSublevel):
-    """nu(lam) for a custom oracle: projected gradient on an adaptively
-    grown coordinate box, regrown whenever the optimum presses a face,
-    which also keeps iterates inside bounded mean domains. A face at an
-    arm's last float inside its domain cannot grow, so an optimum pressing
-    only such faces is the least value over the domain in float64, as a
-    ball's kl_prox is there. An arm's box level is the level over its
-    weight, capped at the largest float where a tiny weight overflows
-    it."""
-    f, gradf = sub.value, sub.grad
-    K = len(models)
-    floor, ceil = map(np.array, _last_floats(models))
-    state, wl = {"x": np.array(mu), "level": 8.0}, w.tolist()
-
-    def nu_of(lam):
-        while True:
-            lv = state["level"]
-            lo, hi = _divergence_box(models, mu, [
-                min(lv / x, sys.float_info.max) for x in wl])
-
-            def psi(x):
-                return _weighted_kl(models, mu, w, x, range(K)) \
-                    + lam * float(f(x))
-
-            def psi_grad(x):
-                g = np.array([w[i] * kl_dnu(models[i], mu[i], x[i])
-                              for i in range(K)])
-                return g + lam * np.asarray(gradf(x), dtype=float)
-
-            x, _ = _min_f_over_box(psi, psi_grad, lo, hi,
-                                   np.clip(state["x"], lo, hi), gtol=1e-12)
-            near = 1e-9 * np.maximum(hi - lo, 1e-12)
-            if not np.any((x - lo <= near) & (lo > floor)
-                          | (hi - x <= near) & (hi < ceil)):
-                state["x"] = x
-                return x
-            state["level"] = lv * 2.0
-            if state["level"] > 2.0 ** 60:
-                raise NumericalError("convex inner box grew without bound")
-
-    return nu_of
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +965,9 @@ class PreparedConvex(_SolvedGeometry):
         alpha_i (nu_i - c_i) = 0 with alpha_i = 2 lam / s_i^2, which each
         family's kl_prox solves (linear for Gaussian, a quadratic for
         Poisson, a monotone root between mu_i and c_i for Bernoulli).
-        Custom oracles minimize on a coordinate box instead.
+        A custom oracle takes projected gradient instead, on the mean
+        domain's box (each arm's last floats inside its domain), each
+        multiplier from the last one's point.
         """
         models, f, c = self.models, self.spec.value, self.spec.level
         if float(f(mu)) <= c:
@@ -1010,7 +978,22 @@ class PreparedConvex(_SolvedGeometry):
         K = len(models)
 
         if self.center is None:
-            nu_of = _box_minimizer(models, mu, w, self.spec)
+            floor, ceil = map(np.array, _last_floats(models))
+            gradf, last = self.spec.grad, [np.array(mu)]
+
+            def nu_of(lam):
+                def psi(x):
+                    return _weighted_kl(models, mu, w, x, range(K)) \
+                        + lam * float(f(x))
+
+                def psi_grad(x):
+                    g = np.array([w[i] * kl_dnu(models[i], mu[i], x[i])
+                                  for i in range(K)])
+                    return g + lam * np.asarray(gradf(x), dtype=float)
+
+                last[0] = _min_f_over_box(psi, psi_grad, floor, ceil,
+                                          last[0])[0]
+                return last[0]
         else:
             center, curvature, prox = self.center, self.curvature, self.prox
 

@@ -2,8 +2,8 @@
 
 All solvers in this package reduce to one-dimensional monotone root finding:
 Newton's method safeguarded by a bracket where the slope is known, and
-bisection after a walk that finds the bracket, which only the ball and
-ellipsoid multiplier uses. Functions may return +-inf; an infinite value
+bisection after a walk that finds the bracket, which the multiplier of a
+ball's, an ellipsoid's and a custom oracle's inner infimum uses. Functions may return +-inf; an infinite value
 is treated purely through its sign.
 """
 

@@ -101,7 +101,11 @@ def _gaussian_kl_prox(m, mu, w, alpha, c):
 
 def _gaussian_kl_inverse(m, mu, target, direction):
     step = math.sqrt(2.0 * m.variance * target)
-    return mu + step if direction is Direction.ABOVE else mu - step
+    nu = mu + step if direction is Direction.ABOVE else mu - step
+    if math.isinf(nu):
+        raise NumericalError(
+            f"divergence {target} from mu={mu} is beyond every float")
+    return nu
 
 
 def _gaussian_draw(m, mean, standard_normal):
@@ -173,6 +177,10 @@ def _bernoulli_kl_inverse(m, mu, target, direction):
     if direction is Direction.ABOVE:
         far = 1.0 - (1.0 - mu) * math.exp(
             -(target - mu * math.log(mu)) / (1.0 - mu))
+        if far <= mu:
+            # 1 - (1 - mu) e^(-x) rounds onto mu or below it, as for a tiny
+            # target from a tiny mu: the far start is lost, the near is kept
+            return _kl_root(m, mu, target, mu + step, 1.0)
         near, dropped, edge = mu + step, -mu * math.log(far), 1.0
     else:
         far = mu * math.exp(-(target - (1.0 - mu) * math.log1p(-mu)) / mu)

@@ -79,6 +79,14 @@ class TestLb:
         assert payload["c_star"] == pytest.approx(0.5, rel=1e-12)
         assert "kkt_residuals" in payload
 
+    def test_json_format_prints_the_saved_artifact(self, experiment_config,
+                                                   tmp_path, capsys):
+        # one writer: lb.json is the printed payload and a newline
+        main(["lb", experiment_config, "--out", str(tmp_path),
+              "--format", "json"])
+        assert capsys.readouterr().out == \
+            (tmp_path / "lb.json").read_text(encoding="utf-8")
+
 
 class TestRun:
 

@@ -276,6 +276,30 @@ def test_a_saturated_first_trial_brackets_the_level_by_halving():
     assert sol.c_star == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
 
 
+def _counted_inverses(monkeypatch):
+    """A list that records each lb_solvers.kl_inverse_capped call."""
+    calls = []
+    capped = lb_solvers.kl_inverse_capped
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return capped(*args, **kwargs)
+
+    monkeypatch.setattr(lb_solvers, "kl_inverse_capped", counted)
+    return calls
+
+
+def test_a_saturated_first_trial_takes_few_box_evaluations(monkeypatch):
+    # t shrinks by a factor that squares at each feasible trial, then the
+    # bracket halves in log t: halving t alone took 657 trials, 1,331
+    # divergence inverses, on the way down from t = 1.25e199
+    calls = _counted_inverses(monkeypatch)
+    sol = solve([bernoulli()] * 2, [1e-200, 0.5],
+                HalfSpace((1.0, 1e-300), 0.5))
+    assert len(calls) <= 200
+    assert sol.c_star == pytest.approx(math.log(2.0), rel=1e-12, abs=0.0)
+
+
 def _spied_row_map(monkeypatch):
     """Record, for each _row_map evaluation, whether it was past the edge
     (None)."""
@@ -727,9 +751,9 @@ class TestConvexNewtonLevel:
         np.testing.assert_allclose(got.nu_star, want.nu_star, rtol=1e-12)
 
     def test_custom_oracle_at_a_subnormal_weight(self):
-        # 8 / 1e-310 overflows: arm 0's box level is the largest float, and
-        # the value is the ball's to the multiplier walk's tolerance of
-        # 1e-12 on the level, which moves nu_1 by about 1e-12
+        # arm 0's gradient is about 1e-310, and the value is the ball's to
+        # the multiplier walk's tolerance of 1e-12 on the level, which
+        # moves nu_1 by about 1e-12
         models, mu, w = [G1, G1], [2.0, 0.5], [1e-310, 1.0]
         spec = ball((0.0, 0.0), 1.0)
         with warnings.catch_warnings():
@@ -740,7 +764,7 @@ class TestConvexNewtonLevel:
 
     @pytest.mark.parametrize("w", [(1.0, 1.0), (0.3, 0.7)])
     def test_unreachable_custom_oracle_is_infeasible(self, w):
-        # as for the ball itself: the box stops growing at the last floats
+        # as for the ball itself: the descent stops at the last floats
         # before 0 and 1, and the multiplier walk finds no crossing
         spec = _custom_copy(ball((5.0, 5.0), 0.5))
         models = [bernoulli(), bernoulli()]
@@ -865,6 +889,43 @@ class TestCustomOracleDescent:
         x, resid = lb_solvers._min_f_over_box(f, grad, lo, hi, x0)
         assert probe_calls < len(calls) - probe_calls <= 100
         assert np.max(np.abs(x - center)) <= 1e-7 and resid <= 1e-6
+
+
+# (name, models, mu, w, ball or ellipsoid) whose inner optimum lies far
+# from mu: inner infima of 3.7 to 100
+FAR_OPTIMUM_CASES = [
+    ("gaussian_ball", [G1, G1], [0.0, 0.0], [1.0, 1.0],
+     ball((6.0, 6.0), 1.0)),
+    ("gaussian_ellipsoid", [gaussian(0.5), gaussian(2.0)], [0.0, 0.0],
+     [2.0, 1.0], ellipsoid((8.0, -3.0), (1.0, 0.5))),
+    ("poisson_ball", [poisson(), poisson()], [0.5, 0.5], [1.0, 1.0],
+     ball((30.0, 30.0), 2.0)),
+    ("bernoulli_ball", [bernoulli(), bernoulli()], [0.02, 0.03], [1.0, 1.0],
+     ball((0.9, 0.9), 0.05)),
+]
+
+
+class TestCustomOracleDomainBox:
+    """A custom oracle's inner infimum descends at each multiplier on the
+    mean domain's own box, each arm's last floats inside its domain, as a
+    ball's or an ellipsoid's kl_prox solves on it."""
+
+    @pytest.mark.parametrize("name,models,mu,spec", NEWTON_LEVEL_CASES,
+                             ids=[c[0] for c in NEWTON_LEVEL_CASES])
+    def test_inner_inf_inverts_no_divergence(self, monkeypatch, name, models,
+                                             mu, spec):
+        calls = _counted_inverses(monkeypatch)
+        w = np.full(len(models), 1.0 / len(models))
+        inner_inf(models, mu, w, _custom_copy(spec))
+        assert calls == []
+
+    @pytest.mark.parametrize("name,models,mu,w,spec", FAR_OPTIMUM_CASES,
+                             ids=[c[0] for c in FAR_OPTIMUM_CASES])
+    def test_far_optimum_matches_its_shape(self, name, models, mu, w, spec):
+        w = np.array(w)
+        got = inner_inf(models, mu, w, _custom_copy(spec))
+        want = inner_inf(models, mu, w, spec)
+        assert got.value == pytest.approx(want.value, rel=1e-7, abs=0.0)
 
 
 class TestSolveUnionHalfspaces:

@@ -166,6 +166,24 @@ def test_kl_inverse_capped_saturates_finite_edges():
                                            Direction.ABOVE))
 
 
+@pytest.mark.parametrize("inverse", [kl_inverse, kl_inverse_capped])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_gaussian_kl_inverse_past_the_last_float_raises(inverse, direction):
+    # 2 v t overflows, so mu +- sqrt(2 v t) is infinite: no float reaches
+    # the target, as at a Bernoulli or Poisson arm's last float, and the
+    # capped inverse has no finite edge to stop at
+    with pytest.raises(NumericalError, match="beyond every float"):
+        inverse(gaussian(), 2.0, 1e308, direction)
+
+
+def test_bernoulli_kl_inverse_where_the_far_start_rounds_away():
+    # 1 - (1 - mu) e^(-x) rounds to 0 at mu = 1e-200 and a target of 1e-20;
+    # the near start mu + sqrt(2 mu (1 - mu) t) still finds the root,
+    # about 1e-20
+    nu = kl_inverse(bernoulli(), 1e-200, 1e-20, Direction.ABOVE)
+    assert kl(bernoulli(), 1e-200, nu) == pytest.approx(1e-20, rel=1e-12)
+
+
 def test_poisson_divergence_where_the_ratio_underflows():
     # nu / mu underflows to 0 at the smallest float: the log of the ratio
     # is log(nu) - log(mu), so the divergence, about 3 (log(3 / 5e-324) - 1),
